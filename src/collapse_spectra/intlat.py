@@ -296,7 +296,7 @@ def principal_log(a, tol: float = 1e-10) -> np.ndarray:
         if lam.real <= 0 and abs(lam.imag) <= 1e-12 * scale:
             raise BranchUnavailable(
                 f"eigenvalue {lam} on the closed negative real axis")
-    B, _ = scipy.linalg.logm(A, disp=False)
+    B = scipy.linalg.logm(A)
     B = np.asarray(B)
     if np.iscomplexobj(B) and np.max(np.abs(B.imag)) > 1e-8:
         raise BranchUnavailable("logarithm is not real")

@@ -11,6 +11,7 @@ structure constants in a new frame via :func:`change_frame`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -182,52 +183,74 @@ def form_dim(n: int, p: int) -> int:
     return math.comb(n, p) if 0 <= p <= n else 0
 
 
-def _wedge_insert(base: tuple, extra: tuple):
-    """Sign and sorted tuple of base wedge extra, or (0, None) if repeated."""
-    merged = base + extra
-    if len(set(merged)) != len(merged):
-        return 0, None
-    arr = list(merged)
-    sign = 1
-    # insertion sort, counting transpositions
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(arr)
+@functools.lru_cache(maxsize=None)
+def _d_pattern(n: int, p: int):
+    """Index tables of d: Lambda^p -> Lambda^{p+1}, fixed by (n, p) alone.
+
+    Returns ``(flat, idx)``: contribution m adds ``w[idx[m]]`` to entry
+    ``flat[m] = row * C(n, p) + col`` of d_p, where ``w`` is
+    ``concat(-c.ravel(), c.ravel())``, so the sign sits in the index.
+    The contributions to any one entry share its column and come in the
+    order of the loop definition of d (generator position t, then pair
+    i < j), which fixes the order of every entry's floating-point sum.
+    Requires 1 <= p < n; int32 and int16 hold every position and index
+    up to n = 18, beyond which d_p itself would not fit in memory.
+    """
+    dom = np.array(list(itertools.combinations(range(n), p)), dtype=np.int64)
+    dom_mask = np.sum(np.int64(1) << dom, axis=1)
+    cod_mask = np.sum(np.int64(1) << np.array(
+        list(itertools.combinations(range(n), p + 1)), dtype=np.int64), axis=1)
+    rank = np.zeros(1 << n, dtype=np.int32)
+    rank[cod_mask] = np.arange(len(cod_mask), dtype=np.int32)
+    # parity of the popcount of every n-bit mask
+    parity = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        parity = np.concatenate((parity, parity ^ 1))
+    pi, pj = np.triu_indices(n, 1)
+    pair_mask = (np.int64(1) << pi) | (np.int64(1) << pj)
+    flats, idxs = [], []
+    for t in range(p):
+        gen = dom[:, t]
+        rest = dom_mask & ~(np.int64(1) << gen)
+        col, pair = np.nonzero((rest[:, None] & pair_mask[None, :]) == 0)
+        r, i, j = rest[col], pi[pair], pj[pair]
+        # sorting rest + (i, j) takes one transposition per element of
+        # rest above i and one per element above j
+        odd = parity[r >> (i + 1)] ^ parity[r >> (j + 1)] ^ (t % 2)
+        # d xi^k carries -c, so an even total sign picks the -c half of w
+        idx = (i * n + j) * n + gen[col] + odd * n ** 3
+        idxs.append(idx.astype(np.int16))
+        flats.append(rank[r | pair_mask[pair]] * np.int32(len(dom))
+                     + col.astype(np.int32))
+    flat, idx = np.concatenate(flats), np.concatenate(idxs)
+    flat.setflags(write=False)
+    idx.setflags(write=False)
+    return flat, idx
 
 
 def exterior_derivative(L: StructureConstants, p: int) -> np.ndarray:
     """Matrix of d: Lambda^p -> Lambda^{p+1} in the lexicographic bases.
 
     On degree-1 generators, d xi^k = -sum_{i<j} c[i,j,k] xi^i ^ xi^j;
-    higher degrees follow by the antiderivation rule.
+    higher degrees follow by the antiderivation rule.  The matrix is
+    assembled from index tables cached per (n, p) with one
+    ``np.bincount``, which adds the contributions to each entry in the
+    order of the loop over generator positions and then pairs i < j, so
+    the result is bit-identical to that loop definition.  The tables take
+    about 2.8 MB for all p at n = 12 and 18 MB at n = 14, less for each n
+    than its largest Laplacian.
     """
     if not (0 <= p <= L.n):
         raise DegreeOutOfRange(f"degree {p} not in [0, {L.n}]")
     n = L.n
-    dom = FormBasis(n, p)
-    cod_dim = form_dim(n, p + 1)
-    D = np.zeros((cod_dim, len(dom)))
+    dom_dim, cod_dim = form_dim(n, p), form_dim(n, p + 1)
     if p == 0 or p == n:
-        return D
-    cod = FormBasis(n, p + 1)
-    for col, I in enumerate(dom.tuples):
-        for t, gen in enumerate(I):
-            rest = I[:t] + I[t + 1:]
-            sign_t = -1.0 if t % 2 else 1.0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    coeff = L.c[i, j, gen]
-                    if coeff == 0.0:
-                        continue
-                    s, J = _wedge_insert(rest, (i, j))
-                    if J is None:
-                        continue
-                    D[cod.rank[J], col] += -coeff * sign_t * s
-    return D
+        return np.zeros((cod_dim, dom_dim))
+    flat, idx = _d_pattern(n, p)
+    c = L.c.ravel()
+    w = np.concatenate((-c, c))[idx]
+    return np.bincount(flat, weights=w,
+                       minlength=cod_dim * dom_dim).reshape(cod_dim, dom_dim)
 
 
 def codifferential(L: StructureConstants, p: int) -> np.ndarray:
@@ -247,6 +270,8 @@ def laplacian(L: StructureConstants, p: int) -> np.ndarray:
     if p < L.n:
         d_p = exterior_derivative(L, p)
         out += d_p.T @ d_p
+        # freed before d_{p-1} is built, so at most one d matrix is alive
+        del d_p
     if p > 0:
         d_prev = exterior_derivative(L, p - 1)
         out += d_prev @ d_prev.T

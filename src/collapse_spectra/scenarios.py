@@ -53,10 +53,14 @@ def _comb0(n, k):
 
 def _matrix_param(params, key):
     value = params[key]
-    if isinstance(value, str):
-        rows = [r for r in value.strip().splitlines() if r.strip()]
-        return np.array([[float(x) for x in r.split()] for r in rows])
-    return np.asarray(value, dtype=float)
+    try:
+        if isinstance(value, str):
+            rows = [r for r in value.strip().splitlines() if r.strip()]
+            value = [[float(x) for x in r.split()] for r in rows]
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:
+        raise ConfigInvalid(
+            f"{key}: need a numeric matrix with rows of equal length") from exc
 
 
 def _vector_param(params, key):
@@ -79,10 +83,14 @@ def _scenario_heisenberg(params, seed, eps_grid):
         raise ConfigInvalid("gamma: need gamma >= alpha + beta for bounded curvature")
     rows, worst = [], 0.0
     for eps in eps_grid:
+        expected = eps ** (2 * tau)
+        # the relative error below needs a normal, nonzero expected value
+        if expected < np.finfo(float).tiny:
+            raise ConfigInvalid(f"eps_grid: eps = {eps!r} underflows "
+                                f"eps^(2 tau) at tau = {tau!r}")
         L = lie_complex.StructureConstants.heisenberg3(eps ** tau)
         rep = lie_complex.spectrum(L, 1)
         lam = float(rep.eigenvalues[-1])
-        expected = eps ** (2 * tau)
         rel = abs(lam - expected) / expected
         worst = max(worst, rel)
         rows.append([eps, tau, lam, expected, rel])

@@ -184,3 +184,18 @@ def test_cli_seed_precedence(tmp_path):
                      str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 5
+
+
+def test_cli_eps_grid_underflow_names_key(tmp_path, capsys):
+    # eps^(2 tau) underflows to zero, which the relative error divides by
+    assert cli.main(["heisenberg", "--out", str(tmp_path),
+                     "--eps-grid", "1e-200"]) == 2
+    assert capsys.readouterr().err.startswith("error: eps_grid:")
+
+
+def test_cli_ragged_matrix_names_key(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\nB =\n    1 2\n    3\n")
+    assert cli.main(["mapping-torus", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: B:")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,3 +184,13 @@ def test_principal_log_quarter_rotation():
     assert np.max(np.abs(B.imag)) == 0.0 if np.iscomplexobj(B) else True
     assert np.max(np.abs(cs.matrix_exp(B) - A)) <= 1e-12
     assert abs(B[0, 1] - np.pi / 2) <= 1e-12
+
+
+def test_principal_log_emits_no_warning():
+    # scipy deprecated logm's `disp` argument; accuracy is left to verify_log
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in ([[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, 1.0]],
+                  [[0.0, 1.0], [-1.0, 0.0]], np.eye(3)):
+            B = cs.principal_log(np.array(A))
+            assert cs.verify_log(np.array(A), B, 1e-10)
