@@ -1,35 +1,43 @@
 """Acceptance suite: every quantitative exit criterion as a check function.
 
-Each criterion returns a list of named checks with margins; the test
-suite and the command-line ``verify-all`` both run these.  Tolerances are
-pinned here, not deferred: override keys exist only for the few knobs a
-config file may legitimately tune, and unknown keys are rejected by the
-config reader.
+A criterion that restates a scenario's claim is a named list of scenario
+runs, each ``(label, scenario, params, eps_grid, seed)``, plus only the
+assertions that no scenario makes.  Its checks are the scenarios' own,
+renamed ``<label>/<check>``, so each claim is checked in one place:
+
+- 1: heisenberg at gamma = 3 and 2, plus a runtime bound;
+- 5: mapping-torus for three nilpotent B, k = 0..d - d';
+- 7: two-block-solvable;
+- 8: torus-bundle for four (n, b);
+- 9: nil-homothety, mapping-torus at k = 0, nil-dense-direction;
+- 10: flat-threshold and gt-family, plus the diameter bound on three tori;
+- 11: euler-bound at seed + 11, plus non-injective block oracles.
+
+Criteria 2, 3, 4 and 6 check library identities that no scenario covers.
+Criterion 12 runs every scenario at its defaults twice and compares the
+artifacts byte for byte.
+
+All criteria of one :func:`run_all` share a :class:`ScenarioRuns` cache
+keyed by the resolved configuration, so a configuration listed by several
+criteria is evaluated once; only criterion 12's second pass bypasses it.
+``verify-all`` writes the scenario manifests from the cached first pass,
+so each default configuration is evaluated exactly twice.  Thresholds come
+from ``TOLERANCES``; ``run_all`` applies the overrides of a config's
+``[tolerances]`` section and passes the table to every criterion and run.
 """
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import (curvature, euler_bound, flat_torus, intlat, lie_complex,
-               mapping_torus, scenarios, torus_bundle)
-from .scenarios import CheckResult
-
-#: Config-tunable tolerances with their pinned defaults.
-TOLERANCES = {
-    "heisenberg_rtol": 1e-10,
-    "closed_form_atol": 1e-12,
-    "duality_atol": 1e-9,
-    "survivor_floor": 1e-2,
-    "drift_limit": 0.05,
-    "spectrum_atol": 1e-10,
-    "chain_margin": 1e-10,
-}
+from . import (euler_bound, flat_torus, intlat, lie_complex, mapping_torus,
+               scenarios, torus_bundle)
+from .scenarios import TOLERANCES, CheckResult
 
 
 @dataclass(frozen=True)
@@ -49,8 +57,33 @@ def _result(number, name, checks, t0):
                            perf_counter() - t0)
 
 
-def _comb0(n: int, k: int) -> int:
-    return math.comb(n, k) if 0 <= k <= n else 0
+class ScenarioRuns:
+    """Scenario results under one tolerance table, keyed by resolved
+    configuration, with the seconds each evaluation took."""
+
+    def __init__(self, tols):
+        self.tols = tols
+        self.cache = {}
+
+    def timed(self, name, params=None, seed=0, eps_grid=None):
+        key = scenarios.resolve(name, params, seed, eps_grid)
+        if key not in self.cache:
+            t0 = time.perf_counter()
+            result = scenarios.run_scenario_checks(name, params, seed,
+                                                   eps_grid, self.tols)
+            self.cache[key] = (result, time.perf_counter() - t0)
+        return self.cache[key]
+
+    def __call__(self, name, params=None, seed=0, eps_grid=None):
+        return self.timed(name, params, seed, eps_grid)[0]
+
+
+def _scenario_checks(runs, run_list):
+    """Checks of every ``(label, scenario, params, eps_grid, seed)`` run,
+    each renamed ``<label>/<check>``."""
+    return [dataclasses.replace(c, name=f"{label}/{c.name}")
+            for label, name, params, grid, seed in run_list
+            for c in runs(name, params, seed, grid).checks]
 
 
 # ---------------------------------------------------------------------------
@@ -90,30 +123,18 @@ def _test_b_matrices():
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_1_heisenberg(tols, seed=0):
+def criterion_1_heisenberg(tols, seed=0, runs=None):
     t0 = time.perf_counter()
-    checks = []
-    rtol = tols["heisenberg_rtol"]
-    for abg in ((1, 1, 3), (1, 1, 2)):
-        tau = abg[2] - abg[0] - abg[1]
-        worst = 0.0
-        for eps in (0.5, 0.1, 0.01):
-            L = lie_complex.StructureConstants.heisenberg3(eps ** tau)
-            rep = lie_complex.spectrum(L, 1)
-            nz = rep.nonzero
-            expected = eps ** (2 * tau)
-            ok_count = len(nz) == 1
-            rel = abs(float(nz[0]) - expected) / expected if ok_count else 1.0
-            worst = max(worst, rel)
-        checks.append(CheckResult(f"rate-{abg}", worst <= rtol, rtol - worst,
-                                  f"max rel err {worst:.3e}"))
+    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+        (f"gamma-{gamma}", "heisenberg", {"gamma": gamma}, None, seed)
+        for gamma in (3, 2)])
     elapsed = time.perf_counter() - t0
     checks.append(CheckResult("runtime", elapsed < 1.0, 1.0 - elapsed,
                               f"{elapsed:.3f} s"))
     return _result(1, "heisenberg small eigenvalue", checks, t0)
 
 
-def criterion_2_closed_form(tols, seed=0):
+def criterion_2_closed_form(tols, seed=0, runs=None):
     t0 = time.perf_counter()
     atol = tols["closed_form_atol"]
     rng = np.random.default_rng(seed)
@@ -129,7 +150,7 @@ def criterion_2_closed_form(tols, seed=0):
     return _result(2, "degree-1 Laplacian closed form", checks, t0)
 
 
-def criterion_3_complex_validity(tols, seed=0):
+def criterion_3_complex_validity(tols, seed=0, runs=None):
     t0 = time.perf_counter()
     atol_dd = 1e-12
     atol_dual = tols["duality_atol"]
@@ -164,7 +185,7 @@ def criterion_3_complex_validity(tols, seed=0):
     return _result(3, "complex validity and duality", checks, t0)
 
 
-def criterion_4_kernel_dimension(tols, seed=0):
+def criterion_4_kernel_dimension(tols, seed=0, runs=None):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 4)
     kernel_ok, count_ok = True, True
@@ -188,52 +209,21 @@ def criterion_4_kernel_dimension(tols, seed=0):
     return _result(4, "kernel dimension over random frames", checks, t0)
 
 
-def criterion_5_collapse_counts(tols, seed=0):
+def criterion_5_collapse_counts(tols, seed=0, runs=None):
     t0 = time.perf_counter()
-    floor_req = tols["survivor_floor"]
-    grid = tuple(2.0 ** -j for j in range(1, 11))
-    cases = [np.array([[0.0, 1.0], [0.0, 0.0]]),
-             np.diag(np.ones(2), 1)]
     b4 = np.zeros((4, 4))
     b4[0, 1] = 1.0
     b4[2, 3] = 1.0
-    cases.append(b4)
-    checks = []
-    for B in cases:
-        n = B.shape[0]
+    run_list = []
+    for B in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag(np.ones(2), 1), b4):
         d, d_prime = mapping_torus.invariants_dd(B)
-        # homothety leaves the spectrum exactly constant
-        t = mapping_torus.run_collapse(B, 0, grid)
-        base = t.rows[0].report.eigenvalues
-        const = all(np.array_equal(r.report.eigenvalues, base) for r in t.rows)
-        checks.append(CheckResult(f"homothety-n{n}", const, 0.0,
-                                  "exact equality"))
-        for k in range(1, d - d_prime + 1):
-            t = mapping_torus.run_collapse(B, k, grid)
-            fall_ok, exact_ok, floor_ok, trace_ok = True, True, True, True
-            fam = mapping_torus.collapse_family(B, k)
-            tr1 = float(np.sum(fam.c_matrix(1.0) ** 2))
-            floor_val = math.inf
-            for r in t.rows:
-                vals = np.sort(r.report.eigenvalues)
-                nonzero = vals[d_prime + 1:]
-                fall_ok = fall_ok and float(nonzero[k - 1]) < 10.0 * r.eps ** 2
-                if 10.0 * r.eps ** 2 <= floor_req:
-                    exact_ok = exact_ok and int(
-                        np.sum(nonzero < 10.0 * r.eps ** 2)) == k
-                if k < len(nonzero):
-                    floor_val = min(floor_val, float(nonzero[k]))
-                trace_ok = trace_ok and r.trace <= tr1 + 1e-9
-            if k < n - d_prime:
-                floor_ok = floor_val >= floor_req
-            checks.append(CheckResult(
-                f"counts-n{n}-k{k}", fall_ok and exact_ok and floor_ok
-                and trace_ok, 0.0,
-                f"floor {floor_val if floor_val < math.inf else 'n/a'}"))
+        run_list += [(f"n{len(B)}-k{k}", "mapping-torus", {"B": B, "k": k},
+                      None, seed) for k in range(d - d_prime + 1)]
+    checks = _scenario_checks(runs or ScenarioRuns(tols), run_list)
     return _result(5, "collapse small-eigenvalue counts", checks, t0)
 
 
-def criterion_6_betti(tols, seed=0):
+def criterion_6_betti(tols, seed=0, runs=None):
     t0 = time.perf_counter()
     known = [([[1, 0], [0, 1]], 3), ([[1, 1], [0, 1]], 2),
              ([[2, 1], [1, 1]], 1)]
@@ -262,134 +252,55 @@ def criterion_6_betti(tols, seed=0):
     return _result(6, "first Betti numbers", checks, t0)
 
 
-def criterion_7_two_block_regression(tols, seed=0):
+def criterion_7_two_block_regression(tols, seed=0, runs=None):
     t0 = time.perf_counter()
-    res = scenarios.run_scenario_checks("two-block-solvable",
-                                        eps_grid=(0.08, 0.04, 0.02, 0.01))
-    return _result(7, "two-block solvable regression", res.checks, t0)
+    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+        ("two-block", "two-block-solvable", None, None, seed)])
+    return _result(7, "two-block solvable regression", checks, t0)
 
 
-def criterion_8_torus_bundle(tols, seed=0):
+def criterion_8_torus_bundle(tols, seed=0, runs=None):
     t0 = time.perf_counter()
-    atol = tols["spectrum_atol"]
-    worst = 0.0
-    split_ok, curv_ok, oneill_ok = True, True, True
     cases = [(1, [1.0]), (2, [1.0, 0.0]), (2, [0.6, 0.8]), (3, [0.0, 0.0, 2.0])]
-    for n, b in cases:
-        eta_sq = sum(x * x for x in b)
-        for p in range(1, n + 2):
-            worst = max(worst, torus_bundle.verify_spectrum(n, p, b))
-            split = torus_bundle.eigenspace_split(n, p, b)
-            split_ok = split_ok and split.coclosed == _comb0(n - 1, p - 1) \
-                and split.closed == _comb0(n - 1, p - 2)
-        cb = torus_bundle.curvature_bound_check(b)
-        curv_ok = curv_ok and cb.ok and cb.attained_at_horizontal \
-            and abs(cb.max_abs_k - 0.75 * eta_sq) <= 1e-12 * max(1.0, eta_sq)
-        od = curvature.oneill_defect(torus_bundle.nil_algebra(b),
-                                     [n, n + 1], 0.0)
-        oneill_ok = oneill_ok and od <= 1e-10
-    checks = [
-        CheckResult("unique-eigenvalue", worst <= atol, atol - worst,
-                    f"max gap {worst:.3e}"),
-        CheckResult("closed-coclosed-split", split_ok, 0.0,
-                    "C(n-1,p-1) / C(n-1,p-2)"),
-        CheckResult("curvature-three-quarters", curv_ok, 0.0,
-                    "max |K| = 3/4 eta^2 at (Y1, Y2)"),
-        CheckResult("oneill-defect", oneill_ok, 0.0, "<= 1e-10"),
-    ]
+    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+        ("b=" + ",".join(f"{x:g}" for x in b), "torus-bundle",
+         {"n": n, "b": b}, None, seed) for n, b in cases])
     return _result(8, "principal bundle unique eigenvalue", checks, t0)
 
 
-def criterion_9_contrasting_collapses(tols, seed=0):
+def criterion_9_contrasting_collapses(tols, seed=0, runs=None):
     t0 = time.perf_counter()
     grid = (0.5, 0.25, 0.125, 0.0625)
-    b0 = [0.8, 0.6]
-    traj = torus_bundle.collapse_direction(b0, [1.0, 1.0], grid)
-    eta_sq = sum(x * x for x in b0)
-    rate_ok = all(abs(lam - e * e * eta_sq) <= 1e-15
-                  for e, lam in zip(traj.eps, traj.lam))
-    mt = mapping_torus.run_collapse(np.array([[0.0, 1.0], [0.0, 0.0]]), 0, grid)
-    base = mt.rows[0].report.eigenvalues
-    const_ok = all(np.array_equal(r.report.eigenvalues, base) for r in mt.rows)
-    b_dense = [0.5, 1.5, 2.5]
-    traj2 = torus_bundle.collapse_direction(b_dense, [1.0, 0.0, 0.0], grid)
-    limit_ok = traj2.limit == 1.5 ** 2 + 2.5 ** 2 \
-        and traj2.limit_class == "positive"
-    checks = [
-        CheckResult("bundle-homothety-rate", rate_ok and
-                    traj.limit_class == "vanishes", 0.0,
-                    "lambda = eps^2 |b|^2 -> 0"),
-        CheckResult("mapping-torus-homothety-constant", const_ok, 0.0,
-                    "spectrum exactly constant"),
-        CheckResult("dense-direction-limit", limit_ok, 0.0,
-                    f"limit {traj2.limit}"),
-    ]
+    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+        ("bundle-homothety", "nil-homothety", {"b": [0.8, 0.6]}, grid, seed),
+        ("mapping-torus-homothety", "mapping-torus", {"k": 0}, grid, seed),
+        ("dense-direction", "nil-dense-direction", {"b": [0.5, 1.5, 2.5]},
+         grid, seed)])
     return _result(9, "contrasting collapse modes", checks, t0)
 
 
-def criterion_10_flat_thresholds(tols, seed=0):
+def criterion_10_flat_thresholds(tols, seed=0, runs=None):
     t0 = time.perf_counter()
-    rep1 = flat_torus.threshold_check_product(
-        flat_torus.FlatTorus.circle(1.0), flat_torus.FlatTorus.circle(0.1), 1)
-    rep2 = flat_torus.threshold_check_product(
-        flat_torus.FlatTorus.circle(1.0), flat_torus.FlatTorus.identity(2), 1)
-    sharp1 = rep1.ok and abs(rep1.threshold - 400.0 * math.pi ** 2) \
-        <= 1e-9 * rep1.threshold
-    sharp2 = rep2.ok and abs(rep2.threshold - 4.0 * math.pi ** 2) \
-        <= 1e-12 * rep2.threshold
-    worst_spec, diam_ok = 0.0, True
-    for t in (0.0, 0.3, 0.5):
-        s_t = np.sort(flat_torus.p_form_spectrum(
-            flat_torus.gt_gram(t), 0, 300.0).eigenvalues())
-        s_t1 = np.sort(flat_torus.p_form_spectrum(
-            flat_torus.gt_gram(t + 1.0), 0, 300.0).eigenvalues())
-        worst_spec = max(worst_spec, float(np.max(np.abs(s_t - s_t1))))
-        d_t = flat_torus.diameter(flat_torus.gt_gram(t), 200)
-        d_t1 = flat_torus.diameter(flat_torus.gt_gram(t + 1.0), 200)
-        diam_ok = diam_ok and abs(d_t.value - d_t1.value) \
-            <= d_t.error + d_t1.error
-    bound_ok = True
-    for torus in (flat_torus.FlatTorus.identity(2),
-                  flat_torus.FlatTorus.circle(1.0),
-                  flat_torus.gt_gram(0.5),
-                  flat_torus.FlatTorus(np.diag([4.0, 0.25]))):
-        bound_ok = bound_ok and flat_torus.diameter_eigenvalue_bound_check(
-            torus, 200).ok
-    checks = [
-        CheckResult("circle-fiber-sharp", sharp1, 0.0,
-                    f"threshold {rep1.threshold:.6g}"),
-        CheckResult("square-fiber-sharp", sharp2, 0.0,
-                    f"threshold {rep2.threshold:.6g}"),
-        CheckResult("gt-spectra", worst_spec <= 1e-12, 1e-12 - worst_spec,
-                    f"max gap {worst_spec:.3e}"),
-        CheckResult("gt-diameters", diam_ok, 0.0, "within grid error"),
-        CheckResult("diameter-bound", bound_ok, 0.0,
-                    "lambda01 >= (pi/diam)^2"),
-    ]
+    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+        ("flat-threshold", "flat-threshold", None, None, seed),
+        ("gt-family", "gt-family", None, None, seed)])
+    reports = [flat_torus.diameter_eigenvalue_bound_check(torus, 200)
+               for torus in (flat_torus.FlatTorus.identity(2),
+                             flat_torus.FlatTorus.circle(1.0),
+                             flat_torus.FlatTorus(np.diag([4.0, 0.25])))]
+    # lambda01 - (pi / (diam + grid error))^2, the certified gap
+    gap = min(r.margin + r.slack for r in reports)
+    checks.append(CheckResult("diameter-bound", all(r.ok for r in reports),
+                              gap, "lambda01 >= (pi/diam)^2 on T^2, S^1, "
+                              "diag(4, 1/4)"))
     return _result(10, "flat invariance thresholds", checks, t0)
 
 
-def criterion_11_euler_chain(tols, seed=0):
+def criterion_11_euler_chain(tols, seed=0, runs=None):
     t0 = time.perf_counter()
-    margin = tols["chain_margin"]
-    rng = np.random.default_rng(seed + 11)
-    chain_ok, fact_ok = True, True
-    count = 0
-    while count < 50:
-        k = int(rng.integers(1, 5))
-        m = int(rng.integers(k, k + 3))
-        E = rng.integers(-4, 5, size=(m, k))
-        if intlat.rational_rank([[int(x) for x in r] for r in E]) < k:
-            continue
-        count += 1
-        w = rng.standard_normal((k, k))
-        gram = w @ w.T + 0.5 * np.eye(k)
-        bc = euler_bound.bound_chain(E.tolist(), gram)
-        chain_ok = chain_ok and bc.lam_min >= bc.det_bound - margin \
-            and bc.lam_min >= bc.mid_bound - margin \
-            and bc.mid_bound >= bc.det_bound - margin
-        fact_ok = fact_ok and euler_bound.det_factorization(E.tolist(),
-                                                            gram).ok
+    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+        ("euler-bound", "euler-bound", {"trials": 50, "kmax": 4}, None,
+         seed + 11)])
     # ten crafted non-injective instances vs hand-built block oracles
     noninj_ok = True
     rng2 = np.random.default_rng(seed + 111)
@@ -412,34 +323,27 @@ def criterion_11_euler_chain(tols, seed=0):
         noninj_ok = noninj_ok and rep.restricted is not None \
             and abs(rep.restricted.lam_min - oracle.lam_min) <= 1e-9 \
             and abs(rep.restricted.det_bound - oracle.det_bound) <= 1e-9
-    rho2 = euler_bound.rho_flat(flat_torus.FlatTorus.identity(2)).rho
-    rho3 = euler_bound.rho_flat(flat_torus.FlatTorus.identity(3)).rho
-    checks = [
-        CheckResult("bound-chain-50", chain_ok, 0.0, "margin 1e-10"),
-        CheckResult("det-factorization", fact_ok, 0.0, "relative 1e-10"),
-        CheckResult("noninjective-oracles", noninj_ok, 0.0,
-                    "10 crafted block instances"),
-        CheckResult("rho-values", rho2 == 1.0 and rho3 == 1.0, 0.0,
-                    f"rho(T2) = {rho2}, rho(T3) = {rho3}"),
-    ]
+    checks.append(CheckResult("noninjective-oracles", noninj_ok, 0.0,
+                              "10 crafted block instances"))
     return _result(11, "Euler determinant bound chain", checks, t0)
 
 
-def criterion_12_end_to_end(tols, seed=0):
+def criterion_12_end_to_end(tols, seed=0, runs=None):
     t0 = time.perf_counter()
-    digests = []
-    for _ in range(2):
-        run = {}
-        for name in sorted(scenarios.SCENARIOS):
-            res = scenarios.run_scenario_checks(name, seed=seed)
-            for fname, text in res.artifacts.items():
-                run[f"{name}/{fname}"] = hashlib.sha256(
-                    text.encode()).hexdigest()
-        digests.append(run)
-    elapsed = time.perf_counter() - t0
+    runs = runs or ScenarioRuns(tols)
+    names = sorted(scenarios.SCENARIOS)
+    first = [runs.timed(name, seed=seed) for name in names]
+    t1 = time.perf_counter()
+    second = [scenarios.run_scenario_checks(name, seed=seed, tolerances=tols)
+              for name in names]
+    # the first pass may have been evaluated earlier, by another criterion
+    elapsed = sum(s for _, s in first) + time.perf_counter() - t1
+    differing = sum(a.artifacts != b.artifacts
+                    for (a, _), b in zip(first, second))
+    count = sum(len(b.artifacts) for b in second)
     checks = [
-        CheckResult("byte-determinism", digests[0] == digests[1], 0.0,
-                    f"{len(digests[0])} artifacts"),
+        CheckResult("byte-determinism", differing == 0, float(-differing),
+                    f"{count} artifacts"),
         CheckResult("runtime", elapsed < 60.0, 60.0 - elapsed,
                     f"two full passes in {elapsed:.1f} s"),
     ]
@@ -466,6 +370,7 @@ CRITERIA = [
 class AcceptanceSummary:
     results: tuple
     seconds: float
+    runs: ScenarioRuns
 
     @property
     def passed(self) -> bool:
@@ -480,11 +385,12 @@ def run_all(seed: int = 0, tolerances: dict = None,
             if key not in TOLERANCES:
                 raise KeyError(key)
             tols[key] = float(value)
+    runs = ScenarioRuns(tols)
     t0 = time.perf_counter()
     results = []
     for func in CRITERIA:
         number = int(func.__name__.split("_")[1])
         if number in skip:
             continue
-        results.append(func(tols, seed))
-    return AcceptanceSummary(tuple(results), time.perf_counter() - t0)
+        results.append(func(tols, seed, runs))
+    return AcceptanceSummary(tuple(results), time.perf_counter() - t0, runs)

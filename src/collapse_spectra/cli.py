@@ -73,7 +73,7 @@ def _read_config(path: str) -> dict:
         raise ConfigInvalid(f"config: cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigInvalid(f"config: parse error in {path}: {exc}") from exc
-    out = {"params": {}, "tolerances": {}}
+    out = {"params": {}}
     for section in cp.sections():
         if section == "scenario":
             for key, value in cp.items(section):
@@ -93,6 +93,7 @@ def _read_config(path: str) -> dict:
         elif section == "params":
             out["params"].update(cp.items(section))
         elif section == "tolerances":
+            out["tolerances"] = {}
             for key, value in cp.items(section):
                 if key not in acceptance.TOLERANCES:
                     raise ConfigInvalid(f"{key}: unknown tolerance")
@@ -121,10 +122,13 @@ def _config_hash(payload: dict) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def run_scenario(config: ScenarioConfig, out_dir: Path = None) -> RunManifest:
-    """Run one scenario, write artifacts plus manifest, return the manifest."""
+def run_scenario(config: ScenarioConfig, out_dir: Path = None,
+                 result: scenarios.ScenarioResult = None) -> RunManifest:
+    """Run one scenario, unless its ``result`` is given, write artifacts
+    plus manifest, and return the manifest."""
     spec = scenarios.SCENARIOS[config.name]
-    result = config.run()
+    if result is None:
+        result = config.run()
     params = {k: str(v) for k, v in sorted(config.params.items())}
     grid = config.grid
     artifacts = []
@@ -169,11 +173,13 @@ def _cmd_list() -> int:
 
 
 def _cmd_verify_all(seed: int, out_dir: Path, tolerances: dict) -> int:
-    summary = acceptance.run_all(seed=seed, tolerances=tolerances or None)
+    summary = acceptance.run_all(seed=seed, tolerances=tolerances)
     scenario_manifests = {}
     for name in sorted(scenarios.SCENARIOS):
+        # criterion 12's first pass, not a third evaluation
         manifest = run_scenario(ScenarioConfig(name, seed=seed),
-                                out_dir=out_dir / name)
+                                out_dir=out_dir / name,
+                                result=summary.runs(name, seed=seed))
         scenario_manifests[name] = manifest
         status = "PASS" if manifest.passed else "FAIL"
         print(f"{status} scenario {name} ({manifest.tag})")
@@ -221,7 +227,7 @@ def main(argv=None) -> int:
 
     try:
         config = _read_config(args.config) if args.config else \
-            {"params": {}, "tolerances": {}}
+            {"params": {}}
         seed = args.seed if args.seed is not None else config.get("seed", 0)
         out_base = args.out or os.environ.get("COLLAPSE_SPECTRA_OUT") \
             or config.get("out") or DEFAULT_OUT
@@ -229,8 +235,11 @@ def main(argv=None) -> int:
         if args.command == "list":
             return _cmd_list()
         if args.command == "verify-all":
-            return _cmd_verify_all(seed, out_dir, config["tolerances"])
+            return _cmd_verify_all(seed, out_dir, config.get("tolerances"))
         name = args.command
+        if "tolerances" in config:
+            raise ConfigInvalid(
+                "tolerances: only verify-all reads the [tolerances] section")
         if "name" in config and config["name"] != name:
             raise ConfigInvalid(
                 f"name: config names scenario {config['name']!r}, "

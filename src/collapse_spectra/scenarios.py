@@ -3,6 +3,8 @@
 Every scenario computes a table tied to one quantitative claim about
 collapsing homogeneous bundles, emits CSV bodies that are byte-identical
 for a fixed config and seed, and returns machine-checkable margins.
+Parameters, seed and eps grid are merged with the defaults and validated
+in one place, :func:`resolve`, before any scenario code runs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,18 @@ import numpy as np
 from . import (curvature, euler_bound, flat_torus, intlat, lie_complex,
                mapping_torus, torus_bundle)
 from .errors import ConfigInvalid, ScenarioUnknown
+
+#: Config-tunable tolerances with their pinned defaults; each governs
+#: one check, named in the comment (criterion checks are in acceptance).
+TOLERANCES = {
+    "heisenberg_rtol": 1e-10,     # heisenberg eigenvalue-rate
+    "closed_form_atol": 1e-12,    # criterion 2 oracle-equality
+    "duality_atol": 1e-9,         # criterion 3 poincare-duality
+    "survivor_floor": 1e-2,       # mapping-torus survivor-floor, exact-count
+    "drift_limit": 0.05,          # two-block-solvable rate-drift
+    "spectrum_atol": 1e-10,       # torus-bundle spectrum-match
+    "chain_margin": 1e-10,        # euler-bound bound-chain
+}
 
 
 @dataclass(frozen=True)
@@ -51,62 +65,89 @@ def _comb0(n, k):
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _matrix_param(params, key):
-    value = params[key]
+# ---------------------------------------------------------------------------
+# configuration checks
+# ---------------------------------------------------------------------------
+
+_KINDS = {float: "a number", int: "an integer", "vector": "a list of numbers",
+          "matrix": "a square numeric matrix, one row per line"}
+
+
+def _parse(kind, key, value):
+    """Typed, hashable value of one parameter: a float, an int, a tuple
+    ("vector") or a tuple of equally long tuples ("matrix")."""
     try:
-        if isinstance(value, str):
-            rows = [r for r in value.strip().splitlines() if r.strip()]
-            value = [[float(x) for x in r.split()] for r in rows]
-        return np.asarray(value, dtype=float)
-    except ValueError as exc:
-        raise ConfigInvalid(
-            f"{key}: need a numeric matrix with rows of equal length") from exc
+        if kind == "vector":
+            items = value.replace(",", " ").split() \
+                if isinstance(value, str) else value
+            return tuple(float(x) for x in items)
+        if kind == "matrix":
+            rows = [r.split() for r in value.splitlines() if r.strip()] \
+                if isinstance(value, str) else value
+            rows = tuple(tuple(float(x) for x in r) for r in rows)
+            if not rows or any(len(r) != len(rows) for r in rows):
+                raise ValueError
+            return rows
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{key}: need {_KINDS[kind]}, got {value!r}") \
+            from exc
 
 
-def _vector_param(params, key):
-    value = params[key]
-    if isinstance(value, str):
-        return [float(x) for x in value.replace(",", " ").split()]
-    return [float(x) for x in value]
+def _check_grid(grid, power):
+    """Reject a grid on which eps^power, a divisor, is not a normal float."""
+    for eps in grid:
+        if eps ** power < np.finfo(float).tiny:
+            raise ConfigInvalid(f"eps_grid: eps = {eps!r} underflows "
+                                f"eps^{power!r}")
 
 
-# ---------------------------------------------------------------------------
-# scenario implementations
-# ---------------------------------------------------------------------------
-
-def _scenario_heisenberg(params, seed, eps_grid):
-    alpha = float(params["alpha"])
-    beta = float(params["beta"])
-    gamma = float(params["gamma"])
-    tau = gamma - alpha - beta
+def _check_heisenberg(params, grid):
+    tau = params["gamma"] - params["alpha"] - params["beta"]
     if tau < 0:
         raise ConfigInvalid("gamma: need gamma >= alpha + beta for bounded curvature")
-    rows, worst = [], 0.0
+    _check_grid(grid, 2 * tau)
+
+
+def _check_torus_bundle(params, grid):
+    n, b = params["n"], params["b"]
+    if len(b) != n:
+        raise ConfigInvalid(f"b: need n = {n} entries, got {len(b)}")
+
+
+# ---------------------------------------------------------------------------
+# scenario implementations: (typed params, seed, grid, tolerances) -> result
+# ---------------------------------------------------------------------------
+
+def _scenario_heisenberg(params, seed, eps_grid, tols):
+    tau = params["gamma"] - params["alpha"] - params["beta"]
+    rtol = tols["heisenberg_rtol"]
+    rows, worst, single = [], 0.0, True
     for eps in eps_grid:
         expected = eps ** (2 * tau)
-        # the relative error below needs a normal, nonzero expected value
-        if expected < np.finfo(float).tiny:
-            raise ConfigInvalid(f"eps_grid: eps = {eps!r} underflows "
-                                f"eps^(2 tau) at tau = {tau!r}")
         L = lie_complex.StructureConstants.heisenberg3(eps ** tau)
         rep = lie_complex.spectrum(L, 1)
         lam = float(rep.eigenvalues[-1])
         rel = abs(lam - expected) / expected
+        single = single and len(rep.nonzero) == 1
         worst = max(worst, rel)
         rows.append([eps, tau, lam, expected, rel])
-    checks = [CheckResult("eigenvalue-rate", worst <= 1e-10, 1e-10 - worst,
-                          f"max relative error {worst:.3e}")]
+    checks = [CheckResult("eigenvalue-rate", single and worst <= rtol,
+                          rtol - worst, f"max relative error {worst:.3e}"
+                          + ("" if single else "; not one nonzero eigenvalue"))]
     return ScenarioResult({"spectra.csv": _csv(
         ["eps", "tau", "lambda", "expected", "rel_err"], rows)}, checks)
 
 
-def _scenario_mapping_torus(params, seed, eps_grid):
-    B = _matrix_param(params, "B")
-    k = int(params["k"])
+def _scenario_mapping_torus(params, seed, eps_grid, tols):
+    B = np.array(params["B"])
+    k = params["k"]
+    floor_req = tols["survivor_floor"]
     table = mapping_torus.run_collapse(B, k, eps_grid)
     checks = []
     n = B.shape[0]
-    d, d_prime = table.d, table.d_prime
+    d_prime = table.d_prime
+    nonzero = [np.sort(r.report.eigenvalues)[d_prime + 1:] for r in table.rows]
     kernel_ok = all(r.report.kernel_dim == d_prime + 1 for r in table.rows)
     checks.append(CheckResult("kernel-dim", kernel_ok, 0.0,
                               f"expected {d_prime + 1}"))
@@ -117,16 +158,20 @@ def _scenario_mapping_torus(params, seed, eps_grid):
         checks.append(CheckResult("homothety-constant", const, 0.0,
                                   "spectra must match exactly"))
     else:
-        falling = all(
-            float(np.sort(r.report.eigenvalues)[d_prime + 1 + k - 1])
-            < 10.0 * r.eps ** 2 for r in table.rows)
+        falling = all(float(nz[k - 1]) < 10.0 * r.eps ** 2
+                      for r, nz in zip(table.rows, nonzero))
         checks.append(CheckResult("first-k-fall", falling, 0.0,
                                   "k-th nonzero eigenvalue below 10 eps^2"))
+        # once 10 eps^2 is below the survivor floor, exactly k fall below it
+        miss = max((abs(int(np.sum(nz < 10.0 * r.eps ** 2)) - k)
+                    for r, nz in zip(table.rows, nonzero)
+                    if 10.0 * r.eps ** 2 <= floor_req), default=0)
+        checks.append(CheckResult("exact-count", miss == 0, float(-miss),
+                                  f"exactly {k} below 10 eps^2 <= {floor_req:g}"))
         if k + 1 <= n - d_prime:
-            floor = min(float(np.sort(r.report.eigenvalues)[d_prime + 1 + k])
-                        for r in table.rows)
-            checks.append(CheckResult("survivor-floor", floor >= 1e-2,
-                                      floor - 1e-2, f"floor {floor:.3e}"))
+            floor = min(float(nz[k]) for nz in nonzero)
+            checks.append(CheckResult("survivor-floor", floor >= floor_req,
+                                      floor - floor_req, f"floor {floor:.3e}"))
     tr0 = float(np.sum(table.b_matrix * table.b_matrix))
     fam = mapping_torus.collapse_family(B, k)
     tr1 = float(np.sum(fam.c_matrix(1.0) ** 2))
@@ -136,9 +181,10 @@ def _scenario_mapping_torus(params, seed, eps_grid):
     return ScenarioResult({"collapse.csv": table.to_csv()}, checks)
 
 
-def _scenario_two_block_solvable(params, seed, eps_grid):
+def _scenario_two_block_solvable(params, seed, eps_grid, tols):
     a_prime = np.array([[2.0, 1.0], [1.0, 1.0]])
     lam = math.log(float(np.max(np.linalg.eigvals(a_prime).real)))
+    limit = tols["drift_limit"]
 
     def c_eps(eps):
         return np.array([[lam, eps, 0, 0], [0, lam, 0, 0],
@@ -172,14 +218,14 @@ def _scenario_two_block_solvable(params, seed, eps_grid):
     checks = [
         CheckResult("d2-pattern", gap <= 1e-12, 1e-12 - gap,
                     f"entrywise gap {gap:.3e}"),
-        CheckResult("rate-drift", drift <= 0.05, 0.05 - drift,
+        CheckResult("rate-drift", drift <= limit, limit - drift,
                     f"lambda/eps^2 drift {drift:.3e}"),
     ]
     return ScenarioResult({"rate.csv": _csv(["eps", "lambda_small", "ratio"],
                                             rows)}, checks)
 
 
-def _scenario_flat_rotation_torus(params, seed, eps_grid):
+def _scenario_flat_rotation_torus(params, seed, eps_grid, tols):
     two_pi = 2.0 * math.pi
     B = np.array([[0.0, two_pi], [-two_pi, 0.0]])
     A = [[1, 0], [0, 1]]
@@ -198,9 +244,9 @@ def _scenario_flat_rotation_torus(params, seed, eps_grid):
     return ScenarioResult({"curvature.csv": table.to_csv()}, checks)
 
 
-def _scenario_torus_bundle(params, seed, eps_grid):
-    n = int(params["n"])
-    b = _vector_param(params, "b")
+def _scenario_torus_bundle(params, seed, eps_grid, tols):
+    n, b = params["n"], params["b"]
+    atol = tols["spectrum_atol"]
     rows, worst = [], 0.0
     for p in range(1, n + 2):
         gap = torus_bundle.verify_spectrum(n, p, b)
@@ -212,15 +258,18 @@ def _scenario_torus_bundle(params, seed, eps_grid):
         r[4] == _comb0(n - 1, r[1] - 1) and r[5] == _comb0(n - 1, r[1] - 2)
         for r in rows)
     cb = torus_bundle.curvature_bound_check(b)
+    # the maximum is 3/4 eta^2 itself, not only bounded by it
+    slack = 1e-12 * max(1.0, eta_sq) - abs(cb.max_abs_k - cb.bound)
     od = curvature.oneill_defect(torus_bundle.nil_algebra(b),
                                  [n, n + 1], 0.0)
     checks = [
-        CheckResult("spectrum-match", worst <= 1e-10, 1e-10 - worst,
+        CheckResult("spectrum-match", worst <= atol, atol - worst,
                     f"max gap {worst:.3e}"),
         CheckResult("eigenspace-split", split_ok, 0.0,
                     "coclosed/closed counts"),
-        CheckResult("curvature-bound", cb.ok and cb.attained_at_horizontal,
-                    cb.bound - cb.max_abs_k,
+        CheckResult("curvature-bound",
+                    cb.ok and cb.attained_at_horizontal and slack >= 0.0,
+                    slack,
                     f"max |K| = {cb.max_abs_k:.6g} vs 3/4 eta^2 = {cb.bound:.6g}"),
         CheckResult("oneill-defect", od <= 1e-10, 1e-10 - od,
                     f"defect {od:.3e}"),
@@ -229,13 +278,15 @@ def _scenario_torus_bundle(params, seed, eps_grid):
         ["n", "p", "gap", "total_mult", "coclosed", "closed"], rows)}, checks)
 
 
-def _scenario_nil_homothety(params, seed, eps_grid):
-    b0 = _vector_param(params, "b")
+def _scenario_nil_homothety(params, seed, eps_grid, tols):
+    b0 = params["b"]
     traj = torus_bundle.collapse_direction(b0, [1.0] * len(b0), eps_grid)
+    eta_sq = sum(x * x for x in b0)
     exact = all(lam == sum((e * x) ** 2 for x in b0)
                 for e, lam in zip(traj.eps, traj.lam))
+    gap = max(abs(lam - e * e * eta_sq) for e, lam in zip(traj.eps, traj.lam))
     checks = [
-        CheckResult("rate-exact", exact, 0.0,
+        CheckResult("rate-exact", exact and gap <= 1e-15, 1e-15 - gap,
                     "lambda(eps) = eps^2 sum b_i^2"),
         CheckResult("vanishes", traj.limit_class == "vanishes", 0.0,
                     f"limit {traj.limit}"),
@@ -243,8 +294,8 @@ def _scenario_nil_homothety(params, seed, eps_grid):
     return ScenarioResult({"trajectory.csv": traj.to_csv()}, checks)
 
 
-def _scenario_nil_dense_direction(params, seed, eps_grid):
-    b0 = _vector_param(params, "b")
+def _scenario_nil_dense_direction(params, seed, eps_grid, tols):
+    b0 = params["b"]
     alpha = [1.0] + [0.0] * (len(b0) - 1)
     traj = torus_bundle.collapse_direction(b0, alpha, eps_grid)
     expected = sum(x * x for x in b0[1:])
@@ -257,9 +308,9 @@ def _scenario_nil_dense_direction(params, seed, eps_grid):
     return ScenarioResult({"trajectory.csv": traj.to_csv()}, checks)
 
 
-def _scenario_flat_threshold(params, seed, eps_grid):
-    base = flat_torus.FlatTorus.circle(float(params["base_length"]))
-    fiber_len = float(params["fiber_length"])
+def _scenario_flat_threshold(params, seed, eps_grid, tols):
+    base = flat_torus.FlatTorus.circle(params["base_length"])
+    fiber_len = params["fiber_length"]
     circle_rep = flat_torus.threshold_check_product(
         base, flat_torus.FlatTorus.circle(fiber_len), 1)
     square_rep = flat_torus.threshold_check_product(
@@ -268,12 +319,15 @@ def _scenario_flat_threshold(params, seed, eps_grid):
         base, flat_torus.FlatTorus.identity(2), 1,
         cutoff=2.5 * flat_torus.FOUR_PI_SQ)
     expected = (2.0 * math.pi / fiber_len) ** 2
+    circle_slack = 1e-9 * expected - abs(circle_rep.threshold - expected)
+    square_slack = 1e-12 * square_rep.threshold \
+        - abs(square_rep.threshold - flat_torus.FOUR_PI_SQ)
     checks = [
         CheckResult("circle-threshold",
-                    circle_rep.ok and abs(circle_rep.threshold - expected)
-                    <= 1e-9 * expected, 0.0,
+                    circle_rep.ok and circle_slack >= 0.0, circle_slack,
                     f"threshold {circle_rep.threshold:.6g}"),
-        CheckResult("square-threshold", square_rep.ok, 0.0,
+        CheckResult("square-threshold",
+                    square_rep.ok and square_slack >= 0.0, square_slack,
                     f"threshold {square_rep.threshold:.6g} attained"),
         CheckResult("odd-multiplicity", odd.ok, 0.0,
                     f"{len(odd.groups)} eigenvalue groups"),
@@ -282,13 +336,12 @@ def _scenario_flat_threshold(params, seed, eps_grid):
                            "modes_square.csv": square_rep.csv}, checks)
 
 
-def _scenario_gt_family(params, seed, eps_grid):
-    t_values = _vector_param(params, "t_values")
-    resolution = int(params["resolution"])
+def _scenario_gt_family(params, seed, eps_grid, tols):
+    resolution = params["resolution"]
     cutoff = 300.0
     rows = []
     worst_spec, worst_diam, bound_ok = 0.0, 0.0, True
-    for t in t_values:
+    for t in params["t_values"]:
         torus_t = flat_torus.gt_gram(t)
         torus_t1 = flat_torus.gt_gram(t + 1.0)
         s_t = np.sort(flat_torus.p_form_spectrum(torus_t, 0, cutoff).eigenvalues())
@@ -317,15 +370,15 @@ def _scenario_gt_family(params, seed, eps_grid):
         checks)
 
 
-def _scenario_euler_bound(params, seed, eps_grid):
-    trials = int(params["trials"])
-    kmax = int(params["kmax"])
+def _scenario_euler_bound(params, seed, eps_grid, tols):
+    trials = params["trials"]
+    margin = tols["chain_margin"]
     rng = np.random.default_rng(seed)
     rows = []
-    chain_ok, fact_ok = True, True
+    chain_ok, fact_ok, slack = True, True, math.inf
     count = 0
     while count < trials:
-        k = int(rng.integers(1, kmax + 1))
+        k = int(rng.integers(1, params["kmax"] + 1))
         m = int(rng.integers(k, k + 3))
         E = rng.integers(-4, 5, size=(m, k))
         if intlat.rational_rank([[int(x) for x in row] for row in E]) < k:
@@ -335,22 +388,25 @@ def _scenario_euler_bound(params, seed, eps_grid):
         gram = w @ w.T + 0.5 * np.eye(k)
         bc = euler_bound.bound_chain(E.tolist(), gram)
         df = euler_bound.det_factorization(E.tolist(), gram)
-        chain_ok = chain_ok and bc.ok
+        chain_ok = chain_ok and bc.lam_min >= bc.det_bound - margin \
+            and bc.lam_min >= bc.mid_bound - margin \
+            and bc.mid_bound >= bc.det_bound - margin
+        slack = min(slack, bc.lam_min - bc.mid_bound,
+                    bc.mid_bound - bc.det_bound, bc.lam_min - bc.det_bound)
         fact_ok = fact_ok and df.ok
         rows.append([count, k, m, bc.lam_min, bc.mid_bound, bc.det_bound,
                      df.residual, int(bc.ok and df.ok)])
-    rho2 = euler_bound.rho_flat(flat_torus.FlatTorus.identity(2))
-    rho3 = euler_bound.rho_flat(flat_torus.FlatTorus.identity(3))
+    rho2 = euler_bound.rho_flat(flat_torus.FlatTorus.identity(2)).rho
+    rho3 = euler_bound.rho_flat(flat_torus.FlatTorus.identity(3)).rho
     nr = euler_bound.noninjective_reduce([[3, 6]], np.eye(2))
     quotient_ok = (nr.reduced_integral == ((3,),)
                    and nr.kernel_basis == ((-2, 1),))
     checks = [
-        CheckResult("bound-chain", chain_ok, 0.0, f"{trials} random maps"),
+        CheckResult("bound-chain", chain_ok, slack + margin,
+                    f"{trials} random maps, margin {margin:g}"),
         CheckResult("det-factorization", fact_ok, 0.0, "relative 1e-10"),
-        CheckResult("rho-t2", abs(rho2.rho - 1.0) <= 1e-12,
-                    1e-12 - abs(rho2.rho - 1.0), f"rho = {rho2.rho}"),
-        CheckResult("rho-t3", abs(rho3.rho - 1.0) <= 1e-12,
-                    1e-12 - abs(rho3.rho - 1.0), f"rho = {rho3.rho}"),
+        CheckResult("rho-t2", rho2 == 1.0, 0.0 - abs(rho2 - 1.0), f"rho = {rho2}"),
+        CheckResult("rho-t3", rho3 == 1.0, 0.0 - abs(rho3 - 1.0), f"rho = {rho3}"),
         CheckResult("noninjective-quotient", quotient_ok, 0.0,
                     f"kernel {nr.kernel_basis}, reduced {nr.reduced_integral}"),
     ]
@@ -359,7 +415,7 @@ def _scenario_euler_bound(params, seed, eps_grid):
          "fact_residual", "ok"], rows)}, checks)
 
 
-def _scenario_vol_bound(params, seed, eps_grid):
+def _scenario_vol_bound(params, seed, eps_grid, tols):
     n1 = torus_bundle.TorusBundleOverT2(1, (1,))
     rep1 = euler_bound.vol_bound_experiment(n1, [1.0], eps_grid)
     n2 = torus_bundle.TorusBundleOverT2(2, (1, 0))
@@ -389,51 +445,91 @@ def _scenario_vol_bound(params, seed, eps_grid):
 class ScenarioSpec:
     func: object
     tag: str
-    defaults: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)   # key -> (kind, default)
     default_grid: tuple = (0.5, 0.1, 0.01)
+    check: object = None       # (typed params, grid) -> None, or raises
+
+    @property
+    def defaults(self) -> dict:
+        return {key: default for key, (_, default) in self.params.items()}
 
 
 SCENARIOS = {
     "heisenberg": ScenarioSpec(
         _scenario_heisenberg, "small-eigenvalue-rate",
-        {"alpha": 1, "beta": 1, "gamma": 3}),
+        {"alpha": (float, 1), "beta": (float, 1), "gamma": (float, 3)},
+        check=_check_heisenberg),
     "mapping-torus": ScenarioSpec(
         _scenario_mapping_torus, "collapse-count",
-        {"B": "0 1\n0 0", "k": 1},
+        {"B": ("matrix", "0 1\n0 0"), "k": (int, 1)},
         tuple(2.0 ** -j for j in range(1, 11))),
+    # the rate divides by eps^2
     "two-block-solvable": ScenarioSpec(
         _scenario_two_block_solvable, "two-form-small-eigenvalue",
-        {}, (0.08, 0.04, 0.02, 0.01)),
+        {}, (0.08, 0.04, 0.02, 0.01),
+        check=lambda params, grid: _check_grid(grid, 2)),
     "flat-rotation-torus": ScenarioSpec(
         _scenario_flat_rotation_torus, "noninvariant-harmonic-forms", {}),
     "torus-bundle": ScenarioSpec(
         _scenario_torus_bundle, "unique-eigenvalue-multiplicity",
-        {"n": 2, "b": "1 0"}),
+        {"n": (int, 2), "b": ("vector", "1 0")},
+        check=_check_torus_bundle),
     "nil-homothety": ScenarioSpec(
         _scenario_nil_homothety, "homothety-produces-small-eigenvalue",
-        {"b": "1 1"}, (0.5, 0.25, 0.125, 0.0625)),
+        {"b": ("vector", "1 1")}, (0.5, 0.25, 0.125, 0.0625)),
     "nil-dense-direction": ScenarioSpec(
         _scenario_nil_dense_direction, "dense-direction-positive-limit",
-        {"b": "0.5 1.5"}, (0.5, 0.25, 0.125, 0.0625)),
+        {"b": ("vector", "0.5 1.5")}, (0.5, 0.25, 0.125, 0.0625)),
     "flat-threshold": ScenarioSpec(
         _scenario_flat_threshold, "fiber-invariance-threshold",
-        {"base_length": 1.0, "fiber_length": 0.1}),
+        {"base_length": (float, 1.0), "fiber_length": (float, 0.1)}),
     "gt-family": ScenarioSpec(
         _scenario_gt_family, "shear-family-periodicity",
-        {"t_values": "0 0.3 0.5", "resolution": 200}),
+        {"t_values": ("vector", "0 0.3 0.5"), "resolution": (int, 200)}),
     "euler-bound": ScenarioSpec(
         _scenario_euler_bound, "determinant-bound-chain",
-        {"trials": 50, "kmax": 4}),
+        {"trials": (int, 50), "kmax": (int, 4)}),
+    # the homothety ratio divides by vol^2 = eps^4
     "vol-bound": ScenarioSpec(
         _scenario_vol_bound, "volume-squared-lower-bound",
-        {}, (1.0, 0.5, 0.25, 0.125, 0.0625)),
+        {}, (1.0, 0.5, 0.25, 0.125, 0.0625),
+        check=lambda params, grid: _check_grid(grid, 4)),
 }
 
 
 def list_scenarios():
     """Deterministic alphabetical (name, tag, defaults) listing."""
-    return [(name, SCENARIOS[name].tag, dict(SCENARIOS[name].defaults))
+    return [(name, SCENARIOS[name].tag, SCENARIOS[name].defaults)
             for name in sorted(SCENARIOS)]
+
+
+def resolve(name: str, params: dict = None, seed: int = 0,
+            eps_grid=None) -> tuple:
+    """Merge defaults into ``params`` and validate the whole run.
+
+    Returns ``(name, typed params as sorted items, seed, grid)``: hashable,
+    and equal for any two spellings of one configuration.  Raises
+    ``ScenarioUnknown`` or ``ConfigInvalid`` naming the offending key.
+    """
+    if name not in SCENARIOS:
+        raise ScenarioUnknown(f"unknown scenario {name!r}; see 'list'")
+    spec = SCENARIOS[name]
+    merged = spec.defaults
+    for key, value in (params or {}).items():
+        if key not in merged:
+            raise ConfigInvalid(f"{key}: not a parameter of {name}")
+        merged[key] = value
+    if not isinstance(seed, int):
+        raise ConfigInvalid("seed: must be an integer")
+    grid = spec.default_grid if eps_grid is None else eps_grid
+    grid = tuple(_parse(float, "eps_grid", e) for e in grid)
+    if not grid or any(not (0.0 < e <= 1.0) for e in grid):
+        raise ConfigInvalid("eps_grid: entries must lie in (0, 1]")
+    typed = {key: _parse(spec.params[key][0], key, value)
+             for key, value in merged.items()}
+    if spec.check is not None:
+        spec.check(typed, grid)
+    return name, tuple(sorted(typed.items())), seed, grid
 
 
 @dataclass(frozen=True)
@@ -448,18 +544,8 @@ class ScenarioConfig:
     out_dir: str = None
 
     def __post_init__(self):
-        if self.name not in SCENARIOS:
-            raise ScenarioUnknown(f"unknown scenario {self.name!r}")
-        spec = SCENARIOS[self.name]
-        for key in self.params:
-            if key not in spec.defaults:
-                raise ConfigInvalid(f"{key}: not a parameter of {self.name}")
-        if not isinstance(self.seed, int):
-            raise ConfigInvalid("seed: must be an integer")
+        grid = resolve(self.name, self.params, self.seed, self.eps_grid)[3]
         if self.eps_grid is not None:
-            grid = tuple(float(e) for e in self.eps_grid)
-            if not grid or any(not (0.0 < e <= 1.0) for e in grid):
-                raise ConfigInvalid("eps_grid: entries must lie in (0, 1]")
             object.__setattr__(self, "eps_grid", grid)
 
     @property
@@ -472,20 +558,11 @@ class ScenarioConfig:
 
 
 def run_scenario_checks(name: str, params: dict = None, seed: int = 0,
-                        eps_grid=None) -> ScenarioResult:
-    """Run one scenario in memory; validates parameters first."""
-    if name not in SCENARIOS:
-        raise ScenarioUnknown(f"unknown scenario {name!r}; see 'list'")
-    spec = SCENARIOS[name]
-    merged = dict(spec.defaults)
-    if params:
-        for key, value in params.items():
-            if key not in spec.defaults:
-                raise ConfigInvalid(f"{key}: not a parameter of {name}")
-            merged[key] = value
-    grid = tuple(float(e) for e in (eps_grid or spec.default_grid))
-    if any(not (0.0 < e <= 1.0) for e in grid):
-        raise ConfigInvalid("eps_grid: entries must lie in (0, 1]")
-    if not isinstance(seed, int):
-        raise ConfigInvalid("seed: must be an integer")
-    return spec.func(merged, seed, grid)
+                        eps_grid=None, tolerances: dict = None) -> ScenarioResult:
+    """Run one scenario in memory; validates the configuration first.
+
+    ``tolerances`` is a full table like :data:`TOLERANCES`, the default.
+    """
+    name, items, seed, grid = resolve(name, params, seed, eps_grid)
+    return SCENARIOS[name].func(dict(items), seed, grid,
+                                tolerances or TOLERANCES)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from collapse_spectra import acceptance
+from collapse_spectra import acceptance, scenarios
 
 
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA,
@@ -30,3 +30,41 @@ def test_tolerance_overrides_validated():
     with pytest.raises(KeyError):
         acceptance.run_all(seed=0, tolerances={"bogus": 1.0}, skip=tuple(
             range(1, 13)))
+
+
+# key -> (criterion, check) it governs, with a value that check must fail on
+_FAILING_TOLERANCES = {
+    "heisenberg_rtol": (-1.0, 1, "gamma-3/eigenvalue-rate"),
+    "closed_form_atol": (-1.0, 2, "oracle-equality"),
+    "duality_atol": (-1.0, 3, "poincare-duality"),
+    "survivor_floor": (1e30, 5, "n3-k1/survivor-floor"),
+    "drift_limit": (1e-30, 7, "two-block/rate-drift"),
+    "spectrum_atol": (-1.0, 8, "b=1/spectrum-match"),
+    "chain_margin": (-1.0, 11, "euler-bound/bound-chain"),
+}
+
+
+def test_every_tolerance_key_is_live():
+    assert set(_FAILING_TOLERANCES) == set(acceptance.TOLERANCES)
+    for key, (value, number, check) in _FAILING_TOLERANCES.items():
+        summary = acceptance.run_all(seed=0, tolerances={key: value}, skip=tuple(
+            n for n in range(1, 13) if n != number))
+        (result,) = summary.results
+        failed = [c.name for c in result.checks if not c.passed]
+        assert result.number == number and check in failed, (key, failed)
+
+
+def test_criterion_runs_reuse_one_evaluation(monkeypatch):
+    calls = []
+    real = scenarios.run_scenario_checks
+
+    def counting(name, *args, **kwargs):
+        calls.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "run_scenario_checks", counting)
+    runs = acceptance.ScenarioRuns(dict(acceptance.TOLERANCES))
+    first = runs("heisenberg", {"gamma": "3"}, 0, (0.5, 0.1, 0.01))
+    assert runs("heisenberg") is first
+    assert runs("heisenberg", {"gamma": 2}) is not first
+    assert calls == ["heisenberg", "heisenberg"]

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from collapse_spectra import cli
+from collapse_spectra import cli, scenarios
 from collapse_spectra.errors import ConfigInvalid
 from collapse_spectra.scenarios import list_scenarios, run_scenario_checks
 
@@ -199,3 +200,50 @@ def test_cli_ragged_matrix_names_key(tmp_path, capsys):
     assert cli.main(["mapping-torus", "--config", str(config),
                      "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: B:")
+
+
+@pytest.mark.parametrize("scenario", ["two-block-solvable", "vol-bound"])
+def test_cli_eps_grid_divisor_underflow_names_key(scenario, tmp_path, capsys):
+    # two-block-solvable divides by eps^2, vol-bound by vol^2 = eps^4
+    assert cli.main([scenario, "--out", str(tmp_path),
+                     "--eps-grid", "1e-200"]) == 2
+    assert capsys.readouterr().err.startswith("error: eps_grid:")
+
+
+def test_cli_non_square_matrix_names_key(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\nB =\n    1 2 3\n    4 5 6\n")
+    assert cli.main(["mapping-torus", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: B:")
+
+
+def test_cli_vector_length_names_key(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\nn = 3\nb = 1 0\n")
+    assert cli.main(["torus-bundle", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: b:")
+
+
+def test_cli_tolerances_rejected_for_single_scenario(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[tolerances]\nheisenberg_rtol = 1e-30\n")
+    assert cli.main(["heisenberg", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: tolerances:")
+
+
+def test_verify_all_evaluates_each_default_twice(tmp_path, monkeypatch):
+    counts = {}
+    for name, spec in list(scenarios.SCENARIOS.items()):
+        def counting(params, seed, grid, tols, name=name, func=spec.func):
+            key = (name, tuple(sorted(params.items())), seed, grid)
+            counts[key] = counts.get(key, 0) + 1
+            return func(params, seed, grid, tols)
+
+        monkeypatch.setitem(scenarios.SCENARIOS, name,
+                            dataclasses.replace(spec, func=counting))
+    assert cli.main(["verify-all", "--out", str(tmp_path)]) == 0
+    for name in scenarios.SCENARIOS:
+        assert counts[scenarios.resolve(name)] == 2, name
