@@ -2,8 +2,9 @@
 
 Function eigenvalues are 4 pi^2 q*(gamma) over the dual lattice, p-forms
 tensor a constant-coefficient factor of multiplicity C(k, p), and the
-diameter is the covering radius of the lattice.  Enumeration boxes are
-certified: no relevant dual vector can live outside them.
+diameter is the covering radius of the lattice, read off the Voronoi
+cell of 0.  Enumeration boxes are certified: no relevant lattice vector
+can live outside them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
@@ -79,10 +80,10 @@ def _box_radius(q: np.ndarray, qmax: float) -> int:
     return max(1, int(math.ceil(math.sqrt(max(qmax, 0.0) / lam_min))))
 
 
-def _enumerate_dual(q: np.ndarray, qmax: float, box_scale: float = 1.0):
-    """All (gamma, q*(gamma)) with q* <= qmax (scaled certified box)."""
+def _enumerate_dual(q: np.ndarray, qmax: float):
+    """All (gamma, q(gamma)) with q <= qmax, from the certified box."""
     k = q.shape[0]
-    R = int(math.ceil(_box_radius(q, qmax) * box_scale))
+    R = _box_radius(q, qmax)
     out = []
     for gamma in itertools.product(range(-R, R + 1), repeat=k):
         g = np.array(gamma, dtype=float)
@@ -92,17 +93,16 @@ def _enumerate_dual(q: np.ndarray, qmax: float, box_scale: float = 1.0):
     return out
 
 
-def lambda01(torus: FlatTorus, box_scale: float = 1.0) -> float:
+def lambda01(torus: FlatTorus) -> float:
     """First function eigenvalue 4 pi^2 min_{gamma != 0} gamma^T G^{-1} gamma.
 
     The search box is derived from the value at e_1, which no shorter
-    vector can escape; ``box_scale`` exists so tests can double the box
-    and confirm completeness.
+    vector can escape.
     """
     q = torus.dual_quadratic()
     q0 = float(q[0, 0])
     best = q0
-    for gamma, val in _enumerate_dual(q, q0, box_scale):
+    for gamma, val in _enumerate_dual(q, q0):
         if any(gamma) and val < best:
             best = val
     return FOUR_PI_SQ * best
@@ -141,8 +141,7 @@ class ModeSpectrum:
         return buf.getvalue()
 
 
-def p_form_spectrum(torus: FlatTorus, p: int, cutoff: float,
-                    box_scale: float = 1.0) -> ModeSpectrum:
+def p_form_spectrum(torus: FlatTorus, p: int, cutoff: float) -> ModeSpectrum:
     """Modes (gamma, 4 pi^2 q*(gamma), C(k,p)) with eigenvalue <= cutoff.
 
     gamma = 0 carries the harmonic space of dimension C(k, p).
@@ -153,51 +152,27 @@ def p_form_spectrum(torus: FlatTorus, p: int, cutoff: float,
     mult = math.comb(k, p)
     q = torus.dual_quadratic()
     modes = [Mode(gamma, FOUR_PI_SQ * val, mult)
-             for gamma, val in _enumerate_dual(q, cutoff / FOUR_PI_SQ, box_scale)]
+             for gamma, val in _enumerate_dual(q, cutoff / FOUR_PI_SQ)]
     modes.sort(key=lambda m: (m.eigenvalue, m.gamma))
     return ModeSpectrum(k, p, float(cutoff), tuple(modes))
 
 
-@dataclass(frozen=True)
-class DiameterEstimate:
-    """Covering radius by grid search: true value in [value, value + error]."""
+def diameter(torus: FlatTorus) -> float:
+    """Covering radius of the lattice Z^k in the metric: the largest norm
+    of a vertex of the Voronoi cell of 0.
 
-    value: float
-    error: float
-    resolution: int
-
-
-def diameter(torus: FlatTorus, resolution: int = 200) -> DiameterEstimate:
-    """Covering radius of the lattice Z^k in the metric (k <= 3).
-
-    Grid search over the fundamental cube with a certified shift set; the
-    reported error is the half-diagonal of a grid cell plus the grid
-    maximum being a lower bound.
+    Every Voronoi-relevant vector v has |v| <= 2 mu, and Babai's
+    nearest-plane bound gives mu^2 <= 1/4 sum |b_i*|^2 <= 1/4 tr G, so
+    the lattice vectors with gamma^T G gamma <= tr G cut out the whole
+    cell.  Qhull needs two dimensions; a circle of length l has l / 2.
     """
-    k = torus.k
-    if k > 3:
-        raise ValueError("diameter grid search supports k <= 3")
     g = torus.gram
-    chol = np.linalg.cholesky(g)       # g = chol chol^T, |x|_g = |chol^T x|
-    ones = np.ones(k)
-    r_max = math.sqrt(float(ones @ g @ ones))
-    lam_min = float(np.linalg.eigvalsh(g)[0])
-    S = int(math.ceil(2.0 * r_max / math.sqrt(lam_min))) + 1
-    shifts = np.array(list(itertools.product(range(-S, S + 1), repeat=k)),
-                      dtype=float)
-    tree = cKDTree(shifts @ chol)
-    axis = np.linspace(0.0, 1.0, resolution + 1)
-    best = 0.0
-    for x1 in axis:
-        rest = np.array(list(itertools.product(*([axis] * (k - 1))))) \
-            if k > 1 else np.zeros((1, 0))
-        pts = np.column_stack([np.full(len(rest), x1), rest]) if k > 1 \
-            else np.array([[x1]])
-        dist, _ = tree.query(pts @ chol)
-        best = max(best, float(np.max(dist)))
-    half_diag = 0.5 * math.sqrt(float((ones / resolution) @ g
-                                      @ (ones / resolution)))
-    return DiameterEstimate(best, half_diag, resolution)
+    if torus.k == 1:
+        return 0.5 * math.sqrt(float(g[0, 0]))
+    gammas = [gamma for gamma, _ in _enumerate_dual(g, float(np.trace(g)))]
+    vor = Voronoi(np.array(gammas, dtype=float) @ np.linalg.cholesky(g))
+    cell = vor.regions[vor.point_region[gammas.index((0,) * torus.k)]]
+    return float(np.max(np.linalg.norm(vor.vertices[cell], axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +268,16 @@ def odd_multiplicity_check(base: FlatTorus, fiber: FlatTorus, p: int,
 @dataclass(frozen=True)
 class DiameterBoundReport:
     lam01: float
-    diam: DiameterEstimate
+    diam: float
     margin: float                  # lam01 - pi^2 / diam^2
-    slack: float
     ok: bool
 
 
-def diameter_eigenvalue_bound_check(torus: FlatTorus,
-                                    resolution: int = 200) -> DiameterBoundReport:
-    """Check lambda_{0,1} >= (pi / diam)^2, allowing the grid error slack."""
+def diameter_eigenvalue_bound_check(torus: FlatTorus) -> DiameterBoundReport:
+    """Check lambda_{0,1} >= (pi / diam)^2 up to rounding (1e-12 relative)."""
     lam = lambda01(torus)
-    est = diameter(torus, resolution)
-    bound = math.pi ** 2 / est.value ** 2
-    certified = math.pi ** 2 / (est.value + est.error) ** 2
+    diam = diameter(torus)
+    bound = math.pi ** 2 / diam ** 2
     margin = lam - bound
-    slack = bound - certified
-    return DiameterBoundReport(lam, est, margin, slack,
-                               margin >= -slack - 1e-12 * max(1.0, bound))
+    return DiameterBoundReport(lam, diam, margin,
+                               margin >= -1e-12 * max(1.0, bound))

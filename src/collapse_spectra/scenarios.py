@@ -109,10 +109,41 @@ def _check_heisenberg(params, grid):
     _check_grid(grid, 2 * tau)
 
 
+def _check_mapping_torus(params, grid):
+    d, d_prime = mapping_torus.invariants_dd(np.array(params["B"]))
+    if not (0 <= params["k"] <= d - d_prime):
+        raise ConfigInvalid(f"k: need 0 <= k <= d - d' = {d - d_prime}, "
+                            f"got {params['k']}")
+
+
 def _check_torus_bundle(params, grid):
     n, b = params["n"], params["b"]
+    if n < 1:
+        raise ConfigInvalid(f"n: need n >= 1, got {n}")
     if len(b) != n:
         raise ConfigInvalid(f"b: need n = {n} entries, got {len(b)}")
+
+
+#: log of the larger eigenvalue of [[2, 1], [1, 1]], the diagonal of the
+#: two-block solvable model
+_TWO_BLOCK_LAM = math.log(float(np.max(np.linalg.eigvals(
+    np.array([[2.0, 1.0], [1.0, 1.0]])).real)))
+
+
+def _check_two_block(params, grid):
+    """The degree-2 Laplacian has top eigenvalue 4 lam^2 and small
+    eigenvalue 2 eps^2; keep the small one at least twice the kernel
+    cutoff EIG_TOL * 4 lam^2, and give rate-drift two distinct grid
+    points below 0.1 to compare."""
+    eps_min = 2.0 * _TWO_BLOCK_LAM * math.sqrt(lie_complex.EIG_TOL)
+    for eps in grid:
+        if eps < eps_min:
+            raise ConfigInvalid(
+                f"eps_grid: eps = {eps!r} is below 2 lam sqrt(EIG_TOL) = "
+                f"{eps_min:.3g}, where 2 eps^2 nears the kernel cutoff")
+    if len({eps for eps in grid if eps < 0.1}) < 2:
+        raise ConfigInvalid("eps_grid: rate-drift needs two distinct "
+                            "entries below 0.1")
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +213,7 @@ def _scenario_mapping_torus(params, seed, eps_grid, tols):
 
 
 def _scenario_two_block_solvable(params, seed, eps_grid, tols):
-    a_prime = np.array([[2.0, 1.0], [1.0, 1.0]])
-    lam = math.log(float(np.max(np.linalg.eigvals(a_prime).real)))
+    lam = _TWO_BLOCK_LAM
     limit = tols["drift_limit"]
 
     def c_eps(eps):
@@ -337,10 +367,10 @@ def _scenario_flat_threshold(params, seed, eps_grid, tols):
 
 
 def _scenario_gt_family(params, seed, eps_grid, tols):
-    resolution = params["resolution"]
     cutoff = 300.0
     rows = []
-    worst_spec, worst_diam, bound_ok = 0.0, 0.0, True
+    worst_spec, diam_slack, bound_margin = 0.0, math.inf, math.inf
+    bound_ok = True
     for t in params["t_values"]:
         torus_t = flat_torus.gt_gram(t)
         torus_t1 = flat_torus.gt_gram(t + 1.0)
@@ -348,26 +378,23 @@ def _scenario_gt_family(params, seed, eps_grid, tols):
         s_t1 = np.sort(flat_torus.p_form_spectrum(torus_t1, 0, cutoff).eigenvalues())
         gap = float(np.max(np.abs(s_t - s_t1))) if len(s_t) == len(s_t1) \
             else float("inf")
-        d_t = flat_torus.diameter(torus_t, resolution)
-        d_t1 = flat_torus.diameter(torus_t1, resolution)
-        diam_gap = abs(d_t.value - d_t1.value)
-        lam = flat_torus.lambda01(torus_t)
-        db = flat_torus.diameter_eigenvalue_bound_check(torus_t, resolution)
+        db = flat_torus.diameter_eigenvalue_bound_check(torus_t)
+        diam_gap = abs(db.diam - flat_torus.diameter(torus_t1))
         bound_ok = bound_ok and db.ok
         worst_spec = max(worst_spec, gap)
-        worst_diam = max(worst_diam, diam_gap - (d_t.error + d_t1.error))
-        rows.append([t, lam, d_t.value, d_t.error, gap, diam_gap])
+        diam_slack = min(diam_slack, 1e-12 * db.diam - diam_gap)
+        bound_margin = min(bound_margin, db.margin)
+        rows.append([t, db.lam01, db.diam, gap, diam_gap])
     checks = [
         CheckResult("spectrum-periodic", worst_spec <= 1e-12, 1e-12 - worst_spec,
                     f"max eigenvalue gap {worst_spec:.3e}"),
-        CheckResult("diameter-periodic", worst_diam <= 0.0, -worst_diam,
-                    "within summed grid errors"),
-        CheckResult("diameter-bound", bound_ok, 0.0,
+        CheckResult("diameter-periodic", diam_slack >= 0.0, diam_slack,
+                    "|diam(t) - diam(t+1)| <= 1e-12 diam(t)"),
+        CheckResult("diameter-bound", bound_ok, bound_margin,
                     "lambda01 >= (pi/diam)^2"),
     ]
     return ScenarioResult({"gt.csv": _csv(
-        ["t", "lambda01", "diam", "diam_err", "spec_gap", "diam_gap"], rows)},
-        checks)
+        ["t", "lambda01", "diam", "spec_gap", "diam_gap"], rows)}, checks)
 
 
 def _scenario_euler_bound(params, seed, eps_grid, tols):
@@ -462,12 +489,10 @@ SCENARIOS = {
     "mapping-torus": ScenarioSpec(
         _scenario_mapping_torus, "collapse-count",
         {"B": ("matrix", "0 1\n0 0"), "k": (int, 1)},
-        tuple(2.0 ** -j for j in range(1, 11))),
-    # the rate divides by eps^2
+        tuple(2.0 ** -j for j in range(1, 11)), check=_check_mapping_torus),
     "two-block-solvable": ScenarioSpec(
         _scenario_two_block_solvable, "two-form-small-eigenvalue",
-        {}, (0.08, 0.04, 0.02, 0.01),
-        check=lambda params, grid: _check_grid(grid, 2)),
+        {}, (0.08, 0.04, 0.02, 0.01), check=_check_two_block),
     "flat-rotation-torus": ScenarioSpec(
         _scenario_flat_rotation_torus, "noninvariant-harmonic-forms", {}),
     "torus-bundle": ScenarioSpec(
@@ -485,7 +510,7 @@ SCENARIOS = {
         {"base_length": (float, 1.0), "fiber_length": (float, 0.1)}),
     "gt-family": ScenarioSpec(
         _scenario_gt_family, "shear-family-periodicity",
-        {"t_values": ("vector", "0 0.3 0.5"), "resolution": (int, 200)}),
+        {"t_values": ("vector", "0 0.3 0.5")}),
     "euler-bound": ScenarioSpec(
         _scenario_euler_bound, "determinant-bound-chain",
         {"trials": (int, 50), "kmax": (int, 4)}),

@@ -247,3 +247,38 @@ def test_verify_all_evaluates_each_default_twice(tmp_path, monkeypatch):
     assert cli.main(["verify-all", "--out", str(tmp_path)]) == 0
     for name in scenarios.SCENARIOS:
         assert counts[scenarios.resolve(name)] == 2, name
+
+
+def test_cli_mapping_torus_k_capacity_names_key(tmp_path, capsys):
+    # B is invertible, so d = d' = 0 and no eigenvalue can be made small
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\nk = 1\nB =\n    0 1\n    -1 0\n")
+    assert cli.main(["mapping-torus", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: k:")
+
+
+def test_cli_torus_bundle_empty_fiber_names_key(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\nn = 0\nb =\n")
+    assert cli.main(["torus-bundle", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: n:")
+
+
+@pytest.mark.parametrize("grid", ["1e-5,1e-5", "0.5"])
+def test_cli_two_block_grid_names_key(grid, tmp_path, capsys):
+    # 1e-5: 2 eps^2 sits under the kernel cutoff; 0.5: rate-drift would
+    # compare no two grid points
+    assert cli.main(["two-block-solvable", "--out", str(tmp_path),
+                     "--eps-grid", grid]) == 2
+    assert capsys.readouterr().err.startswith("error: eps_grid:")
+
+
+def test_cli_removed_resolution_names_key(tmp_path, capsys):
+    # the covering radius is exact, so gt-family has no resolution knob
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\nresolution = 200\n")
+    assert cli.main(["gt-family", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: resolution:")

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import collapse_spectra as cs
 from collapse_spectra.flat_torus import FOUR_PI_SQ, FlatTorus
@@ -39,10 +41,17 @@ def test_lambda01_circle():
         assert val == pytest.approx((2.0 * math.pi / l) ** 2, rel=1e-12)
 
 
-def test_lambda01_box_doubling_stable():
+def test_lambda01_wide_box_brute_force():
+    # the certified box against every vector of a fixed wide box
     for gram in TEST_GRAMS:
         torus = FlatTorus(gram)
-        assert cs.lambda01(torus) == cs.lambda01(torus, box_scale=2.0)
+        q = torus.dual_quadratic()
+        box = np.array([g for g in itertools.product(range(-10, 11),
+                                                     repeat=torus.k)
+                        if any(g)], dtype=float)
+        brute = float(np.einsum("ij,jk,ik->i", box, q, box).min())
+        assert cs.lambda01(torus) == pytest.approx(FOUR_PI_SQ * brute,
+                                                   rel=1e-14)
 
 
 def test_p_form_spectrum_modes():
@@ -76,6 +85,7 @@ def test_unimodular_invariance():
                  np.array([[1.0, 0.3], [0.3, 1.09]])):
         torus = FlatTorus(gram)
         s1 = np.sort(cs.p_form_spectrum(torus, 0, 250.0).eigenvalues())
+        d1 = cs.diameter(torus)
         for _ in range(5):
             u = np.eye(2, dtype=int)
             for _ in range(4):
@@ -86,26 +96,96 @@ def test_unimodular_invariance():
                                             250.0).eigenvalues())
             assert len(s1) == len(s2)
             assert np.max(np.abs(s1 - s2)) <= 1e-12 * max(1.0, s1[-1])
+            assert abs(cs.diameter(FlatTorus(g2)) - d1) <= 1e-12 * d1
+
+
+def _grid_diameter(gram, resolution):
+    """Reference grid search over the fundamental cube.
+
+    Returns (value, half_diag): the covering radius lies in
+    [value, value + half_diag].  The nearest lattice point y of a cube
+    point x has |y| <= 2 |x|, which bounds the shift set.
+    """
+    k = gram.shape[0]
+    chol = np.linalg.cholesky(gram)
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
+    r_max = math.sqrt(np.einsum("ij,jk,ik->i", corners, gram, corners).max())
+    S = int(math.ceil(2.0 * r_max / math.sqrt(np.linalg.eigvalsh(gram)[0])))
+    shifts = np.array(list(itertools.product(range(-S, S + 1), repeat=k)),
+                      dtype=float)
+    axis = np.linspace(0.0, 1.0, resolution + 1)
+    pts = np.array(list(itertools.product(axis, repeat=k)))
+    dist, _ = cKDTree(shifts @ chol).query(pts @ chol)
+    step = np.full(k, 1.0 / resolution)
+    return float(dist.max()), 0.5 * math.sqrt(float(step @ gram @ step))
+
+
+def _random_grams(seed, k, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        w = rng.uniform(-1.0, 1.0, (k, k))
+        yield w @ w.T + 0.3 * np.eye(k)
+
+
+def _reduced_triangle_radius(gram):
+    """Circumradius |b1||b2||b1 - b2| / (2 sqrt(det G)) of the
+    Lagrange-Gauss reduced basis with b1 . b2 >= 0 (a non-obtuse
+    triangle, whose circumcentre is the deepest hole)."""
+    def dot(x, y):
+        return float(x @ gram @ y)
+
+    b1, b2 = np.array([1, 0]), np.array([0, 1])
+    while True:
+        if dot(b1, b1) > dot(b2, b2):
+            b1, b2 = b2, b1
+        m = round(dot(b1, b2) / dot(b1, b1))
+        if m == 0:
+            break
+        b2 = b2 - m * b1
+    if dot(b1, b2) < 0:
+        b2 = -b2
+    lengths = [math.sqrt(dot(v, v)) for v in (b1, b2, b1 - b2)]
+    return math.prod(lengths) / (2.0 * math.sqrt(np.linalg.det(gram)))
 
 
 def test_diameter_square():
-    est = cs.diameter(FlatTorus.identity(2), 100)
-    assert abs(est.value - math.sqrt(2) / 2) <= est.error
+    assert cs.diameter(FlatTorus.identity(2)) == pytest.approx(
+        math.sqrt(2) / 2, rel=1e-15)
 
 
 def test_diameter_circle():
-    est = cs.diameter(FlatTorus.circle(2.0), 100)
-    assert abs(est.value - 1.0) <= est.error
+    assert cs.diameter(FlatTorus.circle(2.0)) == 1.0
 
 
 def test_diameter_cube():
-    est = cs.diameter(FlatTorus.identity(3), 40)
-    assert abs(est.value - math.sqrt(3) / 2) <= est.error
+    assert cs.diameter(FlatTorus.identity(3)) == pytest.approx(
+        math.sqrt(3) / 2, rel=1e-15)
 
 
-def test_diameter_rejects_large_dimension():
-    with pytest.raises(ValueError):
-        cs.diameter(FlatTorus.identity(4))
+def test_diameter_identity_closed_form():
+    # the deepest hole of Z^k is (1/2, ..., 1/2), in every dimension
+    for k in range(1, 6):
+        assert cs.diameter(FlatTorus.identity(k)) == pytest.approx(
+            math.sqrt(k) / 2, rel=1e-12)
+
+
+def test_diameter_within_grid_bracket():
+    grams = [g for g in TEST_GRAMS if g.shape[0] >= 2]
+    grams += list(_random_grams(83, 2, 12)) + list(_random_grams(89, 3, 10))
+    for gram in grams:
+        value, half_diag = _grid_diameter(gram, 60 if len(gram) == 2 else 16)
+        exact = cs.diameter(FlatTorus(gram))
+        assert value - 1e-12 <= exact <= value + half_diag + 1e-12, gram
+
+
+def test_diameter_two_dimensional_closed_form():
+    grams = [g for g in TEST_GRAMS if g.shape[0] == 2]
+    grams += [cs.gt_gram(t).gram for t in (0.3, 0.9, 2.5)]
+    grams += list(_random_grams(97, 2, 20))
+    for gram in grams:
+        assert cs.diameter(FlatTorus(gram)) == pytest.approx(
+            _reduced_triangle_radius(gram), rel=1e-12), gram
+    assert cs.diameter(cs.gt_gram(0.5)) == pytest.approx(0.625, rel=1e-12)
 
 
 def test_gt_gram():
@@ -127,9 +207,10 @@ def test_gt_spectra_periodic():
 
 
 def test_gt_diameters_periodic():
-    d0 = cs.diameter(cs.gt_gram(0.0), 100)
-    d1 = cs.diameter(cs.gt_gram(1.0), 100)
-    assert abs(d0.value - d1.value) <= d0.error + d1.error
+    for t in (0.0, 0.3, 0.5, 0.9, 1.7):
+        d0 = cs.diameter(cs.gt_gram(t))
+        d1 = cs.diameter(cs.gt_gram(t + 1.0))
+        assert abs(d0 - d1) <= 1e-12 * d0
 
 
 def test_threshold_product_circle_fiber():
@@ -170,13 +251,13 @@ def test_odd_multiplicity_products():
 
 
 def test_diameter_eigenvalue_bound():
-    rep = cs.diameter_eigenvalue_bound_check(FlatTorus.identity(2), 100)
+    rep = cs.diameter_eigenvalue_bound_check(FlatTorus.identity(2))
     assert rep.ok and rep.margin > 0
     # circle: exact equality of lambda01 and (pi / (l/2))^2
-    rep = cs.diameter_eigenvalue_bound_check(FlatTorus.circle(1.0), 100)
-    assert rep.ok and rep.margin >= -rep.slack
-    rep = cs.diameter_eigenvalue_bound_check(cs.gt_gram(0.5), 100)
-    assert rep.ok
+    rep = cs.diameter_eigenvalue_bound_check(FlatTorus.circle(1.0))
+    assert rep.ok and abs(rep.margin) <= 1e-12 * rep.lam01
+    rep = cs.diameter_eigenvalue_bound_check(cs.gt_gram(0.5))
+    assert rep.ok and rep.diam == pytest.approx(0.625, rel=1e-12)
 
 
 def test_lambda01_skewed_brute_force():
@@ -192,19 +273,19 @@ def test_lambda01_skewed_brute_force():
 
 
 def test_diameter_certified_shifts_skewed():
-    # brute force over a much bigger shift set must not find anything better
+    # a grid search over a much bigger shift set brackets the exact value
     gram = cs.gt_gram(0.9).gram
-    torus = FlatTorus(gram)
-    est = cs.diameter(torus, 60)
     chol = np.linalg.cholesky(gram)
-    import itertools
     shifts = np.array(list(itertools.product(range(-8, 9), repeat=2)),
                       dtype=float) @ chol
     axis = np.linspace(0.0, 1.0, 61)
     pts = np.array(list(itertools.product(axis, axis))) @ chol
     dists = np.sqrt(((pts[:, None, :] - shifts[None, :, :]) ** 2).sum(-1))
     brute = float(dists.min(axis=1).max())
-    assert est.value == pytest.approx(brute, abs=1e-12)
+    half_diag = 0.5 * math.sqrt(float(np.full(2, 1 / 60) @ gram
+                                      @ np.full(2, 1 / 60)))
+    exact = cs.diameter(FlatTorus(gram))
+    assert brute - 1e-12 <= exact <= brute + half_diag + 1e-12
 
 
 def test_mode_spectrum_csv():
