@@ -163,8 +163,9 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
     K = np.asarray(kernel_cols, dtype=float).T           # k x l
     gram_q = K.T @ g @ K
     quotient_volume = float(1.0 / math.sqrt(np.linalg.det(gram_q)))
-    # gram-orthogonal complement of the kernel, orthonormalized
-    null = _nullspace(K.T @ g)
+    # gram-orthogonal complement of the kernel, orthonormalized; K^T g
+    # has full row rank l, so its kernel is all but the first l rows of V^T
+    null = np.linalg.svd(K.T @ g)[2][K.shape[1]:].T
     m_gram = null.T @ g @ null
     r = np.linalg.cholesky(m_gram)
     W = null @ np.linalg.inv(r).T
@@ -184,12 +185,6 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
                               tuple(map(tuple, complement_cols)),
                               tuple(map(tuple, reduced)),
                               quotient_volume, restricted, False)
-
-
-def _nullspace(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    _, sv, vt = np.linalg.svd(m)
-    rank = int(np.sum(sv > tol * max(1.0, sv[0] if sv.size else 1.0)))
-    return vt[rank:].T
 
 
 def report_text(report) -> str:

@@ -63,26 +63,51 @@ def det_int(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rational_rank(m) -> int:
-    """Rank over the rationals, exact Gaussian elimination."""
+def rref(m) -> tuple:
+    """Reduced row echelon form over the rationals: ``(rows, pivot_cols)``.
+
+    Exact Fraction Gauss-Jordan elimination.  Each pivot row is scaled to
+    a leading 1 and cleared from every other row; zero rows come last.
+    The pivot columns are the leftmost linearly independent columns.
+    """
     a = [[Fraction(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
+    cols = len(a[0]) if a else 0
+    pivots = []
     for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if a[i][col] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
         if pivot is None:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pr = a[rank]
-        for i in range(rows):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col] / pr[col]
-                a[i] = [x - f * y for x, y in zip(a[i], pr)]
-        rank += 1
-        if rank == rows:
+        a[r], a[pivot] = a[pivot], a[r]
+        f = a[r][col]
+        a[r] = [x / f for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                g = a[i][col]
+                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        if len(pivots) == len(a):
             break
-    return rank
+    return a, pivots
+
+
+def rational_rank(m) -> int:
+    """Rank over the rationals, exact Gaussian elimination."""
+    return len(rref(m)[1])
+
+
+def rational_nullspace(m, n) -> list:
+    """Basis of the rational kernel of m (n columns) as Fraction vectors,
+    one per free column of the reduced row echelon form."""
+    rows, pivots = rref(m)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        basis.append(v)
+    return basis
 
 
 def unimodular_inverse(u) -> list:
@@ -91,21 +116,9 @@ def unimodular_inverse(u) -> list:
     d = det_int(u)
     if d not in (1, -1):
         raise NotUnimodular(f"determinant {d}, expected +-1")
-    a = [[Fraction(x) for x in row] for row in u]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                g = a[i][col]
-                a[i] = [x - g * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - g * y for x, y in zip(inv[i], inv[col])]
-    return [[int(x) for x in row] for row in inv]
+    rows, _ = rref([list(row) + [int(i == j) for j in range(n)]
+                    for i, row in enumerate(u)])
+    return [[int(x) for x in row[n:]] for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, SingularFrame
+from .errors import DegreeOutOfRange, RankAmbiguous, SingularFrame
 
 #: Relative Jacobi tolerance accepted by validating constructors.
 JACOBI_TOL = 1e-9
@@ -30,6 +30,8 @@ EIG_TOL = 1e-9
 GROUP_RTOL = 1e-8
 #: Frame changes with |det P| below this are rejected.
 SINGULAR_TOL = 1e-12
+#: Singular values above RANK_TOL count toward a numerical rank.
+RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -317,6 +319,21 @@ class SpectrumReport:
 def spectrum(L: StructureConstants, p: int) -> SpectrumReport:
     """Eigenvalues of the degree-p Laplacian as a SpectrumReport."""
     return SpectrumReport.from_eigenvalues(np.linalg.eigvalsh(laplacian(L, p)))
+
+
+def svd_nullspace(m) -> np.ndarray:
+    """Orthonormal kernel basis (columns) of m from its SVD.
+
+    Singular values above RANK_TOL count toward the rank; one within a
+    factor of 10 of RANK_TOL raises RankAmbiguous instead of guessing, so
+    callers scale m to make its nonzero singular values O(1).
+    """
+    _, sv, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    for s in sv:
+        if RANK_TOL / 10.0 < s < RANK_TOL * 10.0:
+            raise RankAmbiguous(
+                f"singular value {s} too close to RANK_TOL {RANK_TOL}")
+    return vt[int(np.sum(sv > RANK_TOL)):].T
 
 
 # ---------------------------------------------------------------------------

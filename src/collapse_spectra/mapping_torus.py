@@ -13,16 +13,15 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .curvature import solvable_curvature_closed_form
 from .errors import KTooLarge, NotSemisimple, NotUnimodular, RankAmbiguous
-from .intlat import det_int, int_matrix, verify_log
-from .lie_complex import SpectrumReport, StructureConstants, spectrum
+from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
+from .lie_complex import (RANK_TOL, SpectrumReport, StructureConstants,
+                          spectrum, svd_nullspace)
 
-RANK_TOL = 1e-9
 FLOOR_TOL = 1e-4
 #: eigenvalue lambda at grid point eps counts as small when
 #: lambda < min(10 eps^2, SMALL_ABS_CAP); the absolute cap keeps large
@@ -70,30 +69,46 @@ class MappingTorusBundle:
     def algebra(self) -> StructureConstants:
         return solvable_algebra(self.b_matrix)
 
-    def invariants(self, rank_tol: float = RANK_TOL):
-        return invariants_dd(self.b_matrix, rank_tol)
+    def invariants(self):
+        return invariants_dd(self.b_matrix)
 
 
-def _checked_rank(m: np.ndarray, rank_tol: float) -> int:
-    sv = np.linalg.svd(m, compute_uv=False)
-    for s in sv:
-        if rank_tol / 10.0 < s < rank_tol * 10.0:
-            raise RankAmbiguous(
-                f"singular value {s} too close to rank_tol {rank_tol}")
-    return int(np.sum(sv > rank_tol))
+def _kernel_tower(B):
+    """``(Bx, kernels)``: column bases of ker B^j for j = 0, 1, ... while
+    the dimension grows, so the last has dimension d and kernels[1] (if
+    any) dimension d'.
 
-
-def invariants_dd(b_matrix, rank_tol: float = RANK_TOL):
-    """(d, d'): dimensions of the generalized 0-eigenspace and of ker B."""
-    B = np.asarray(b_matrix, dtype=float)
+    Integer B is handled exactly: ``Bx`` is B as an object array of
+    Python ints and the bases hold Fractions, so ``@`` works in both
+    arithmetics.  Otherwise ``Bx`` is B and the powers of B / |B|_2 go
+    through svd_nullspace, which may raise RankAmbiguous.
+    """
     n = B.shape[0]
-    scale = float(np.linalg.norm(B, 2))
-    if scale == 0.0:
-        return n, n
-    Bs = B / scale
-    d_prime = n - _checked_rank(Bs, rank_tol)
-    d = n - _checked_rank(np.linalg.matrix_power(Bs, n), rank_tol)
-    return d, d_prime
+    if np.array_equal(B, np.round(B)):
+        Bx = np.frompyfunc(int, 1, 1)(B)
+        Bs, power = Bx, np.identity(n, dtype=object)
+
+        def nullspace(m):
+            basis = rational_nullspace(m.tolist(), n)
+            return np.array(basis, dtype=object).reshape(-1, n).T
+    else:
+        Bx, Bs, power = B, B / np.linalg.norm(B, 2), np.eye(n)
+        nullspace = svd_nullspace
+    kernels = [np.zeros((n, 0), dtype=power.dtype)]
+    while kernels[-1].shape[1] < n:
+        power = Bs @ power
+        kernel = nullspace(power)
+        if kernel.shape[1] <= kernels[-1].shape[1]:
+            break
+        kernels.append(kernel)
+    return Bx, kernels
+
+
+def invariants_dd(b_matrix):
+    """(d, d'): dimensions of the generalized 0-eigenspace and of ker B,
+    read off the same kernel tower as the Jordan chains."""
+    dims = [k.shape[1] for k in _kernel_tower(np.asarray(b_matrix, float))[1]]
+    return dims[-1], (dims + [0])[1]
 
 
 def laplacian1_fast(c_matrix) -> np.ndarray:
@@ -113,11 +128,10 @@ class SmallEigenvaluePrediction:
     torus: bool            # B = 0: the bundle is a torus
 
 
-def predict_small_eigenvalues(b_matrix,
-                              rank_tol: float = RANK_TOL) -> SmallEigenvaluePrediction:
+def predict_small_eigenvalues(b_matrix) -> SmallEigenvaluePrediction:
     B = np.asarray(b_matrix, dtype=float)
     n = B.shape[0]
-    d, d_prime = invariants_dd(B, rank_tol)
+    d, d_prime = invariants_dd(B)
     return SmallEigenvaluePrediction(
         has_small=(d != d_prime),
         floor_index=d - d_prime + 1,
@@ -148,178 +162,55 @@ class JordanZeroChain:
     d_prime: int
 
 
-def _frac_matrix(m) -> list:
-    return [[Fraction(x) for x in row] for row in m]
+def _extend_exact(base, cands):
+    """Candidates among the pivot columns of [base | cands].  The base
+    columns are independent, so they are all pivots, and the candidates
+    picked complete them to a basis of the span of both."""
+    pivots = rref(np.hstack([base, cands]).tolist())[1]
+    return [cands[:, c - base.shape[1]] for c in pivots[base.shape[1]:]]
 
 
-def _frac_matmul(a, b) -> list:
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(len(a))]
+def _extend_numeric(base, cands):
+    """Orthonormal combinations of the candidates, one per candidate
+    beyond the base count, that lie farthest from the span of the base."""
+    needed = cands.shape[1] - base.shape[1]
+    if base.shape[1]:
+        q, _ = np.linalg.qr(base)
+        resid = cands - q @ (q.T @ cands)
+    else:
+        resid = cands
+    _, sv, zt = np.linalg.svd(resid)
+    if len(sv) < needed or sv[needed - 1] <= RANK_TOL * 10.0:
+        raise RankAmbiguous("chain extraction is numerically degenerate")
+    return [cands @ zt[i] for i in range(needed)]
 
 
-def _frac_apply(a, v) -> list:
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
-def _frac_nullspace(m, n) -> list:
-    """Basis of the rational kernel, deterministic free-column pattern."""
-    a = [row[:] for row in m]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        f = a[r][c]
-        a[r] = [x / f for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -a[ri][fc]
-        basis.append(v)
-    return basis
-
-
-def _frac_rank(columns, n) -> int:
-    if not columns:
-        return 0
-    rows = [[col[i] for col in columns] for i in range(n)]
-    from .intlat import rational_rank
-    return rational_rank(rows)
-
-
-def _exact_chains(B_int, n):
-    """Jordan chains of E_0 for an integer matrix, exact arithmetic.
-
-    Returns a list of chains; each chain lists its members bottom-up
-    (kernel vector first) as Fraction vectors.
-    """
-    Bf = _frac_matrix(B_int)
-    kernels = [[]]
-    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    dims = [0]
-    for _ in range(n):
-        power = _frac_matmul(Bf, power)
-        kernels.append(_frac_nullspace(power, n))
-        dims.append(len(kernels[-1]))
-        if len(dims) >= 2 and dims[-1] == dims[-2]:
-            break
-    m = len(dims) - 1
-    while m > 1 and dims[m] == dims[m - 1]:
-        m -= 1
-    if dims[m] == 0:
-        return []
-    chains = []          # each: list of members, bottom (kernel) first
-    for j in range(m, 0, -1):
-        existing = []
-        for ch in chains:
-            if len(ch) >= j:
-                existing.append(ch[j - 1])      # height-j member
-        base = kernels[j - 1] + existing
-        needed = dims[j] - dims[j - 1] - sum(1 for ch in chains if len(ch) > j)
-        picked = []
-        for cand in kernels[j]:
-            if needed == 0:
-                break
-            trial = base + picked + [cand]
-            if _frac_rank(trial, n) == len(trial):
-                picked.append(cand)
-                needed -= 1
-        if needed:
-            raise ArithmeticError("chain extraction failed (exact path)")
-        for v in picked:
-            members = [v]
-            for _ in range(j - 1):
-                members.append(_frac_apply(Bf, members[-1]))
-            members.reverse()                   # kernel vector first
-            chains.append(members)
-    return chains
-
-
-def _numeric_chains(B, n, rank_tol):
-    """Jordan chains of E_0 by SVD rank decisions at ``rank_tol``."""
-    scale = float(np.linalg.norm(B, 2))
-    if scale == 0.0:
-        return [[np.eye(n)[:, i]] for i in range(n)]
-    Bs = B / scale
-
-    def nullspace(m):
-        u, sv, vt = np.linalg.svd(m)
-        for s in sv:
-            if rank_tol / 10.0 < s < rank_tol * 10.0:
-                raise RankAmbiguous(
-                    f"singular value {s} too close to rank_tol {rank_tol}")
-        r = int(np.sum(sv > rank_tol))
-        return vt[r:].T
-
-    kernels = [np.zeros((n, 0))]
-    power = np.eye(n)
-    for _ in range(n):
-        power = Bs @ power
-        kernels.append(nullspace(power))
-        if kernels[-1].shape[1] == kernels[-2].shape[1]:
-            break
-    dims = [k.shape[1] for k in kernels]
-    m = len(dims) - 1
-    while m > 1 and dims[m] == dims[m - 1]:
-        m -= 1
-    if dims[m] == 0:
-        return []
-    chains = []
-    for j in range(m, 0, -1):
-        existing = [ch[j - 1] for ch in chains if len(ch) >= j]
-        base_cols = [kernels[j - 1][:, i] for i in range(dims[j - 1])] + existing
-        needed = dims[j] - dims[j - 1] - sum(1 for ch in chains if len(ch) > j)
-        if needed == 0:
-            continue
-        if base_cols:
-            W = np.column_stack(base_cols)
-            qw, _ = np.linalg.qr(W)
-            resid = kernels[j] - qw @ (qw.T @ kernels[j])
-        else:
-            resid = kernels[j]
-        _, sv, zt = np.linalg.svd(resid)
-        if len(sv) < needed or sv[needed - 1] <= rank_tol * 10.0:
-            raise RankAmbiguous(
-                f"chain extraction at height {j} is numerically degenerate")
-        picked = [kernels[j] @ zt[i] for i in range(needed)]
-        for v in picked:
-            members = [v]
-            for _ in range(j - 1):
-                members.append(B @ members[-1])
-            members.reverse()
-            chains.append(members)
-    return chains
-
-
-def jordan_zero_chain(b_matrix, rank_tol: float = RANK_TOL) -> JordanZeroChain:
+def jordan_zero_chain(b_matrix) -> JordanZeroChain:
     """Adapted frame for E_0 with explicit Jordan chains.
 
-    Integer matrices take an exact rational path (test matrices usually
-    are exact); anything else uses SVD rank decisions and may raise
-    RankAmbiguous.  Column order: kernel vectors first, then increasing
-    height, finally an orthonormal complement of E_0.
+    The chains come from the kernel tower of B, exactly for integer B;
+    anything else uses SVD rank decisions and may raise RankAmbiguous.
+    From the tallest height down, new chain tops extend the kernel one
+    level down together with the members of the taller chains.  Column
+    order: kernel vectors first, then increasing height, finally an
+    orthonormal complement of E_0.
     """
     B = np.asarray(b_matrix, dtype=float)
     n = B.shape[0]
-    if np.array_equal(B, np.round(B)):
-        chains = _exact_chains([[int(x) for x in row] for row in np.round(B)], n)
-        chains = [[np.array([float(x) for x in v]) for v in ch] for ch in chains]
-    else:
-        chains = _numeric_chains(B, n, rank_tol)
-    chains.sort(key=len, reverse=True)
+    Bx, kernels = _kernel_tower(B)
+    extend = _extend_exact if Bx.dtype == object else _extend_numeric
+    chains = []          # each: list of members, bottom (kernel) first
+    for j in range(len(kernels) - 1, 0, -1):
+        base = np.column_stack([kernels[j - 1]]
+                               + [ch[j - 1] for ch in chains])
+        if base.shape[1] == kernels[j].shape[1]:
+            continue
+        for v in extend(base, kernels[j]):
+            members = [v]
+            for _ in range(j - 1):
+                members.append(Bx @ members[-1])
+            chains.append(members[::-1])
+    chains = [[np.asarray(v, dtype=float) for v in ch] for ch in chains]
     d = sum(len(ch) for ch in chains)
     d_prime = len(chains)
     max_h = max((len(ch) for ch in chains), default=0)
@@ -344,8 +235,7 @@ def jordan_zero_chain(b_matrix, rank_tol: float = RANK_TOL) -> JordanZeroChain:
             heights.append(0)
             chain_ids.append(-1)
     frame = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return JordanZeroChain(frame, tuple(sorted((len(c) for c in chains),
-                                               reverse=True)),
+    return JordanZeroChain(frame, tuple(len(ch) for ch in chains),
                            tuple(heights), tuple(chain_ids), d, d_prime)
 
 
@@ -377,10 +267,9 @@ class CollapseFamily:
         return self.c_base * np.power(eps, e[:, None] - e[None, :])
 
 
-def collapse_family(b_matrix, k: int,
-                    rank_tol: float = RANK_TOL) -> CollapseFamily:
+def collapse_family(b_matrix, k: int) -> CollapseFamily:
     B = np.asarray(b_matrix, dtype=float)
-    info = jordan_zero_chain(B, rank_tol)
+    info = jordan_zero_chain(B)
     capacity = info.d - info.d_prime
     if not (0 <= k <= capacity):
         raise KTooLarge(f"k = {k} exceeds d - d' = {capacity}")
@@ -443,8 +332,7 @@ def small_threshold(eps: float) -> float:
     return min(10.0 * eps * eps, SMALL_ABS_CAP)
 
 
-def run_collapse(b_matrix, k: int, eps_grid,
-                 rank_tol: float = RANK_TOL) -> CollapseTable:
+def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
     """Sweep the collapse family over eps and report spectra, the trace
     Tr(C_eps^T C_eps), the frame curvature bound, and small counts.
 
@@ -452,7 +340,7 @@ def run_collapse(b_matrix, k: int, eps_grid,
     kernel, of exact dimension d', is excluded by construction).
     """
     B = np.asarray(b_matrix, dtype=float)
-    fam = collapse_family(B, k, rank_tol)
+    fam = collapse_family(B, k)
     rows = []
     for eps in eps_grid:
         if not (0.0 < eps <= 1.0):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import (curvature, euler_bound, flat_torus, intlat, lie_complex,
                mapping_torus, torus_bundle)
-from .errors import ConfigInvalid, ScenarioUnknown
+from .errors import ConfigInvalid, RankAmbiguous, ScenarioUnknown
 
 #: Config-tunable tolerances with their pinned defaults; each governs
 #: one check, named in the comment (criterion checks are in acceptance).
@@ -110,10 +110,18 @@ def _check_heisenberg(params, grid):
 
 
 def _check_mapping_torus(params, grid):
-    d, d_prime = mapping_torus.invariants_dd(np.array(params["B"]))
+    try:
+        d, d_prime = mapping_torus.invariants_dd(np.array(params["B"]))
+    except RankAmbiguous as exc:
+        raise ConfigInvalid(f"B: {exc}") from exc
     if not (0 <= params["k"] <= d - d_prime):
         raise ConfigInvalid(f"k: need 0 <= k <= d - d' = {d - d_prime}, "
                             f"got {params['k']}")
+
+
+def _check_gt_family(params, grid):
+    if not params["t_values"]:
+        raise ConfigInvalid("t_values: need at least one value")
 
 
 def _check_torus_bundle(params, grid):
@@ -179,19 +187,20 @@ def _scenario_mapping_torus(params, seed, eps_grid, tols):
     n = B.shape[0]
     d_prime = table.d_prime
     nonzero = [np.sort(r.report.eigenvalues)[d_prime + 1:] for r in table.rows]
-    kernel_ok = all(r.report.kernel_dim == d_prime + 1 for r in table.rows)
-    checks.append(CheckResult("kernel-dim", kernel_ok, 0.0,
-                              f"expected {d_prime + 1}"))
+    kernel_miss = max(abs(r.report.kernel_dim - d_prime - 1)
+                      for r in table.rows)
+    checks.append(CheckResult("kernel-dim", kernel_miss == 0,
+                              float(-kernel_miss), f"expected {d_prime + 1}"))
     if k == 0:
         base = table.rows[0].report.eigenvalues
-        const = all(np.array_equal(r.report.eigenvalues, base)
+        drift = max(float(np.max(np.abs(r.report.eigenvalues - base)))
                     for r in table.rows)
-        checks.append(CheckResult("homothety-constant", const, 0.0,
-                                  "spectra must match exactly"))
+        checks.append(CheckResult("homothety-constant", drift == 0.0,
+                                  0.0 - drift, "spectra must match exactly"))
     else:
-        falling = all(float(nz[k - 1]) < 10.0 * r.eps ** 2
-                      for r, nz in zip(table.rows, nonzero))
-        checks.append(CheckResult("first-k-fall", falling, 0.0,
+        fall = min(10.0 * r.eps ** 2 - float(nz[k - 1])
+                   for r, nz in zip(table.rows, nonzero))
+        checks.append(CheckResult("first-k-fall", fall > 0.0, fall,
                                   "k-th nonzero eigenvalue below 10 eps^2"))
         # once 10 eps^2 is below the survivor floor, exactly k fall below it
         miss = max((abs(int(np.sum(nz < 10.0 * r.eps ** 2)) - k)
@@ -206,8 +215,8 @@ def _scenario_mapping_torus(params, seed, eps_grid, tols):
     tr0 = float(np.sum(table.b_matrix * table.b_matrix))
     fam = mapping_torus.collapse_family(B, k)
     tr1 = float(np.sum(fam.c_matrix(1.0) ** 2))
-    tr_ok = all(r.trace <= tr1 + 1e-9 for r in table.rows)
-    checks.append(CheckResult("trace-bounded", tr_ok, 0.0,
+    tr_slack = tr1 + 1e-9 - max(r.trace for r in table.rows)
+    checks.append(CheckResult("trace-bounded", tr_slack >= 0.0, tr_slack,
                               f"eps=1 trace {tr1:.6g} (Tr B^T B = {tr0:.6g})"))
     return ScenarioResult({"collapse.csv": table.to_csv()}, checks)
 
@@ -510,7 +519,7 @@ SCENARIOS = {
         {"base_length": (float, 1.0), "fiber_length": (float, 0.1)}),
     "gt-family": ScenarioSpec(
         _scenario_gt_family, "shear-family-periodicity",
-        {"t_values": ("vector", "0 0.3 0.5")}),
+        {"t_values": ("vector", "0 0.3 0.5")}, check=_check_gt_family),
     "euler-bound": ScenarioSpec(
         _scenario_euler_bound, "determinant-bound-chain",
         {"trials": (int, 50), "kmax": (int, 4)}),

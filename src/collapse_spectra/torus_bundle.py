@@ -19,7 +19,8 @@ import numpy as np
 from .errors import TrivialBundle
 from .intlat import gcd_completion, vector_gcd
 from .lie_complex import (SpectrumReport, StructureConstants, codifferential,
-                          exterior_derivative, form_dim, laplacian, spectrum)
+                          exterior_derivative, form_dim, laplacian, spectrum,
+                          svd_nullspace)
 
 
 @dataclass(frozen=True)
@@ -141,14 +142,14 @@ def eigenspace_split(n: int, p: int, b) -> EigenspaceSplit:
     total = E.shape[1]
     if total == 0:
         return EigenspaceSplit(eta_sq, 0, 0, 0)
-    d_p = exterior_derivative(L, p)
-    closed = total - np.linalg.matrix_rank(d_p @ E, tol=1e-9)
-    if p >= 1:
-        delta_p = codifferential(L, p)
-        coclosed = total - np.linalg.matrix_rank(delta_p @ E, tol=1e-9)
-    else:
-        coclosed = total
-    return EigenspaceSplit(eta_sq, total, int(coclosed), int(closed))
+    # on a unit eta^2-eigenform that is coclosed |d w| = eta, and on a
+    # closed one |delta w| = eta, so both maps below have singular
+    # values 1 or 0 whatever the scale of b
+    eta = math.sqrt(eta_sq)
+    closed = svd_nullspace(exterior_derivative(L, p) @ E / eta).shape[1]
+    coclosed = svd_nullspace(codifferential(L, p) @ E / eta).shape[1] \
+        if p >= 1 else total
+    return EigenspaceSplit(eta_sq, total, coclosed, closed)
 
 
 @dataclass(frozen=True)

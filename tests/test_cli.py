@@ -282,3 +282,41 @@ def test_cli_removed_resolution_names_key(tmp_path, capsys):
     assert cli.main(["gt-family", "--config", str(config),
                      "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: resolution:")
+
+
+@pytest.mark.parametrize("big", ["1000000000", "10000000000"])
+def test_cli_mapping_torus_wide_integer_entry(big, tmp_path):
+    # a single 3-block: d - d' = 2 on the exact path, both in the
+    # configuration check and in the collapse run
+    config = tmp_path / "run.ini"
+    config.write_text(f"[params]\nk = 2\nB =\n    0 {big} 0\n"
+                      "    0 0 1\n    0 0 0\n")
+    assert cli.main(["mapping-torus", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_mapping_torus_invertible_small_eigenvalues_names_key(
+        tmp_path, capsys):
+    # B is invertible and semisimple, so d = d' = 0 although B^4 is tiny
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\nk = 1\nB =\n    1 0 0 0\n"
+                      "    0 0.001 0 0\n    0 0 -1 0\n    0 0 0 -0.001\n")
+    assert cli.main(["mapping-torus", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: k:")
+
+
+def test_cli_mapping_torus_rank_ambiguous_names_key(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\nB =\n    1 0\n    0 1e-9\n")
+    assert cli.main(["mapping-torus", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: B:")
+
+
+def test_cli_gt_family_empty_t_values_names_key(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\nt_values =\n")
+    assert cli.main(["gt-family", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: t_values:")

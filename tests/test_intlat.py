@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import collapse_spectra as cs
 from collapse_spectra.intlat import (det_int, dumps_int_matrix,
                                      invariant_factors, loads_int_matrix,
-                                     mat_mul_int, rational_rank,
-                                     unimodular_inverse)
+                                     mat_mul_int, rational_nullspace,
+                                     rational_rank, unimodular_inverse)
 
 
 def _check_snf(m):
@@ -104,6 +104,23 @@ def test_gcd_completion_examples():
     d, P = cs.gcd_completion([4, 6])
     assert d == 2 and [row[0] for row in P] == [2, 3]
     assert abs(det_int(P)) == 1
+
+
+def test_rational_nullspace_exact_kernel():
+    # products of an m x r and an r x n integer matrix have rank <= r
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        m, n, r = (int(x) for x in rng.integers(1, 6, size=3))
+        left = [[int(x) for x in rng.integers(-4, 5, r)] for _ in range(m)]
+        right = [[int(x) for x in rng.integers(-4, 5, n)] for _ in range(r)]
+        a = mat_mul_int(left, right)
+        basis = rational_nullspace(a, n)
+        assert len(basis) == n - rational_rank(a)
+        for v in basis:
+            assert all(sum(row[j] * v[j] for j in range(n)) == 0
+                       for row in a)
+        if basis:
+            assert rational_rank(basis) == len(basis)
 
 
 def test_gcd_completion_zero_rejected():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import collapse_spectra as cs
+from collapse_spectra.intlat import (mat_mul_int, rational_rank,
+                                     unimodular_inverse)
 from collapse_spectra.mapping_torus import (small_threshold, semisimple_defect,
                                             solvable_algebra)
 
@@ -41,7 +43,70 @@ def test_invariants_dd():
 def test_invariants_rank_ambiguous():
     B = np.diag([1.0, 1e-9])
     with pytest.raises(cs.RankAmbiguous):
-        cs.invariants_dd(B, rank_tol=1e-9)
+        cs.invariants_dd(B)
+
+
+def _conjugated_jordan_type(rng, n):
+    """Integer B = U diag(J, A) U^{-1}: J nilpotent with a random Jordan
+    type, A upper triangular with diagonal entries +-1, +-2, U unimodular.
+    Returns (B, chain lengths of J, longest first)."""
+    d = int(rng.integers(0, n + 1))
+    lengths = []
+    while sum(lengths) < d:
+        lengths.append(int(rng.integers(1, d - sum(lengths) + 1)))
+    lengths.sort(reverse=True)
+    core = [[0] * n for _ in range(n)]
+    start = 0
+    for length in lengths:
+        for i in range(start, start + length - 1):
+            core[i][i + 1] = 1
+        start += length
+    for i in range(d, n):
+        core[i][i] = int(rng.choice([-2, -1, 1, 2]))
+        for j in range(i + 1, n):
+            core[i][j] = int(rng.integers(-3, 4))
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(8):
+        i, j = (int(x) for x in rng.integers(0, n, size=2))
+        sign = int(rng.choice([-1, 1]))
+        if i != j:
+            U[i] = [x + sign * y for x, y in zip(U[i], U[j])]
+    return mat_mul_int(mat_mul_int(U, core), unimodular_inverse(U)), lengths
+
+
+def test_invariants_dd_exact_oracle():
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        B, lengths = _conjugated_jordan_type(rng, n)
+        power = B
+        for _ in range(n - 1):
+            power = mat_mul_int(B, power)
+        expected = (n - rational_rank(power), n - rational_rank(B))
+        assert expected == (sum(lengths), len(lengths))
+        Bf = np.array(B, dtype=float)
+        assert cs.invariants_dd(Bf) == expected
+        assert cs.jordan_zero_chain(Bf).chain_lengths == tuple(lengths)
+
+
+def test_invariants_agree_with_chains_on_wide_entries():
+    # one entry far above the others: SVD ranks of B and B^n saw
+    # (3, 2) or raised, while the chains see a single 3-block
+    for big in (1e9, 1e10):
+        B = np.array([[0.0, big, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        assert cs.invariants_dd(B) == (3, 1)
+        info = cs.jordan_zero_chain(B)
+        assert (info.d, info.d_prime, info.chain_lengths) == (3, 1, (3,))
+
+
+def test_invariants_invertible_with_small_eigenvalues():
+    # B^n shrinks the 1e-3 eigenvalues to 1e-12, below RANK_TOL; the
+    # kernel tower stops at ker B = 0
+    B = np.diag([1.0, 1e-3, -1.0, -1e-3])
+    assert cs.invariants_dd(B) == (0, 0)
+    assert not cs.predict_small_eigenvalues(B).has_small
+    with pytest.raises(cs.KTooLarge):
+        cs.collapse_family(B, 1)
 
 
 def test_laplacian1_fast_examples():

@@ -63,7 +63,10 @@ def test_spectrum_depends_only_on_norm():
 
 
 def test_eigenspace_split_counts():
-    for n, b in ((2, [1.0, 0.0]), (3, [0.5, 0.5, 1.0])):
+    # the tiny and the large b check that the rank decisions do not
+    # depend on the scale of b
+    for n, b in ((2, [1.0, 0.0]), (3, [0.5, 0.5, 1.0]), (2, [1e-3, 2e-3]),
+                 (2, [40.0, 3.0])):
         for p in range(1, n + 2):
             split = eigenspace_split(n, p, b)
             expect_co = math.comb(n - 1, p - 1) if p - 1 <= n - 1 else 0
