@@ -137,7 +137,7 @@ def eigenspace_split(n: int, p: int, b) -> EigenspaceSplit:
     L = nil_algebra(b)
     lap = laplacian(L, p)
     vals, vecs = np.linalg.eigh(lap)
-    sel = np.abs(vals - eta_sq) <= 1e-8 * max(1.0, eta_sq)
+    sel = np.abs(vals - eta_sq) <= 1e-8 * eta_sq
     E = vecs[:, sel]
     total = E.shape[1]
     if total == 0:

@@ -320,3 +320,19 @@ def test_cli_gt_family_empty_t_values_names_key(tmp_path, capsys):
     assert cli.main(["gt-family", "--config", str(config),
                      "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: t_values:")
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("euler-bound", "trials", "0"),         # was a vacuous PASS, margin +inf
+    ("euler-bound", "trials", "-3"),
+    ("euler-bound", "trials", "10001"),
+    ("euler-bound", "kmax", "0"),           # was a numpy ValueError traceback
+    ("euler-bound", "kmax", "9"),
+    ("torus-bundle", "n", "11"),
+])
+def test_cli_size_bounds_name_key(scenario, key, value, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[params]\n{key} = {value}\n")
+    assert cli.main([scenario, "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}:")

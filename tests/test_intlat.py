@@ -1,4 +1,7 @@
 import warnings
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import collapse_spectra as cs
 from collapse_spectra.intlat import (det_int, dumps_int_matrix,
                                      invariant_factors, loads_int_matrix,
                                      mat_mul_int, rational_nullspace,
-                                     rational_rank, unimodular_inverse)
+                                     rational_rank, rref, unimodular_inverse)
 
 
 def _check_snf(m):
@@ -59,6 +62,95 @@ matrix_strategy = st.integers(1, 4).flatmap(
 @settings(max_examples=60, deadline=None)
 def test_snf_property(m):
     _check_snf(m)
+
+
+def _determinantal_divisors(m):
+    """D_k = gcd of the k x k minors, k = 1 .. min(rows, cols)."""
+    rows, cols = len(m), len(m[0])
+    divisors = []
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for ri in combinations(range(rows), k):
+            for ci in combinations(range(cols), k):
+                g = gcd(g, det_int([[m[i][j] for j in ci] for i in ri]))
+        divisors.append(g)
+    return divisors
+
+
+def test_snf_determinantal_divisor_oracle():
+    # invariant factors are D_k / D_{k-1} (and 0 once D_k = 0); the scaled
+    # and low-rank products give factors other than 1 and det
+    rng = np.random.default_rng(59)
+    shapes = [(4, 4), (5, 5), (3, 5), (5, 3), (4, 6), (6, 4)]
+    for trial in range(36):
+        rows, cols = shapes[trial % len(shapes)]
+        if trial % 3 == 0:
+            m = rng.integers(-9, 10, (rows, cols))
+        elif trial % 3 == 1:
+            m = 6 * rng.integers(-3, 4, (rows, cols))
+        else:
+            r = int(rng.integers(1, min(rows, cols)))
+            m = rng.integers(-3, 4, (rows, r)) @ rng.integers(-3, 4, (r, cols))
+        m = m.tolist()
+        divisors = [1] + _determinantal_divisors(m)
+        expected = [b // a if a else 0 for a, b in zip(divisors, divisors[1:])]
+        assert _check_snf(m) == expected
+
+
+def test_snf_8x8_stays_small(time_limit):
+    rng = np.random.default_rng(61)
+    for _ in range(4):
+        m = rng.integers(-9, 10, (8, 8)).tolist()
+        with time_limit(1.0, "8 x 8 Smith form"):
+            result = cs.smith_normal_form(m)
+        _check_snf(m)
+        digits = max(len(str(abs(x))) for mat in result
+                     for row in mat for x in row)
+        assert digits < 100
+
+
+def _fraction_rref(m):
+    """Reference: Gauss-Jordan elimination on Fractions, row by row."""
+    a = [[Fraction(x) for x in row] for row in m]
+    cols = len(a[0]) if a else 0
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        f = a[r][col]
+        a[r] = [x / f for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                g = a[i][col]
+                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        if len(pivots) == len(a):
+            break
+    return a, pivots
+
+
+def test_rref_matches_fraction_elimination():
+    # integer, rank-deficient integer and Fraction matrices up to 7 x 7
+    rng = np.random.default_rng(67)
+    for trial in range(1200):
+        rows, cols = (int(x) for x in rng.integers(1, 8, size=2))
+        if trial % 3 == 0:
+            m = rng.integers(-9, 10, (rows, cols)).tolist()
+        elif trial % 3 == 1:
+            r = int(rng.integers(1, min(rows, cols) + 1))
+            m = (rng.integers(-4, 5, (rows, r))
+                 @ rng.integers(-4, 5, (r, cols))).tolist()
+        else:
+            m = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                  for _ in range(cols)] for _ in range(rows)]
+        got, pivots = rref(m)
+        expected, expected_pivots = _fraction_rref(m)
+        assert pivots == expected_pivots
+        assert got == expected
+        assert all(type(x) is Fraction for row in got for x in row)
 
 
 def test_betti_known():

@@ -76,6 +76,14 @@ def test_eigenspace_split_counts():
             assert split.total == math.comb(n, p - 1)
 
 
+def test_eigenspace_split_small_eta_excludes_kernel():
+    # eta^2 = 1e-8: the whole nil Laplacian scales with |b|^2, so a window
+    # absolute in eta^2 would take the kernel in as well
+    got = [eigenspace_split(2, p, [1e-4, 0.0]) for p in (1, 2, 3)]
+    assert [s.total for s in got] == [1, 2, 1]
+    assert [(s.coclosed, s.closed) for s in got] == [(1, 0), (1, 1), (0, 1)]
+
+
 def test_connection_change_leaves_tensor_fixed():
     # Y_i -> Y_i + sum xi_k V_k is unitriangular with exact inverse
     b = [0.7, -0.3]
