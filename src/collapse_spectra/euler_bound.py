@@ -16,12 +16,12 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NotInjective
-from .flat_torus import FlatTorus
+from .flat_torus import FlatTorus, _shortest
 from .intlat import int_matrix, rational_rank, smith_normal_form
 
 #: Convention: ``gramG`` is the Gram matrix of the fiber metric on the
@@ -83,13 +83,10 @@ class BoundChainReport:
     ok: bool
 
 
-def bound_chain(e_matrix, gram_g) -> BoundChainReport:
-    """Check the two-step determinant bound for an injective Euler map."""
-    E = int_matrix(e_matrix)
-    k = len(E[0])
-    if rational_rank(E) < k:
-        raise NotInjective("Euler map has a kernel; use noninjective_reduce")
-    M = ee_star(E, gram_g)
+def _chain(M: np.ndarray) -> BoundChainReport:
+    """The bound chain of the PSD k x k matrix M = e*e; ``ok`` asks all
+    three inequalities."""
+    k = M.shape[0]
     vals = np.linalg.eigvalsh(M)
     lam_min, lam_max = float(vals[0]), float(vals[-1])
     det_m = float(np.linalg.det(M))
@@ -100,6 +97,14 @@ def bound_chain(e_matrix, gram_g) -> BoundChainReport:
     ok = (lam_min >= mid - 1e-10 and mid >= det_bound - 1e-10
           and lam_min >= det_bound - 1e-10)
     return BoundChainReport(lam_min, mid, det_bound, det_e, op_norm, ok)
+
+
+def bound_chain(e_matrix, gram_g) -> BoundChainReport:
+    """Check the two-step determinant bound for an injective Euler map."""
+    E = int_matrix(e_matrix)
+    if rational_rank(E) < len(E[0]):
+        raise NotInjective("Euler map has a kernel; use noninjective_reduce")
+    return _chain(ee_star(E, gram_g))
 
 
 @dataclass(frozen=True)
@@ -170,33 +175,13 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
     r = np.linalg.cholesky(m_gram)
     W = null @ np.linalg.inv(r).T
     A_on = Ef @ W
-    M = A_on.T @ A_on
-    vals = np.linalg.eigvalsh(M)
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
-    det_m = float(np.linalg.det(M))
-    det_a = math.sqrt(max(det_m, 0.0))
-    op = math.sqrt(lam_max)
-    kk = rank
-    mid = det_m / lam_max ** (kk - 1) if kk > 1 else det_m
-    det_bound = det_a ** 2 / op ** (2 * kk - 2) if kk > 1 else det_a ** 2
-    restricted = BoundChainReport(lam_min, mid, det_bound, det_a, op,
-                                  lam_min >= det_bound - 1e-10)
+    chain = _chain(A_on.T @ A_on)
+    # only the end-to-end inequality is asked of the restricted map
+    restricted = replace(chain, ok=chain.lam_min >= chain.det_bound - 1e-10)
     return NonInjectiveReport(tuple(map(tuple, kernel_cols)),
                               tuple(map(tuple, complement_cols)),
                               tuple(map(tuple, reduced)),
                               quotient_volume, restricted, False)
-
-
-def report_text(report) -> str:
-    """Serialize a report dataclass as 'key = value' lines."""
-    lines = []
-    for key, value in vars(report).items():
-        if hasattr(value, "__dataclass_fields__"):
-            for sub_key, sub_value in vars(value).items():
-                lines.append(f"{key}.{sub_key} = {sub_value!r}")
-        else:
-            lines.append(f"{key} = {value!r}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +195,12 @@ class RhoReport:
     pairs: tuple                  # index pairs labelling the coefficients
 
 
-def rho_flat(base: FlatTorus, searchbound: int = None) -> RhoReport:
+def rho_flat(base: FlatTorus) -> RhoReport:
     """Minimal L^2 norm of a nonzero integral constant-coefficient 2-form.
 
     The squared norm of sum c_I dx_I is c^T Gram2 c times the volume,
-    where Gram2 is built from 2x2 minors of the inverse Gram.  The search
-    box is certified the same way as the shortest dual vector.
+    where Gram2 is built from 2x2 minors of the inverse Gram: a shortest
+    vector problem, solved by the dual-lattice search.
     """
     m = base.k
     if m > 4:
@@ -230,20 +215,8 @@ def rho_flat(base: FlatTorus, searchbound: int = None) -> RhoReport:
         for b, (j1, j2) in enumerate(pairs):
             gram2[a, b] = qinv[i1, j1] * qinv[i2, j2] \
                 - qinv[i1, j2] * qinv[i2, j1]
-    form = gram2 * base.volume
-    q0 = float(form[0, 0])
-    lam_min = float(np.linalg.eigvalsh(form)[0])
-    box = searchbound if searchbound is not None else \
-        max(1, int(math.ceil(math.sqrt(q0 / lam_min))))
-    best = None
-    for c in itertools.product(range(-box, box + 1), repeat=dim):
-        if not any(c):
-            continue
-        cv = np.array(c, dtype=float)
-        val = float(cv @ form @ cv)
-        if best is None or val < best[0]:
-            best = (val, c)
-    return RhoReport(math.sqrt(best[0]), best[1], tuple(pairs))
+    norm2, attaining = _shortest(gram2 * base.volume)
+    return RhoReport(math.sqrt(norm2), attaining, tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

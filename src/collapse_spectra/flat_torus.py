@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,38 +73,53 @@ def gt_gram(t: float) -> FlatTorus:
     return FlatTorus(np.array([[1.0, t], [t, 1.0 + t * t]]))
 
 
-def _box_radius(q: np.ndarray, qmax: float) -> int:
-    """Per-coordinate bound: q*(gamma) <= qmax forces |gamma_i| <= R."""
-    lam_min = float(np.linalg.eigvalsh(q)[0])
-    return max(1, int(math.ceil(math.sqrt(max(qmax, 0.0) / lam_min))))
+#: rows per vectorised pass of the enumeration, which bounds its memory
+_BLOCK = 1 << 12
 
 
 def _enumerate_dual(q: np.ndarray, qmax: float):
-    """All (gamma, q(gamma)) with q <= qmax, from the certified box."""
-    k = q.shape[0]
-    R = _box_radius(q, qmax)
+    """All (gamma, q(gamma)) with q(gamma) <= qmax, gamma in lexicographic
+    order.
+
+    The box |gamma_i| <= ceil(sqrt(qmax (q^-1)_ii)) is the bounding box of
+    the ellipsoid q <= qmax, so it is certified in any basis.  A
+    vectorised pass keeps the candidates within a rounding slack of the
+    bound; each kept value is then g @ q @ g of that one vector, so no
+    reported bit depends on the pass.
+    """
+    bound = qmax * (1.0 + 1e-12)
+    radius = np.ceil(np.sqrt(max(qmax, 0.0)
+                             * np.diag(np.linalg.inv(q)))).astype(int)
+    shape = 2 * radius + 1
+    size = int(np.prod(shape))
     out = []
-    for gamma in itertools.product(range(-R, R + 1), repeat=k):
-        g = np.array(gamma, dtype=float)
-        val = float(g @ q @ g)
-        if val <= qmax * (1.0 + 1e-12):
-            out.append((gamma, val))
+    for start in range(0, size, _BLOCK):
+        index = np.arange(start, min(size, start + _BLOCK))
+        box = np.stack(np.unravel_index(index, shape), axis=1) - radius
+        g = box.astype(float)
+        # any two summation orders of g^T q g differ far below this slack
+        slack = 1e-12 * np.einsum("ij,jk,ik->i", np.abs(g), np.abs(q),
+                                  np.abs(g))
+        near = np.einsum("ij,jk,ik->i", g, q, g) <= bound + slack
+        for gamma in box[near].tolist():
+            gv = np.array(gamma, dtype=float)
+            val = float(gv @ q @ gv)
+            if val <= bound:
+                out.append((tuple(gamma), val))
     return out
 
 
-def lambda01(torus: FlatTorus) -> float:
-    """First function eigenvalue 4 pi^2 min_{gamma != 0} gamma^T G^{-1} gamma.
+def _shortest(q: np.ndarray) -> tuple:
+    """(q(gamma), gamma) for the shortest nonzero integer gamma, the
+    lexicographically first on ties; no shorter vector escapes the
+    ellipsoid through e_1."""
+    return min((val, gamma) for gamma, val
+               in _enumerate_dual(q, float(q[0, 0])) if any(gamma))
 
-    The search box is derived from the value at e_1, which no shorter
-    vector can escape.
-    """
-    q = torus.dual_quadratic()
-    q0 = float(q[0, 0])
-    best = q0
-    for gamma, val in _enumerate_dual(q, q0):
-        if any(gamma) and val < best:
-            best = val
-    return FOUR_PI_SQ * best
+
+def lambda01(torus: FlatTorus) -> float:
+    """First function eigenvalue 4 pi^2 min_{gamma != 0} gamma^T G^{-1} gamma."""
+    return FOUR_PI_SQ * _shortest(torus.dual_quadratic())[0]
 
 
 @dataclass(frozen=True)
@@ -141,20 +155,24 @@ class ModeSpectrum:
         return buf.getvalue()
 
 
+def _multiplicity(k: int, p: int) -> int:
+    """C(k, p): the constant p-forms that tensor each mode on T^k."""
+    if not (0 <= p <= k):
+        raise ValueError(f"degree {p} not in [0, {k}]")
+    return math.comb(k, p)
+
+
 def p_form_spectrum(torus: FlatTorus, p: int, cutoff: float) -> ModeSpectrum:
     """Modes (gamma, 4 pi^2 q*(gamma), C(k,p)) with eigenvalue <= cutoff.
 
     gamma = 0 carries the harmonic space of dimension C(k, p).
     """
-    k = torus.k
-    if not (0 <= p <= k):
-        raise ValueError(f"degree {p} not in [0, {k}]")
-    mult = math.comb(k, p)
+    mult = _multiplicity(torus.k, p)
     q = torus.dual_quadratic()
     modes = [Mode(gamma, FOUR_PI_SQ * val, mult)
              for gamma, val in _enumerate_dual(q, cutoff / FOUR_PI_SQ)]
     modes.sort(key=lambda m: (m.eigenvalue, m.gamma))
-    return ModeSpectrum(k, p, float(cutoff), tuple(modes))
+    return ModeSpectrum(torus.k, p, float(cutoff), tuple(modes))
 
 
 def diameter(torus: FlatTorus) -> float:
@@ -179,24 +197,24 @@ def diameter(torus: FlatTorus) -> float:
 # product-model invariance thresholds
 # ---------------------------------------------------------------------------
 
-def _product_modes(base: FlatTorus, fiber: FlatTorus, cutoff: float):
-    """Modes of the block product as (gamma_base, gamma_fiber, eigenvalue).
+def _product_modes(base: FlatTorus, fiber: FlatTorus, p: int,
+                   cutoff: float) -> ModeSpectrum:
+    """p-form modes of the block product, gamma = (gamma_base, gamma_fiber).
 
     Built from the factor enumerations, so the split eigenvalue is the
     exact sum lambda_B + lambda_F of the factor eigenvalues.
     """
-    qb = base.dual_quadratic()
-    qf = fiber.dual_quadratic()
-    base_modes = _enumerate_dual(qb, cutoff / FOUR_PI_SQ)
-    fiber_modes = _enumerate_dual(qf, cutoff / FOUR_PI_SQ)
-    out = []
+    mult = _multiplicity(base.k + fiber.k, p)
+    base_modes = _enumerate_dual(base.dual_quadratic(), cutoff / FOUR_PI_SQ)
+    fiber_modes = _enumerate_dual(fiber.dual_quadratic(), cutoff / FOUR_PI_SQ)
+    modes = []
     for gb, vb in base_modes:
         for gf, vf in fiber_modes:
             lam = FOUR_PI_SQ * vb + FOUR_PI_SQ * vf
             if lam <= cutoff * (1.0 + 1e-12):
-                out.append((gb, gf, lam))
-    out.sort(key=lambda t: (t[2], t[0], t[1]))
-    return out
+                modes.append(Mode(gb + gf, lam, mult))
+    modes.sort(key=lambda m: (m.eigenvalue, m.gamma))
+    return ModeSpectrum(base.k + fiber.k, p, float(cutoff), tuple(modes))
 
 
 @dataclass(frozen=True)
@@ -218,25 +236,14 @@ def threshold_check_product(base: FlatTorus, fiber: FlatTorus, p: int,
     lam_f = lambda01(fiber)
     if cutoff is None:
         cutoff = 1.5 * lam_f
-    k = base.k + fiber.k
-    if not (0 <= p <= k):
-        raise ValueError(f"degree {p} not in [0, {k}]")
-    modes = _product_modes(base, fiber, cutoff)
-    violations = tuple((gb, gf, lam) for gb, gf, lam in modes
-                       if lam < lam_f and any(gf))
-    non_inv = [lam for gb, gf, lam in modes if any(gf)]
-    min_non_inv = min(non_inv) if non_inv else float("inf")
+    spec = _product_modes(base, fiber, p, cutoff)
+    non_inv = [m for m in spec.modes if any(m.gamma[base.k:])]
+    violations = tuple(m for m in non_inv if m.eigenvalue < lam_f)
+    min_non_inv = non_inv[0].eigenvalue if non_inv else float("inf")
     attained = min_non_inv == lam_f
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([f"gamma_{i + 1}" for i in range(k)]
-               + ["eigenvalue", "multiplicity", "invariant_flag"])
-    mult = math.comb(k, p)
-    for gb, gf, lam in modes:
-        w.writerow(list(gb) + list(gf)
-                   + [repr(lam), mult, int(not any(gf))])
-    return ThresholdReport(lam_f, min_non_inv, attained, violations, mult,
-                           not violations and attained, buf.getvalue())
+    return ThresholdReport(lam_f, min_non_inv, attained, violations,
+                           math.comb(spec.k, p), not violations and attained,
+                           spec.to_csv(lambda g: not any(g[base.k:])))
 
 
 @dataclass(frozen=True)
@@ -250,19 +257,17 @@ def odd_multiplicity_check(base: FlatTorus, fiber: FlatTorus, p: int,
                            cutoff: float) -> OddMultiplicityReport:
     """Every eigenvalue below the cutoff with odd total multiplicity must
     contain a fiber-invariant mode."""
-    k = base.k + fiber.k
-    mult = math.comb(k, p)
-    modes = _product_modes(base, fiber, cutoff)
     groups = []
-    for gb, gf, lam in modes:
-        if groups and abs(lam - groups[-1][0]) <= 1e-9 * max(1.0, lam):
-            val, count, inv = groups[-1]
-            groups[-1] = (val, count + 1, inv or not any(gf))
+    for m in _product_modes(base, fiber, p, cutoff).modes:
+        inv = not any(m.gamma[base.k:])
+        if groups and abs(m.eigenvalue - groups[-1][0]) \
+                <= 1e-9 * max(1.0, m.eigenvalue):
+            val, count, has_inv = groups[-1]
+            groups[-1] = (val, count + m.multiplicity, has_inv or inv)
         else:
-            groups.append((lam, 1, not any(gf)))
-    reports = tuple((val, count * mult, inv) for val, count, inv in groups)
-    violations = tuple(g for g in reports if g[1] % 2 == 1 and not g[2])
-    return OddMultiplicityReport(reports, violations, not violations)
+            groups.append((m.eigenvalue, m.multiplicity, inv))
+    violations = tuple(g for g in groups if g[1] % 2 == 1 and not g[2])
+    return OddMultiplicityReport(tuple(groups), violations, not violations)
 
 
 @dataclass(frozen=True)

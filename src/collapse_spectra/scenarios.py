@@ -120,8 +120,9 @@ def _check_mapping_torus(params, grid):
 
 
 def _check_gt_family(params, grid):
-    if not params["t_values"]:
-        raise ConfigInvalid("t_values: need at least one value")
+    if not 1 <= len(params["t_values"]) <= 100:
+        raise ConfigInvalid(f"t_values: need 1 to 100 values, got "
+                            f"{len(params['t_values'])}")
 
 
 def _check_torus_bundle(params, grid):
@@ -366,7 +367,7 @@ def _scenario_flat_threshold(params, seed, eps_grid, tols):
         CheckResult("square-threshold",
                     square_rep.ok and square_slack >= 0.0, square_slack,
                     f"threshold {square_rep.threshold:.6g} attained"),
-        CheckResult("odd-multiplicity", odd.ok, 0.0,
+        CheckResult("odd-multiplicity", odd.ok, float(-len(odd.violations)),
                     f"{len(odd.groups)} eigenvalue groups"),
     ]
     return ScenarioResult({"modes_circle.csv": circle_rep.csv,

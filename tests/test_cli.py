@@ -322,6 +322,14 @@ def test_cli_gt_family_empty_t_values_names_key(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: t_values:")
 
 
+def test_cli_gt_family_too_many_t_values_names_key(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\nt_values = " + " ".join(["0.5"] * 101) + "\n")
+    assert cli.main(["gt-family", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: t_values:")
+
+
 @pytest.mark.parametrize("scenario, key, value", [
     ("euler-bound", "trials", "0"),         # was a vacuous PASS, margin +inf
     ("euler-bound", "trials", "-3"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -132,12 +133,42 @@ def test_rho_flat():
         assert cs.rho_flat(torus).rho == pytest.approx(1.0, rel=1e-12)
 
 
-def test_rho_box_doubling():
-    for gram in (np.eye(2), np.eye(3), np.diag([2.0, 1.0, 0.5])):
-        torus = FlatTorus(gram)
-        base = cs.rho_flat(torus)
-        doubled = cs.rho_flat(torus, searchbound=4)
-        assert base.rho == doubled.rho
+def _rho_brute(gram):
+    """(rho^2, lexicographically first attaining c) over c in [-4, 4]^dim.
+
+    The squared L^2 norm of the 2-form with antisymmetric coefficient
+    matrix A is vol * tr(A^T G^-1 A G^-1) / 2, polarised into a form on
+    the coefficients of dx_i ^ dx_j, i < j.
+    """
+    m = gram.shape[0]
+    ginv = np.linalg.inv(gram)
+    pairs = list(itertools.combinations(range(m), 2))
+    basis = []
+    for i, j in pairs:
+        a = np.zeros((m, m))
+        a[i, j], a[j, i] = 1.0, -1.0
+        basis.append(a)
+    vol = math.sqrt(np.linalg.det(gram))
+    form = np.array([[0.5 * vol * np.trace(a.T @ ginv @ b @ ginv)
+                      for b in basis] for a in basis])
+    dim = len(pairs)
+    coeffs = np.indices((9,) * dim).reshape(dim, -1).T - 4
+    coeffs = coeffs[np.any(coeffs != 0, axis=1)]          # lexicographic order
+    vals = np.einsum("ij,jk,ik->i", coeffs, form, coeffs)
+    best = vals.min()
+    first = coeffs[np.flatnonzero(vals <= best * (1.0 + 1e-9))[0]]
+    return best, tuple(int(x) for x in first)
+
+
+def test_rho_flat_brute_force():
+    rng = np.random.default_rng(29)
+    w = rng.uniform(-0.3, 0.3, (4, 4))
+    skew4 = np.eye(4) + w @ w.T
+    for gram in (np.eye(2), np.eye(3), np.diag([2.0, 1.0, 0.5]), skew4):
+        rep = cs.rho_flat(FlatTorus(gram))
+        best, first = _rho_brute(gram)
+        assert rep.rho == pytest.approx(math.sqrt(best), rel=1e-12), gram
+        assert rep.attaining == first, gram
 
 
 def test_vol_bound_circle_constant_ratio():
@@ -160,15 +191,3 @@ def test_vol_bound_dense_direction():
     rep = cs.vol_bound_experiment(bundle, [1.0, 0.0], [1.0, 0.5, 0.25])
     assert rep.ok
     assert rep.rows[-1].lam >= 4.0       # limit sum_{i>1} b_i^2 = 4
-
-
-def test_report_text_key_value():
-    from collapse_spectra.euler_bound import report_text
-
-    rep = cs.bound_chain([[1, 0], [0, 3]], np.eye(2))
-    text = report_text(rep)
-    assert "lam_min = 1.0" in text.replace("0.9999999999999998", "1.0")
-    assert all("=" in line for line in text.strip().splitlines())
-    nr = cs.noninjective_reduce([[3, 6]], np.eye(2))
-    text = report_text(nr)
-    assert "restricted.lam_min" in text and "quotient_volume" in text

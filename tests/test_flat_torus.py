@@ -6,7 +6,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 import collapse_spectra as cs
-from collapse_spectra.flat_torus import FOUR_PI_SQ, FlatTorus
+from collapse_spectra.flat_torus import (FOUR_PI_SQ, FlatTorus,
+                                         _enumerate_dual)
 
 TEST_GRAMS = [
     np.eye(1),
@@ -22,6 +23,34 @@ def test_flat_torus_validation():
         FlatTorus(np.array([[1.0, 2.0], [2.0, 1.0]]))   # not SPD
     with pytest.raises(ValueError):
         FlatTorus(np.array([[1.0, 0.0]]))
+
+
+def _box_enumerate(q, qmax):
+    """Reference enumeration: every gamma of the isotropic box of radius
+    sqrt(qmax / lambda_min(q)), one quadratic form per point."""
+    lam_min = float(np.linalg.eigvalsh(q)[0])
+    R = max(1, int(math.ceil(math.sqrt(max(qmax, 0.0) / lam_min))))
+    out = []
+    for gamma in itertools.product(range(-R, R + 1), repeat=q.shape[0]):
+        g = np.array(gamma, dtype=float)
+        val = float(g @ q @ g)
+        if val <= qmax * (1.0 + 1e-12):
+            out.append((gamma, val))
+    return out
+
+
+def test_enumerate_dual_matches_box_reference():
+    # same vectors, same order, same bits, in any basis; qmax = q(e_1)
+    # and q(1, ..., 1) put lattice values on the boundary
+    u = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    grams = TEST_GRAMS + [u.T @ TEST_GRAMS[-1] @ u]
+    forms = [FlatTorus(g).dual_quadratic() for g in grams] + grams
+    for q in forms:
+        ones = np.ones(q.shape[0])
+        for qmax in (float(q[0, 0]), float(ones @ q @ ones),
+                     float(np.trace(q)), 7.5, 40.0):
+            assert _enumerate_dual(q, qmax) == _box_enumerate(q, qmax), \
+                (q, qmax)
 
 
 def test_lambda01_identity():
@@ -213,6 +242,24 @@ def test_gt_diameters_periodic():
         assert abs(d0 - d1) <= 1e-12 * d0
 
 
+def test_gt_large_shear_matches_reduced(time_limit):
+    # gt(t) is isometric to gt(t mod 1); at t = 100 the search box holds
+    # millions of points
+    cutoff = 300.0
+    for t in (30.0, 100.0):
+        with time_limit(5.0, f"gt({t})"):
+            big, small = cs.gt_gram(t), cs.gt_gram(t % 1.0)
+            d_big, d_small = cs.diameter(big), cs.diameter(small)
+            assert abs(d_big - d_small) <= 1e-12 * d_small
+            l_big, l_small = cs.lambda01(big), cs.lambda01(small)
+            assert abs(l_big - l_small) <= 1e-11 * l_small
+            s_big = np.sort(cs.p_form_spectrum(big, 0, cutoff).eigenvalues())
+            s_small = np.sort(cs.p_form_spectrum(small, 0,
+                                                 cutoff).eigenvalues())
+            assert len(s_big) == len(s_small)
+            assert np.max(np.abs(s_big - s_small)) <= 1e-11 * cutoff
+
+
 def test_threshold_product_circle_fiber():
     rep = cs.threshold_check_product(FlatTorus.circle(1.0),
                                      FlatTorus.circle(0.1), 1)
@@ -248,6 +295,12 @@ def test_odd_multiplicity_products():
         fiber = FlatTorus(np.diag(rng.uniform(0.5, 2.0, 2) ** 2))
         rep = cs.odd_multiplicity_check(base, fiber, 0, 150.0)
         assert rep.ok
+
+
+def test_product_degree_out_of_range():
+    for check in (cs.threshold_check_product, cs.odd_multiplicity_check):
+        with pytest.raises(ValueError, match="degree 4 not in"):
+            check(FlatTorus.circle(1.0), FlatTorus.identity(2), 4, 50.0)
 
 
 def test_diameter_eigenvalue_bound():
