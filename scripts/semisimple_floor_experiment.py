@@ -5,11 +5,17 @@ For semisimple B no homogeneous collapse produces small eigenvalues;
 this samples random bounded-curvature metric frames and reports the
 minimum nonzero invariant eigenvalue seen across all form degrees.
 
+Prints a summary and writes no files.  Exit status: 0 when the floor
+lies above the 1e-4 sanity line, 1 when it does not, 2 when the library
+rejects the input (for example trials outside 1..10000, a non-finite cap
+or a B that is not semisimple).
+
 Example:
     python scripts/semisimple_floor_experiment.py --b "1 0; 0 -1" --trials 500
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -28,8 +34,12 @@ def main() -> int:
 
     B = np.array([[float(x) for x in row.split()]
                   for row in args.b.split(";")])
-    rep = semisimple_floor(B, trials=args.trials, curvature_cap=args.cap,
-                           seed=args.seed)
+    try:
+        rep = semisimple_floor(B, trials=args.trials, curvature_cap=args.cap,
+                               seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if rep.vacuous:
         print("B = 0: no nonzero eigenvalues to bound")
         return 0

@@ -69,13 +69,7 @@ class StructureConstants:
         """
         L = cls(np.asarray(c, dtype=float))
         if validate:
-            anti = np.max(np.abs(L.c + np.transpose(L.c, (1, 0, 2))))
-            scale = max(1.0, float(np.max(np.abs(L.c))))
-            if anti > JACOBI_TOL * scale:
-                raise ValueError(f"tensor not antisymmetric in (i,j): defect {anti}")
-            defect = jacobi_defect(L)
-            if defect > JACOBI_TOL * scale:
-                raise ValueError(f"Jacobi defect {defect} exceeds tolerance")
+            check_lie_tensors(L.c[None])
         return L
 
     @classmethod
@@ -119,17 +113,47 @@ class StructureConstants:
         return StructureConstants(c)
 
 
+def _jacobi_defects(c) -> np.ndarray:
+    """Max-norm of the Jacobi cyclic-sum tensor of each tensor in a stack
+    (T, n, n, n); no antisymmetry assumed."""
+    count, n = c.shape[:2]
+    if not n:
+        return np.zeros(count)
+    # [[e_i,e_j],e_k]^m = sum_l c[i,j,l] c[l,k,m]
+    t1 = (c.reshape(count, n * n, n)
+          @ c.reshape(count, n, n * n)).reshape((count,) + (n,) * 4)
+    # in place: a stack holds no more than two tensors of n^4 entries each
+    cyc = t1 + t1.transpose(0, 2, 3, 1, 4)
+    cyc += t1.transpose(0, 3, 1, 2, 4)
+    del t1
+    return np.abs(cyc, out=cyc).reshape(count, -1).max(axis=1)
+
+
 def jacobi_defect(L: StructureConstants) -> float:
     """Max-norm of the Jacobi cyclic-sum tensor; zero iff L is a Lie algebra.
 
     Works on raw tensors too (no antisymmetry assumed), so it can be used
     to measure how badly a perturbed table fails.
     """
-    c = L.c
-    # [[e_i,e_j],e_k]^m = sum_l c[i,j,l] c[l,k,m]
-    t1 = np.einsum("ijl,lkm->ijkm", c, c)
-    cyc = t1 + np.transpose(t1, (1, 2, 0, 3)) + np.transpose(t1, (2, 0, 1, 3))
-    return float(np.max(np.abs(cyc))) if c.size else 0.0
+    return float(_jacobi_defects(L.c[None])[0])
+
+
+def check_lie_tensors(c) -> None:
+    """Raise ValueError unless every tensor of the stack ``c`` (T, n, n, n)
+    is antisymmetric in (i, j) and satisfies the Jacobi identity, both up
+    to ``JACOBI_TOL`` relative to max(1, max |c|) of that tensor."""
+    if not c.size:
+        return
+    count = len(c)
+    tol = JACOBI_TOL * np.maximum(1.0, np.abs(c).reshape(count, -1).max(axis=1))
+    anti = np.abs(c + c.swapaxes(1, 2)).reshape(count, -1).max(axis=1)
+    if (anti > tol).any():
+        raise ValueError("tensor not antisymmetric in (i,j): defect "
+                         f"{anti[np.argmax(anti > tol)]}")
+    defect = _jacobi_defects(c)
+    if (defect > tol).any():
+        raise ValueError(
+            f"Jacobi defect {defect[np.argmax(defect > tol)]} exceeds tolerance")
 
 
 def unimodularity_defect(L: StructureConstants) -> float:
@@ -230,29 +254,70 @@ def _d_pattern(n: int, p: int):
     return flat, idx
 
 
+def _checked_stack(c, p: int) -> np.ndarray:
+    """``c`` as a float stack (T, n, n, n), once 0 <= p <= n is checked."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 4 or len(set(c.shape[1:])) != 1:
+        raise ValueError(f"structure tensor stack must be (T,n,n,n), got {c.shape}")
+    if not 0 <= p <= c.shape[-1]:
+        raise DegreeOutOfRange(f"degree {p} not in [0, {c.shape[-1]}]")
+    return c
+
+
+def stacked_derivative(c, p: int) -> np.ndarray:
+    """d_p of every tensor in the stack ``c`` (T, n, n, n), as an array
+    (T, C(n, p+1), C(n, p)).
+
+    One ``np.bincount`` over the index tables cached per (n, p), with the
+    positions of item t offset by t C(n, p+1) C(n, p).  bincount adds in
+    input order, so each entry sums its contributions in the order of the
+    loop over generator positions and then pairs i < j, and every slice
+    is bit-identical to that loop definition of d.  The tables take about
+    2.8 MB for all p at n = 12 and 18 MB at n = 14, less for each n than
+    its largest Laplacian.
+    """
+    c = _checked_stack(c, p)
+    count, n = c.shape[:2]
+    dom_dim, cod_dim = form_dim(n, p), form_dim(n, p + 1)
+    if p == 0 or p == n:
+        return np.zeros((count, cod_dim, dom_dim))
+    flat, idx = _d_pattern(n, p)
+    size = cod_dim * dom_dim
+    w = c.reshape(count, -1)
+    w = np.concatenate((-w, w), axis=1).take(idx, axis=1)
+    if count > 1:
+        # one offset copy of the tables; a single algebra reads them as cached
+        flat = flat + np.arange(0, count * size, size)[:, None]
+    return np.bincount(flat.ravel(), weights=w.ravel(),
+                       minlength=count * size).reshape(count, cod_dim, dom_dim)
+
+
+def stacked_laplacian(c, p: int) -> np.ndarray:
+    """Form Laplacian d delta + delta d on degree p of every tensor in the
+    stack ``c`` (T, n, n, n), as an array (T, C(n, p), C(n, p))."""
+    c = _checked_stack(c, p)
+    count, n = c.shape[:2]
+    dim = form_dim(n, p)
+    out = np.zeros((count, dim, dim))
+    if p < n:
+        d_p = stacked_derivative(c, p)
+        out += d_p.transpose(0, 2, 1) @ d_p
+        # freed before d_{p-1} is built, so at most one d stack is alive
+        del d_p
+    if p > 0:
+        d_prev = stacked_derivative(c, p - 1)
+        out += d_prev @ d_prev.transpose(0, 2, 1)
+    return out
+
+
 def exterior_derivative(L: StructureConstants, p: int) -> np.ndarray:
     """Matrix of d: Lambda^p -> Lambda^{p+1} in the lexicographic bases.
 
     On degree-1 generators, d xi^k = -sum_{i<j} c[i,j,k] xi^i ^ xi^j;
-    higher degrees follow by the antiderivation rule.  The matrix is
-    assembled from index tables cached per (n, p) with one
-    ``np.bincount``, which adds the contributions to each entry in the
-    order of the loop over generator positions and then pairs i < j, so
-    the result is bit-identical to that loop definition.  The tables take
-    about 2.8 MB for all p at n = 12 and 18 MB at n = 14, less for each n
-    than its largest Laplacian.
+    higher degrees follow by the antiderivation rule.  This is the
+    one-algebra case of :func:`stacked_derivative`.
     """
-    if not (0 <= p <= L.n):
-        raise DegreeOutOfRange(f"degree {p} not in [0, {L.n}]")
-    n = L.n
-    dom_dim, cod_dim = form_dim(n, p), form_dim(n, p + 1)
-    if p == 0 or p == n:
-        return np.zeros((cod_dim, dom_dim))
-    flat, idx = _d_pattern(n, p)
-    c = L.c.ravel()
-    w = np.concatenate((-c, c))[idx]
-    return np.bincount(flat, weights=w,
-                       minlength=cod_dim * dom_dim).reshape(cod_dim, dom_dim)
+    return stacked_derivative(L.c[None], p)[0]
 
 
 def codifferential(L: StructureConstants, p: int) -> np.ndarray:
@@ -264,20 +329,28 @@ def codifferential(L: StructureConstants, p: int) -> np.ndarray:
 
 
 def laplacian(L: StructureConstants, p: int) -> np.ndarray:
-    """Form Laplacian d delta + delta d on degree p, symmetric PSD."""
-    if not (0 <= p <= L.n):
-        raise DegreeOutOfRange(f"degree {p} not in [0, {L.n}]")
-    dim = form_dim(L.n, p)
-    out = np.zeros((dim, dim))
-    if p < L.n:
-        d_p = exterior_derivative(L, p)
-        out += d_p.T @ d_p
-        # freed before d_{p-1} is built, so at most one d matrix is alive
-        del d_p
-    if p > 0:
-        d_prev = exterior_derivative(L, p - 1)
-        out += d_prev @ d_prev.T
-    return out
+    """Form Laplacian d delta + delta d on degree p, symmetric PSD; the
+    one-algebra case of :func:`stacked_laplacian`."""
+    return stacked_laplacian(L.c[None], p)[0]
+
+
+def clamp_spectra(vals):
+    """Sort eigenvalues along the last axis, clamp them at zero and count
+    the kernel, for one spectrum or a stack of them.
+
+    With scale = max(1, largest eigenvalue) of each spectrum, an
+    eigenvalue below -EIG_TOL * scale raises ValueError, and one at most
+    ``kernel_tol`` = EIG_TOL * scale counts toward the kernel.  Returns
+    ``(vals, kernel_tol, kernel_dim)``, the last two over the leading axes.
+    """
+    vals = np.sort(np.asarray(vals, dtype=float), axis=-1)
+    kernel_tol = EIG_TOL * vals.max(axis=-1, initial=1.0, keepdims=True)
+    low = vals[..., :1] < -kernel_tol
+    if low.any():
+        raise ValueError(
+            f"eigenvalue {vals[..., :1][low][0]} below -EIG_TOL*scale")
+    vals = vals.clip(0.0, None)
+    return vals, kernel_tol[..., 0], (vals <= kernel_tol).sum(-1)
 
 
 @dataclass(frozen=True)
@@ -298,14 +371,9 @@ class SpectrumReport:
 
     @classmethod
     def from_eigenvalues(cls, vals) -> "SpectrumReport":
-        vals = np.sort(np.asarray(vals, dtype=float))
-        scale = max(1.0, float(vals[-1])) if vals.size else 1.0
-        if vals.size and vals[0] < -EIG_TOL * scale:
-            raise ValueError(f"eigenvalue {vals[0]} below -EIG_TOL*scale")
-        vals = np.clip(vals, 0.0, None)
+        vals, kernel_tol, kernel_dim = clamp_spectra(vals)
         vals.setflags(write=False)
-        kernel_tol = EIG_TOL * scale
-        kernel_dim = int(np.sum(vals <= kernel_tol))
+        kernel_tol, kernel_dim = float(kernel_tol), int(kernel_dim)
         groups = []
         for v in vals:
             if groups and v - groups[-1][0] <= GROUP_RTOL * max(abs(v), kernel_tol):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,25 +22,38 @@ from .curvature import solvable_curvature_closed_form
 from .errors import KTooLarge, NotSemisimple, NotUnimodular, RankAmbiguous
 from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
 from .lie_complex import (RANK_TOL, SpectrumReport, StructureConstants,
-                          spectrum, svd_nullspace)
+                          check_lie_tensors, clamp_spectra, stacked_laplacian,
+                          svd_nullspace)
 
 FLOOR_TOL = 1e-4
+#: semisimple_floor accepts 1..MAX_FLOOR_TRIALS trials
+MAX_FLOOR_TRIALS = 10_000
+#: semisimple_floor assembles and eigensolves this many trials together;
+#: larger stacks raise peak memory for no further gain
+FLOOR_CHUNK = 32
 #: eigenvalue lambda at grid point eps counts as small when
 #: lambda < min(10 eps^2, SMALL_ABS_CAP); the absolute cap keeps large
 #: grid points from classifying order-one eigenvalues as small
 SMALL_ABS_CAP = 1e-3
 
 
+def solvable_tensors(b_stack) -> np.ndarray:
+    """Structure tensors (T, n+1, n+1, n+1) of the solvable algebras of a
+    stack of B (T, n, n), unvalidated: [Y, V_i] = sum_j B[j,i] V_j with
+    Y the last index.  Entries where B vanishes are +0.0."""
+    B = np.asarray(b_stack, dtype=float)
+    count, n = B.shape[:2]
+    c = np.zeros((count, n + 1, n + 1, n + 1))
+    # c[i, Y, j] = -B[j, i]; 0.0 - x turns -0.0 into +0.0
+    c[:, :n, n, :n] = 0.0 - np.swapaxes(B, 1, 2)
+    c[:, n, :n, :n] = 0.0 - c[:, :n, n, :n]
+    return c
+
+
 def solvable_algebra(b_matrix) -> StructureConstants:
     """(n+1)-dim algebra with [Y, V_i] = sum_j B[j,i] V_j, Y = last index."""
     B = np.asarray(b_matrix, dtype=float)
-    n = B.shape[0]
-    brackets = {}
-    for i in range(n):
-        for j in range(n):
-            if B[j, i] != 0.0:
-                brackets[(i, n, j)] = brackets.get((i, n, j), 0.0) - B[j, i]
-    return StructureConstants.from_brackets(n + 1, brackets)
+    return StructureConstants.from_tensor(solvable_tensors(B[None])[0])
 
 
 @dataclass(frozen=True)
@@ -385,6 +400,25 @@ class FloorReport:
     ok: bool
 
 
+def _capped_frames(B, q1, q2, u, cap) -> np.ndarray:
+    """C = P^-1 B P with P = q1 diag(exp(t u)) q2 for each trial of the
+    stacks q1, q2 (T, n, n) and u (T, n), where t halves from 1 until
+    Tr(C^T C) <= cap or t < 1e-8; every trial still halving is redone
+    together."""
+    n = B.shape[0]
+    t = np.ones(len(u))
+    C = np.empty_like(q1)
+    todo = np.arange(len(u))
+    while todo.size:
+        scale = np.exp(t[todo, None] * u[todo])[:, :, None] * np.eye(n)
+        P = q1[todo] @ scale @ q2[todo]
+        C[todo] = Ct = np.linalg.solve(P, B @ P)
+        done = (np.sum(Ct * Ct, axis=(1, 2)) <= cap) | (t[todo] < 1e-8)
+        todo = todo[~done]
+        t[todo] /= 2.0
+    return C
+
+
 def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
                      seed: int = 0, floor_tol: float = FLOOR_TOL) -> FloorReport:
     """Empirical lower bound for the nonzero invariant spectrum over random
@@ -392,10 +426,19 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
 
     The guarantee for semisimple B is existence of a positive floor, not
     its value; this experiment reports the sampled minimum across all
-    form degrees.
+    form degrees.  Trials run in chunks of FLOOR_CHUNK: each chunk draws
+    its frames in trial order, validates every trial's tensor, and takes
+    one stacked Laplacian and one ``eigvalsh`` per degree, so the floor is
+    bit-identical to a trial-by-trial loop.
     """
     B = np.asarray(b_matrix, dtype=float)
     n = B.shape[0]
+    if not (isinstance(trials, numbers.Integral)
+            and 1 <= trials <= MAX_FLOOR_TRIALS):
+        raise ValueError(f"trials must be an integer in 1..{MAX_FLOOR_TRIALS},"
+                         f" got {trials!r}")
+    if curvature_cap is not None and not math.isfinite(curvature_cap):
+        raise ValueError(f"curvature_cap = {curvature_cap} is not finite")
     if semisimple_defect(B) > 1e-8:
         raise NotSemisimple("B has a nontrivial nilpotent part")
     base_tr = float(np.sum(B * B))
@@ -407,20 +450,19 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
         raise ValueError("cap below Tr(B^T B); orthogonal frames already exceed it")
     rng = np.random.default_rng(seed)
     floor = float("inf")
-    for _ in range(trials):
-        q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        u = rng.uniform(-2.0, 2.0, size=n)
-        t = 1.0
-        while True:
-            P = q1 @ np.diag(np.exp(t * u)) @ q2
-            C = np.linalg.solve(P, B @ P)
-            if float(np.sum(C * C)) <= curvature_cap or t < 1e-8:
-                break
-            t /= 2.0
-        L = solvable_algebra(C)
+    for start in range(0, trials, FLOOR_CHUNK):
+        draws = [(rng.standard_normal((n, n)), rng.standard_normal((n, n)),
+                  rng.uniform(-2.0, 2.0, size=n))
+                 for _ in range(min(FLOOR_CHUNK, trials - start))]
+        a1, a2, u = (np.array(x) for x in zip(*draws))
+        C = _capped_frames(B, np.linalg.qr(a1)[0], np.linalg.qr(a2)[0], u,
+                           curvature_cap)
+        c = solvable_tensors(C)
+        check_lie_tensors(c)
         for p in range(1, n + 1):
-            rep = spectrum(L, p)
-            if rep.nonzero.size:
-                floor = min(floor, float(rep.nonzero[0]))
+            vals, _, kernel = clamp_spectra(
+                np.linalg.eigvalsh(stacked_laplacian(c, p)))
+            rows = np.flatnonzero(kernel < vals.shape[1])
+            if rows.size:
+                floor = min(floor, float(np.min(vals[rows, kernel[rows]])))
     return FloorReport(floor, trials, curvature_cap, False, floor > floor_tol)

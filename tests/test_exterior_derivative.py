@@ -1,17 +1,20 @@
-"""The table-driven exterior derivative against its loop definition, and
-the kernel dimensions of integer algebras against exact ranks."""
+"""The table-driven exterior derivative against its loop definition, the
+stacked assembly against each algebra on its own, and the kernel
+dimensions of integer algebras against exact ranks."""
 
 import math
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_spectra as cs
 from collapse_spectra.intlat import rational_rank
-from collapse_spectra.lie_complex import FormBasis, form_dim
+from collapse_spectra.lie_complex import (FormBasis, clamp_spectra, form_dim,
+                                          stacked_derivative, stacked_laplacian)
 from collapse_spectra.mapping_torus import solvable_algebra
 
 
@@ -143,3 +146,84 @@ def test_kernel_dim_matches_exact_rank():
         for p in range(n + 1):
             expected = math.comb(n, p) - ranks[p] - (ranks[p - 1] if p else 0)
             assert cs.spectrum(L, p).kernel_dim == expected, (n, p)
+
+
+def reference_laplacian(L, p, derivative=reference_exterior_derivative):
+    """d delta + delta d of one algebra from 2-D products of d matrices."""
+    dim = form_dim(L.n, p)
+    out = np.zeros((dim, dim))
+    if p < L.n:
+        d_p = derivative(L, p)
+        out += d_p.T @ d_p
+    if p > 0:
+        d_prev = derivative(L, p - 1)
+        out += d_prev @ d_prev.T
+    return out
+
+
+def _assert_stack_matches(algebras):
+    stack = np.stack([L.c for L in algebras])
+    n = algebras[0].n
+    for p in range(n + 1):
+        d = stacked_derivative(stack, p)
+        lap = stacked_laplacian(stack, p)
+        eig = np.linalg.eigvalsh(lap)
+        assert d.shape == (len(algebras), form_dim(n, p + 1), form_dim(n, p))
+        for t, L in enumerate(algebras):
+            assert np.array_equal(d[t], reference_exterior_derivative(L, p))
+            assert np.array_equal(d[t], cs.exterior_derivative(L, p))
+            single = cs.laplacian(L, p)
+            assert np.array_equal(single, reference_laplacian(L, p))
+            assert np.array_equal(lap[t], single), (n, p, t)
+            assert np.array_equal(eig[t], np.linalg.eigvalsh(single))
+
+
+@given(st.integers(2, 7),
+       st.sampled_from((1, 3)).flatmap(lambda count: st.lists(
+           st.sampled_from(("nil", "solvable", "dense")),
+           min_size=count, max_size=count)),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_property_stacked_assembly_matches_each_algebra(n, kinds, seed):
+    rng = np.random.default_rng(seed)
+    _assert_stack_matches([_algebra(kind, n, rng) for kind in kinds])
+
+
+def test_stacked_laplacian_dense_n10_single():
+    L = _algebra("dense", 10, np.random.default_rng(10))
+    for p in range(L.n + 1):
+        lap = stacked_laplacian(L.c[None], p)
+        want = reference_laplacian(L, p, cs.exterior_derivative)
+        assert lap.shape == (1,) + want.shape
+        assert np.array_equal(lap[0], want), p
+        assert np.array_equal(np.linalg.eigvalsh(lap)[0],
+                              np.linalg.eigvalsh(want)), p
+
+
+def test_stacked_assembly_rejects_bad_input():
+    c = np.zeros((2, 3, 3, 3))
+    with pytest.raises(cs.DegreeOutOfRange):
+        stacked_laplacian(c, 4)
+    with pytest.raises(ValueError):
+        stacked_derivative(c[0], 1)
+
+
+def test_clamp_spectra_stack_matches_reports():
+    rng = np.random.default_rng(5)
+    vals = rng.uniform(0.0, 3.0, (4, 6))
+    vals[0, :2] = [0.0, 1e-12]
+    vals[1, :3] = [-5e-10, 2e-10, 0.0]
+    vals[2] *= 1e4
+    vals[2, 0] = 5e-6
+    clamped, tol, kernel = clamp_spectra(vals)
+    for t in range(len(vals)):
+        rep = cs.SpectrumReport.from_eigenvalues(vals[t])
+        assert np.array_equal(clamped[t], rep.eigenvalues)
+        assert kernel[t] == rep.kernel_dim
+    assert list(kernel) == [2, 3, 1, 0]
+    assert tol[2] == 1e-9 * float(np.max(vals[2]))
+    vals[3, 4] = -1e-3
+    with pytest.raises(ValueError, match="below -EIG_TOL"):
+        clamp_spectra(vals)
+    empty = clamp_spectra(np.zeros((3, 0)))
+    assert empty[0].shape == (3, 0) and list(empty[2]) == [0, 0, 0]

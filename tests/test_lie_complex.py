@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_spectra as cs
-from collapse_spectra.lie_complex import (FormBasis, dumps_structure,
-                                          jacobi_defect, loads_structure)
+from collapse_spectra.lie_complex import (FormBasis, check_lie_tensors,
+                                          dumps_structure, jacobi_defect,
+                                          loads_structure)
 from collapse_spectra.mapping_torus import solvable_algebra
 
 
@@ -268,3 +269,17 @@ def test_serialization_fuzz_round_trip(n, entries):
     L = solvable_algebra(B)
     L2 = loads_structure(dumps_structure(L))
     assert np.array_equal(L.c, L2.c)
+
+
+def test_check_lie_tensors_flags_any_item_of_a_stack():
+    good = cs.StructureConstants.heisenberg3().c
+    check_lie_tensors(np.stack([good, good]))
+    one_sided = good.copy()
+    one_sided[0, 2, 1] = 0.1
+    with pytest.raises(ValueError, match="antisymmetric"):
+        check_lie_tensors(np.stack([good, one_sided, good]))
+    raw = np.random.default_rng(3).standard_normal((3, 3, 3))
+    no_jacobi = raw - np.transpose(raw, (1, 0, 2))
+    assert jacobi_defect(cs.StructureConstants(no_jacobi)) > 1e-3
+    with pytest.raises(ValueError, match="Jacobi"):
+        check_lie_tensors(np.stack([good, good, no_jacobi]))

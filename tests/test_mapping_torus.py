@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,9 +371,124 @@ def test_semisimple_floor_cap_rejected():
         cs.semisimple_floor(np.diag([1.0, -1.0]), trials=5, curvature_cap=0.5)
 
 
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+def test_semisimple_floor_rejects_non_finite_cap(cap):
+    # a NaN cap never stops the halving, so every frame shrank to t < 1e-8
+    with pytest.raises(ValueError, match="curvature_cap"):
+        cs.semisimple_floor(np.diag([1.0, -1.0]), trials=5, curvature_cap=cap)
+
+
+@pytest.mark.parametrize("trials", [0, -3, 10_001, 2.5])
+def test_semisimple_floor_rejects_trials_out_of_range(trials):
+    # zero trials used to report floor = inf with ok = True, and 2.5 a
+    # TypeError from range
+    for B in (np.diag([1.0, -1.0]), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="trials"):
+            cs.semisimple_floor(B, trials=trials)
+
+
+def reference_solvable_algebra(B):
+    """solvable_algebra as a bracket loop through from_brackets."""
+    n = B.shape[0]
+    brackets = {}
+    for i in range(n):
+        for j in range(n):
+            if B[j, i] != 0.0:
+                brackets[(i, n, j)] = brackets.get((i, n, j), 0.0) - B[j, i]
+    return cs.StructureConstants.from_brackets(n + 1, brackets)
+
+
+def test_solvable_algebra_bit_identical_to_bracket_loop():
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        B = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.6)
+        B[0, 0] = -0.0
+        want = reference_solvable_algebra(B).c
+        assert solvable_algebra(B).c.tobytes() == want.tobytes(), n
+
+
+def reference_semisimple_floor(B, trials, seed):
+    """The floor trial by trial: one frame, one algebra and one spectrum
+    per degree at a time.  Returns the floor and the number of halvings."""
+    n = B.shape[0]
+    cap = 2.0 * float(np.sum(B * B)) + 1.0
+    rng = np.random.default_rng(seed)
+    floor, halvings = float("inf"), 0
+    for _ in range(trials):
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        u = rng.uniform(-2.0, 2.0, size=n)
+        t = 1.0
+        while True:
+            P = q1 @ np.diag(np.exp(t * u)) @ q2
+            C = np.linalg.solve(P, B @ P)
+            if float(np.sum(C * C)) <= cap or t < 1e-8:
+                break
+            t /= 2.0
+            halvings += 1
+        L = solvable_algebra(C)
+        for p in range(1, n + 1):
+            rep = cs.spectrum(L, p)
+            if rep.nonzero.size:
+                floor = min(floor, float(rep.nonzero[0]))
+    return floor, halvings
+
+
+def _semisimple(rng, n):
+    lam = rng.uniform(-1.5, 1.5, size=n)
+    s = rng.uniform(-1.0, 1.0, (n, n)) + 2.0 * np.eye(n)
+    return s @ np.diag(lam) @ np.linalg.inv(s)
+
+
+def test_semisimple_floor_bit_identical_to_trial_loop():
+    rng = np.random.default_rng(41)
+    # diag(1, -1) at seed 1 halves t in many of its 200 trials; 40 trials
+    # span a full chunk and a partial one
+    cases = [(np.diag([1.0, -1.0]), 200, 1)]
+    cases += [(_semisimple(rng, n), 40, seed) for n in (2, 3, 4, 5)
+              for seed in (3, 8)]
+    halvings = []
+    for B, trials, seed in cases:
+        want, halved = reference_semisimple_floor(B, trials, seed)
+        halvings.append(halved)
+        got = cs.semisimple_floor(B, trials=trials, seed=seed).floor
+        assert got.hex() == want.hex(), (B.shape[0], seed)
+    assert halvings[0] == 119
+    assert sum(h > 0 for h in halvings) >= 2, halvings
+
+
 def test_run_collapse_rejects_bad_grid():
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         cs.run_collapse(B, 1, [1.5])
     with pytest.raises(cs.KTooLarge):
         cs.collapse_family(B, -1)
+
+
+def _floor_script():
+    path = (Path(__file__).resolve().parent.parent / "scripts"
+            / "semisimple_floor_experiment.py")
+    spec = importlib.util.spec_from_file_location("floor_script", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--trials", "0"], "trials must be an integer in 1..10000, got 0"),
+    (["--cap", "nan"], "curvature_cap = nan is not finite"),
+    (["--b", "0 1; 0 0"], "nilpotent part"),
+])
+def test_floor_script_reports_rejected_input(argv, message, monkeypatch,
+                                             capsys):
+    monkeypatch.setattr(sys, "argv", ["semisimple_floor_experiment.py"] + argv)
+    assert _floor_script().main() == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+
+
+def test_floor_script_passes(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["semisimple_floor_experiment.py",
+                                      "--trials", "5", "--seed", "1"])
+    assert _floor_script().main() == 0
+    assert "above the 1e-4 sanity line" in capsys.readouterr().out
