@@ -17,21 +17,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import acceptance, scenarios
 from .errors import CollapseSpectraError, ConfigInvalid, ScenarioUnknown
-from .scenarios import ScenarioConfig
 
 DEFAULT_OUT = "collapse-spectra-out"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunManifest:
     """Reproducibility record for one scenario run: the config and its
     hash, artifact digests, and the per-check outcomes."""
@@ -42,25 +41,9 @@ class RunManifest:
     eps_grid: tuple
     params: dict
     config_hash: str
-    artifacts: tuple = field(default_factory=tuple)
-    checks: tuple = field(default_factory=tuple)
-    passed: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "tag": self.tag,
-            "seed": self.seed,
-            "eps_grid": list(self.eps_grid),
-            "params": dict(self.params),
-            "config_hash": self.config_hash,
-            "artifacts": [dict(a) for a in self.artifacts],
-            "checks": [dict(c) for c in self.checks],
-            "passed": self.passed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+    artifacts: tuple
+    checks: tuple
+    passed: bool
 
 
 def _read_config(path: str) -> dict:
@@ -122,31 +105,31 @@ def _config_hash(payload: dict) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def run_scenario(config: ScenarioConfig, out_dir: Path = None,
-                 result: scenarios.ScenarioResult = None) -> RunManifest:
-    """Run one scenario, unless its ``result`` is given, write artifacts
-    plus manifest, and return the manifest."""
-    spec = scenarios.SCENARIOS[config.name]
-    if result is None:
-        result = config.run()
-    params = {k: str(v) for k, v in sorted(config.params.items())}
-    grid = config.grid
+def _write_json(path: Path, obj) -> None:
+    path.write_bytes((json.dumps(obj, sort_keys=True, indent=2)
+                      + "\n").encode())
+
+
+def run_scenario(name: str, out_dir: Path, result: scenarios.ScenarioResult,
+                 params: dict, seed: int, grid: tuple) -> RunManifest:
+    """Write the artifacts of one scenario ``result`` plus its manifest to
+    ``out_dir`` and return the manifest.  ``params`` are the overrides as
+    given, ``grid`` the resolved eps grid."""
+    params = {k: str(v) for k, v in sorted(params.items())}
+    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
     for fname in sorted(result.artifacts):
         body = result.artifacts[fname].encode()
+        (out_dir / fname).write_bytes(body)
         artifacts.append({"name": fname,
                           "sha256": hashlib.sha256(body).hexdigest()})
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / fname).write_bytes(body)
     manifest = RunManifest(
-        scenario=config.name,
-        tag=spec.tag,
-        seed=config.seed,
+        scenario=name,
+        tag=scenarios.SCENARIOS[name].tag,
+        seed=seed,
         eps_grid=grid,
         params=params,
-        config_hash=_config_hash({"scenario": config.name,
-                                  "seed": config.seed,
+        config_hash=_config_hash({"scenario": name, "seed": seed,
                                   "eps_grid": list(grid), "params": params}),
         artifacts=tuple(artifacts),
         checks=tuple({"name": c.name, "passed": bool(c.passed),
@@ -154,8 +137,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Path = None,
                      for c in result.checks),
         passed=bool(result.passed),
     )
-    if out_dir is not None:
-        (out_dir / "manifest.json").write_bytes(manifest.to_json().encode())
+    _write_json(out_dir / "manifest.json", dataclasses.asdict(manifest))
     return manifest
 
 
@@ -173,13 +155,15 @@ def _cmd_list() -> int:
 
 
 def _cmd_verify_all(seed: int, out_dir: Path, tolerances: dict) -> int:
+    # resolved before any criterion runs, some of which seed an RNG
+    grids = {name: scenarios.resolve(name, seed=seed)[3]
+             for name in sorted(scenarios.SCENARIOS)}
     summary = acceptance.run_all(seed=seed, tolerances=tolerances)
     scenario_manifests = {}
-    for name in sorted(scenarios.SCENARIOS):
+    for name, grid in grids.items():
         # criterion 12's first pass, not a third evaluation
-        manifest = run_scenario(ScenarioConfig(name, seed=seed),
-                                out_dir=out_dir / name,
-                                result=summary.runs(name, seed=seed))
+        manifest = run_scenario(name, out_dir / name,
+                                summary.runs(name, seed=seed), {}, seed, grid)
         scenario_manifests[name] = manifest
         status = "PASS" if manifest.passed else "FAIL"
         print(f"{status} scenario {name} ({manifest.tag})")
@@ -196,15 +180,13 @@ def _cmd_verify_all(seed: int, out_dir: Path, tolerances: dict) -> int:
     verify_manifest = {
         "seed": seed,
         "scenarios": {name: {"config_hash": m.config_hash,
-                             "artifacts": [dict(a) for a in m.artifacts],
+                             "artifacts": list(m.artifacts),
                              "passed": m.passed}
                       for name, m in scenario_manifests.items()},
         "criteria": {str(r.number): bool(r.passed) for r in summary.results},
         "passed": bool(all_pass),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "verify_manifest.json").write_bytes(
-        (json.dumps(verify_manifest, sort_keys=True, indent=2) + "\n").encode())
+    _write_json(out_dir / "verify_manifest.json", verify_manifest)
     print(f"{'PASS' if all_pass else 'FAIL'}: acceptance suite in "
           f"{summary.seconds:.1f} s; manifest at "
           f"{out_dir / 'verify_manifest.json'}")
@@ -246,8 +228,11 @@ def main(argv=None) -> int:
                 f"command line says {name!r}")
         eps_grid = _parse_grid(args.eps_grid) if args.eps_grid else \
             config.get("eps_grid")
-        manifest = run_scenario(ScenarioConfig(name, config["params"], seed,
-                                               eps_grid), out_dir)
+        grid = scenarios.resolve(name, config["params"], seed, eps_grid)[3]
+        result = scenarios.run_scenario_checks(name, config["params"], seed,
+                                               eps_grid)
+        manifest = run_scenario(name, out_dir, result, config["params"], seed,
+                                grid)
         for check in manifest.checks:
             mark = "PASS" if check["passed"] else "FAIL"
             print(f"{mark} {check['name']}: margin {check['margin']:+.3e}"

@@ -12,12 +12,11 @@ cross-checked against the general formula in the test suite.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import csv_text
 from .errors import NotOrthonormal
 from .lie_complex import StructureConstants
 
@@ -86,12 +85,9 @@ class CurvatureTable:
         return float(frame)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["pair_i", "pair_j", "K"])
-        for (i, j) in sorted(self.pairs):
-            w.writerow([i + 1, j + 1, repr(float(self.pairs[(i, j)]))])
-        return buf.getvalue()
+        return csv_text(["pair_i", "pair_j", "K"],
+                        [[i + 1, j + 1, float(self.pairs[(i, j)])]
+                         for (i, j) in sorted(self.pairs)])
 
 
 def frame_curvature_table(L: StructureConstants, samples: int = 0,

@@ -12,14 +12,13 @@ the volume-squared lower bound mechanism for collapsing bundles.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import csv_text
 from .errors import NotInjective
 from .flat_torus import FlatTorus, _shortest
 from .intlat import int_matrix, rational_rank, smith_normal_form
@@ -236,15 +235,11 @@ class VolBoundReport:
     rows: tuple
     min_ratio: float
     ok: bool
+    margin: float          # negative when not ok (unless every ratio is 0)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["eps", "lambda", "vol", "ratio"])
-        for row in self.rows:
-            w.writerow([repr(row.eps), repr(row.lam), repr(row.vol),
-                        repr(row.ratio)])
-        return buf.getvalue()
+        return csv_text(["eps", "lambda", "vol", "ratio"],
+                        [[r.eps, r.lam, r.vol, r.ratio] for r in self.rows])
 
 
 def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
@@ -269,5 +264,7 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
         rows.append(VolBoundRow(float(eps), float(lam), float(vol),
                                 float(lam / vol ** 2)))
     min_ratio = min(r.ratio for r in rows)
-    ok = min_ratio >= rows[0].ratio * (1.0 - 1e-9) and min_ratio > 0.0
-    return VolBoundReport(tuple(rows), min_ratio, ok)
+    floor = rows[0].ratio * (1.0 - 1e-9)
+    ok = min_ratio >= floor and min_ratio > 0.0
+    return VolBoundReport(tuple(rows), min_ratio, ok,
+                          min(min_ratio - floor, min_ratio))

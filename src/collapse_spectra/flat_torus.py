@@ -9,13 +9,13 @@ can live outside them.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Voronoi
+
+from .artifacts import csv_text
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
@@ -143,16 +143,12 @@ class ModeSpectrum:
                          range(m.multiplicity)])
 
     def to_csv(self, invariant_flag=None) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([f"gamma_{i + 1}" for i in range(self.k)]
-                   + ["eigenvalue", "multiplicity", "invariant_flag"])
-        for m in self.modes:
-            flag = invariant_flag(m.gamma) if invariant_flag else \
-                int(not any(m.gamma))
-            w.writerow(list(m.gamma) + [repr(m.eigenvalue), m.multiplicity,
-                                        int(flag)])
-        return buf.getvalue()
+        flag = invariant_flag or (lambda gamma: not any(gamma))
+        return csv_text(
+            [f"gamma_{i + 1}" for i in range(self.k)]
+            + ["eigenvalue", "multiplicity", "invariant_flag"],
+            [[*m.gamma, m.eigenvalue, m.multiplicity, int(flag(m.gamma))]
+             for m in self.modes])
 
 
 def _multiplicity(k: int, p: int) -> int:

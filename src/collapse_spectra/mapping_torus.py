@@ -10,14 +10,13 @@ k <= d - d'.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import csv_text
 from .curvature import solvable_curvature_closed_form
 from .errors import KTooLarge, NotSemisimple, NotUnimodular, RankAmbiguous
 from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
@@ -330,16 +329,11 @@ class CollapseTable:
 
     def to_csv(self) -> str:
         n_eigs = len(self.rows[0].report.eigenvalues) if self.rows else 0
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["eps"] + [f"eig_{i + 1}" for i in range(n_eigs)]
-                   + ["trace", "max_k", "small_count"])
-        for row in self.rows:
-            w.writerow([repr(row.eps)]
-                       + [repr(float(v)) for v in row.report.eigenvalues]
-                       + [repr(float(row.trace)), repr(float(row.max_k)),
-                          row.small_count])
-        return buf.getvalue()
+        return csv_text(
+            ["eps"] + [f"eig_{i + 1}" for i in range(n_eigs)]
+            + ["trace", "max_k", "small_count"],
+            [[row.eps, *row.report.eigenvalues, row.trace, row.max_k,
+              row.small_count] for row in self.rows])
 
 
 def small_threshold(eps: float) -> float:

@@ -9,13 +9,12 @@ Vol(base)^{-2}) with multiplicity C(n, p-1).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import csv_text
 from .errors import TrivialBundle
 from .intlat import gcd_completion, vector_gcd
 from .lie_complex import (SpectrumReport, StructureConstants, codifferential,
@@ -162,12 +161,9 @@ class Trajectory:
     limit_class: str      # "vanishes" or "positive"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["eps", "lambda", "limit_class"])
-        for e, l in zip(self.eps, self.lam):
-            w.writerow([repr(e), repr(l), self.limit_class])
-        return buf.getvalue()
+        return csv_text(["eps", "lambda", "limit_class"],
+                        [[e, l, self.limit_class]
+                         for e, l in zip(self.eps, self.lam)])
 
 
 def collapse_direction(b0, alpha, eps_grid) -> Trajectory:

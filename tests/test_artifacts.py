@@ -1,0 +1,54 @@
+"""One CSV byte format and one manifest writer, and the experiment
+scripts that write the same tables as the library."""
+
+import re
+import runpy
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from collapse_spectra import FlatTorus, threshold_check_product
+from collapse_spectra.artifacts import csv_text
+from collapse_spectra.scenarios import run_scenario_checks
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("pattern", [r"csv\.writer", r"io\.StringIO",
+                                     r"json\.dumps\([^)]*indent=2"])
+def test_one_module_writes_each_format(pattern):
+    modules = [path.name for path
+               in sorted((ROOT / "src" / "collapse_spectra").glob("*.py"))
+               if re.search(pattern, path.read_text(encoding="utf-8"))]
+    assert len(modules) == 1, modules
+
+
+def test_csv_text_format():
+    assert csv_text(["a", "b", "c"], [[np.float64(0.1), 2, "x,y"]]) \
+        == 'a,b,c\n0.1,2,"x,y"\n'
+
+
+def _run_script(name, monkeypatch, *args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
+    assert exc.value.code == 0
+
+
+def test_collapse_sweep_matches_mapping_torus(tmp_path, monkeypatch):
+    # the script's defaults are the mapping-torus defaults: B = [[0, 1],
+    # [0, 0]] on eps = 2^-1 .. 2^-10
+    _run_script("collapse_sweep.py", monkeypatch, "--out", str(tmp_path))
+    expected = run_scenario_checks("mapping-torus").artifacts["collapse.csv"]
+    assert (tmp_path / "collapse_k1.csv").read_bytes() == expected.encode()
+
+
+def test_flat_thresholds_writes_threshold_table(tmp_path, monkeypatch):
+    out = tmp_path / "thresholds.csv"
+    _run_script("flat_thresholds.py", monkeypatch,
+                "--fiber", "0.04 0; 0 0.09", "--out", str(out))
+    rep = threshold_check_product(FlatTorus.circle(1.0),
+                                  FlatTorus(np.diag([0.04, 0.09])), 1)
+    assert out.read_bytes() == rep.csv.encode()

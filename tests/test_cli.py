@@ -124,30 +124,29 @@ def test_console_script_entry():
 
 
 def test_scenario_config_dataclass():
-    from collapse_spectra.scenarios import ScenarioConfig
     from collapse_spectra.errors import ScenarioUnknown
 
-    cfg = ScenarioConfig("heisenberg", {"gamma": 2}, seed=1,
-                         eps_grid=(0.5, 0.1))
-    assert cfg.grid == (0.5, 0.1)
-    assert cfg.run().passed
+    assert scenarios.resolve("heisenberg", {"gamma": 2}, 1,
+                             (0.5, 0.1))[3] == (0.5, 0.1)
+    assert run_scenario_checks("heisenberg", {"gamma": 2}, 1,
+                               (0.5, 0.1)).passed
     with pytest.raises(ScenarioUnknown):
-        ScenarioConfig("nope")
+        scenarios.resolve("nope")
     with pytest.raises(ConfigInvalid):
-        ScenarioConfig("heisenberg", {"bad": 1})
+        scenarios.resolve("heisenberg", {"bad": 1})
     with pytest.raises(ConfigInvalid):
-        ScenarioConfig("heisenberg", eps_grid=(2.0,))
+        scenarios.resolve("heisenberg", eps_grid=(2.0,))
     with pytest.raises(ConfigInvalid):
-        ScenarioConfig("heisenberg", seed="zero")
+        scenarios.resolve("heisenberg", seed="zero")
 
 
 def test_run_manifest_round_trip(tmp_path):
-    from collapse_spectra.scenarios import ScenarioConfig
-
-    manifest = cli.run_scenario(ScenarioConfig("heisenberg"),
-                                out_dir=tmp_path)
+    grid = scenarios.resolve("heisenberg")[3]
+    manifest = cli.run_scenario("heisenberg", tmp_path,
+                                run_scenario_checks("heisenberg"), {}, 0,
+                                grid)
     loaded = json.loads((tmp_path / "manifest.json").read_text())
-    assert loaded == manifest.as_dict()
+    assert loaded == json.loads(json.dumps(dataclasses.asdict(manifest)))
     assert loaded["tag"] == "small-eigenvalue-rate"
 
 
@@ -344,3 +343,70 @@ def test_cli_size_bounds_name_key(scenario, key, value, tmp_path, capsys):
     assert cli.main([scenario, "--config", str(config),
                      "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("heisenberg", "gamma", "nan"),         # each ended in a traceback
+    ("torus-bundle", "b", "inf 0"),
+    ("gt-family", "t_values", "nan"),
+    ("mapping-torus", "B", "nan 1\n    0 0"),
+])
+def test_cli_non_finite_param_names_key(scenario, key, value, tmp_path,
+                                        capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[params]\n{key} = {value}\n")
+    assert cli.main([scenario, "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+
+def test_negative_seed_names_key(tmp_path, capsys):
+    with pytest.raises(ConfigInvalid, match="^seed:"):
+        scenarios.resolve("heisenberg", seed=-1)
+    assert cli.main(["euler-bound", "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: seed:")
+
+
+def test_verify_all_negative_seed_runs_no_criterion(tmp_path, capsys,
+                                                    monkeypatch):
+    # criteria 2, 4, 6 and 11 seed their RNGs directly
+    def no_criteria(*args, **kwargs):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(cli.acceptance, "run_all", no_criteria)
+    assert cli.main(["verify-all", "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: seed:")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("base_length", "0"),
+    ("fiber_length", "0"),
+    ("fiber_length", "1e-200"),           # its square underflows to 0
+    ("fiber_length", "-0.1"),
+])
+def test_cli_flat_threshold_lengths_name_key(key, value, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[params]\n{key} = {value}\n")
+    assert cli.main(["flat-threshold", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+
+@pytest.mark.parametrize("t_values", ["300", "0 -100.5", "1e200"])
+def test_cli_gt_family_t_bound_names_key(t_values, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[params]\nt_values = {t_values}\n")
+    assert cli.main(["gt-family", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: t_values:")
+
+
+def test_failing_eigenvalue_rate_has_negative_margin():
+    # eps^(2 tau) = 1e-80 lies under the kernel cutoff, so no eigenvalue
+    # counts as nonzero, while the relative error stays tiny
+    run = scenarios.SCENARIOS["heisenberg"].func
+    (check,) = run({"alpha": 1.0, "beta": 1.0, "gamma": 22.0}, 0, (0.01,),
+                   scenarios.TOLERANCES).checks
+    assert not check.passed and check.margin < 0.0

@@ -191,3 +191,13 @@ def test_vol_bound_dense_direction():
     rep = cs.vol_bound_experiment(bundle, [1.0, 0.0], [1.0, 0.5, 0.25])
     assert rep.ok
     assert rep.rows[-1].lam >= 4.0       # limit sum_{i>1} b_i^2 = 4
+
+
+def test_vol_bound_margin_sign_follows_verdict():
+    bundle = cs.TorusBundleOverT2(2, (1, 0))
+    rep = cs.vol_bound_experiment(bundle, [1.0, 1.0], [1.0, 0.5, 0.25])
+    assert rep.ok and rep.margin >= 0.0
+    # alpha = (1, -2): lambda = eps^2 and vol^2 = eps^-2, so the ratio
+    # eps^4 falls below its value at eps = 1
+    rep = cs.vol_bound_experiment(bundle, [1.0, -2.0], [1.0, 0.5])
+    assert not rep.ok and rep.margin < 0.0
