@@ -68,7 +68,7 @@ def _read_config(path: str) -> dict:
                     except ValueError as exc:
                         raise ConfigInvalid("seed: must be an integer") from exc
                 elif key == "eps_grid":
-                    out["eps_grid"] = _parse_grid(value)
+                    out["eps_grid"] = value
                 elif key == "out":
                     out["out"] = value.strip()
                 else:
@@ -88,16 +88,6 @@ def _read_config(path: str) -> dict:
         else:
             raise ConfigInvalid(f"{section}: unknown config section")
     return out
-
-
-def _parse_grid(text: str):
-    try:
-        grid = tuple(float(x) for x in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigInvalid(f"eps_grid: cannot parse {text!r}") from exc
-    if not grid:
-        raise ConfigInvalid("eps_grid: empty grid")
-    return grid
 
 
 def _config_hash(payload: dict) -> str:
@@ -132,9 +122,8 @@ def run_scenario(name: str, out_dir: Path, result: scenarios.ScenarioResult,
         config_hash=_config_hash({"scenario": name, "seed": seed,
                                   "eps_grid": list(grid), "params": params}),
         artifacts=tuple(artifacts),
-        checks=tuple({"name": c.name, "passed": bool(c.passed),
-                      "margin": c.margin, "detail": c.detail}
-                     for c in result.checks),
+        checks=tuple(dict(dataclasses.asdict(c), passed=c.passed,
+                          margin=c.margin) for c in result.checks),
         passed=bool(result.passed),
     )
     _write_json(out_dir / "manifest.json", dataclasses.asdict(manifest))
@@ -226,8 +215,7 @@ def main(argv=None) -> int:
             raise ConfigInvalid(
                 f"name: config names scenario {config['name']!r}, "
                 f"command line says {name!r}")
-        eps_grid = _parse_grid(args.eps_grid) if args.eps_grid else \
-            config.get("eps_grid")
+        eps_grid = args.eps_grid or config.get("eps_grid")
         grid = scenarios.resolve(name, config["params"], seed, eps_grid)[3]
         result = scenarios.run_scenario_checks(name, config["params"], seed,
                                                eps_grid)

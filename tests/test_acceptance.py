@@ -1,8 +1,14 @@
 """Acceptance gate: one test per exit criterion, with margins printed."""
 
+import math
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, strategies as st
 
 from collapse_spectra import acceptance, scenarios
+from collapse_spectra.scenarios import CheckResult
 
 
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA,
@@ -50,8 +56,30 @@ def test_every_tolerance_key_is_live():
         summary = acceptance.run_all(seed=0, tolerances={key: value}, skip=tuple(
             n for n in range(1, 13) if n != number))
         (result,) = summary.results
-        failed = [c.name for c in result.checks if not c.passed]
+        failed = {c.name: c.margin for c in result.checks if not c.passed}
         assert result.number == number and check in failed, (key, failed)
+        assert failed[check] < 0.0, (key, failed[check])
+
+
+@given(value=st.floats(allow_nan=True, allow_infinity=True),
+       bound=st.floats(allow_nan=False, allow_infinity=False),
+       sense=st.sampled_from(["<=", ">="]))
+def test_check_result_verdict_follows_margin(value, bound, sense):
+    check = CheckResult("c", value, bound, sense=sense)
+    assert check.passed == (check.margin >= 0.0)
+    if math.isnan(value):
+        assert not check.passed
+    else:
+        assert check.passed == (value <= bound if sense == "<="
+                                else value >= bound)
+
+
+def test_readme_tolerance_table_matches_defaults():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `(\w+)` \| ([^ |]+) \|", readme.read_text(),
+                      flags=re.MULTILINE)
+    assert {key: float(default) for key, default in rows} \
+        == acceptance.TOLERANCES
 
 
 def test_criterion_runs_reuse_one_evaluation(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -385,6 +386,8 @@ def test_verify_all_negative_seed_runs_no_criterion(tmp_path, capsys,
     ("fiber_length", "0"),
     ("fiber_length", "1e-200"),           # its square underflows to 0
     ("fiber_length", "-0.1"),
+    ("base_length", "1001"),              # modes_square.csv has 8.1 base rows
+    ("fiber_length", "1e-4"),             # modes_circle.csv, 5.3 base / fiber
 ])
 def test_cli_flat_threshold_lengths_name_key(key, value, tmp_path, capsys):
     config = tmp_path / "run.ini"
@@ -410,3 +413,40 @@ def test_failing_eigenvalue_rate_has_negative_margin():
     (check,) = run({"alpha": 1.0, "beta": 1.0, "gamma": 22.0}, 0, (0.01,),
                    scenarios.TOLERANCES).checks
     assert not check.passed and check.margin < 0.0
+
+
+@pytest.mark.parametrize("scenario, b", [
+    ("torus-bundle", "0 0"),                # failed eigenspace-split, margin 0
+    ("torus-bundle", "1e-200 0"),           # sum b_i^2 underflows
+    ("torus-bundle", "1e200 0"),            # sum b_i^2 overflows: NaN margin
+    ("nil-homothety", "1e200 1"),           # was an OverflowError traceback
+    ("nil-dense-direction", "1 0"),         # limit 0: failed positive-limit
+])
+def test_cli_bracket_vector_names_key(scenario, b, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[params]\nb = {b}\n")
+    assert cli.main([scenario, "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: b:")
+
+
+def test_cli_heisenberg_grid_under_kernel_cutoff_names_key(tmp_path, capsys):
+    # tau = 3: eps = 0.01 gives eps^6 = 1e-12, under the cutoff EIG_TOL
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\ngamma = 5\n")
+    assert cli.main(["heisenberg", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: eps_grid:")
+
+
+def test_verify_all_check_records(tmp_path):
+    assert cli.main(["verify-all", "--seed", "0", "--out", str(tmp_path)]) == 0
+    manifests = list(tmp_path.glob("*/manifest.json"))
+    assert len(manifests) == len(scenarios.SCENARIOS)
+    for path in manifests:
+        for check in json.loads(path.read_text())["checks"]:
+            assert set(check) == {"name", "value", "bound", "sense",
+                                  "passed", "margin", "detail"}, path
+            assert check["passed"] == (check["margin"] >= 0.0), check
+            assert all(math.isfinite(check[key])
+                       for key in ("value", "bound", "margin")), check
