@@ -20,6 +20,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -85,6 +86,9 @@ def _read_config(path: str) -> dict:
                 except ValueError as exc:
                     raise ConfigInvalid(f"{key}: tolerance must be a float") \
                         from exc
+                if not math.isfinite(out["tolerances"][key]):
+                    raise ConfigInvalid(f"{key}: tolerance must be finite, "
+                                        f"got {value!r}")
         else:
             raise ConfigInvalid(f"{section}: unknown config section")
     return out

@@ -21,7 +21,7 @@ import numpy as np
 from .artifacts import csv_text
 from .errors import NotInjective
 from .flat_torus import FlatTorus, _shortest
-from .intlat import int_matrix, rational_rank, smith_normal_form
+from .intlat import det_int, int_matrix, rational_rank, smith_normal_form
 
 #: Convention: ``gramG`` is the Gram matrix of the fiber metric on the
 #: DUAL algebra in its lattice basis, so Vol(T^k) = det(gramG)^{-1/2}.
@@ -118,14 +118,18 @@ class DetFactorizationReport:
 def det_factorization(e_matrix, gram_g) -> DetFactorizationReport:
     """Verify Det e = (Det' e) Vol(T^k) for an injective Euler map."""
     E = int_matrix(e_matrix)
-    k = len(E[0])
-    if rational_rank(E) < k:
+    # Det' exact from the integer Gram, which is singular exactly when e
+    # has a kernel; the others from triangular factors, since a
+    # determinant of E_on^T E_on squares E_on's conditioning
+    Ex = np.array(E, dtype=object)
+    gram_det = det_int((Ex.T @ Ex).tolist())
+    if gram_det == 0:
         raise NotInjective("Euler map has a kernel; use noninjective_reduce")
-    Ef = np.asarray(E, dtype=float)
-    det_prime = math.sqrt(max(float(np.linalg.det(Ef.T @ Ef)), 0.0))
-    vol_t = float(1.0 / math.sqrt(np.linalg.det(np.asarray(gram_g, float))))
-    M = ee_star(E, gram_g)
-    det_e = math.sqrt(max(float(np.linalg.det(M)), 0.0))
+    det_prime = math.sqrt(gram_det)
+    L = np.linalg.cholesky(np.asarray(gram_g, dtype=float))
+    vol_t = float(1.0 / np.prod(np.diag(L)))
+    R = np.linalg.qr(_orthonormal_matrix(E, gram_g), mode="r")
+    det_e = float(np.prod(np.abs(np.diag(R))))
     residual = abs(det_e - det_prime * vol_t) / max(1.0, det_e)
     return DetFactorizationReport(det_prime, vol_t, det_e, residual,
                                   residual <= 1e-10)

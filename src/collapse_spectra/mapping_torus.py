@@ -20,7 +20,7 @@ from .artifacts import csv_text
 from .curvature import solvable_curvature_closed_form
 from .errors import KTooLarge, NotSemisimple, NotUnimodular, RankAmbiguous
 from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
-from .lie_complex import (RANK_TOL, SpectrumReport, StructureConstants,
+from .lie_complex import (SpectrumReport, StructureConstants,
                           check_lie_tensors, clamp_spectra, stacked_laplacian,
                           svd_nullspace)
 
@@ -185,18 +185,13 @@ def _extend_exact(base, cands):
 
 
 def _extend_numeric(base, cands):
-    """Orthonormal combinations of the candidates, one per candidate
-    beyond the base count, that lie farthest from the span of the base."""
-    needed = cands.shape[1] - base.shape[1]
-    if base.shape[1]:
-        q, _ = np.linalg.qr(base)
-        resid = cands - q @ (q.T @ cands)
-    else:
-        resid = cands
-    _, sv, zt = np.linalg.svd(resid)
-    if len(sv) < needed or sv[needed - 1] <= RANK_TOL * 10.0:
+    """Orthonormal combinations of the orthonormal candidates, one per
+    candidate beyond the base count, orthogonal to the span of the base."""
+    q = np.linalg.qr(base)[0]
+    new = cands @ svd_nullspace(q.T @ cands)
+    if new.shape[1] != cands.shape[1] - base.shape[1]:
         raise RankAmbiguous("chain extraction is numerically degenerate")
-    return [cands @ zt[i] for i in range(needed)]
+    return list(new.T)
 
 
 def jordan_zero_chain(b_matrix) -> JordanZeroChain:
@@ -236,18 +231,10 @@ def jordan_zero_chain(b_matrix) -> JordanZeroChain:
                 heights.append(h)
                 chain_ids.append(ci)
     if d < n:
-        if cols:
-            e0 = np.column_stack(cols)
-            q, _ = np.linalg.qr(e0)
-            proj = np.eye(n) - q @ q.T
-        else:
-            proj = np.eye(n)
-        u, sv, _ = np.linalg.svd(proj)
-        comp = u[:, : n - d]
-        for i in range(n - d):
-            cols.append(comp[:, i])
-            heights.append(0)
-            chain_ids.append(-1)
+        e0 = np.column_stack(cols) if cols else np.zeros((n, 0))
+        cols += list(np.linalg.qr(e0, mode="complete")[0][:, d:].T)
+        heights += [0] * (n - d)
+        chain_ids += [-1] * (n - d)
     frame = np.column_stack(cols) if cols else np.zeros((n, 0))
     return JordanZeroChain(frame, tuple(len(ch) for ch in chains),
                            tuple(heights), tuple(chain_ids), d, d_prime)
@@ -286,7 +273,7 @@ def collapse_family(b_matrix, k: int) -> CollapseFamily:
     info = jordan_zero_chain(B)
     capacity = info.d - info.d_prime
     if not (0 <= k <= capacity):
-        raise KTooLarge(f"k = {k} exceeds d - d' = {capacity}")
+        raise KTooLarge(f"need 0 <= k <= d - d' = {capacity}, got {k}")
     # budgets: longest chains first, each up to length - 1
     budgets = {}
     remaining = k
@@ -303,8 +290,6 @@ def collapse_family(b_matrix, k: int) -> CollapseFamily:
         else:
             kc = budgets.get(ci, 0)
             exponents.append(1 + max(0, kc + 1 - h))
-    if k == 0:
-        exponents = [1] * len(exponents)
     c_base = np.linalg.solve(info.frame, B @ info.frame)
     return CollapseFamily(info.frame, tuple(exponents), k, info.d,
                           info.d_prime, info.chain_lengths, c_base)

@@ -17,7 +17,8 @@ import numpy as np
 from . import (curvature, euler_bound, flat_torus, intlat, lie_complex,
                mapping_torus, torus_bundle)
 from .artifacts import csv_text
-from .errors import ConfigInvalid, RankAmbiguous, ScenarioUnknown
+from .errors import (ConfigInvalid, KTooLarge, RankAmbiguous,
+                     ScenarioUnknown)
 
 #: Config-tunable tolerances with their pinned defaults; each governs
 #: one check, named in the comment (criterion checks are in acceptance).
@@ -75,10 +76,6 @@ def diameter_bound_check(reports, detail) -> CheckResult:
     return CheckResult("diameter-bound", slack, 0.0, detail, ">=")
 
 
-def _comb0(n, k):
-    return math.comb(n, k) if 0 <= k <= n else 0
-
-
 # ---------------------------------------------------------------------------
 # configuration checks
 # ---------------------------------------------------------------------------
@@ -133,13 +130,19 @@ def _check_heisenberg(params, grid):
 
 
 def _check_mapping_torus(params, grid):
+    """B must have unambiguous Jordan chains, k must fit them, and the
+    collapse family's trace Tr(C^T C) at eps = 1, the bound of
+    trace-bounded, must be finite."""
     try:
-        d, d_prime = mapping_torus.invariants_dd(np.array(params["B"]))
+        fam = mapping_torus.collapse_family(np.array(params["B"]), params["k"])
     except RankAmbiguous as exc:
         raise ConfigInvalid(f"B: {exc}") from exc
-    if not (0 <= params["k"] <= d - d_prime):
-        raise ConfigInvalid(f"k: need 0 <= k <= d - d' = {d - d_prime}, "
-                            f"got {params['k']}")
+    except KTooLarge as exc:
+        raise ConfigInvalid(f"k: {exc}") from exc
+    with np.errstate(over="ignore"):
+        if not math.isfinite(float(np.sum(fam.c_matrix(1.0) ** 2))):
+            raise ConfigInvalid("B: the collapse family's eps = 1 trace "
+                                "Tr(C^T C) overflows")
 
 
 def _check_gt_family(params, grid):
@@ -340,7 +343,8 @@ def _scenario_torus_bundle(params, seed, eps_grid, tols):
         worst = max(worst, gap)
     eta_sq = sum(x * x for x in b)
     split_miss = sum(
-        r[4] != _comb0(n - 1, r[1] - 1) or r[5] != _comb0(n - 1, r[1] - 2)
+        r[4] != lie_complex.form_dim(n - 1, r[1] - 1)
+        or r[5] != lie_complex.form_dim(n - 1, r[1] - 2)
         for r in rows)
     cb = torus_bundle.curvature_bound_check(b)
     # the maximum is 3/4 eta^2 itself, not only bounded by it
@@ -464,11 +468,13 @@ def _scenario_euler_bound(params, seed, eps_grid, tols):
         gram = w @ w.T + 0.5 * np.eye(k)
         bc = euler_bound.bound_chain(E.tolist(), gram)
         df = euler_bound.det_factorization(E.tolist(), gram)
-        slack = min(slack, bc.lam_min - bc.mid_bound,
-                    bc.mid_bound - bc.det_bound, bc.lam_min - bc.det_bound)
+        row_slack = min(bc.lam_min - bc.mid_bound, bc.mid_bound - bc.det_bound,
+                        bc.lam_min - bc.det_bound)
+        slack = min(slack, row_slack)
         max_residual = max(max_residual, df.residual)
+        # each row by the rules of bound-chain and det-factorization below
         rows.append([count, k, m, bc.lam_min, bc.mid_bound, bc.det_bound,
-                     df.residual, int(bc.ok and df.ok)])
+                     df.residual, int(row_slack >= -margin and df.ok)])
     rho2 = euler_bound.rho_flat(flat_torus.FlatTorus.identity(2)).rho
     rho3 = euler_bound.rho_flat(flat_torus.FlatTorus.identity(3)).rho
     nr = euler_bound.noninjective_reduce([[3, 6]], np.eye(2))

@@ -17,9 +17,8 @@ import numpy as np
 from .artifacts import csv_text
 from .errors import TrivialBundle
 from .intlat import gcd_completion, vector_gcd
-from .lie_complex import (SpectrumReport, StructureConstants, codifferential,
-                          exterior_derivative, form_dim, laplacian, spectrum,
-                          svd_nullspace)
+from .lie_complex import (SpectrumReport, StructureConstants,
+                          exterior_derivative, form_dim, spectrum)
 
 
 @dataclass(frozen=True)
@@ -128,27 +127,28 @@ class EigenspaceSplit:
 
 def eigenspace_split(n: int, p: int, b) -> EigenspaceSplit:
     """Dimensions of the eta^2-eigenspace split into coclosed and closed
-    eigenforms; they come out as C(n-1, p-1) and C(n-1, p-2)."""
+    eigenforms; they come out as C(n-1, p-1) and C(n-1, p-2).
+
+    By the Hodge split, the coclosed eta^2-eigenforms of degree p are the
+    singular directions of d_p with sigma^2 = eta^2 and the closed ones
+    those of d_{p-1}, so each count reads the squared singular values,
+    taken as the eigenvalues of the smaller Gram matrix of d.
+    """
     b = [float(x) for x in b]
     eta_sq = sum(x * x for x in b)
     if eta_sq == 0.0:
         return EigenspaceSplit(0.0, 0, 0, 0)
     L = nil_algebra(b)
-    lap = laplacian(L, p)
-    vals, vecs = np.linalg.eigh(lap)
-    sel = np.abs(vals - eta_sq) <= 1e-8 * eta_sq
-    E = vecs[:, sel]
-    total = E.shape[1]
-    if total == 0:
-        return EigenspaceSplit(eta_sq, 0, 0, 0)
-    # on a unit eta^2-eigenform that is coclosed |d w| = eta, and on a
-    # closed one |delta w| = eta, so both maps below have singular
-    # values 1 or 0 whatever the scale of b
-    eta = math.sqrt(eta_sq)
-    closed = svd_nullspace(exterior_derivative(L, p) @ E / eta).shape[1]
-    coclosed = svd_nullspace(codifferential(L, p) @ E / eta).shape[1] \
-        if p >= 1 else total
-    return EigenspaceSplit(eta_sq, total, coclosed, closed)
+
+    def count(q):
+        d = exterior_derivative(L, q)
+        gram = d.T @ d if d.shape[1] <= d.shape[0] else d @ d.T
+        return int(np.sum(np.abs(np.linalg.eigvalsh(gram) - eta_sq)
+                          <= 1e-8 * eta_sq))
+
+    coclosed = count(p)
+    closed = count(p - 1) if p else 0
+    return EigenspaceSplit(eta_sq, coclosed + closed, coclosed, closed)
 
 
 @dataclass(frozen=True)

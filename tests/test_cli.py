@@ -450,3 +450,45 @@ def test_verify_all_check_records(tmp_path):
             assert check["passed"] == (check["margin"] >= 0.0), check
             assert all(math.isfinite(check[key])
                        for key in ("value", "bound", "margin")), check
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_non_finite_tolerance_names_key(value, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[tolerances]\nheisenberg_rtol = {value}\n")
+    assert cli.main(["verify-all", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: heisenberg_rtol:")
+
+
+@pytest.mark.parametrize("margin", [1e-10, -1.0])
+def test_chain_rows_follow_the_checks_rules(margin):
+    tols = dict(scenarios.TOLERANCES, chain_margin=margin)
+    result = scenarios.SCENARIOS["euler-bound"].func(
+        {"trials": 50, "kmax": 4}, 0, (), tols)
+    header, *lines = result.artifacts["chain.csv"].splitlines()
+    assert header.endswith("lam_min,mid_bound,det_bound,fact_residual,ok")
+    oks = []
+    for line in lines:
+        lam, mid, det, residual, ok = line.split(",")[3:]
+        lam, mid, det = float(lam), float(mid), float(det)
+        slack = min(lam - mid, mid - det, lam - det)
+        assert int(ok) == int(slack >= -margin and float(residual) <= 1e-10)
+        oks.append(int(ok))
+    chain_check = next(c for c in result.checks if c.name == "bound-chain")
+    assert chain_check.passed == all(oks) == (margin > 0)
+
+
+@pytest.mark.parametrize("B, k, code", [
+    ("1e160 0\n    0 0", 0, 2),
+    ("1e300 0\n    0 0", 0, 2),
+    ("1e150 0\n    0 0", 0, 0),      # eps = 1 trace 1e300
+    ("0 1e160\n    0 0", 1, 0),      # the adapted frame scales it to 1
+])
+def test_cli_mapping_torus_huge_b(B, k, code, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[params]\nk = {k}\nB =\n    {B}\n")
+    assert cli.main(["mapping-torus", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: B:")

@@ -57,6 +57,8 @@ def test_bound_chain_random():
 def test_bound_chain_rejects_kernel():
     with pytest.raises(cs.NotInjective):
         cs.bound_chain([[1, 2], [2, 4]], np.eye(2))
+    with pytest.raises(cs.NotInjective):
+        cs.det_factorization([[1, 2], [2, 4]], np.eye(2))
 
 
 def test_det_factorization():
@@ -75,6 +77,37 @@ def test_det_factorization():
         w = rng.standard_normal((2, 2))
         gram = w @ w.T + 0.5 * np.eye(2)
         assert cs.det_factorization(E.tolist(), gram).ok
+
+
+#: trial -> PCG64 state (state, has_uint32, uinteger) of the seed-0
+#: stream of euler-bound before that trial's draws, at trials = 10000 and
+#: kmax = 8: determinants through LU left residuals up to 1.0e-9 there
+_HARD_TRIALS = {
+    61: (87425197902800759615917055882422878516, 1, 2724370033),
+    451: (246518190663250647447552064263580337505, 0, 1593447797),
+    1371: (105840543120855256157940822878516208533, 1, 4271858788),
+    1888: (8278064979449543654660165876885947398, 1, 3214408531),
+    3544: (281749882016435747281986084109997340147, 1, 3613681594),
+    4018: (294298647762282034193911285274987248884, 1, 3623487835),
+    5175: (75119709420975404121111812571265805076, 1, 3942512621),
+    8900: (116255087966694521289639690058906195903, 1, 3898705573),
+}
+
+
+@pytest.mark.parametrize("trial", sorted(_HARD_TRIALS))
+def test_det_factorization_hard_trials(trial):
+    state, has_uint32, uinteger = _HARD_TRIALS[trial]
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": has_uint32,
+        "uinteger": uinteger, "state": {
+            "state": state, "inc": rng.bit_generator.state["state"]["inc"]}}
+    # the draws of one trial, as in the euler-bound scenario
+    k = int(rng.integers(1, 9))
+    E = rng.integers(-4, 5, size=(int(rng.integers(k, k + 3)), k))
+    w = rng.standard_normal((k, k))
+    rep = cs.det_factorization(E.tolist(), w @ w.T + 0.5 * np.eye(k))
+    assert k >= 6 and rep.residual <= 1e-10 and rep.ok
 
 
 def test_noninjective_zero_map():

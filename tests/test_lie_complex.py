@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +285,13 @@ def test_check_lie_tensors_flags_any_item_of_a_stack():
     assert jacobi_defect(cs.StructureConstants(no_jacobi)) > 1e-3
     with pytest.raises(ValueError, match="Jacobi"):
         check_lie_tensors(np.stack([good, good, no_jacobi]))
+
+
+def test_one_rank_rule_and_no_eigenvectors():
+    # svd_nullspace holds the only numeric rank rule, and every count the
+    # package reads off a spectrum needs eigenvalues only
+    for path in Path(cs.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        if path.name != "lie_complex.py":
+            assert "RANK_TOL" not in text, path.name
+        assert not re.search(r"\beigh\b", text), path.name

@@ -9,8 +9,8 @@ import pytest
 import collapse_spectra as cs
 from collapse_spectra.intlat import (mat_mul_int, rational_rank,
                                      unimodular_inverse)
-from collapse_spectra.mapping_torus import (small_threshold, semisimple_defect,
-                                            solvable_algebra)
+from collapse_spectra.mapping_torus import (_extend_numeric, small_threshold,
+                                            semisimple_defect, solvable_algebra)
 
 
 def test_solvable_algebra_zero_is_abelian():
@@ -151,6 +151,31 @@ def test_jordan_zero_chain_empty():
     assert info.chain_lengths == ()
     assert info.d == 0 and info.d_prime == 0
     assert np.allclose(info.frame.T @ info.frame, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("B", [
+    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+    np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.3, 1.5]]),
+])
+def test_jordan_zero_chain_complement_orthonormal(B):
+    info = cs.jordan_zero_chain(B)
+    n, d = B.shape[0], info.d
+    assert d < n and info.heights[d:] == (0,) * (n - d)
+    comp = info.frame[:, d:]
+    assert np.allclose(comp.T @ comp, np.eye(n - d), atol=1e-12)
+    assert np.allclose(info.frame[:, :d].T @ comp, 0.0, atol=1e-12)
+
+
+def test_extend_numeric_orthogonal_to_base():
+    cands = np.eye(3)[:, :2]
+    base = np.array([[1.0], [1.0], [0.0]])
+    (v,) = _extend_numeric(base, cands)
+    assert abs(v @ base[:, 0]) <= 1e-12 and abs(np.linalg.norm(v) - 1) <= 1e-12
+
+
+def test_extend_numeric_base_outside_span_raises():
+    with pytest.raises(cs.RankAmbiguous):
+        _extend_numeric(np.eye(3)[:, 2:], np.eye(3)[:, :2])
 
 
 def test_jordan_zero_chain_recovery_round_trip():

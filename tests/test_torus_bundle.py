@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_spectra as cs
+from collapse_spectra.lie_complex import svd_nullspace
 from collapse_spectra.torus_bundle import (eigenspace_split, nil_algebra,
                                            predict_spectrum,
                                            product_bundle_spectrum,
@@ -82,6 +83,38 @@ def test_eigenspace_split_small_eta_excludes_kernel():
     got = [eigenspace_split(2, p, [1e-4, 0.0]) for p in (1, 2, 3)]
     assert [s.total for s in got] == [1, 2, 1]
     assert [(s.coclosed, s.closed) for s in got] == [(1, 0), (1, 1), (0, 1)]
+
+
+def _eigenvector_split(n, p, b):
+    """Reference counts for eigenspace_split by eigenvectors: select the
+    eta^2-eigenvectors of Delta_p, then count the ones d_p and delta_p
+    annihilate by SVD rank."""
+    eta_sq = sum(x * x for x in b)
+    L = nil_algebra(b)
+    vals, vecs = np.linalg.eigh(cs.laplacian(L, p))
+    E = vecs[:, np.abs(vals - eta_sq) <= 1e-8 * eta_sq]
+    if E.shape[1] == 0:
+        return 0, 0, 0
+    eta = math.sqrt(eta_sq)
+    closed = svd_nullspace(cs.exterior_derivative(L, p) @ E / eta).shape[1]
+    coclosed = svd_nullspace(cs.codifferential(L, p) @ E / eta).shape[1] \
+        if p >= 1 else E.shape[1]
+    return E.shape[1], coclosed, closed
+
+
+def test_eigenspace_split_matches_eigenvector_method():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        b = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4)
+        b[rng.random(n) < 0.3] = 0.0
+        if not b.any():
+            b[0] = 1.0
+        b = b.tolist()
+        for p in range(0, n + 3):
+            split = eigenspace_split(n, p, b)
+            assert (split.total, split.coclosed, split.closed) \
+                == _eigenvector_split(n, p, b), (n, p, b)
 
 
 def test_connection_change_leaves_tensor_fixed():
