@@ -199,6 +199,7 @@ def jordan_zero_chain(b_matrix) -> JordanZeroChain:
 
     The chains come from the kernel tower of B, exactly for integer B;
     anything else uses SVD rank decisions and may raise RankAmbiguous.
+    An exact chain vector too large for a float raises OverflowError.
     From the tallest height down, new chain tops extend the kernel one
     level down together with the members of the taller chains.  Column
     order: kernel vectors first, then increasing height, finally an
@@ -219,7 +220,11 @@ def jordan_zero_chain(b_matrix) -> JordanZeroChain:
             for _ in range(j - 1):
                 members.append(Bx @ members[-1])
             chains.append(members[::-1])
-    chains = [[np.asarray(v, dtype=float) for v in ch] for ch in chains]
+    try:
+        chains = [[np.asarray(v, dtype=float) for v in ch] for ch in chains]
+    except OverflowError as exc:
+        raise OverflowError("an exact Jordan chain vector does not fit a "
+                            "float") from exc
     d = sum(len(ch) for ch in chains)
     d_prime = len(chains)
     max_h = max((len(ch) for ch in chains), default=0)
@@ -269,6 +274,10 @@ class CollapseFamily:
 
 
 def collapse_family(b_matrix, k: int) -> CollapseFamily:
+    """The collapse family of B with k small eigenvalues, where B and k
+    are decided: RankAmbiguous for ambiguous Jordan chains, KTooLarge
+    unless 0 <= k <= d - d', and OverflowError when a chain vector or the
+    eps = 1 trace Tr(C^T C) = sum(c_base**2) does not fit a float."""
     B = np.asarray(b_matrix, dtype=float)
     info = jordan_zero_chain(B)
     capacity = info.d - info.d_prime
@@ -291,6 +300,10 @@ def collapse_family(b_matrix, k: int) -> CollapseFamily:
             kc = budgets.get(ci, 0)
             exponents.append(1 + max(0, kc + 1 - h))
     c_base = np.linalg.solve(info.frame, B @ info.frame)
+    with np.errstate(over="ignore"):
+        if not math.isfinite(float(np.sum(c_base ** 2))):
+            raise OverflowError("the collapse family's eps = 1 trace "
+                                "Tr(C^T C) overflows")
     return CollapseFamily(info.frame, tuple(exponents), k, info.d,
                           info.d_prime, info.chain_lengths, c_base)
 
@@ -311,6 +324,7 @@ class CollapseTable:
     d: int
     d_prime: int
     rows: tuple
+    family: CollapseFamily
 
     def to_csv(self) -> str:
         n_eigs = len(self.rows[0].report.eigenvalues) if self.rows else 0
@@ -331,7 +345,8 @@ def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
     Tr(C_eps^T C_eps), the frame curvature bound, and small counts.
 
     The small count classifies the nonzero eigenvalues of C C^T (the
-    kernel, of exact dimension d', is excluded by construction).
+    kernel, of exact dimension d', is excluded by construction).  Returns
+    the one family as ``family``; errors of :func:`collapse_family` propagate.
     """
     B = np.asarray(b_matrix, dtype=float)
     fam = collapse_family(B, k)
@@ -347,7 +362,7 @@ def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
         table = solvable_curvature_closed_form(C)
         rows.append(CollapseRow(float(eps), report,
                                 float(np.sum(C * C)), table.max_abs, count))
-    return CollapseTable(B, k, fam.d, fam.d_prime, tuple(rows))
+    return CollapseTable(B, k, fam.d, fam.d_prime, tuple(rows), fam)
 
 
 # ---------------------------------------------------------------------------

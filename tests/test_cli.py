@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from collapse_spectra import cli, scenarios
+from collapse_spectra import cli, mapping_torus, scenarios
 from collapse_spectra.errors import ConfigInvalid
 from collapse_spectra.scenarios import list_scenarios, run_scenario_checks
 
@@ -249,6 +249,33 @@ def test_verify_all_evaluates_each_default_twice(tmp_path, monkeypatch):
         assert counts[scenarios.resolve(name)] == 2, name
 
 
+def test_resolve_builds_no_collapse_family(monkeypatch):
+    # B and k are decided where the one collapse family is built, so the
+    # configuration check does no linear algebra
+    def refuse(*args):
+        raise AssertionError("resolve built a collapse family")
+
+    monkeypatch.setattr(mapping_torus, "collapse_family", refuse)
+    for name in scenarios.SCENARIOS:
+        scenarios.resolve(name)
+    # the README's example config
+    scenarios.resolve("mapping-torus", {"k": "1", "B": "\n0 1\n0 0"}, 1,
+                      "0.5, 0.25, 0.125")
+
+
+def test_verify_all_builds_one_family_per_collapse_run(tmp_path,
+                                                       monkeypatch):
+    counts = {"jordan_zero_chain": 0, "run_collapse": 0}
+    for fname in counts:
+        def counting(*args, fname=fname, func=getattr(mapping_torus, fname)):
+            counts[fname] += 1
+            return func(*args)
+
+        monkeypatch.setattr(mapping_torus, fname, counting)
+    assert cli.main(["verify-all", "--out", str(tmp_path)]) == 0
+    assert counts["jordan_zero_chain"] == counts["run_collapse"] > 0
+
+
 def test_cli_mapping_torus_k_capacity_names_key(tmp_path, capsys):
     # B is invertible, so d = d' = 0 and no eigenvalue can be made small
     config = tmp_path / "run.ini"
@@ -484,6 +511,8 @@ def test_chain_rows_follow_the_checks_rules(margin):
     ("1e300 0\n    0 0", 0, 2),
     ("1e150 0\n    0 0", 0, 0),      # eps = 1 trace 1e300
     ("0 1e160\n    0 0", 1, 0),      # the adapted frame scales it to 1
+    # integer B whose exact Jordan chain holds 1e600
+    ("0 1e300 0\n    0 0 1e300\n    0 0 0", 0, 2),
 ])
 def test_cli_mapping_torus_huge_b(B, k, code, tmp_path, capsys):
     config = tmp_path / "run.ini"
