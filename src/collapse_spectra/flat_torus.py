@@ -2,9 +2,11 @@
 
 Function eigenvalues are 4 pi^2 q*(gamma) over the dual lattice, p-forms
 tensor a constant-coefficient factor of multiplicity C(k, p), and the
-diameter is the covering radius of the lattice, read off the Voronoi
+diameter is the covering radius of the lattice: in two dimensions the
+circumradius of the reduced basis, in three or more read off the Voronoi
 cell of 0.  Enumeration boxes are certified: no relevant lattice vector
-can live outside them.
+can live outside them.  scipy is imported only by ``diameter`` for
+k >= 3, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Voronoi
 
 from .artifacts import csv_text
 
@@ -171,18 +172,46 @@ def p_form_spectrum(torus: FlatTorus, p: int, cutoff: float) -> ModeSpectrum:
     return ModeSpectrum(torus.k, p, float(cutoff), tuple(modes))
 
 
+def _gauss_reduce(g: np.ndarray) -> tuple:
+    """Lagrange-Gauss reduced basis (u, v) of Z^2 under the Gram ``g``,
+    as integer coordinate vectors with |u| <= |v| and |u.v| <= |u|^2 / 2.
+
+    Python's ``round`` halves to even, so a tie |u.v| = |u|^2 / 2 stops
+    the reduction rather than stepping to the other shortest v.
+    """
+    u, v = np.array([1, 0]), np.array([0, 1])
+    while True:
+        if float(u @ g @ u) > float(v @ g @ v):
+            u, v = v, u
+        m = round(float(u @ g @ v) / float(u @ g @ u))
+        if m == 0:
+            return u, v
+        v = v - m * u
+
+
 def diameter(torus: FlatTorus) -> float:
     """Covering radius of the lattice Z^k in the metric: the largest norm
     of a vertex of the Voronoi cell of 0.
 
-    Every Voronoi-relevant vector v has |v| <= 2 mu, and Babai's
-    nearest-plane bound gives mu^2 <= 1/4 sum |b_i*|^2 <= 1/4 tr G, so
-    the lattice vectors with gamma^T G gamma <= tr G cut out the whole
-    cell.  Qhull needs two dimensions; a circle of length l has l / 2.
+    A circle of length l has l / 2.  For k = 2 the deepest hole is the
+    circumcentre of the non-obtuse triangle 0, u, v of a reduced basis
+    with b = |u.v|, so with a = |u|^2 and c = |v|^2 the radius is
+    sqrt(a c (a + c - 2b) / (4 (a c - b^2))); reduction gives
+    b <= a / 2, so a c - b^2 >= 3 a c / 4 and the denominator does not
+    cancel.  For k >= 3 every Voronoi-relevant vector v has
+    |v| <= 2 mu, and Babai's nearest-plane bound gives
+    mu^2 <= 1/4 sum |b_i*|^2 <= 1/4 tr G, so the lattice vectors with
+    gamma^T G gamma <= tr G cut out the whole cell, which Qhull builds.
     """
     g = torus.gram
     if torus.k == 1:
         return 0.5 * math.sqrt(float(g[0, 0]))
+    if torus.k == 2:
+        u, v = _gauss_reduce(g)
+        a, c = float(u @ g @ u), float(v @ g @ v)
+        b = abs(float(u @ g @ v))
+        return math.sqrt(a * c * (a + c - 2.0 * b) / (4.0 * (a * c - b * b)))
+    from scipy.spatial import Voronoi
     gammas = [gamma for gamma, _ in _enumerate_dual(g, float(np.trace(g)))]
     vor = Voronoi(np.array(gammas, dtype=float) @ np.linalg.cholesky(g))
     cell = vor.regions[vor.point_region[gammas.index((0,) * torus.k)]]

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchUnavailable, NotUnimodular, ZeroVector
 
@@ -289,7 +288,10 @@ def matrix_exp(b, tol: float = 1e-14) -> np.ndarray:
 
 def principal_log(a, tol: float = 1e-10) -> np.ndarray:
     """Principal real logarithm of A; raises BranchUnavailable when an
-    eigenvalue lies on the closed negative real axis."""
+    eigenvalue lies on the closed negative real axis.  The only function
+    of this module that loads scipy."""
+    import scipy.linalg
+
     A = np.asarray(a, dtype=float)
     eigs = np.linalg.eigvals(A)
     scale = max(1.0, float(np.max(np.abs(eigs))))

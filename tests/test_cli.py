@@ -124,6 +124,21 @@ def test_console_script_entry():
     assert "heisenberg" in proc.stdout
 
 
+def test_scipy_submodules_stay_unloaded(tmp_path):
+    # the import and every verify-all path avoid scipy.linalg and
+    # scipy.spatial; only diameter for k >= 3 and principal_log load them
+    code = ("import sys\n"
+            "from collapse_spectra import cli\n"
+            "heavy = ('scipy.linalg', 'scipy.spatial')\n"
+            "assert not [m for m in heavy if m in sys.modules], 'import'\n"
+            "assert cli.main(['verify-all', '--seed', '0', '--out', "
+            "sys.argv[1]]) == 0\n"
+            "assert not [m for m in heavy if m in sys.modules], 'verify-all'\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_scenario_config_dataclass():
     from collapse_spectra.errors import ScenarioUnknown
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi, cKDTree
 
 import collapse_spectra as cs
 from collapse_spectra.flat_torus import (FOUR_PI_SQ, FlatTorus,
@@ -156,25 +156,26 @@ def _random_grams(seed, k, count):
         yield w @ w.T + 0.3 * np.eye(k)
 
 
-def _reduced_triangle_radius(gram):
-    """Circumradius |b1||b2||b1 - b2| / (2 sqrt(det G)) of the
-    Lagrange-Gauss reduced basis with b1 . b2 >= 0 (a non-obtuse
-    triangle, whose circumcentre is the deepest hole)."""
-    def dot(x, y):
-        return float(x @ gram @ y)
-
-    b1, b2 = np.array([1, 0]), np.array([0, 1])
-    while True:
-        if dot(b1, b1) > dot(b2, b2):
-            b1, b2 = b2, b1
-        m = round(dot(b1, b2) / dot(b1, b1))
-        if m == 0:
-            break
-        b2 = b2 - m * b1
-    if dot(b1, b2) < 0:
-        b2 = -b2
-    lengths = [math.sqrt(dot(v, v)) for v in (b1, b2, b1 - b2)]
-    return math.prod(lengths) / (2.0 * math.sqrt(np.linalg.det(gram)))
+def _voronoi_radius(gram):
+    """Largest vertex norm of the Voronoi cell of 0, built by Qhull from
+    the lattice points with gamma^T G gamma <= tr G, row by row in
+    gamma_2 so that sheared lattices stay cheap."""
+    (g00, g01), (_, g11) = gram
+    bound = g00 + g11
+    rows = math.ceil(math.sqrt(bound * g00 / (g00 * g11 - g01 * g01)))
+    gammas = []
+    for j in range(-rows, rows + 1):
+        centre = -g01 * j / g00
+        half = math.sqrt(max(0.0, bound - (g11 - g01 * g01 / g00) * j * j)
+                         / g00)
+        for i in range(math.floor(centre - half) - 1,
+                       math.ceil(centre + half) + 2):
+            if g00 * i * i + 2 * g01 * i * j + g11 * j * j \
+                    <= bound * (1 + 1e-12):
+                gammas.append((i, j))
+    vor = Voronoi(np.array(gammas, dtype=float) @ np.linalg.cholesky(gram))
+    cell = vor.regions[vor.point_region[gammas.index((0, 0))]]
+    return float(np.max(np.linalg.norm(vor.vertices[cell], axis=1)))
 
 
 def test_diameter_square():
@@ -209,12 +210,28 @@ def test_diameter_within_grid_bracket():
 
 def test_diameter_two_dimensional_closed_form():
     grams = [g for g in TEST_GRAMS if g.shape[0] == 2]
-    grams += [cs.gt_gram(t).gram for t in (0.3, 0.9, 2.5)]
+    grams += [cs.gt_gram(t).gram for t in (0.3, 0.9, 2.5, 5.0, 8.0, 30.0,
+                                           100.0)]
     grams += list(_random_grams(97, 2, 20))
+    rng = np.random.default_rng(101)
+    for _ in range(300):
+        w = rng.uniform(-1.0, 1.0, (2, 2))
+        grams.append(w @ w.T + 1e-3 * np.eye(2))
     for gram in grams:
         assert cs.diameter(FlatTorus(gram)) == pytest.approx(
-            _reduced_triangle_radius(gram), rel=1e-12), gram
-    assert cs.diameter(cs.gt_gram(0.5)) == pytest.approx(0.625, rel=1e-12)
+            _voronoi_radius(gram), rel=1e-12), gram
+
+
+def test_diameter_two_dimensional_ties_and_default_bits():
+    # the hexagonal lattice ties in the reduction; its deepest hole is
+    # the centroid of the equilateral triangle
+    hexagonal = FlatTorus(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert cs.diameter(hexagonal) == pytest.approx(1 / math.sqrt(3),
+                                                   rel=1e-15)
+    # the diam cells of the default gt-family run; t = 0.5 ties
+    for t, diam in ((0.0, 0.7071067811865476), (0.3, 0.6372009102316161),
+                    (0.5, 0.625)):
+        assert cs.diameter(cs.gt_gram(t)) == diam, t
 
 
 def test_gt_gram():
@@ -236,7 +253,7 @@ def test_gt_spectra_periodic():
 
 
 def test_gt_diameters_periodic():
-    for t in (0.0, 0.3, 0.5, 0.9, 1.7):
+    for t in (0.0, 0.3, 0.5, 0.9, 1.7, 30.0, 100.0):
         d0 = cs.diameter(cs.gt_gram(t))
         d1 = cs.diameter(cs.gt_gram(t + 1.0))
         assert abs(d0 - d1) <= 1e-12 * d0
