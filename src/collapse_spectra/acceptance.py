@@ -22,8 +22,10 @@ keyed by the resolved configuration, so a configuration listed by several
 criteria is evaluated once; only criterion 12's second pass bypasses it.
 ``verify-all`` writes the scenario manifests from the cached first pass,
 so each default configuration is evaluated exactly twice.  Thresholds come
-from ``TOLERANCES``; ``run_all`` applies the overrides of a config's
-``[tolerances]`` section and passes the table to every criterion and run.
+from ``TOLERANCES``; ``run_all`` checks and applies the overrides of a
+config's ``[tolerances]`` section with ``scenarios.tolerance_table``
+before any criterion runs, and passes the table to every criterion and
+run.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import (euler_bound, flat_torus, intlat, lie_complex, mapping_torus,
                scenarios, torus_bundle)
-from .scenarios import TOLERANCES, CheckResult
+from .scenarios import TOLERANCES, CheckResult, tolerance_table
 
 
 @dataclass(frozen=True)
@@ -306,7 +308,7 @@ def criterion_11_euler_chain(tols, seed=0, runs=None):
         l = int(rng2.integers(1, 3))
         while True:
             core = rng2.integers(-3, 4, size=(r + 1, r))
-            if intlat.rational_rank([[int(x) for x in row] for row in core]) == r:
+            if euler_bound.gram_det(core.tolist()):
                 break
         E_raw = np.concatenate([np.zeros((r + 1, l), dtype=int), core], axis=1)
         perm = rng2.permutation(l + r)
@@ -376,12 +378,7 @@ class AcceptanceSummary:
 
 def run_all(seed: int = 0, tolerances: dict = None,
             skip: tuple = ()) -> AcceptanceSummary:
-    tols = dict(TOLERANCES)
-    if tolerances:
-        for key, value in tolerances.items():
-            if key not in TOLERANCES:
-                raise KeyError(key)
-            tols[key] = float(value)
+    tols = tolerance_table(tolerances)
     runs = ScenarioRuns(tols)
     t0 = time.perf_counter()
     results = []

@@ -188,13 +188,12 @@ def trace_bounds_check(C, a: float) -> TraceBoundsReport:
                              upper >= -1e-10 and lower >= -1e-10)
 
 
-def oneill_defect(L: StructureConstants, horizontal, base_k) -> float:
-    """Max over horizontal frame pairs of |K_N - K_M - 3/4 |[X,Y]^V|^2|.
+def oneill_defect(L: StructureConstants, horizontal) -> float:
+    """Max over horizontal frame pairs of the O'Neill defect
+    |K_N - K_M - 3/4 |[X,Y]^V|^2| over a flat base, where K_N = 0 leaves
+    |K_M + 3/4 |[X,Y]^V|^2|.
 
-    ``horizontal`` lists the frame indices spanning the horizontal space;
-    ``base_k`` maps an unordered pair of horizontal indices to the base
-    curvature K_N of their projections (a dict, or a constant for flat
-    bases).
+    ``horizontal`` lists the frame indices spanning the horizontal space.
     """
     horizontal = list(horizontal)
     vertical = [i for i in range(L.n) if i not in horizontal]
@@ -206,11 +205,7 @@ def oneill_defect(L: StructureConstants, horizontal, base_k) -> float:
             k_m = sectional_curvature(L, eye[i], eye[j])
             bracket = L.ad_vector(eye[i]) @ eye[j]
             vert_sq = float(np.sum(bracket[vertical] ** 2))
-            if isinstance(base_k, dict):
-                k_n = base_k[(min(i, j), max(i, j))]
-            else:
-                k_n = float(base_k)
-            worst = max(worst, abs(k_n - k_m - 0.75 * vert_sq))
+            worst = max(worst, abs(k_m + 0.75 * vert_sq))
     return worst
 
 

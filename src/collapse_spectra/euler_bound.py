@@ -19,44 +19,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import csv_text
-from .errors import NotInjective
+from .errors import NotInjective, TrivialBundle
 from .flat_torus import FlatTorus, _shortest
-from .intlat import det_int, int_matrix, rational_rank, smith_normal_form
+from .intlat import det_int, int_matrix, smith_normal_form
 
 #: Convention: ``gramG`` is the Gram matrix of the fiber metric on the
 #: DUAL algebra in its lattice basis, so Vol(T^k) = det(gramG)^{-1/2}.
 #: Worked example: a circle fiber of length s has dual generator of norm
 #: 1/s, gramG = (1/s^2) and volT = s.
-
-
-@dataclass(frozen=True)
-class EulerMap:
-    """Integral matrix of e (rows: orthonormal harmonic 2-forms of the
-    base; columns: lattice basis of the dual fiber algebra) plus the SPD
-    Gram of the dual-algebra metric."""
-
-    e_matrix: tuple
-    gram_g: np.ndarray
-
-    def __post_init__(self):
-        E = int_matrix(self.e_matrix)
-        g = np.asarray(self.gram_g, dtype=float)
-        k = len(E[0]) if E else 0
-        if g.shape != (k, k):
-            raise ValueError("gramG shape must match the number of columns")
-        np.linalg.cholesky(g)
-        g = 0.5 * (g + g.T)
-        g.setflags(write=False)
-        object.__setattr__(self, "e_matrix", tuple(tuple(r) for r in E))
-        object.__setattr__(self, "gram_g", g)
-
-    @property
-    def k(self) -> int:
-        return len(self.e_matrix[0]) if self.e_matrix else 0
-
-    @property
-    def vol_t(self) -> float:
-        return float(1.0 / math.sqrt(np.linalg.det(self.gram_g)))
 
 
 def _orthonormal_matrix(e_matrix, gram_g) -> np.ndarray:
@@ -98,11 +68,25 @@ def _chain(M: np.ndarray) -> BoundChainReport:
     return BoundChainReport(lam_min, mid, det_bound, det_e, op_norm, ok)
 
 
+def gram_det(e_matrix) -> int:
+    """det(E^T E) of an integral Euler map E, exact by Bareiss
+    elimination; it is zero exactly when E has a kernel."""
+    Ex = np.array(int_matrix(e_matrix), dtype=object)
+    return det_int((Ex.T @ Ex).tolist())
+
+
+def _injective_gram_det(E) -> int:
+    """gram_det of E, or NotInjective when it is zero."""
+    det = gram_det(E)
+    if det == 0:
+        raise NotInjective("Euler map has a kernel; use noninjective_reduce")
+    return det
+
+
 def bound_chain(e_matrix, gram_g) -> BoundChainReport:
     """Check the two-step determinant bound for an injective Euler map."""
     E = int_matrix(e_matrix)
-    if rational_rank(E) < len(E[0]):
-        raise NotInjective("Euler map has a kernel; use noninjective_reduce")
+    _injective_gram_det(E)
     return _chain(ee_star(E, gram_g))
 
 
@@ -118,14 +102,10 @@ class DetFactorizationReport:
 def det_factorization(e_matrix, gram_g) -> DetFactorizationReport:
     """Verify Det e = (Det' e) Vol(T^k) for an injective Euler map."""
     E = int_matrix(e_matrix)
-    # Det' exact from the integer Gram, which is singular exactly when e
-    # has a kernel; the others from triangular factors, since a
-    # determinant of E_on^T E_on squares E_on's conditioning
-    Ex = np.array(E, dtype=object)
-    gram_det = det_int((Ex.T @ Ex).tolist())
-    if gram_det == 0:
-        raise NotInjective("Euler map has a kernel; use noninjective_reduce")
-    det_prime = math.sqrt(gram_det)
+    # Det' exact from the integer Gram; the others from triangular
+    # factors, since a determinant of E_on^T E_on squares E_on's
+    # conditioning
+    det_prime = math.sqrt(_injective_gram_det(E))
     L = np.linalg.cholesky(np.asarray(gram_g, dtype=float))
     vol_t = float(1.0 / np.prod(np.diag(L)))
     R = np.linalg.qr(_orthonormal_matrix(E, gram_g), mode="r")
@@ -171,9 +151,10 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
     K = np.asarray(kernel_cols, dtype=float).T           # k x l
     gram_q = K.T @ g @ K
     quotient_volume = float(1.0 / math.sqrt(np.linalg.det(gram_q)))
-    # gram-orthogonal complement of the kernel, orthonormalized; K^T g
-    # has full row rank l, so its kernel is all but the first l rows of V^T
-    null = np.linalg.svd(K.T @ g)[2][K.shape[1]:].T
+    # gram-orthogonal complement of the kernel, orthonormalized: g K has
+    # full column rank l, so the trailing columns of its complete QR span
+    # the vectors x with K^T g x = 0
+    null = np.linalg.qr(g @ K, mode="complete")[0][:, K.shape[1]:]
     m_gram = null.T @ g @ null
     r = np.linalg.cholesky(m_gram)
     W = null @ np.linalg.inv(r).T
@@ -239,7 +220,7 @@ class VolBoundReport:
     rows: tuple
     min_ratio: float
     ok: bool
-    margin: float          # negative when not ok (unless every ratio is 0)
+    margin: float          # negative when not ok, unless all ratios underflow
 
     def to_csv(self) -> str:
         return csv_text(["eps", "lambda", "vol", "ratio"],
@@ -251,8 +232,12 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
 
     lambda is the unique nonzero invariant eigenvalue |V_eps|^2 and the
     fiber volume scales as prod eps^{alpha_i}; the ratio never drops
-    below its value at the largest grid point.
+    below its value at the largest grid point.  A trivial bundle has
+    lambda = 0 and raises TrivialBundle.
     """
+    if bundle.trivial:
+        raise TrivialBundle("zero obstruction vector: lambda vanishes, so "
+                            "there is no ratio to bound")
     b0 = [float(x) for x in bundle.a]
     alpha = [float(x) for x in alpha]
     if len(alpha) != len(b0):

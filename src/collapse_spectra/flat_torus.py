@@ -57,12 +57,6 @@ class FlatTorus:
     def identity(cls, k: int) -> "FlatTorus":
         return cls(np.eye(k))
 
-    def product(self, other: "FlatTorus") -> "FlatTorus":
-        g = np.zeros((self.k + other.k, self.k + other.k))
-        g[: self.k, : self.k] = self.gram
-        g[self.k:, self.k:] = other.gram
-        return FlatTorus(g)
-
 
 def gt_gram(t: float) -> FlatTorus:
     """The family (dx + t dy)^2 + dy^2 on T^2: gram [[1, t], [t, 1 + t^2]].
@@ -253,15 +247,14 @@ class ThresholdReport:
     csv: str
 
 
-def threshold_check_product(base: FlatTorus, fiber: FlatTorus, p: int,
-                            cutoff: float = None) -> ThresholdReport:
+def threshold_check_product(base: FlatTorus, fiber: FlatTorus,
+                            p: int) -> ThresholdReport:
     """On a product metric, eigenforms below lambda_{0,1}(fiber) must be
     fiber-invariant (gamma_F = 0), and the bound is attained exactly by
-    the shortest fiber mode."""
+    the shortest fiber mode; the modes are listed up to 1.5 times the
+    bound."""
     lam_f = lambda01(fiber)
-    if cutoff is None:
-        cutoff = 1.5 * lam_f
-    spec = _product_modes(base, fiber, p, cutoff)
+    spec = _product_modes(base, fiber, p, 1.5 * lam_f)
     non_inv = [m for m in spec.modes if any(m.gamma[base.k:])]
     violations = tuple(m for m in non_inv if m.eigenvalue < lam_f)
     min_non_inv = non_inv[0].eigenvalue if non_inv else float("inf")

@@ -261,7 +261,14 @@ def vector_gcd(vec) -> int:
 # matrix exponential / logarithm
 # ---------------------------------------------------------------------------
 
-def matrix_exp(b, tol: float = 1e-14) -> np.ndarray:
+#: matrix_exp stops its Taylor series at a term below EXP_TOL times the sum
+EXP_TOL = 1e-14
+#: principal_log accepts B when every entry of exp(B) - A is at most
+#: LOG_TOL max(1, max |A|) in absolute value
+LOG_TOL = 1e-10
+
+
+def matrix_exp(b) -> np.ndarray:
     """exp(B) by scaling and squaring with a truncated Taylor series."""
     B = np.asarray(b, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -276,7 +283,7 @@ def matrix_exp(b, tol: float = 1e-14) -> np.ndarray:
     while True:
         term = term @ T / k
         result = result + term
-        if np.max(np.abs(term)) < tol * max(1.0, np.max(np.abs(result))):
+        if np.max(np.abs(term)) < EXP_TOL * max(1.0, np.max(np.abs(result))):
             break
         k += 1
         if k > 200:
@@ -286,7 +293,7 @@ def matrix_exp(b, tol: float = 1e-14) -> np.ndarray:
     return result
 
 
-def principal_log(a, tol: float = 1e-10) -> np.ndarray:
+def principal_log(a) -> np.ndarray:
     """Principal real logarithm of A; raises BranchUnavailable when an
     eigenvalue lies on the closed negative real axis.  The only function
     of this module that loads scipy."""
@@ -304,7 +311,7 @@ def principal_log(a, tol: float = 1e-10) -> np.ndarray:
     if np.iscomplexobj(B) and np.max(np.abs(B.imag)) > 1e-8:
         raise BranchUnavailable("logarithm is not real")
     B = B.real
-    if not verify_log(A, B, tol * max(1.0, float(np.max(np.abs(A))))):
+    if not verify_log(A, B, LOG_TOL * max(1.0, float(np.max(np.abs(A))))):
         raise ArithmeticError("logm round trip failed the tolerance")
     return B
 

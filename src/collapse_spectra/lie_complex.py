@@ -26,8 +26,6 @@ JACOBI_TOL = 1e-9
 SYM_TOL = 1e-10
 #: Eigenvalues above -EIG_TOL (times scale) are clamped to zero.
 EIG_TOL = 1e-9
-#: Relative tolerance for grouping eigenvalues into multiplicity classes.
-GROUP_RTOL = 1e-8
 #: Frame changes with |det P| below this are rejected.
 SINGULAR_TOL = 1e-12
 #: Singular values above RANK_TOL count toward a numerical rank.
@@ -59,17 +57,14 @@ class StructureConstants:
         return self.c.shape[0]
 
     @classmethod
-    def from_tensor(cls, c, validate: bool = True) -> "StructureConstants":
-        """Wrap a raw (n,n,n) tensor.
-
-        With ``validate=True`` the tensor must be antisymmetric in (i,j)
+    def from_tensor(cls, c) -> "StructureConstants":
+        """Wrap a raw (n,n,n) tensor that must be antisymmetric in (i,j)
         and satisfy the Jacobi identity up to the relative tolerance
-        ``JACOBI_TOL``.  ``validate=False`` accepts anything, which is
-        useful for probing the defect of a broken bracket table.
+        ``JACOBI_TOL``.  The plain constructor accepts anything, which is
+        how a broken bracket table is probed.
         """
         L = cls(np.asarray(c, dtype=float))
-        if validate:
-            check_lie_tensors(L.c[None])
+        check_lie_tensors(L.c[None])
         return L
 
     @classmethod
@@ -163,12 +158,11 @@ def unimodularity_defect(L: StructureConstants) -> float:
     return float(np.max(np.abs(traces))) if L.n else 0.0
 
 
-def change_frame(L: StructureConstants, P, p_inv=None) -> StructureConstants:
+def change_frame(L: StructureConstants, P) -> StructureConstants:
     """Rewrite the brackets in the frame f_j = sum_i P[i,j] e_i.
 
     The new frame is declared orthonormal, which is how metrics enter
-    every computation in this package.  ``p_inv`` may be supplied when an
-    exact inverse is known (e.g. unitriangular connection changes).
+    every computation in this package.
     """
     P = np.asarray(P, dtype=float)
     if P.shape != (L.n, L.n):
@@ -176,8 +170,8 @@ def change_frame(L: StructureConstants, P, p_inv=None) -> StructureConstants:
     det = np.linalg.det(P)
     if abs(det) < SINGULAR_TOL:
         raise SingularFrame(f"|det P| = {abs(det)} below {SINGULAR_TOL}")
-    Pi = np.asarray(p_inv, dtype=float) if p_inv is not None else np.linalg.inv(P)
-    c_new = np.einsum("ia,jb,ijk,mk->abm", P, P, L.c, Pi, optimize=True)
+    c_new = np.einsum("ia,jb,ijk,mk->abm", P, P, L.c, np.linalg.inv(P),
+                      optimize=True)
     return StructureConstants(c_new)
 
 
@@ -355,14 +349,10 @@ def clamp_spectra(vals):
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues of a form Laplacian, sorted ascending and clamped >= 0.
-
-    ``groups`` lists (value, multiplicity) under the relative grouping
-    tolerance; ``kernel_dim`` counts eigenvalues at zero.
-    """
+    """Eigenvalues of a form Laplacian, sorted ascending and clamped >= 0;
+    ``kernel_dim`` counts eigenvalues at zero."""
 
     eigenvalues: np.ndarray
-    groups: tuple
     kernel_dim: int
 
     @property
@@ -371,17 +361,9 @@ class SpectrumReport:
 
     @classmethod
     def from_eigenvalues(cls, vals) -> "SpectrumReport":
-        vals, kernel_tol, kernel_dim = clamp_spectra(vals)
+        vals, _, kernel_dim = clamp_spectra(vals)
         vals.setflags(write=False)
-        kernel_tol, kernel_dim = float(kernel_tol), int(kernel_dim)
-        groups = []
-        for v in vals:
-            if groups and v - groups[-1][0] <= GROUP_RTOL * max(abs(v), kernel_tol):
-                val, mult = groups[-1]
-                groups[-1] = ((val * mult + v) / (mult + 1), mult + 1)
-            else:
-                groups.append((float(v), 1))
-        return cls(vals, tuple(groups), kernel_dim)
+        return cls(vals, int(kernel_dim))
 
 
 def spectrum(L: StructureConstants, p: int) -> SpectrumReport:

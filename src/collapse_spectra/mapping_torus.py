@@ -24,6 +24,7 @@ from .lie_complex import (SpectrumReport, StructureConstants,
                           check_lie_tensors, clamp_spectra, stacked_laplacian,
                           svd_nullspace)
 
+#: semisimple_floor reports ok when the sampled floor exceeds FLOOR_TOL
 FLOOR_TOL = 1e-4
 #: semisimple_floor accepts 1..MAX_FLOOR_TRIALS trials
 MAX_FLOOR_TRIALS = 10_000
@@ -414,7 +415,7 @@ def _capped_frames(B, q1, q2, u, cap) -> np.ndarray:
 
 
 def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
-                     seed: int = 0, floor_tol: float = FLOOR_TOL) -> FloorReport:
+                     seed: int = 0) -> FloorReport:
     """Empirical lower bound for the nonzero invariant spectrum over random
     metric frames with Tr(C^T C) below the cap.
 
@@ -459,4 +460,4 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
             rows = np.flatnonzero(kernel < vals.shape[1])
             if rows.size:
                 floor = min(floor, float(np.min(vals[rows, kernel[rows]])))
-    return FloorReport(floor, trials, curvature_cap, False, floor > floor_tol)
+    return FloorReport(floor, trials, curvature_cap, False, floor > FLOOR_TOL)

@@ -35,6 +35,24 @@ TOLERANCES = {
 }
 
 
+def tolerance_table(overrides) -> dict:
+    """TOLERANCES with ``overrides`` (a dict, or None) applied.  An
+    unknown key, a value that is not a float and a non-finite value each
+    raise ConfigInvalid naming the key."""
+    tols = dict(TOLERANCES)
+    for key, value in (overrides or {}).items():
+        if key not in TOLERANCES:
+            raise ConfigInvalid(f"{key}: unknown tolerance")
+        try:
+            tols[key] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"{key}: tolerance must be a float") from exc
+        if not math.isfinite(tols[key]):
+            raise ConfigInvalid(f"{key}: tolerance must be finite, "
+                                f"got {value!r}")
+    return tols
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One claim: the measured ``value`` against its ``bound``, asking
@@ -334,8 +352,7 @@ def _scenario_torus_bundle(params, seed, eps_grid, tols):
     # the maximum is 3/4 eta^2 itself, not only bounded by it
     gap_k = abs(cb.max_abs_k - cb.bound) \
         if cb.ok and cb.attained_at_horizontal else math.inf
-    od = curvature.oneill_defect(torus_bundle.nil_algebra(b),
-                                 [n, n + 1], 0.0)
+    od = curvature.oneill_defect(torus_bundle.nil_algebra(b), [n, n + 1])
     checks = [
         CheckResult("spectrum-match", worst, atol, f"max gap {worst:.3e}"),
         CheckResult("eigenspace-split", split_miss, 0,
@@ -445,7 +462,7 @@ def _scenario_euler_bound(params, seed, eps_grid, tols):
         k = int(rng.integers(1, params["kmax"] + 1))
         m = int(rng.integers(k, k + 3))
         E = rng.integers(-4, 5, size=(m, k))
-        if intlat.rational_rank([[int(x) for x in row] for row in E]) < k:
+        if not euler_bound.gram_det(E.tolist()):
             continue
         count += 1
         w = rng.standard_normal((k, k))

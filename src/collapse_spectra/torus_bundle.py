@@ -23,18 +23,16 @@ from .lie_complex import (SpectrumReport, StructureConstants,
 
 @dataclass(frozen=True)
 class TorusBundleOverT2:
-    """Fiber dimension, integer obstruction vector, base volume."""
+    """Fiber dimension and integer obstruction vector; the base volume
+    enters only :func:`predict_spectrum`."""
 
     n: int
     a: tuple
-    vol_base: float = 1.0
 
     def __post_init__(self):
         a = tuple(int(x) for x in self.a)
         if len(a) != self.n:
             raise ValueError("obstruction vector length must equal n")
-        if self.vol_base <= 0:
-            raise ValueError("base volume must be positive")
         object.__setattr__(self, "a", a)
 
     @property
@@ -44,21 +42,6 @@ class TorusBundleOverT2:
     @property
     def d(self) -> int:
         return vector_gcd(self.a)
-
-
-@dataclass(frozen=True)
-class VerticalVector:
-    """Coefficients of the bracket direction V in the orthonormal vertical
-    frame; eta = |V|."""
-
-    b: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
-
-    @property
-    def eta(self) -> float:
-        return math.sqrt(sum(x * x for x in self.b))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collapse_spectra import acceptance, scenarios
+from collapse_spectra.errors import ConfigInvalid
 from collapse_spectra.scenarios import CheckResult
 
 
@@ -33,9 +34,14 @@ def test_run_all_summary():
 
 
 def test_tolerance_overrides_validated():
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigInvalid, match="^bogus:"):
         acceptance.run_all(seed=0, tolerances={"bogus": 1.0}, skip=tuple(
             range(1, 13)))
+
+
+def test_non_finite_tolerance_override_rejected():
+    with pytest.raises(ConfigInvalid, match="^duality_atol:"):
+        acceptance.run_all(tolerances={"duality_atol": float("nan")})
 
 
 # key -> (criterion, check) it governs, with a value that check must fail on

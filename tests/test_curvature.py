@@ -139,10 +139,10 @@ def test_trace_bounds():
 
 def test_oneill_defect_examples():
     # nil bundle over the flat T^2: K_N = 0, horizontal pair (Y1, Y2)
-    assert cs.oneill_defect(nil_algebra([1.0, 0.0]), [2, 3], 0.0) <= 1e-12
-    assert cs.oneill_defect(cs.StructureConstants.abelian(4), [2, 3], 0.0) == 0.0
+    assert cs.oneill_defect(nil_algebra([1.0, 0.0]), [2, 3]) <= 1e-12
+    assert cs.oneill_defect(cs.StructureConstants.abelian(4), [2, 3]) == 0.0
     # ordinary frame of the 3-dim nil algebra over T^2 (tau = 0 scaling)
-    assert cs.oneill_defect(cs.StructureConstants.heisenberg3(), [0, 1], 0.0) \
+    assert cs.oneill_defect(cs.StructureConstants.heisenberg3(), [0, 1]) \
         <= 1e-12
 
 
@@ -151,7 +151,7 @@ def test_oneill_defect_on_scaled_bundles():
     for _ in range(10):
         eta = float(rng.uniform(0.2, 2.0))
         L = nil_algebra([eta, 0.0])
-        assert cs.oneill_defect(L, [2, 3], 0.0) <= 1e-10
+        assert cs.oneill_defect(L, [2, 3]) <= 1e-10
 
 
 def test_oneill_form_bound():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import collapse_spectra as cs
+from collapse_spectra.euler_bound import gram_det
 from collapse_spectra.flat_torus import FlatTorus
 from collapse_spectra.intlat import rational_rank
 
@@ -18,10 +19,10 @@ def test_ee_star_examples():
                        np.array(E).T @ np.array(E), atol=1e-12)
 
 
-def test_euler_map_dataclass():
-    em = cs.EulerMap(((1, 0), (0, 3)), np.diag([0.25, 0.25]))
-    assert em.k == 2
-    assert em.vol_t == pytest.approx(4.0)
+def test_det_factorization_vol_t_convention():
+    # dual Gram diag(1/4, 1/4): fiber volume det^(-1/2) = 4
+    rep = cs.det_factorization(((1, 0), (0, 3)), np.diag([0.25, 0.25]))
+    assert rep.vol_t == pytest.approx(4.0)
 
 
 def test_bound_chain_scalar_equality():
@@ -59,6 +60,19 @@ def test_bound_chain_rejects_kernel():
         cs.bound_chain([[1, 2], [2, 4]], np.eye(2))
     with pytest.raises(cs.NotInjective):
         cs.det_factorization([[1, 2], [2, 4]], np.eye(2))
+    # seeded rank-deficient maps: a random integral map of rank r < k
+    # composed into k columns; both functions apply one rule to them
+    rng = np.random.default_rng(89)
+    for _ in range(20):
+        k = int(rng.integers(2, 5))
+        m = int(rng.integers(k, k + 3))
+        r = int(rng.integers(1, k))
+        E = rng.integers(-3, 4, (m, r)) @ rng.integers(-3, 4, (r, k))
+        assert rational_rank(E.tolist()) < k
+        assert gram_det(E.tolist()) == 0
+        for func in (cs.bound_chain, cs.det_factorization):
+            with pytest.raises(cs.NotInjective):
+                func(E.tolist(), np.eye(k))
 
 
 def test_det_factorization():
@@ -224,6 +238,13 @@ def test_vol_bound_dense_direction():
     rep = cs.vol_bound_experiment(bundle, [1.0, 0.0], [1.0, 0.5, 0.25])
     assert rep.ok
     assert rep.rows[-1].lam >= 4.0       # limit sum_{i>1} b_i^2 = 4
+
+
+def test_vol_bound_trivial_bundle_raises():
+    # lambda vanishes identically: no ratio to bound, so no verdict
+    with pytest.raises(cs.TrivialBundle):
+        cs.vol_bound_experiment(cs.TorusBundleOverT2(1, (0,)), [1.0],
+                                [1.0, 0.5])
 
 
 def test_vol_bound_margin_sign_follows_verdict():

@@ -315,9 +315,12 @@ def test_odd_multiplicity_products():
 
 
 def test_product_degree_out_of_range():
-    for check in (cs.threshold_check_product, cs.odd_multiplicity_check):
-        with pytest.raises(ValueError, match="degree 4 not in"):
-            check(FlatTorus.circle(1.0), FlatTorus.identity(2), 4, 50.0)
+    with pytest.raises(ValueError, match="degree 4 not in"):
+        cs.threshold_check_product(FlatTorus.circle(1.0),
+                                   FlatTorus.identity(2), 4)
+    with pytest.raises(ValueError, match="degree 4 not in"):
+        cs.odd_multiplicity_check(FlatTorus.circle(1.0),
+                                  FlatTorus.identity(2), 4, 50.0)
 
 
 def test_diameter_eigenvalue_bound():

@@ -118,7 +118,8 @@ def test_eigenspace_split_matches_eigenvector_method():
 
 
 def test_connection_change_leaves_tensor_fixed():
-    # Y_i -> Y_i + sum xi_k V_k is unitriangular with exact inverse
+    # Y_i -> Y_i + sum xi_k V_k is unitriangular; its computed inverse
+    # is exact
     b = [0.7, -0.3]
     L = nil_algebra(b)
     n = 2
@@ -127,10 +128,7 @@ def test_connection_change_leaves_tensor_fixed():
     xi2 = np.array([-0.9, 0.25])
     P[:n, n] = xi1
     P[:n, n + 1] = xi2
-    P_inv = np.eye(n + 2)
-    P_inv[:n, n] = -xi1
-    P_inv[:n, n + 1] = -xi2
-    L2 = cs.change_frame(L, P, p_inv=P_inv)
+    L2 = cs.change_frame(L, P)
     assert np.array_equal(L.c, L2.c)
 
 
@@ -191,10 +189,8 @@ def test_trajectory_csv():
     assert lines[1].endswith("vanishes")
 
 
-def test_vertical_vector():
-    v = cs.VerticalVector((0.6, 0.8))
-    assert v.eta == pytest.approx(1.0)
-    assert cs.verify_spectrum(2, 1, v.b) <= 1e-12
+def test_verify_spectrum_unit_bracket():
+    assert cs.verify_spectrum(2, 1, (0.6, 0.8)) <= 1e-12
 
 
 @given(st.integers(1, 3), st.lists(st.floats(-3, 3, allow_nan=False),

@@ -1,8 +1,9 @@
 """The benchmark tracer (perfbench/spans.py) names package functions,
 criteria and scenarios literally; a rename here would silently blank the
 traced run, so these names are pinned against the package.  The
-benchmark's Smith ops (perfbench/workloads.py) also run here against
-their own oracle, so coefficient growth fails the suite, not the
+benchmark's small-calls ops (perfbench/workloads.py) also run here
+against their own oracles, so coefficient growth in the Smith ops, or a
+trim that drops an attribute an oracle reads, fails the suite, not the
 benchmark only."""
 
 import importlib
@@ -57,3 +58,16 @@ def test_benchmark_smith_ops_pass_their_oracle(seed, time_limit):
         with time_limit(1.0, op.key):
             result = op.call()
         assert op.check(result, {}) is None, op.key
+
+
+@pytest.mark.parametrize("seed", [21, 37])
+def test_benchmark_small_calls_pass_their_oracles(seed, time_limit):
+    # every op runs before any oracle, as in the benchmark, because an
+    # oracle may compare its result with another op's in ``results``
+    ops = _load("workloads").build("small-calls", seed, None)
+    results = {}
+    for op in ops:
+        with time_limit(max(op.deadline_s, 1.0), op.key):
+            results[op.key] = op.call()
+    failed = {op.key: op.check(results[op.key], results) for op in ops}
+    assert not {k: v for k, v in failed.items() if v is not None}
