@@ -6,32 +6,25 @@ curvature), mapping-torus and principal-bundle models, exact flat-torus
 enumeration, integer lattice tools, and collapse experiment harnesses.
 """
 
-from .errors import (BranchUnavailable, CollapseSpectraError, ConfigInvalid,
-                     DegreeOutOfRange, KTooLarge, NotInjective,
-                     NotOrthonormal, NotSemisimple, NotUnimodular,
-                     RankAmbiguous, ScenarioUnknown, SingularFrame,
-                     TrivialBundle, ZeroVector)
+from .errors import (CollapseSpectraError, ConfigInvalid, DegreeOutOfRange,
+                     KTooLarge, NotInjective, NotOrthonormal, NotSemisimple,
+                     NotUnimodular, RankAmbiguous, ScenarioUnknown,
+                     SingularFrame, TrivialBundle)
 from .lie_complex import (FormBasis, SpectrumReport, StructureConstants,
-                          change_frame, codifferential, exterior_derivative,
-                          jacobi_defect, laplacian, spectrum,
-                          unimodularity_defect)
-from .curvature import (CurvatureTable, ad_star, frame_curvature_table,
-                        kappa_invariant, nil_bundle_curvature_closed_form,
-                        oneill_defect, oneill_form_bound_check,
-                        sectional_curvature, solvable_curvature_closed_form,
-                        trace_bounds_check)
-from .intlat import (AbelianizationReport, betti1_mapping_torus,
-                     gcd_completion, matrix_exp, principal_log,
+                          change_frame, exterior_derivative, jacobi_defect,
+                          laplacian, spectrum, unimodularity_defect)
+from .curvature import (CurvatureTable, frame_curvature_table,
+                        nil_bundle_curvature_closed_form, oneill_defect,
+                        sectional_curvature, solvable_curvature_closed_form)
+from .intlat import (AbelianizationReport, betti1_mapping_torus, matrix_exp,
                      smith_normal_form, verify_log)
 from .mapping_torus import (CollapseFamily, MappingTorusBundle,
                             collapse_family, invariants_dd,
-                            jordan_zero_chain, laplacian1_fast,
-                            predict_small_eigenvalues, run_collapse,
+                            jordan_zero_chain, laplacian1_fast, run_collapse,
                             semisimple_floor, solvable_algebra)
 from .torus_bundle import (TorusBundleOverT2, collapse_direction,
                            curvature_bound_check, nil_algebra,
-                           predict_spectrum, product_bundle_spectrum,
-                           reduce as reduce_bundle, verify_spectrum)
+                           predict_spectrum, verify_spectrum)
 from .flat_torus import (FlatTorus, ModeSpectrum, diameter,
                          diameter_eigenvalue_bound_check, gt_gram, lambda01,
                          odd_multiplicity_check, p_form_spectrum,

@@ -23,18 +23,6 @@ from .lie_complex import StructureConstants
 ORTHO_TOL = 1e-9
 
 
-def ad_star(L: StructureConstants, u) -> np.ndarray:
-    """Matrix of ad*_u, the metric adjoint of ad_u.
-
-    In an orthonormal frame this is the transpose:
-    <ad*_u v, w> = <v, [u, w]>.  ``u`` may be a frame index or a
-    coefficient vector.
-    """
-    if np.isscalar(u) and not isinstance(u, (float, np.floating)):
-        return L.ad(int(u)).T.copy()
-    return L.ad_vector(u).T.copy()
-
-
 def _coeffs(L: StructureConstants, u):
     u = np.asarray(u, dtype=float)
     if u.shape != (L.n,):
@@ -152,42 +140,6 @@ def nil_bundle_curvature_closed_form(eta: float, n: int = 2) -> CurvatureTable:
     return CurvatureTable(n + 2, pairs)
 
 
-def kappa_invariant(C) -> float:
-    """sum_ij (c_ii c_jj - c_ij c_ji): the frame-independent coefficient of
-    the characteristic polynomial (twice the second elementary symmetric
-    function of the eigenvalues)."""
-    C = np.asarray(C, dtype=float)
-    return float(np.trace(C) ** 2 - np.trace(C @ C))
-
-
-@dataclass(frozen=True)
-class TraceBoundsReport:
-    trace: float
-    kappa: float
-    upper_margin: float   # (n^2+n) a + kappa - Tr(C^T C)
-    lower_margin: float   # 2 Tr(C^T C) - max |K|
-    ok: bool
-
-
-def trace_bounds_check(C, a: float) -> TraceBoundsReport:
-    """Check Tr(C^T C) <= (n^2+n) a + kappa and max|K| <= 2 Tr(C^T C).
-
-    ``a`` should be the max frame-pair |K| of the associated solvable
-    algebra.  The second inequality is the explicit surrogate for the
-    non-constructive lower-bound constant (it follows from the closed
-    forms by Cauchy-Schwarz).
-    """
-    C = np.asarray(C, dtype=float)
-    n = C.shape[0]
-    tr = float(np.sum(C * C))
-    kappa = kappa_invariant(C)
-    table = solvable_curvature_closed_form(C)
-    upper = (n * n + n) * a + kappa - tr
-    lower = 2.0 * tr - table.max_abs
-    return TraceBoundsReport(tr, kappa, upper, lower,
-                             upper >= -1e-10 and lower >= -1e-10)
-
-
 def oneill_defect(L: StructureConstants, horizontal) -> float:
     """Max over horizontal frame pairs of the O'Neill defect
     |K_N - K_M - 3/4 |[X,Y]^V|^2| over a flat base, where K_N = 0 leaves
@@ -207,45 +159,3 @@ def oneill_defect(L: StructureConstants, horizontal) -> float:
             vert_sq = float(np.sum(bracket[vertical] ** 2))
             worst = max(worst, abs(k_m + 0.75 * vert_sq))
     return worst
-
-
-@dataclass(frozen=True)
-class OneillFormBoundReport:
-    pointwise_margin: float
-    global_margin: float
-    ok: bool
-
-
-def oneill_form_bound_check(L: StructureConstants, horizontal,
-                            a: float) -> OneillFormBoundReport:
-    """For each vertical generator w = V_i^flat check
-    |dw(X,Y)|^2 <= (8a/3) |w|^2 on horizontal frame pairs and
-    |dw|^2 <= (4 a n (n-1) / 3) |w|^2.
-
-    Homogeneity makes pointwise and sup norms coincide, so the check is a
-    finite enumeration.  ``a`` must bound the frame |K|.
-    """
-    from .lie_complex import exterior_derivative, FormBasis
-
-    horizontal = list(horizontal)
-    vertical = [i for i in range(L.n) if i not in horizontal]
-    n = L.n
-    d1 = exterior_derivative(L, 1)
-    basis2 = FormBasis(n, 2)
-    pw_margin = np.inf
-    gl_margin = np.inf
-    for v_idx in vertical:
-        col = d1[:, v_idx]
-        # |w| = 1 in the orthonormal frame
-        for a_i in range(len(horizontal)):
-            for b_i in range(a_i + 1, len(horizontal)):
-                i, j = sorted((horizontal[a_i], horizontal[b_i]))
-                val = col[basis2.rank[(i, j)]] ** 2
-                pw_margin = min(pw_margin, 8.0 * a / 3.0 - val)
-        gl_margin = min(gl_margin, 4.0 * a * n * (n - 1) / 3.0 - float(col @ col))
-    if not vertical:
-        pw_margin = gl_margin = 0.0
-    if pw_margin is np.inf:
-        pw_margin = 8.0 * a / 3.0
-    return OneillFormBoundReport(float(pw_margin), float(gl_margin),
-                                 pw_margin >= -1e-12 and gl_margin >= -1e-12)

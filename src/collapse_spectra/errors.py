@@ -21,15 +21,6 @@ class NotUnimodular(CollapseSpectraError):
     """Integer matrix does not have determinant one."""
 
 
-class ZeroVector(CollapseSpectraError):
-    """A nonzero integer vector was required."""
-
-
-class BranchUnavailable(CollapseSpectraError):
-    """Matrix has an eigenvalue on the closed negative real axis, so the
-    principal logarithm does not exist; supply a logarithm explicitly."""
-
-
 class RankAmbiguous(CollapseSpectraError):
     """A singular value sits too close to the rank decision threshold."""
 

@@ -233,7 +233,8 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
     lambda is the unique nonzero invariant eigenvalue |V_eps|^2 and the
     fiber volume scales as prod eps^{alpha_i}; the ratio never drops
     below its value at the largest grid point.  A trivial bundle has
-    lambda = 0 and raises TrivialBundle.
+    lambda = 0 and raises TrivialBundle; a grid point whose vol^2 is not
+    a normal float raises ValueError naming alpha and eps.
     """
     if bundle.trivial:
         raise TrivialBundle("zero obstruction vector: lambda vanishes, so "
@@ -250,8 +251,13 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
         vol = 1.0
         for a in alpha:
             vol *= eps ** a
+        vol_sq = vol ** 2
+        if not np.finfo(float).tiny <= vol_sq < math.inf:
+            raise ValueError(f"alpha = {alpha!r}: eps = {eps!r} puts the "
+                             f"divisor vol^2 = {vol_sq!r} outside the "
+                             "normal floats")
         rows.append(VolBoundRow(float(eps), float(lam), float(vol),
-                                float(lam / vol ** 2)))
+                                float(lam / vol_sq)))
     min_ratio = min(r.ratio for r in rows)
     floor = rows[0].ratio * (1.0 - 1e-9)
     ok = min_ratio >= floor and min_ratio > 0.0

@@ -1,4 +1,4 @@
-"""Exact integer-lattice tools and real matrix exponential/logarithm.
+"""Exact integer-lattice tools and the real matrix exponential.
 
 Lattice computations use Python's arbitrary-precision integers.  Smith
 normal form clears each pivot's row and column by subtraction where the
@@ -7,7 +7,7 @@ Kannan-Bachem 1979), never by a chain of remainders: on seeded dense
 8 x 8 inputs with entries in [-9, 9] no entry of U, D or V reaches 100
 digits.  ``rref`` eliminates fraction-free on integer rows (after
 Bareiss 1968) and forms Fractions only at the end.  Floating point only
-appears in the exponential and logarithm helpers.
+appears in ``matrix_exp`` and ``verify_log``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import BranchUnavailable, NotUnimodular, ZeroVector
+from .errors import NotUnimodular
 
 def int_matrix(data) -> list:
     """Normalize to a rectangular list of lists of Python ints."""
@@ -241,31 +241,12 @@ def betti1_mapping_torus(a_matrix) -> AbelianizationReport:
     return AbelianizationReport(zeros, torsion, zeros + 1)
 
 
-def gcd_completion(vec):
-    """(d, P): d = gcd of the entries, P unimodular with first column vec/d."""
-    v = [int(x) for x in vec]
-    if not v or all(x == 0 for x in v):
-        raise ZeroVector("gcd completion needs a nonzero vector")
-    # U v = (d, 0, ..., 0)^T with V = (1), so U^{-1} has first column v / d
-    u, d_mat, _ = smith_normal_form([[x] for x in v])
-    d, P = d_mat[0][0], unimodular_inverse(u)
-    assert [row[0] * d for row in P] == v
-    return d, P
-
-
-def vector_gcd(vec) -> int:
-    return gcd(*(int(x) for x in vec))
-
-
 # ---------------------------------------------------------------------------
-# matrix exponential / logarithm
+# matrix exponential
 # ---------------------------------------------------------------------------
 
 #: matrix_exp stops its Taylor series at a term below EXP_TOL times the sum
 EXP_TOL = 1e-14
-#: principal_log accepts B when every entry of exp(B) - A is at most
-#: LOG_TOL max(1, max |A|) in absolute value
-LOG_TOL = 1e-10
 
 
 def matrix_exp(b) -> np.ndarray:
@@ -293,29 +274,6 @@ def matrix_exp(b) -> np.ndarray:
     return result
 
 
-def principal_log(a) -> np.ndarray:
-    """Principal real logarithm of A; raises BranchUnavailable when an
-    eigenvalue lies on the closed negative real axis.  The only function
-    of this module that loads scipy."""
-    import scipy.linalg
-
-    A = np.asarray(a, dtype=float)
-    eigs = np.linalg.eigvals(A)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    for lam in eigs:
-        if lam.real <= 0 and abs(lam.imag) <= 1e-12 * scale:
-            raise BranchUnavailable(
-                f"eigenvalue {lam} on the closed negative real axis")
-    B = scipy.linalg.logm(A)
-    B = np.asarray(B)
-    if np.iscomplexobj(B) and np.max(np.abs(B.imag)) > 1e-8:
-        raise BranchUnavailable("logarithm is not real")
-    B = B.real
-    if not verify_log(A, B, LOG_TOL * max(1.0, float(np.max(np.abs(A))))):
-        raise ArithmeticError("logm round trip failed the tolerance")
-    return B
-
-
 def verify_log(a, b, tol: float = 1e-8) -> bool:
     """True iff max-entry norm of exp(B) - A is at most tol."""
     A = np.asarray(a, dtype=float)
@@ -323,28 +281,3 @@ def verify_log(a, b, tol: float = 1e-8) -> bool:
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrices of equal size required")
     return bool(np.max(np.abs(matrix_exp(B) - A)) <= tol)
-
-
-# ---------------------------------------------------------------------------
-# whitespace text I/O
-# ---------------------------------------------------------------------------
-
-def dumps_int_matrix(m) -> str:
-    m = int_matrix(m)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    lines = [f"{rows} {cols}"]
-    lines += [" ".join(str(x) for x in row) for row in m]
-    return "\n".join(lines) + "\n"
-
-
-def loads_int_matrix(text: str) -> list:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("missing 'rows cols' header")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    body = tokens[2:]
-    if len(body) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
-    it = iter(body)
-    return [[int(next(it)) for _ in range(cols)] for _ in range(rows)]

@@ -3,9 +3,10 @@
 A Lie algebra is given by its structure constants in a frame that is
 declared orthonormal.  The exterior derivative on invariant forms is
 determined by ``d xi^k (e_i, e_j) = -c[i][j][k]`` (the dual of the
-bracket, extended as an antiderivation), the codifferential is its
-transpose, and the form Laplacian is ``d delta + delta d``.  Metrics are
-never stored separately: changing the metric means rewriting the
+bracket, extended as an antiderivation), the codifferential delta_p is
+the transpose of d_{p-1} (the wedge bases of an orthonormal frame are
+orthonormal), and the form Laplacian is ``d delta + delta d``.  Metrics
+are never stored separately: changing the metric means rewriting the
 structure constants in a new frame via :func:`change_frame`.
 """
 
@@ -89,10 +90,6 @@ class StructureConstants:
     def heisenberg3(cls, eta: float = 1.0) -> "StructureConstants":
         """[e_1, e_2] = eta e_3, all other brackets zero."""
         return cls.from_brackets(3, {(0, 1, 2): eta})
-
-    def ad(self, i: int) -> np.ndarray:
-        """Matrix of ad_{e_i}: column j holds the components of [e_i, e_j]."""
-        return self.c[i].T.copy()
 
     def ad_vector(self, u) -> np.ndarray:
         """Matrix of ad_u for a coefficient vector u."""
@@ -314,14 +311,6 @@ def exterior_derivative(L: StructureConstants, p: int) -> np.ndarray:
     return stacked_derivative(L.c[None], p)[0]
 
 
-def codifferential(L: StructureConstants, p: int) -> np.ndarray:
-    """Matrix of delta: Lambda^p -> Lambda^{p-1}; the transpose of d_{p-1}
-    because the wedge bases of an orthonormal frame are orthonormal."""
-    if not (1 <= p <= L.n):
-        raise DegreeOutOfRange(f"degree {p} not in [1, {L.n}]")
-    return exterior_derivative(L, p - 1).T.copy()
-
-
 def laplacian(L: StructureConstants, p: int) -> np.ndarray:
     """Form Laplacian d delta + delta d on degree p, symmetric PSD; the
     one-algebra case of :func:`stacked_laplacian`."""
@@ -384,43 +373,3 @@ def svd_nullspace(m) -> np.ndarray:
             raise RankAmbiguous(
                 f"singular value {s} too close to RANK_TOL {RANK_TOL}")
     return vt[int(np.sum(sv > RANK_TOL)):].T
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialization
-# ---------------------------------------------------------------------------
-
-def dumps_structure(L: StructureConstants) -> str:
-    """Serialize as 'n = <int>' plus 'c i j k = <float>' lines (1-based, i<j)."""
-    lines = [f"n = {L.n}"]
-    for i in range(L.n):
-        for j in range(i + 1, L.n):
-            for k in range(L.n):
-                v = float(L.c[i, j, k])
-                if v != 0.0:
-                    lines.append(f"c {i + 1} {j + 1} {k + 1} = {v!r}")
-    return "\n".join(lines) + "\n"
-
-
-def loads_structure(text: str) -> StructureConstants:
-    """Parse the plain-text record; antisymmetry holds by construction."""
-    n = None
-    brackets = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.split()
-        if key[0] == "n":
-            n = int(value)
-        elif key[0] == "c":
-            i, j, k = (int(x) - 1 for x in key[1:4])
-            if not i < j:
-                raise ValueError(f"entries must have i < j, got {raw!r}")
-            brackets[(i, j, k)] = brackets.get((i, j, k), 0.0) + float(value)
-        else:
-            raise ValueError(f"unrecognized line {raw!r}")
-    if n is None:
-        raise ValueError("missing 'n = <int>' header")
-    return StructureConstants.from_brackets(n, brackets)

@@ -84,9 +84,6 @@ class MappingTorusBundle:
     def algebra(self) -> StructureConstants:
         return solvable_algebra(self.b_matrix)
 
-    def invariants(self):
-        return invariants_dd(self.b_matrix)
-
 
 def _kernel_tower(B):
     """``(Bx, kernels)``: column bases of ker B^j for j = 0, 1, ... while
@@ -133,26 +130,6 @@ def laplacian1_fast(c_matrix) -> np.ndarray:
     out = np.zeros((n + 1, n + 1))
     out[:n, :n] = C @ C.T
     return out
-
-
-@dataclass(frozen=True)
-class SmallEigenvaluePrediction:
-    has_small: bool        # some homogeneous collapse produces one iff d != d'
-    floor_index: int       # the (d - d' + 1)-th nonzero eigenvalue stays up
-    nilpotent: bool        # d = n: the group is nilpotent
-    torus: bool            # B = 0: the bundle is a torus
-
-
-def predict_small_eigenvalues(b_matrix) -> SmallEigenvaluePrediction:
-    B = np.asarray(b_matrix, dtype=float)
-    n = B.shape[0]
-    d, d_prime = invariants_dd(B)
-    return SmallEigenvaluePrediction(
-        has_small=(d != d_prime),
-        floor_index=d - d_prime + 1,
-        nilpotent=(d == n),
-        torus=(d_prime == n),
-    )
 
 
 # ---------------------------------------------------------------------------

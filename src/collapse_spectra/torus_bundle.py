@@ -1,10 +1,9 @@
 """Principal T^n bundles over T^2.
 
-A nontrivial bundle is classified by an integer obstruction vector a and
-splits topologically as N_d x T^{n-1} with d = gcd(a).  Its nilpotent
-model has the single bracket [Y_1, Y_2] = sum_i b_i V_i; every invariant
-form Laplacian then has exactly one nonzero eigenvalue |b|^2 (times
-Vol(base)^{-2}) with multiplicity C(n, p-1).
+A nontrivial bundle is classified by an integer obstruction vector a.
+Its nilpotent model has the single bracket [Y_1, Y_2] = sum_i b_i V_i;
+every invariant form Laplacian then has exactly one nonzero eigenvalue
+|b|^2 (times Vol(base)^{-2}) with multiplicity C(n, p-1).
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import csv_text
-from .errors import TrivialBundle
-from .intlat import gcd_completion, vector_gcd
 from .lie_complex import (SpectrumReport, StructureConstants,
                           exterior_derivative, form_dim, spectrum)
 
@@ -38,28 +35,6 @@ class TorusBundleOverT2:
     @property
     def trivial(self) -> bool:
         return all(x == 0 for x in self.a)
-
-    @property
-    def d(self) -> int:
-        return vector_gcd(self.a)
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    d: int
-    basis_change: tuple        # unimodular P, first column a/d
-    decomposition: str
-
-
-def reduce(a) -> ReductionReport:
-    """Split the bundle with obstruction a as N_d x T^{n-1}, d = gcd(a)."""
-    a = [int(x) for x in a]
-    if all(x == 0 for x in a):
-        raise TrivialBundle("zero obstruction vector: the bundle is T^{n+2}")
-    n = len(a)
-    d, P = gcd_completion(a)
-    decomposition = f"N_{d}" if n == 1 else f"N_{d} x T^{n - 1}"
-    return ReductionReport(d, tuple(tuple(r) for r in P), decomposition)
 
 
 def nil_algebra(b) -> StructureConstants:
@@ -194,26 +169,3 @@ def curvature_bound_check(b) -> CurvatureBoundReport:
     attained = abs(abs(table.k(n, n + 1)) - bound) <= 1e-12 * max(1.0, bound)
     ok = table.max_abs <= bound + 1e-12 * max(1.0, bound)
     return CurvatureBoundReport(table.max_abs, bound, attained, ok)
-
-
-def product_bundle_spectrum(eta1: float, eta2: float, n1: int, n2: int,
-                            p: int) -> SpectrumReport:
-    """Invariant p-spectrum of the Riemannian product of two bundles via
-    the Kunneth merge of the factor spectra."""
-    merged = []
-    for q in range(0, p + 1):
-        r = p - q
-        if q > n1 + 2 or r > n2 + 2:
-            continue
-        s1 = predict_spectrum(n1, q, eta1).eigenvalues
-        s2 = predict_spectrum(n2, r, eta2).eigenvalues
-        for l1 in s1:
-            for l2 in s2:
-                merged.append(float(l1) + float(l2))
-    return SpectrumReport.from_eigenvalues(merged)
-
-
-def product_oracle_spectrum(b1, b2, p: int) -> SpectrumReport:
-    """Same spectrum from the Chevalley-Eilenberg engine on the direct sum."""
-    L = nil_algebra(b1).direct_sum(nil_algebra(b2))
-    return spectrum(L, p)

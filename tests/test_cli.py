@@ -125,15 +125,17 @@ def test_console_script_entry():
 
 
 def test_scipy_submodules_stay_unloaded(tmp_path):
-    # the import and every verify-all path avoid scipy.linalg and
-    # scipy.spatial; only diameter for k >= 3 and principal_log load them
+    # the import and every verify-all path load no scipy module at all;
+    # only diameter for k >= 3 loads scipy (scipy.spatial)
     code = ("import sys\n"
             "from collapse_spectra import cli\n"
-            "heavy = ('scipy.linalg', 'scipy.spatial')\n"
-            "assert not [m for m in heavy if m in sys.modules], 'import'\n"
+            "def scipy_loaded():\n"
+            "    return [m for m in sys.modules\n"
+            "            if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not scipy_loaded(), scipy_loaded()\n"
             "assert cli.main(['verify-all', '--seed', '0', '--out', "
             "sys.argv[1]]) == 0\n"
-            "assert not [m for m in heavy if m in sys.modules], 'verify-all'\n")
+            "assert not scipy_loaded(), scipy_loaded()\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -10,35 +10,6 @@ from collapse_spectra.mapping_torus import solvable_algebra
 from collapse_spectra.torus_bundle import nil_algebra
 
 
-def test_ad_star_identity():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        n = int(rng.integers(2, 5))
-        L = solvable_algebra(rng.uniform(-2, 2, (n, n)))
-        u = rng.standard_normal(L.n)
-        star = cs.ad_star(L, u)
-        # <ad*_u v, w> = <v, [u, w]> on all frame pairs
-        ad_u = L.ad_vector(u)
-        assert np.max(np.abs(star - ad_u.T)) == 0.0
-
-
-def test_ad_star_solvable_example():
-    C = np.array([[0.0, 1.0], [0.0, 0.0]])
-    L = solvable_algebra(C)
-    # ad*_{V_2} V_1 = -c_{12} Y
-    star = cs.ad_star(L, 1)
-    assert star[2, 0] == -1.0
-
-
-def test_ad_star_nil_bundle_example():
-    L = nil_algebra([2.0, 0.0])
-    # ad*_{Y_1} V_1 = eta Y_2 and ad*_{Y_2} V_1 = -eta Y_1
-    s1 = cs.ad_star(L, 2)
-    s2 = cs.ad_star(L, 3)
-    assert s1[3, 0] == 2.0
-    assert s2[2, 0] == -2.0
-
-
 def test_sectional_curvature_abelian_zero():
     L = cs.StructureConstants.abelian(3)
     assert cs.sectional_curvature(L, [1, 0, 0], [0, 1, 0]) == 0.0
@@ -112,31 +83,6 @@ def test_nil_scaling_law():
         assert table.k(2, 3) == pytest.approx(-0.75 * lam ** 2, rel=1e-12)
 
 
-def test_kappa_invariant():
-    assert cs.kappa_invariant(np.zeros((2, 2))) == 0.0
-    assert cs.kappa_invariant(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
-    rng = np.random.default_rng(23)
-    C = rng.uniform(-2, 2, (4, 4))
-    kappa = cs.kappa_invariant(C)
-    for _ in range(20):
-        P = rng.uniform(-1, 1, (4, 4)) + 2.0 * np.eye(4)
-        assert abs(cs.kappa_invariant(np.linalg.solve(P, C @ P)) - kappa) \
-            <= 1e-9 * max(1.0, abs(kappa))
-
-
-def test_trace_bounds():
-    rep = cs.trace_bounds_check(np.zeros((2, 2)), 0.0)
-    assert rep.ok and rep.trace == 0.0
-    rep = cs.trace_bounds_check(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.75)
-    assert rep.ok and rep.trace == 1.0 and rep.kappa == 0.0
-    rng = np.random.default_rng(29)
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
-        C = rng.uniform(-2, 2, (n, n))
-        a = frame_curvature_table(solvable_algebra(C)).max_abs
-        assert cs.trace_bounds_check(C, a).ok
-
-
 def test_oneill_defect_examples():
     # nil bundle over the flat T^2: K_N = 0, horizontal pair (Y1, Y2)
     assert cs.oneill_defect(nil_algebra([1.0, 0.0]), [2, 3]) <= 1e-12
@@ -152,20 +98,6 @@ def test_oneill_defect_on_scaled_bundles():
         eta = float(rng.uniform(0.2, 2.0))
         L = nil_algebra([eta, 0.0])
         assert cs.oneill_defect(L, [2, 3]) <= 1e-10
-
-
-def test_oneill_form_bound():
-    rep = cs.oneill_form_bound_check(cs.StructureConstants.abelian(4),
-                                     [2, 3], 0.0)
-    assert rep.ok
-    rep = cs.oneill_form_bound_check(nil_algebra([1.0, 0.0]), [2, 3], 0.75)
-    assert rep.ok and rep.pointwise_margin == pytest.approx(1.0)
-    rng = np.random.default_rng(37)
-    for _ in range(20):
-        b = rng.uniform(-1.5, 1.5, 2)
-        L = nil_algebra(b)
-        a = frame_curvature_table(L).max_abs
-        assert cs.oneill_form_bound_check(L, [2, 3], a).ok
 
 
 def test_curvature_table_csv():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,16 @@ def test_vol_bound_trivial_bundle_raises():
     with pytest.raises(cs.TrivialBundle):
         cs.vol_bound_experiment(cs.TorusBundleOverT2(1, (0,)), [1.0],
                                 [1.0, 0.5])
+
+
+@pytest.mark.parametrize("alpha", [[600.0], [530.0], [-500.0] * 3])
+def test_vol_bound_divisor_outside_normal_floats_names_alpha_and_eps(alpha):
+    # at eps = 0.5, vol^2 = 0.5^(2 sum alpha) underflows to 0 (600), is
+    # subnormal (530) or overflows (-1500): none is a usable divisor
+    bundle = cs.TorusBundleOverT2(len(alpha), (1,) + (0,) * (len(alpha) - 1))
+    with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha!r}: "
+                                                   "eps = 0.5")):
+        cs.vol_bound_experiment(bundle, alpha, [1.0, 0.5])
 
 
 def test_vol_bound_margin_sign_follows_verdict():

@@ -8,26 +8,12 @@ from hypothesis import strategies as st
 import collapse_spectra as cs
 from collapse_spectra.lie_complex import svd_nullspace
 from collapse_spectra.torus_bundle import (eigenspace_split, nil_algebra,
-                                           predict_spectrum,
-                                           product_bundle_spectrum,
-                                           product_oracle_spectrum,
-                                           reduce as reduce_bundle)
-
-
-def test_reduce_examples():
-    rep = reduce_bundle([3, 6])
-    assert rep.d == 3 and rep.decomposition == "N_3 x T^1"
-    rep = reduce_bundle([1, 0, 0])
-    assert rep.d == 1 and rep.decomposition == "N_1 x T^2"
-    rep = reduce_bundle([1])
-    assert rep.d == 1 and rep.decomposition == "N_1"
-    with pytest.raises(cs.TrivialBundle):
-        reduce_bundle([0, 0])
+                                           predict_spectrum)
 
 
 def test_bundle_dataclass():
     bundle = cs.TorusBundleOverT2(2, (3, 6))
-    assert bundle.d == 3 and not bundle.trivial
+    assert not bundle.trivial
     assert cs.TorusBundleOverT2(2, (0, 0)).trivial
 
 
@@ -97,8 +83,8 @@ def _eigenvector_split(n, p, b):
         return 0, 0, 0
     eta = math.sqrt(eta_sq)
     closed = svd_nullspace(cs.exterior_derivative(L, p) @ E / eta).shape[1]
-    coclosed = svd_nullspace(cs.codifferential(L, p) @ E / eta).shape[1] \
-        if p >= 1 else E.shape[1]
+    coclosed = (svd_nullspace(cs.exterior_derivative(L, p - 1).T @ E / eta)
+                .shape[1] if p >= 1 else E.shape[1])
     return E.shape[1], coclosed, closed
 
 
@@ -163,23 +149,6 @@ def test_curvature_bound():
     assert rep.max_abs_k == pytest.approx(0.75)
     assert cs.curvature_bound_check([0.0, 0.0]).max_abs_k == 0.0
     assert cs.curvature_bound_check([2.0, 0.0]).max_abs_k == pytest.approx(3.0)
-
-
-def test_product_bundle_kunneth():
-    rep = product_bundle_spectrum(1.0, 2.0, 1, 1, 1)
-    nonzero = sorted(set(round(float(v), 12) for v in rep.nonzero))
-    assert nonzero == [1.0, 4.0]
-    for p in range(0, 4):
-        merged = product_bundle_spectrum(1.0, 2.0, 1, 1, p).eigenvalues
-        oracle = product_oracle_spectrum([1.0], [2.0], p).eigenvalues
-        assert np.max(np.abs(merged - oracle)) <= 1e-12
-
-
-def test_product_with_trivial_factor():
-    for p in range(0, 3):
-        merged = product_bundle_spectrum(1.0, 0.0, 1, 1, p).eigenvalues
-        oracle = product_oracle_spectrum([1.0], [0.0], p).eigenvalues
-        assert np.max(np.abs(merged - oracle)) <= 1e-12
 
 
 def test_trajectory_csv():
