@@ -22,6 +22,7 @@ from .artifacts import csv_text
 from .errors import NotInjective, TrivialBundle
 from .flat_torus import FlatTorus, _shortest
 from .intlat import det_int, int_matrix, smith_normal_form
+from .torus_bundle import collapse_lambda
 
 #: Convention: ``gramG`` is the Gram matrix of the fiber metric on the
 #: DUAL algebra in its lattice basis, so Vol(T^k) = det(gramG)^{-1/2}.
@@ -233,8 +234,9 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
     lambda is the unique nonzero invariant eigenvalue |V_eps|^2 and the
     fiber volume scales as prod eps^{alpha_i}; the ratio never drops
     below its value at the largest grid point.  A trivial bundle has
-    lambda = 0 and raises TrivialBundle; a grid point whose vol^2 is not
-    a normal float raises ValueError naming alpha and eps.
+    lambda = 0 and raises TrivialBundle; a grid point whose lambda is not
+    finite or whose vol^2 is not a normal float raises ValueError naming
+    alpha and eps.
     """
     if bundle.trivial:
         raise TrivialBundle("zero obstruction vector: lambda vanishes, so "
@@ -247,7 +249,7 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
     for eps in sorted(eps_grid, reverse=True):
         if not (0.0 < eps <= 1.0):
             raise ValueError("eps grid must lie in (0, 1]")
-        lam = sum((eps ** a * x) ** 2 for a, x in zip(alpha, b0))
+        lam = collapse_lambda(eps, alpha, b0, f"alpha = {alpha!r}")
         vol = 1.0
         for a in alpha:
             vol *= eps ** a

@@ -8,6 +8,15 @@ the transpose of d_{p-1} (the wedge bases of an orthonormal frame are
 orthonormal), and the form Laplacian is ``d delta + delta d``.  Metrics
 are never stored separately: changing the metric means rewriting the
 structure constants in a new frame via :func:`change_frame`.
+
+Spectra come from the Hodge split, not from the assembled Laplacian.
+Since d^2 = 0, d_p^T d_p and d_{p-1} d_{p-1}^T have orthogonal ranges,
+and M^T M and M M^T share their nonzero spectrum, so the spectrum of
+Delta_p is the largest C(n, p) of the eigenvalues of G_p and G_{p-1}
+padded with zeros, where G_p is the Gram matrix of d_p on its smaller
+side, of size min(C(n, p), C(n, p+1)).  :func:`spectrum` keeps the
+eigenvalues of each G_p on its ``StructureConstants``, so a sweep over
+all degrees builds each d_p once and solves each G_p once.
 """
 
 from __future__ import annotations
@@ -44,6 +53,10 @@ class StructureConstants:
     """
 
     c: np.ndarray = field(repr=False)
+    #: degree p -> eigenvalues of G_p, filled by :func:`spectrum`; ``c``
+    #: is read-only, so an entry never goes stale
+    _gram_eigs: dict = field(init=False, repr=False, compare=False,
+                             default_factory=dict)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -301,6 +314,31 @@ def stacked_laplacian(c, p: int) -> np.ndarray:
     return out
 
 
+def stacked_gram_eigenvalues(c, p: int) -> np.ndarray:
+    """Ascending eigenvalues of the Gram matrix of d_p on its smaller side
+    for every tensor in the stack ``c`` (T, n, n, n), as an array
+    (T, min(C(n, p), C(n, p+1))): d_p^T d_p or d_p d_p^T, whichever is
+    smaller."""
+    d_p = stacked_derivative(c, p)
+    d_t = d_p.transpose(0, 2, 1)
+    gram = d_t @ d_p if d_p.shape[2] <= d_p.shape[1] else d_p @ d_t
+    return np.linalg.eigvalsh(gram)
+
+
+def hodge_union(gram_p, gram_prev, dim: int) -> np.ndarray:
+    """Eigenvalues of Delta_p on a space of dimension ``dim`` = C(n, p),
+    ascending, from the stacked Gram eigenvalues of d_p and d_{p-1}.
+
+    The nonzero spectrum of Delta_p is the union of the nonzero spectra
+    of the two Gram matrices, so it is the largest ``dim`` values of both
+    padded with zeros to 2 dim; no rank decision is made.
+    """
+    count = len(gram_p)
+    pad = np.zeros((count, 2 * dim - gram_p.shape[1] - gram_prev.shape[1]))
+    union = np.concatenate((gram_p, gram_prev, pad), axis=1)
+    return np.sort(union, axis=1)[:, dim:]
+
+
 def exterior_derivative(L: StructureConstants, p: int) -> np.ndarray:
     """Matrix of d: Lambda^p -> Lambda^{p+1} in the lexicographic bases.
 
@@ -355,9 +393,23 @@ class SpectrumReport:
         return cls(vals, int(kernel_dim))
 
 
+def _gram_eigenvalues(L: StructureConstants, p: int) -> np.ndarray:
+    """Eigenvalues of G_p of L as a stack of one, solved once per L."""
+    vals = L._gram_eigs.get(p)
+    if vals is None:
+        vals = stacked_gram_eigenvalues(L.c[None], p)
+        vals.setflags(write=False)
+        L._gram_eigs[p] = vals
+    return vals
+
+
 def spectrum(L: StructureConstants, p: int) -> SpectrumReport:
-    """Eigenvalues of the degree-p Laplacian as a SpectrumReport."""
-    return SpectrumReport.from_eigenvalues(np.linalg.eigvalsh(laplacian(L, p)))
+    """Eigenvalues of the degree-p Laplacian as a SpectrumReport, from the
+    Gram eigenvalues of d_p and d_{p-1} (see :func:`hodge_union`)."""
+    gram_p = _gram_eigenvalues(L, p)
+    gram_prev = _gram_eigenvalues(L, p - 1) if p else np.zeros((1, 0))
+    return SpectrumReport.from_eigenvalues(
+        hodge_union(gram_p, gram_prev, form_dim(L.n, p))[0])
 
 
 def svd_nullspace(m) -> np.ndarray:

@@ -21,8 +21,8 @@ from .curvature import solvable_curvature_closed_form
 from .errors import KTooLarge, NotSemisimple, NotUnimodular, RankAmbiguous
 from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
 from .lie_complex import (SpectrumReport, StructureConstants,
-                          check_lie_tensors, clamp_spectra, stacked_laplacian,
-                          svd_nullspace)
+                          check_lie_tensors, clamp_spectra, form_dim,
+                          hodge_union, stacked_gram_eigenvalues, svd_nullspace)
 
 #: semisimple_floor reports ok when the sampled floor exceeds FLOOR_TOL
 FLOOR_TOL = 1e-4
@@ -399,9 +399,11 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
     The guarantee for semisimple B is existence of a positive floor, not
     its value; this experiment reports the sampled minimum across all
     form degrees.  Trials run in chunks of FLOOR_CHUNK: each chunk draws
-    its frames in trial order, validates every trial's tensor, and takes
-    one stacked Laplacian and one ``eigvalsh`` per degree, so the floor is
-    bit-identical to a trial-by-trial loop.
+    its frames in trial order, validates every trial's tensor, and solves
+    the stacked Gram matrix of each d_p once, joining the eigenvalues of
+    d_p and d_{p-1} into the degree-p spectrum as ``lie_complex.spectrum``
+    does, so the floor is bit-identical to a trial-by-trial loop over
+    ``spectrum``.
     """
     B = np.asarray(b_matrix, dtype=float)
     n = B.shape[0]
@@ -431,9 +433,12 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
                            curvature_cap)
         c = solvable_tensors(C)
         check_lie_tensors(c)
+        gram_prev = stacked_gram_eigenvalues(c, 0)
         for p in range(1, n + 1):
+            gram_p = stacked_gram_eigenvalues(c, p)
             vals, _, kernel = clamp_spectra(
-                np.linalg.eigvalsh(stacked_laplacian(c, p)))
+                hodge_union(gram_p, gram_prev, form_dim(n + 1, p)))
+            gram_prev = gram_p
             rows = np.flatnonzero(kernel < vals.shape[1])
             if rows.size:
                 floor = min(floor, float(np.min(vals[rows, kernel[rows]])))

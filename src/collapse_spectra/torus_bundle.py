@@ -124,6 +124,24 @@ class Trajectory:
                          for e, l in zip(self.eps, self.lam)])
 
 
+def collapse_lambda(eps: float, alpha, b0, culprit: str) -> float:
+    """lambda = |V_eps|^2 = sum_i (eps^alpha_i b_i)^2, added term by term.
+
+    A term or a partial sum that is not a finite float raises ValueError
+    naming ``culprit``, the input that put it there.
+    """
+    lam = 0.0
+    for a, x in zip(alpha, b0):
+        try:
+            lam += (eps ** float(a) * x) ** 2
+        except OverflowError:
+            lam = math.inf
+        if not math.isfinite(lam):
+            raise ValueError(f"{culprit}: eps = {eps!r} puts lambda = "
+                             "sum (eps^alpha_i b_i)^2 outside the floats")
+    return lam
+
+
 def collapse_direction(b0, alpha, eps_grid) -> Trajectory:
     """Collapse along V_i^eps = eps^{-alpha_i} V_i.
 
@@ -141,7 +159,7 @@ def collapse_direction(b0, alpha, eps_grid) -> Trajectory:
     for eps in eps_grid:
         if not (0.0 < eps <= 1.0):
             raise ValueError("eps grid must lie in (0, 1]")
-        lam = sum((eps ** float(a) * x) ** 2 for a, x in zip(alpha, b0))
+        lam = collapse_lambda(eps, alpha, b0, f"b0 = {b0!r}")
         eps_list.append(float(eps))
         lam_list.append(float(lam))
     limit = sum(x * x for a, x in zip(alpha, b0) if a == 0)

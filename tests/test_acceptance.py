@@ -50,7 +50,7 @@ _FAILING_TOLERANCES = {
     "closed_form_atol": (-1.0, 2, "oracle-equality"),
     "duality_atol": (-1.0, 3, "poincare-duality"),
     "survivor_floor": (1e30, 5, "n3-k1/survivor-floor"),
-    "drift_limit": (1e-30, 7, "two-block/rate-drift"),
+    "drift_limit": (-1.0, 7, "two-block/rate-drift"),
     "spectrum_atol": (-1.0, 8, "b=1/spectrum-match"),
     "chain_margin": (-1.0, 11, "euler-bound/bound-chain"),
 }

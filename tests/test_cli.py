@@ -319,6 +319,16 @@ def test_cli_two_block_grid_names_key(grid, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: eps_grid:")
 
 
+def test_two_block_rate_ratio_is_exactly_two():
+    # the small degree-2 eigenvalue is 2 eps^2; solved from the Gram matrix
+    # of one d_p it comes out exact on these grids, so ratio reads 2.0
+    for grid in (None, (0.5, 0.03, 0.007)):
+        rate = run_scenario_checks("two-block-solvable", eps_grid=grid)\
+            .artifacts["rate.csv"]
+        ratios = [row.split(",")[2] for row in rate.splitlines()[1:]]
+        assert ratios and set(ratios) == {"2.0"}, rate
+
+
 def test_cli_removed_resolution_names_key(tmp_path, capsys):
     # the covering radius is exact, so gt-family has no resolution knob
     config = tmp_path / "run.ini"

@@ -258,6 +258,14 @@ def test_vol_bound_divisor_outside_normal_floats_names_alpha_and_eps(alpha):
         cs.vol_bound_experiment(bundle, alpha, [1.0, 0.5])
 
 
+def test_vol_bound_lambda_overflow_names_alpha():
+    # at eps = 0.5 the term (eps^-600 b)^2 = 2^1200 is past the floats
+    with pytest.raises(ValueError, match=re.escape("alpha = [-600.0]: "
+                                                   "eps = 0.5")):
+        cs.vol_bound_experiment(cs.TorusBundleOverT2(1, (1,)), [-600.0],
+                                [1.0, 0.5])
+
+
 def test_vol_bound_margin_sign_follows_verdict():
     bundle = cs.TorusBundleOverT2(2, (1, 0))
     rep = cs.vol_bound_experiment(bundle, [1.0, 1.0], [1.0, 0.5, 0.25])

@@ -1,7 +1,9 @@
 """The table-driven exterior derivative against its loop definition, the
-stacked assembly against each algebra on its own, and the kernel
-dimensions of integer algebras against exact ranks."""
+stacked assembly against each algebra on its own, the kernel
+dimensions of integer algebras against exact ranks, and spectra from
+the Hodge split against the assembled Laplacian."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -227,3 +229,63 @@ def test_clamp_spectra_stack_matches_reports():
         clamp_spectra(vals)
     empty = clamp_spectra(np.zeros((3, 0)))
     assert empty[0].shape == (3, 0) and list(empty[2]) == [0, 0, 0]
+
+
+@given(st.integers(2, 8), st.sampled_from(("nil", "solvable", "dense")),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_property_hodge_split_matches_laplacian(n, kind, seed):
+    L = _algebra(kind, n, np.random.default_rng(seed))
+    for p in range(n + 1):
+        rep = cs.spectrum(L, p)
+        want, _, kernel = clamp_spectra(np.linalg.eigvalsh(cs.laplacian(L, p)))
+        scale = max(1.0, float(want[-1]))
+        assert rep.eigenvalues.shape == want.shape
+        assert np.max(np.abs(rep.eigenvalues - want)) <= 1e-12 * scale, (n, p)
+        assert rep.kernel_dim == kernel, (n, p)
+
+
+def test_spectrum_memo_is_invisible():
+    L = _algebra("dense", 7, np.random.default_rng(12))
+    swept = cs.StructureConstants(L.c)
+    for p in range(L.n + 1):
+        fresh = cs.spectrum(cs.StructureConstants(L.c), p)
+        got = cs.spectrum(swept, p)
+        assert got.eigenvalues.tobytes() == fresh.eigenvalues.tobytes(), p
+        assert got.kernel_dim == fresh.kernel_dim, p
+    assert swept._gram_eigs and not L._gram_eigs
+    assert repr(swept) == repr(L)
+    (memo,) = [f for f in dataclasses.fields(L) if f.name == "_gram_eigs"]
+    assert not (memo.init or memo.repr or memo.compare)
+    assert not dataclasses.replace(swept, c=L.c)._gram_eigs
+    # a one-dimensional tensor compares as a truth value, so == is direct
+    one = cs.StructureConstants.abelian(1)
+    cs.spectrum(one, 1)
+    assert one._gram_eigs and one == cs.StructureConstants.abelian(1)
+
+
+def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
+    # counts, not timings: two d builds per degree or a C(n, p)-sized
+    # solve of the assembled Laplacian fails here deterministically
+    lc = cs.lie_complex
+    builds, solves = [], []
+    real_d, real_eig = lc.stacked_derivative, lc.np.linalg.eigvalsh
+
+    def counting_d(c, p):
+        builds.append(p)
+        return real_d(c, p)
+
+    def counting_eig(a):
+        solves.append(a.shape)
+        return real_eig(a)
+
+    monkeypatch.setattr(lc, "stacked_derivative", counting_d)
+    monkeypatch.setattr(lc.np.linalg, "eigvalsh", counting_eig)
+    L = _algebra("dense", 8, np.random.default_rng(8))
+    for p in range(L.n + 1):
+        cs.spectrum(L, p)
+    for p in reversed(range(L.n + 1)):
+        cs.spectrum(L, p)
+    assert builds == list(range(9))
+    assert solves == [(1, m, m) for m in (
+        min(math.comb(8, p), math.comb(8, p + 1)) for p in range(9))]

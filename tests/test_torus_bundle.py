@@ -143,6 +143,14 @@ def test_collapse_direction_validation():
         cs.collapse_direction([1.0], [1.0], [1.5])
 
 
+def test_collapse_direction_lambda_overflow_names_b0():
+    with pytest.raises(ValueError, match=r"^b0 = \[1e\+200\]: eps = 1.0"):
+        cs.collapse_direction([1e200], [1], [1.0, 0.5])
+    # each term is finite, their sum is not
+    with pytest.raises(ValueError, match=r"^b0 = "):
+        cs.collapse_direction([1e154, 1e154], [0, 0], [0.5])
+
+
 def test_curvature_bound():
     rep = cs.curvature_bound_check([1.0, 0.0])
     assert rep.ok and rep.attained_at_horizontal
