@@ -5,12 +5,17 @@ Writes one CSV per admissible k (0 <= k <= d - d') for the chosen B,
 showing the spectrum of the degree-1 invariant Laplacian, the trace of
 C_eps^T C_eps and the frame curvature bound along the collapse.
 
+Exit status: 0 when every table is written, 2 on malformed input (a B
+that is not a square matrix of finite numbers, --jmax below 1) or when
+the library rejects it.
+
 Example:
     python scripts/collapse_sweep.py --out /tmp/sweep --jmax 12
     python scripts/collapse_sweep.py --b "0 1 0; 0 0 1; 0 0 0"
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +24,17 @@ from collapse_spectra import invariants_dd, run_collapse
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    return np.array([[float(x) for x in row.split()]
-                     for row in text.split(";")])
+    """Square matrix of finite numbers from rows separated by ';';
+    ValueError naming --b when the text is not one."""
+    try:
+        rows = [[float(x) for x in row.split()] for row in text.split(";")]
+    except ValueError:
+        rows = None
+    if not rows or any(len(row) != len(rows) for row in rows) \
+            or not np.isfinite(rows).all():
+        raise ValueError(f"--b: need a square matrix of finite numbers, "
+                         f"rows separated by ';', got {text!r}")
+    return np.array(rows)
 
 
 def main() -> int:
@@ -28,18 +42,24 @@ def main() -> int:
     ap.add_argument("--b", default="0 1; 0 0",
                     help="matrix B, rows separated by ';'")
     ap.add_argument("--jmax", type=int, default=10,
-                    help="grid eps = 2^-1 .. 2^-jmax")
+                    help="grid eps = 2^-1 .. 2^-jmax, jmax >= 1")
     ap.add_argument("--out", default="sweep-out")
     args = ap.parse_args()
 
-    B = parse_matrix(args.b)
-    d, d_prime = invariants_dd(B)
-    grid = [2.0 ** -j for j in range(1, args.jmax + 1)]
+    try:
+        if args.jmax < 1:
+            raise ValueError(f"--jmax: need an integer >= 1, got {args.jmax}")
+        B = parse_matrix(args.b)
+        d, d_prime = invariants_dd(B)
+        grid = [2.0 ** -j for j in range(1, args.jmax + 1)]
+        tables = [run_collapse(B, k, grid) for k in range(d - d_prime + 1)]
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"B is {B.shape[0]}x{B.shape[0]} with d = {d}, d' = {d_prime}")
-    for k in range(0, d - d_prime + 1):
-        table = run_collapse(B, k, grid)
+    for k, table in enumerate(tables):
         path = out / f"collapse_k{k}.csv"
         path.write_text(table.to_csv())
         finest = table.rows[-1]

@@ -5,11 +5,17 @@ For a base circle times a fiber torus, lists every Laplace mode below a
 cutoff with its fiber-invariance flag, confirming that everything below
 the first fiber eigenvalue is invariant and that the bound is attained.
 
+Exit status: 0 when the threshold holds and is attained, 1 when it does
+not, 2 when the fiber is not a matrix of numbers or the library rejects
+the input (a Gram matrix that is not square, finite, symmetric and
+positive definite, a degree outside 0..dim).
+
 Example:
     python scripts/flat_thresholds.py --fiber "0.04 0; 0 0.09" --degree 1
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +32,19 @@ def main() -> int:
     ap.add_argument("--out", default="thresholds.csv")
     args = ap.parse_args()
 
-    gram = np.array([[float(x) for x in row.split()]
-                     for row in args.fiber.split(";")])
-    base = FlatTorus.circle(args.base_length)
-    fiber = FlatTorus(gram)
-    rep = threshold_check_product(base, fiber, args.degree)
+    try:
+        try:
+            gram = np.array([[float(x) for x in row.split()]
+                             for row in args.fiber.split(";")])
+        except ValueError:
+            raise ValueError(f"--fiber: need a matrix of numbers, rows "
+                             f"separated by ';', got {args.fiber!r}") from None
+        base = FlatTorus.circle(args.base_length)
+        fiber = FlatTorus(gram)
+        rep = threshold_check_product(base, fiber, args.degree)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     Path(args.out).write_text(rep.csv)
     print(f"fiber lambda01 = {rep.threshold:.8g}")
     print(f"smallest non-invariant eigenvalue = {rep.min_noninvariant:.8g} "

@@ -6,9 +6,9 @@ this samples random bounded-curvature metric frames and reports the
 minimum nonzero invariant eigenvalue seen across all form degrees.
 
 Prints a summary and writes no files.  Exit status: 0 when the floor
-lies above the 1e-4 sanity line, 1 when it does not, 2 when the library
-rejects the input (for example trials outside 1..10000, a non-finite cap
-or a B that is not semisimple).
+lies above the 1e-4 sanity line, 1 when it does not, 2 when B is not a
+matrix of numbers or the library rejects the input (for example trials
+outside 1..10000, a non-finite cap or a B that is not semisimple).
 
 Example:
     python scripts/semisimple_floor_experiment.py --b "1 0; 0 -1" --trials 500
@@ -32,9 +32,13 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    B = np.array([[float(x) for x in row.split()]
-                  for row in args.b.split(";")])
     try:
+        try:
+            B = np.array([[float(x) for x in row.split()]
+                          for row in args.b.split(";")])
+        except ValueError:
+            raise ValueError(f"--b: need a matrix of numbers, rows "
+                             f"separated by ';', got {args.b!r}") from None
         rep = semisimple_floor(B, trials=args.trials, curvature_cap=args.cap,
                                seed=args.seed)
     except ValueError as exc:

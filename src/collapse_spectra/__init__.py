@@ -23,11 +23,9 @@ from .mapping_torus import (CollapseFamily, MappingTorusBundle,
                             jordan_zero_chain, laplacian1_fast, run_collapse,
                             semisimple_floor, solvable_algebra)
 from .torus_bundle import (TorusBundleOverT2, collapse_direction,
-                           curvature_bound_check, nil_algebra,
-                           predict_spectrum, verify_spectrum)
-from .flat_torus import (FlatTorus, ModeSpectrum, diameter,
-                         diameter_eigenvalue_bound_check, gt_gram, lambda01,
-                         odd_multiplicity_check, p_form_spectrum,
+                           nil_algebra, predict_spectrum, verify_spectrum)
+from .flat_torus import (FlatTorus, ModeSpectrum, diameter, gt_gram,
+                         lambda01, odd_multiplicity_check, p_form_spectrum,
                          threshold_check_product)
 from .euler_bound import (RhoReport, bound_chain, det_factorization,
                           ee_star, noninjective_reduce, rho_flat,

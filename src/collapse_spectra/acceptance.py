@@ -125,9 +125,9 @@ def _test_b_matrices():
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_1_heisenberg(tols, seed=0, runs=None):
+def criterion_1_heisenberg(tols, seed, runs):
     t0 = time.perf_counter()
-    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+    checks = _scenario_checks(runs, [
         (f"gamma-{gamma}", "heisenberg", {"gamma": gamma}, None, seed)
         for gamma in (3, 2)])
     elapsed = time.perf_counter() - t0
@@ -135,7 +135,7 @@ def criterion_1_heisenberg(tols, seed=0, runs=None):
     return _result(1, "heisenberg small eigenvalue", checks, t0)
 
 
-def criterion_2_closed_form(tols, seed=0, runs=None):
+def criterion_2_closed_form(tols, seed, runs):
     t0 = time.perf_counter()
     atol = tols["closed_form_atol"]
     rng = np.random.default_rng(seed)
@@ -151,15 +151,13 @@ def criterion_2_closed_form(tols, seed=0, runs=None):
     return _result(2, "degree-1 Laplacian closed form", checks, t0)
 
 
-def criterion_3_complex_validity(tols, seed=0, runs=None):
+def criterion_3_complex_validity(tols, seed, runs):
     t0 = time.perf_counter()
     atol_dd = 1e-12
     atol_dual = tols["duality_atol"]
-    checks = []
-    worst_dd, worst_sym, worst_neg, worst_dual = 0.0, 0.0, 0.0, 0.0
-    for name, L in _unimodular_test_algebras():
-        defect = lie_complex.unimodularity_defect(L)
-        assert defect <= 1e-12, name
+    worst_uni = worst_dd = worst_sym = worst_neg = worst_dual = 0.0
+    for _, L in _unimodular_test_algebras():
+        worst_uni = max(worst_uni, lie_complex.unimodularity_defect(L))
         n = L.n
         for p in range(n):
             dd = lie_complex.exterior_derivative(L, p + 1) \
@@ -175,18 +173,20 @@ def criterion_3_complex_validity(tols, seed=0, runs=None):
             spectra.append(lie_complex.clamp_spectra(vals)[0])
         for s1, s2 in zip(spectra, reversed(spectra)):
             worst_dual = max(worst_dual, float(np.max(np.abs(s1 - s2))))
-    checks.append(CheckResult("d-squared-zero", worst_dd, atol_dd,
-                              f"max {worst_dd:.3e}"))
-    checks.append(CheckResult("symmetric", worst_sym, lie_complex.SYM_TOL,
-                              f"max asym {worst_sym:.3e}"))
-    checks.append(CheckResult("psd", worst_neg, 1e-9,
-                              f"most negative {worst_neg:.3e}"))
-    checks.append(CheckResult("poincare-duality", worst_dual, atol_dual,
-                              f"max {worst_dual:.3e}"))
+    checks = [
+        CheckResult("unimodular", worst_uni, 1e-12, f"max {worst_uni:.3e}"),
+        CheckResult("d-squared-zero", worst_dd, atol_dd,
+                    f"max {worst_dd:.3e}"),
+        CheckResult("symmetric", worst_sym, lie_complex.SYM_TOL,
+                    f"max asym {worst_sym:.3e}"),
+        CheckResult("psd", worst_neg, 1e-9, f"most negative {worst_neg:.3e}"),
+        CheckResult("poincare-duality", worst_dual, atol_dual,
+                    f"max {worst_dual:.3e}"),
+    ]
     return _result(3, "complex validity and duality", checks, t0)
 
 
-def criterion_4_kernel_dimension(tols, seed=0, runs=None):
+def criterion_4_kernel_dimension(tols, seed, runs):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 4)
     kernel_miss, count_miss = 0, 0
@@ -211,7 +211,7 @@ def criterion_4_kernel_dimension(tols, seed=0, runs=None):
     return _result(4, "kernel dimension over random frames", checks, t0)
 
 
-def criterion_5_collapse_counts(tols, seed=0, runs=None):
+def criterion_5_collapse_counts(tols, seed, runs):
     t0 = time.perf_counter()
     b4 = np.zeros((4, 4))
     b4[0, 1] = 1.0
@@ -221,11 +221,11 @@ def criterion_5_collapse_counts(tols, seed=0, runs=None):
         d, d_prime = mapping_torus.invariants_dd(B)
         run_list += [(f"n{len(B)}-k{k}", "mapping-torus", {"B": B, "k": k},
                       None, seed) for k in range(d - d_prime + 1)]
-    checks = _scenario_checks(runs or ScenarioRuns(tols), run_list)
+    checks = _scenario_checks(runs, run_list)
     return _result(5, "collapse small-eigenvalue counts", checks, t0)
 
 
-def criterion_6_betti(tols, seed=0, runs=None):
+def criterion_6_betti(tols, seed, runs):
     t0 = time.perf_counter()
     known = [([[1, 0], [0, 1]], 3), ([[1, 1], [0, 1]], 2),
              ([[2, 1], [1, 1]], 1)]
@@ -254,26 +254,26 @@ def criterion_6_betti(tols, seed=0, runs=None):
     return _result(6, "first Betti numbers", checks, t0)
 
 
-def criterion_7_two_block_regression(tols, seed=0, runs=None):
+def criterion_7_two_block_regression(tols, seed, runs):
     t0 = time.perf_counter()
-    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+    checks = _scenario_checks(runs, [
         ("two-block", "two-block-solvable", None, None, seed)])
     return _result(7, "two-block solvable regression", checks, t0)
 
 
-def criterion_8_torus_bundle(tols, seed=0, runs=None):
+def criterion_8_torus_bundle(tols, seed, runs):
     t0 = time.perf_counter()
     cases = [(1, [1.0]), (2, [1.0, 0.0]), (2, [0.6, 0.8]), (3, [0.0, 0.0, 2.0])]
-    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+    checks = _scenario_checks(runs, [
         ("b=" + ",".join(f"{x:g}" for x in b), "torus-bundle",
          {"n": n, "b": b}, None, seed) for n, b in cases])
     return _result(8, "principal bundle unique eigenvalue", checks, t0)
 
 
-def criterion_9_contrasting_collapses(tols, seed=0, runs=None):
+def criterion_9_contrasting_collapses(tols, seed, runs):
     t0 = time.perf_counter()
     grid = (0.5, 0.25, 0.125, 0.0625)
-    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+    checks = _scenario_checks(runs, [
         ("bundle-homothety", "nil-homothety", {"b": [0.8, 0.6]}, grid, seed),
         ("mapping-torus-homothety", "mapping-torus", {"k": 0}, grid, seed),
         ("dense-direction", "nil-dense-direction", {"b": [0.5, 1.5, 2.5]},
@@ -281,23 +281,23 @@ def criterion_9_contrasting_collapses(tols, seed=0, runs=None):
     return _result(9, "contrasting collapse modes", checks, t0)
 
 
-def criterion_10_flat_thresholds(tols, seed=0, runs=None):
+def criterion_10_flat_thresholds(tols, seed, runs):
     t0 = time.perf_counter()
-    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+    checks = _scenario_checks(runs, [
         ("flat-threshold", "flat-threshold", None, None, seed),
         ("gt-family", "gt-family", None, None, seed)])
-    reports = [flat_torus.diameter_eigenvalue_bound_check(torus)
-               for torus in (flat_torus.FlatTorus.identity(2),
-                             flat_torus.FlatTorus.circle(1.0),
-                             flat_torus.FlatTorus(np.diag([4.0, 0.25])))]
+    pairs = [(flat_torus.lambda01(torus), flat_torus.diameter(torus))
+             for torus in (flat_torus.FlatTorus.identity(2),
+                           flat_torus.FlatTorus.circle(1.0),
+                           flat_torus.FlatTorus(np.diag([4.0, 0.25])))]
     checks.append(scenarios.diameter_bound_check(
-        reports, "lambda01 >= (pi/diam)^2 on T^2, S^1, diag(4, 1/4)"))
+        pairs, "lambda01 >= (pi/diam)^2 on T^2, S^1, diag(4, 1/4)"))
     return _result(10, "flat invariance thresholds", checks, t0)
 
 
-def criterion_11_euler_chain(tols, seed=0, runs=None):
+def criterion_11_euler_chain(tols, seed, runs):
     t0 = time.perf_counter()
-    checks = _scenario_checks(runs or ScenarioRuns(tols), [
+    checks = _scenario_checks(runs, [
         ("euler-bound", "euler-bound", {"trials": 50, "kmax": 4}, None,
          seed + 11)])
     # ten crafted non-injective instances vs hand-built block oracles
@@ -328,9 +328,8 @@ def criterion_11_euler_chain(tols, seed=0, runs=None):
     return _result(11, "Euler determinant bound chain", checks, t0)
 
 
-def criterion_12_end_to_end(tols, seed=0, runs=None):
+def criterion_12_end_to_end(tols, seed, runs):
     t0 = time.perf_counter()
-    runs = runs or ScenarioRuns(tols)
     names = sorted(scenarios.SCENARIOS)
     first = [runs.timed(name, seed=seed) for name in names]
     t1 = time.perf_counter()

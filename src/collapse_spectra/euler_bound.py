@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .errors import NotInjective, TrivialBundle
 from .flat_torus import FlatTorus, _shortest
 from .intlat import det_int, int_matrix, smith_normal_form
 from .torus_bundle import collapse_lambda
+
+#: Largest relative residual |Det e - (Det' e) Vol(T^k)| / max(1, Det e)
+#: that :func:`det_factorization` accepts.
+FACTORIZATION_RTOL = 1e-10
 
 #: Convention: ``gramG`` is the Gram matrix of the fiber metric on the
 #: DUAL algebra in its lattice basis, so Vol(T^k) = det(gramG)^{-1/2}.
@@ -48,14 +52,11 @@ class BoundChainReport:
     lam_min: float
     mid_bound: float          # Det(e*e) / |e*e|^{k-1}
     det_bound: float          # (Det e)^2 / |e|^{2k-2}
-    det_e: float
-    op_norm: float
-    ok: bool
 
 
 def _chain(M: np.ndarray) -> BoundChainReport:
-    """The bound chain of the PSD k x k matrix M = e*e; ``ok`` asks all
-    three inequalities."""
+    """The three terms of the bound chain of the PSD k x k matrix M = e*e;
+    the caller judges the inequalities between them."""
     k = M.shape[0]
     vals = np.linalg.eigvalsh(M)
     lam_min, lam_max = float(vals[0]), float(vals[-1])
@@ -64,9 +65,7 @@ def _chain(M: np.ndarray) -> BoundChainReport:
     op_norm = math.sqrt(lam_max)
     mid = det_m / lam_max ** (k - 1) if k > 1 else det_m
     det_bound = det_e ** 2 / op_norm ** (2 * k - 2) if k > 1 else det_e ** 2
-    ok = (lam_min >= mid - 1e-10 and mid >= det_bound - 1e-10
-          and lam_min >= det_bound - 1e-10)
-    return BoundChainReport(lam_min, mid, det_bound, det_e, op_norm, ok)
+    return BoundChainReport(lam_min, mid, det_bound)
 
 
 def gram_det(e_matrix) -> int:
@@ -85,7 +84,7 @@ def _injective_gram_det(E) -> int:
 
 
 def bound_chain(e_matrix, gram_g) -> BoundChainReport:
-    """Check the two-step determinant bound for an injective Euler map."""
+    """The two-step determinant bound chain of an injective Euler map."""
     E = int_matrix(e_matrix)
     _injective_gram_det(E)
     return _chain(ee_star(E, gram_g))
@@ -97,7 +96,7 @@ class DetFactorizationReport:
     vol_t: float              # fiber volume det(gramG)^{-1/2}
     det_e: float              # orthonormal-basis determinant
     residual: float           # |det_e - det_prime * vol_t| (relative)
-    ok: bool
+    ok: bool                  # residual <= FACTORIZATION_RTOL
 
 
 def det_factorization(e_matrix, gram_g) -> DetFactorizationReport:
@@ -113,13 +112,12 @@ def det_factorization(e_matrix, gram_g) -> DetFactorizationReport:
     det_e = float(np.prod(np.abs(np.diag(R))))
     residual = abs(det_e - det_prime * vol_t) / max(1.0, det_e)
     return DetFactorizationReport(det_prime, vol_t, det_e, residual,
-                                  residual <= 1e-10)
+                                  residual <= FACTORIZATION_RTOL)
 
 
 @dataclass(frozen=True)
 class NonInjectiveReport:
     kernel_basis: tuple            # integral lattice basis of ker e
-    complement_basis: tuple        # integral complement in the lattice
     reduced_integral: tuple        # e on the complement, lattice basis
     quotient_volume: float         # volume of T^k / T^{k-l}
     restricted: BoundChainReport | None
@@ -146,7 +144,7 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
                 for j in range(rank)] for r in range(len(E))]
     if rank == 0:
         return NonInjectiveReport(tuple(map(tuple, kernel_cols)), (),
-                                  (), float("nan"), None, True)
+                                  float("nan"), None, True)
     if rank == k:
         raise ValueError("Euler map is injective; use bound_chain directly")
     K = np.asarray(kernel_cols, dtype=float).T           # k x l
@@ -160,13 +158,9 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
     r = np.linalg.cholesky(m_gram)
     W = null @ np.linalg.inv(r).T
     A_on = Ef @ W
-    chain = _chain(A_on.T @ A_on)
-    # only the end-to-end inequality is asked of the restricted map
-    restricted = replace(chain, ok=chain.lam_min >= chain.det_bound - 1e-10)
     return NonInjectiveReport(tuple(map(tuple, kernel_cols)),
-                              tuple(map(tuple, complement_cols)),
-                              tuple(map(tuple, reduced)),
-                              quotient_volume, restricted, False)
+                              tuple(map(tuple, reduced)), quotient_volume,
+                              _chain(A_on.T @ A_on), False)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +214,10 @@ class VolBoundRow:
 class VolBoundReport:
     rows: tuple
     min_ratio: float
-    ok: bool
-    margin: float          # negative when not ok, unless all ratios underflow
+    #: min(min_ratio - ratio_0 (1 - 1e-9), min_ratio), with ratio_0 the
+    #: ratio at the largest eps: negative exactly when some ratio drops
+    #: below ratio_0 (1 - 1e-9) or below 0
+    margin: float
 
     def to_csv(self) -> str:
         return csv_text(["eps", "lambda", "vol", "ratio"],
@@ -262,6 +258,5 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
                                 float(lam / vol_sq)))
     min_ratio = min(r.ratio for r in rows)
     floor = rows[0].ratio * (1.0 - 1e-9)
-    ok = min_ratio >= floor and min_ratio > 0.0
-    return VolBoundReport(tuple(rows), min_ratio, ok,
+    return VolBoundReport(tuple(rows), min_ratio,
                           min(min_ratio - floor, min_ratio))

@@ -31,6 +31,8 @@ class FlatTorus:
         g = np.asarray(self.gram, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("gram must be square")
+        if not np.isfinite(g).all():
+            raise ValueError("gram must be finite")
         if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
             raise ValueError("gram must be symmetric")
         np.linalg.cholesky(g)          # SPD check
@@ -130,7 +132,6 @@ class ModeSpectrum:
 
     k: int
     degree: int
-    cutoff: float
     modes: tuple
 
     def eigenvalues(self) -> np.ndarray:
@@ -163,7 +164,7 @@ def p_form_spectrum(torus: FlatTorus, p: int, cutoff: float) -> ModeSpectrum:
     modes = [Mode(gamma, FOUR_PI_SQ * val, mult)
              for gamma, val in _enumerate_dual(q, cutoff / FOUR_PI_SQ)]
     modes.sort(key=lambda m: (m.eigenvalue, m.gamma))
-    return ModeSpectrum(torus.k, p, float(cutoff), tuple(modes))
+    return ModeSpectrum(torus.k, p, tuple(modes))
 
 
 def _gauss_reduce(g: np.ndarray) -> tuple:
@@ -233,7 +234,7 @@ def _product_modes(base: FlatTorus, fiber: FlatTorus, p: int,
             if lam <= cutoff * (1.0 + 1e-12):
                 modes.append(Mode(gb + gf, lam, mult))
     modes.sort(key=lambda m: (m.eigenvalue, m.gamma))
-    return ModeSpectrum(base.k + fiber.k, p, float(cutoff), tuple(modes))
+    return ModeSpectrum(base.k + fiber.k, p, tuple(modes))
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,6 @@ class ThresholdReport:
     min_noninvariant: float
     attained_exactly: bool
     violations: tuple              # modes below threshold with gamma_F != 0
-    form_multiplicity: int
     ok: bool
     csv: str
 
@@ -260,7 +260,7 @@ def threshold_check_product(base: FlatTorus, fiber: FlatTorus,
     min_non_inv = non_inv[0].eigenvalue if non_inv else float("inf")
     attained = min_non_inv == lam_f
     return ThresholdReport(lam_f, min_non_inv, attained, violations,
-                           math.comb(spec.k, p), not violations and attained,
+                           not violations and attained,
                            spec.to_csv(lambda g: not any(g[base.k:])))
 
 
@@ -268,7 +268,6 @@ def threshold_check_product(base: FlatTorus, fiber: FlatTorus,
 class OddMultiplicityReport:
     groups: tuple                  # (eigenvalue, total multiplicity, has invariant)
     violations: tuple
-    ok: bool
 
 
 def odd_multiplicity_check(base: FlatTorus, fiber: FlatTorus, p: int,
@@ -285,22 +284,4 @@ def odd_multiplicity_check(base: FlatTorus, fiber: FlatTorus, p: int,
         else:
             groups.append((m.eigenvalue, m.multiplicity, inv))
     violations = tuple(g for g in groups if g[1] % 2 == 1 and not g[2])
-    return OddMultiplicityReport(tuple(groups), violations, not violations)
-
-
-@dataclass(frozen=True)
-class DiameterBoundReport:
-    lam01: float
-    diam: float
-    margin: float                  # lam01 - pi^2 / diam^2
-    ok: bool
-
-
-def diameter_eigenvalue_bound_check(torus: FlatTorus) -> DiameterBoundReport:
-    """Check lambda_{0,1} >= (pi / diam)^2 up to rounding (1e-12 relative)."""
-    lam = lambda01(torus)
-    diam = diameter(torus)
-    bound = math.pi ** 2 / diam ** 2
-    margin = lam - bound
-    return DiameterBoundReport(lam, diam, margin,
-                               margin >= -1e-12 * max(1.0, bound))
+    return OddMultiplicityReport(tuple(groups), violations)

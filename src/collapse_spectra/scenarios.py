@@ -88,11 +88,13 @@ class ScenarioResult:
         return all(c.passed for c in self.checks)
 
 
-def diameter_bound_check(reports, detail) -> CheckResult:
-    """lambda01 >= (pi / diam)^2 over diameter-bound ``reports``, measured
-    with the 1e-12 relative allowance their ``ok`` applies."""
-    slack = min(r.margin + 1e-12 * max(1.0, math.pi ** 2 / r.diam ** 2)
-                for r in reports)
+def diameter_bound_check(pairs, detail) -> CheckResult:
+    """lambda01 >= (pi / diam)^2 over ``(lambda01, diam)`` pairs: the least
+    slack lambda01 - (pi / diam)^2, plus a rounding allowance of 1e-12
+    relative to the bound, must be nonnegative."""
+    slack = min(lam - math.pi ** 2 / diam ** 2
+                + 1e-12 * max(1.0, math.pi ** 2 / diam ** 2)
+                for lam, diam in pairs)
     return CheckResult("diameter-bound", slack, 0.0, detail, ">=")
 
 
@@ -348,17 +350,20 @@ def _scenario_torus_bundle(params, seed, eps_grid, tols):
         r[4] != lie_complex.form_dim(n - 1, r[1] - 1)
         or r[5] != lie_complex.form_dim(n - 1, r[1] - 2)
         for r in rows)
-    cb = torus_bundle.curvature_bound_check(b)
-    # the maximum is 3/4 eta^2 itself, not only bounded by it
-    gap_k = abs(cb.max_abs_k - cb.bound) \
-        if cb.ok and cb.attained_at_horizontal else math.inf
-    od = curvature.oneill_defect(torus_bundle.nil_algebra(b), [n, n + 1])
+    L = torus_bundle.nil_algebra(b)
+    table = curvature.frame_curvature_table(L)
+    # |K| <= 3/4 eta^2 over frame pairs with equality at (Y_1, Y_2): the
+    # maximum and |K(Y_1, Y_2)| are both 3/4 eta^2 itself
+    bound = 0.75 * eta_sq
+    gap_k = max(abs(table.max_abs - bound),
+                abs(abs(table.k(n, n + 1)) - bound))
+    od = curvature.oneill_defect(L, [n, n + 1])
     checks = [
         CheckResult("spectrum-match", worst, atol, f"max gap {worst:.3e}"),
         CheckResult("eigenspace-split", split_miss, 0,
                     "coclosed/closed counts"),
         CheckResult("curvature-bound", gap_k, 1e-12 * max(1.0, eta_sq),
-                    f"max |K| = {cb.max_abs_k:.6g} vs 3/4 eta^2 = {cb.bound:.6g}"),
+                    f"max |K| = {table.max_abs:.6g} vs 3/4 eta^2 = {bound:.6g}"),
         CheckResult("oneill-defect", od, 1e-10, f"defect {od:.3e}"),
     ]
     return ScenarioResult({"spectra.csv": csv_text(
@@ -426,7 +431,7 @@ def _scenario_flat_threshold(params, seed, eps_grid, tols):
 def _scenario_gt_family(params, seed, eps_grid, tols):
     cutoff = 300.0
     rows = []
-    worst_spec, diam_slack, reports = 0.0, math.inf, []
+    worst_spec, diam_slack, pairs = 0.0, math.inf, []
     for t in params["t_values"]:
         torus_t = flat_torus.gt_gram(t)
         torus_t1 = flat_torus.gt_gram(t + 1.0)
@@ -434,18 +439,18 @@ def _scenario_gt_family(params, seed, eps_grid, tols):
         s_t1 = np.sort(flat_torus.p_form_spectrum(torus_t1, 0, cutoff).eigenvalues())
         gap = float(np.max(np.abs(s_t - s_t1))) if len(s_t) == len(s_t1) \
             else float("inf")
-        db = flat_torus.diameter_eigenvalue_bound_check(torus_t)
-        diam_gap = abs(db.diam - flat_torus.diameter(torus_t1))
+        lam, diam = flat_torus.lambda01(torus_t), flat_torus.diameter(torus_t)
+        diam_gap = abs(diam - flat_torus.diameter(torus_t1))
         worst_spec = max(worst_spec, gap)
-        diam_slack = min(diam_slack, 1e-12 * db.diam - diam_gap)
-        reports.append(db)
-        rows.append([t, db.lam01, db.diam, gap, diam_gap])
+        diam_slack = min(diam_slack, 1e-12 * diam - diam_gap)
+        pairs.append((lam, diam))
+        rows.append([t, lam, diam, gap, diam_gap])
     checks = [
         CheckResult("spectrum-periodic", worst_spec, 1e-12,
                     f"max eigenvalue gap {worst_spec:.3e}"),
         CheckResult("diameter-periodic", diam_slack, 0.0,
                     "|diam(t) - diam(t+1)| <= 1e-12 diam(t)", ">="),
-        diameter_bound_check(reports, "lambda01 >= (pi/diam)^2"),
+        diameter_bound_check(pairs, "lambda01 >= (pi/diam)^2"),
     ]
     return ScenarioResult({"gt.csv": csv_text(
         ["t", "lambda01", "diam", "spec_gap", "diam_gap"], rows)}, checks)
@@ -484,8 +489,9 @@ def _scenario_euler_bound(params, seed, eps_grid, tols):
     checks = [
         CheckResult("bound-chain", slack, -margin,
                     f"{trials} random maps, margin {margin:g}", ">="),
-        CheckResult("det-factorization", max_residual, 1e-10,
-                    "relative 1e-10"),
+        CheckResult("det-factorization", max_residual,
+                    euler_bound.FACTORIZATION_RTOL,
+                    f"relative {euler_bound.FACTORIZATION_RTOL:g}"),
         CheckResult("rho-t2", abs(rho2 - 1.0), 0.0, f"rho = {rho2}"),
         CheckResult("rho-t3", abs(rho3 - 1.0), 0.0, f"rho = {rho3}"),
         CheckResult("noninjective-quotient", quotient_miss, 0,
@@ -508,7 +514,6 @@ def _scenario_vol_bound(params, seed, eps_grid, tols):
     checks = [
         CheckResult("circle-ratio-constant", circle_constant, 1e-12,
                     "lambda / vol^2 constant for n=1"),
-        # ``ok`` also asks min_ratio > 0: every ratio here is positive
         CheckResult("homothety-bounded", rep2.margin, 0.0,
                     f"min ratio {rep2.min_ratio:.6g}", ">="),
         CheckResult("dense-direction-bounded", rep3.margin, 0.0,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import csv_text
-from .lie_complex import (SpectrumReport, StructureConstants,
-                          exterior_derivative, form_dim, spectrum)
+from .lie_complex import (SpectrumReport, StructureConstants, form_dim,
+                          spectrum, stacked_gram_eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ def eigenspace_split(n: int, p: int, b) -> EigenspaceSplit:
     By the Hodge split, the coclosed eta^2-eigenforms of degree p are the
     singular directions of d_p with sigma^2 = eta^2 and the closed ones
     those of d_{p-1}, so each count reads the squared singular values,
-    taken as the eigenvalues of the smaller Gram matrix of d.
+    taken as the eigenvalues of the smaller Gram matrix of d
+    (:func:`lie_complex.stacked_gram_eigenvalues`).
     """
     b = [float(x) for x in b]
     eta_sq = sum(x * x for x in b)
@@ -99,10 +100,8 @@ def eigenspace_split(n: int, p: int, b) -> EigenspaceSplit:
     L = nil_algebra(b)
 
     def count(q):
-        d = exterior_derivative(L, q)
-        gram = d.T @ d if d.shape[1] <= d.shape[0] else d @ d.T
-        return int(np.sum(np.abs(np.linalg.eigvalsh(gram) - eta_sq)
-                          <= 1e-8 * eta_sq))
+        vals = stacked_gram_eigenvalues(L.c[None], q)[0]
+        return int(np.sum(np.abs(vals - eta_sq) <= 1e-8 * eta_sq))
 
     coclosed = count(p)
     closed = count(p - 1) if p else 0
@@ -165,25 +164,3 @@ def collapse_direction(b0, alpha, eps_grid) -> Trajectory:
     limit = sum(x * x for a, x in zip(alpha, b0) if a == 0)
     cls = "positive" if limit > 0 else "vanishes"
     return Trajectory(tuple(eps_list), tuple(lam_list), float(limit), cls)
-
-
-@dataclass(frozen=True)
-class CurvatureBoundReport:
-    max_abs_k: float
-    bound: float           # 3/4 eta^2
-    attained_at_horizontal: bool
-    ok: bool
-
-
-def curvature_bound_check(b) -> CurvatureBoundReport:
-    """|K| <= 3/4 |V|^2 over frame pairs, with equality at (Y_1, Y_2)."""
-    from .curvature import frame_curvature_table
-
-    b = [float(x) for x in b]
-    n = len(b)
-    eta_sq = sum(x * x for x in b)
-    table = frame_curvature_table(nil_algebra(b))
-    bound = 0.75 * eta_sq
-    attained = abs(abs(table.k(n, n + 1)) - bound) <= 1e-12 * max(1.0, bound)
-    ok = table.max_abs <= bound + 1e-12 * max(1.0, bound)
-    return CurvatureBoundReport(table.max_abs, bound, attained, ok)

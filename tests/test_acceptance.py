@@ -15,7 +15,8 @@ from collapse_spectra.scenarios import CheckResult
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA,
                          ids=[f.__name__ for f in acceptance.CRITERIA])
 def test_criterion(criterion):
-    result = criterion(dict(acceptance.TOLERANCES), seed=0)
+    tols = dict(acceptance.TOLERANCES)
+    result = criterion(tols, 0, acceptance.ScenarioRuns(tols))
     status = "PASS" if result.passed else "FAIL"
     print(f"\n{status} criterion {result.number}: {result.name} "
           f"({result.seconds:.2f} s)")

@@ -30,11 +30,11 @@ def test_csv_text_format():
         == 'a,b,c\n0.1,2,"x,y"\n'
 
 
-def _run_script(name, monkeypatch, *args):
+def _run_script(name, monkeypatch, *args, code=0):
     monkeypatch.setattr(sys, "argv", [name, *args])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
-    assert exc.value.code == 0
+    assert exc.value.code == code
 
 
 def test_collapse_sweep_matches_mapping_torus(tmp_path, monkeypatch):
@@ -52,3 +52,19 @@ def test_flat_thresholds_writes_threshold_table(tmp_path, monkeypatch):
     rep = threshold_check_product(FlatTorus.circle(1.0),
                                   FlatTorus(np.diag([0.04, 0.09])), 1)
     assert out.read_bytes() == rep.csv.encode()
+
+
+@pytest.mark.parametrize("name,args,message", [
+    ("collapse_sweep.py", ["--b", "0 1; 0"], "--b: need a square matrix"),
+    ("collapse_sweep.py", ["--jmax", "0"], "--jmax: need an integer >= 1"),
+    ("flat_thresholds.py", ["--fiber", "1 2; 3 4"], "gram must be symmetric"),
+    ("flat_thresholds.py", ["--degree", "5"], "degree 5 not in [0, 2]"),
+], ids=["sweep-ragged-b", "sweep-jmax-0", "thresholds-asymmetric-fiber",
+        "thresholds-degree-5"])
+def test_script_rejects_malformed_input(name, args, message, tmp_path,
+                                        monkeypatch, capsys):
+    out = tmp_path / "out"
+    _run_script(name, monkeypatch, *args, "--out", str(out), code=2)
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("error: ") and message in stderr
+    assert not out.exists()

@@ -25,6 +25,15 @@ def test_flat_torus_validation():
         FlatTorus(np.array([[1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_flat_torus_rejects_non_finite_gram(entry):
+    # a NaN Gram passed the symmetry and Cholesky checks
+    with pytest.raises(ValueError, match="gram must be finite"):
+        FlatTorus(np.array([[1.0, 0.0], [0.0, entry]]))
+    with pytest.raises(ValueError, match="gram must be finite"):
+        FlatTorus.circle(entry)
+
+
 def _box_enumerate(q, qmax):
     """Reference enumeration: every gamma of the isotropic box of radius
     sqrt(qmax / lambda_min(q)), one quadratic form per point."""
@@ -305,13 +314,13 @@ def test_odd_multiplicity_products():
     rep = cs.odd_multiplicity_check(FlatTorus.circle(1.0),
                                     FlatTorus.identity(2), 1,
                                     2.5 * FOUR_PI_SQ)
-    assert rep.ok
+    assert not rep.violations
     rng = np.random.default_rng(71)
     for _ in range(10):
         base = FlatTorus(np.diag(rng.uniform(0.5, 2.0, 1) ** 2))
         fiber = FlatTorus(np.diag(rng.uniform(0.5, 2.0, 2) ** 2))
         rep = cs.odd_multiplicity_check(base, fiber, 0, 150.0)
-        assert rep.ok
+        assert not rep.violations
 
 
 def test_product_degree_out_of_range():
@@ -323,14 +332,23 @@ def test_product_degree_out_of_range():
                                   FlatTorus.identity(2), 4, 50.0)
 
 
+def _diameter_bound_margin(torus):
+    """lambda01 - (pi / diam)^2 and the rounding allowance, 1e-12
+    relative to the bound, under which the inequality still holds."""
+    bound = math.pi ** 2 / cs.diameter(torus) ** 2
+    return cs.lambda01(torus) - bound, 1e-12 * max(1.0, bound)
+
+
 def test_diameter_eigenvalue_bound():
-    rep = cs.diameter_eigenvalue_bound_check(FlatTorus.identity(2))
-    assert rep.ok and rep.margin > 0
+    margin, allowance = _diameter_bound_margin(FlatTorus.identity(2))
+    assert margin >= -allowance and margin > 0
     # circle: exact equality of lambda01 and (pi / (l/2))^2
-    rep = cs.diameter_eigenvalue_bound_check(FlatTorus.circle(1.0))
-    assert rep.ok and abs(rep.margin) <= 1e-12 * rep.lam01
-    rep = cs.diameter_eigenvalue_bound_check(cs.gt_gram(0.5))
-    assert rep.ok and rep.diam == pytest.approx(0.625, rel=1e-12)
+    margin, allowance = _diameter_bound_margin(FlatTorus.circle(1.0))
+    assert margin >= -allowance
+    assert abs(margin) <= 1e-12 * cs.lambda01(FlatTorus.circle(1.0))
+    margin, allowance = _diameter_bound_margin(cs.gt_gram(0.5))
+    assert margin >= -allowance
+    assert cs.diameter(cs.gt_gram(0.5)) == pytest.approx(0.625, rel=1e-12)
 
 
 def test_lambda01_skewed_brute_force():

@@ -493,6 +493,7 @@ def _floor_script():
     (["--trials", "0"], "trials must be an integer in 1..10000, got 0"),
     (["--cap", "nan"], "curvature_cap = nan is not finite"),
     (["--b", "0 1; 0 0"], "nilpotent part"),
+    (["--b", "1 0; 0"], "--b: need a matrix of numbers"),
 ])
 def test_floor_script_reports_rejected_input(argv, message, monkeypatch,
                                              capsys):

@@ -152,11 +152,15 @@ def test_collapse_direction_lambda_overflow_names_b0():
 
 
 def test_curvature_bound():
-    rep = cs.curvature_bound_check([1.0, 0.0])
-    assert rep.ok and rep.attained_at_horizontal
-    assert rep.max_abs_k == pytest.approx(0.75)
-    assert cs.curvature_bound_check([0.0, 0.0]).max_abs_k == 0.0
-    assert cs.curvature_bound_check([2.0, 0.0]).max_abs_k == pytest.approx(3.0)
+    # |K| <= 3/4 eta^2 over frame pairs, attained at (Y_1, Y_2)
+    table = cs.frame_curvature_table(nil_algebra([1.0, 0.0]))
+    allowance = 1e-12 * max(1.0, 0.75)
+    assert table.max_abs <= 0.75 + allowance
+    assert abs(abs(table.k(2, 3)) - 0.75) <= allowance
+    assert table.max_abs == pytest.approx(0.75)
+    assert cs.frame_curvature_table(nil_algebra([0.0, 0.0])).max_abs == 0.0
+    assert cs.frame_curvature_table(nil_algebra([2.0, 0.0])).max_abs \
+        == pytest.approx(3.0)
 
 
 def test_trajectory_csv():
