@@ -6,8 +6,12 @@ showing the spectrum of the degree-1 invariant Laplacian, the trace of
 C_eps^T C_eps and the frame curvature bound along the collapse.
 
 Exit status: 0 when every table is written, 2 on malformed input (a B
-that is not a square matrix of finite numbers, --jmax below 1) or when
-the library rejects it.
+that is not a square matrix of finite numbers, --jmax below 1), when
+the finest eps puts the small eigenvalues eps^2 of some k >= 1 within
+twice the kernel cutoff, or when the library rejects the input.  The
+largest admissible --jmax is 14 for every B whose collapse family has
+eps = 1 trace Tr(C^T C) <= 1.86, the default B among them; a larger
+trace T lowers it to the largest j with 4^-j >= 2e-9 T.
 
 Example:
     python scripts/collapse_sweep.py --out /tmp/sweep --jmax 12
@@ -20,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from collapse_spectra import invariants_dd, run_collapse
+from collapse_spectra import NearKernelCutoff, invariants_dd, run_collapse
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -42,7 +46,8 @@ def main() -> int:
     ap.add_argument("--b", default="0 1; 0 0",
                     help="matrix B, rows separated by ';'")
     ap.add_argument("--jmax", type=int, default=10,
-                    help="grid eps = 2^-1 .. 2^-jmax, jmax >= 1")
+                    help="grid eps = 2^-1 .. 2^-jmax, 1 <= jmax <= 14 "
+                         "(less for a B with eps = 1 trace above 1.86)")
     ap.add_argument("--out", default="sweep-out")
     args = ap.parse_args()
 
@@ -53,6 +58,9 @@ def main() -> int:
         d, d_prime = invariants_dd(B)
         grid = [2.0 ** -j for j in range(1, args.jmax + 1)]
         tables = [run_collapse(B, k, grid) for k in range(d - d_prime + 1)]
+    except NearKernelCutoff as exc:
+        print(f"error: --jmax: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,12 +53,10 @@ def sectional_curvature(L: StructureConstants, u, v) -> float:
 
 @dataclass(frozen=True)
 class CurvatureTable:
-    """K(e_i, e_j) for unordered frame pairs, plus an optional sampled max
-    over random orthonormal 2-planes."""
+    """K(e_i, e_j) for unordered frame pairs."""
 
     n: int
     pairs: dict = field(repr=False)
-    sampled_max: float | None = None
 
     def k(self, i: int, j: int) -> float:
         if i == j:
@@ -67,10 +65,8 @@ class CurvatureTable:
 
     @property
     def max_abs(self) -> float:
-        frame = max(abs(v) for v in self.pairs.values()) if self.pairs else 0.0
-        if self.sampled_max is not None:
-            frame = max(frame, self.sampled_max)
-        return float(frame)
+        return float(max(abs(v) for v in self.pairs.values())
+                     if self.pairs else 0.0)
 
     def to_csv(self) -> str:
         return csv_text(["pair_i", "pair_j", "K"],
@@ -78,28 +74,16 @@ class CurvatureTable:
                          for (i, j) in sorted(self.pairs)])
 
 
-def frame_curvature_table(L: StructureConstants, samples: int = 0,
-                          seed: int = 0) -> CurvatureTable:
-    """Evaluate K on every frame pair, optionally sampling random 2-planes.
-
-    The sampled maximum uses ``samples`` seeded random orthonormal pairs;
-    the sup over all 2-planes is never computed exactly.
-    """
+def frame_curvature_table(L: StructureConstants) -> CurvatureTable:
+    """Evaluate K on every frame pair; the sup over all 2-planes is never
+    computed."""
     n = L.n
     eye = np.eye(n)
     pairs = {}
     for i in range(n):
         for j in range(i + 1, n):
             pairs[(i, j)] = sectional_curvature(L, eye[i], eye[j])
-    sampled = None
-    if samples > 0:
-        rng = np.random.default_rng(seed)
-        sampled = 0.0
-        for _ in range(samples):
-            m = rng.standard_normal((n, 2))
-            q, _ = np.linalg.qr(m)
-            sampled = max(sampled, abs(sectional_curvature(L, q[:, 0], q[:, 1])))
-    return CurvatureTable(n, pairs, sampled)
+    return CurvatureTable(n, pairs)
 
 
 def solvable_curvature_closed_form(C) -> CurvatureTable:

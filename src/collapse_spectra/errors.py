@@ -29,6 +29,10 @@ class KTooLarge(CollapseSpectraError):
     """Requested small-eigenvalue count exceeds the nilpotent capacity."""
 
 
+class NearKernelCutoff(CollapseSpectraError):
+    """A predicted nonzero eigenvalue would be counted as kernel."""
+
+
 class NotSemisimple(CollapseSpectraError):
     """Matrix is not semisimple (minimal polynomial has a repeated root)."""
 

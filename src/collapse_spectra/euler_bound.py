@@ -154,13 +154,10 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
     # full column rank l, so the trailing columns of its complete QR span
     # the vectors x with K^T g x = 0
     null = np.linalg.qr(g @ K, mode="complete")[0][:, K.shape[1]:]
-    m_gram = null.T @ g @ null
-    r = np.linalg.cholesky(m_gram)
-    W = null @ np.linalg.inv(r).T
-    A_on = Ef @ W
     return NonInjectiveReport(tuple(map(tuple, kernel_cols)),
                               tuple(map(tuple, reduced)), quotient_volume,
-                              _chain(A_on.T @ A_on), False)
+                              _chain(ee_star(Ef @ null, null.T @ g @ null)),
+                              False)
 
 
 # ---------------------------------------------------------------------------

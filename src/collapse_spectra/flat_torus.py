@@ -19,6 +19,9 @@ import numpy as np
 from .artifacts import csv_text
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
+#: largest base length, and base / fiber length, of a listed product: a
+#: circle or unit square fiber lists about 5.3 base / fiber or 8.1 base rows
+MAX_LENGTH_RATIO = 1e3
 
 
 @dataclass(frozen=True)

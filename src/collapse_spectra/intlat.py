@@ -274,10 +274,10 @@ def matrix_exp(b) -> np.ndarray:
     return result
 
 
-def verify_log(a, b, tol: float = 1e-8) -> bool:
-    """True iff max-entry norm of exp(B) - A is at most tol."""
+def verify_log(a, b) -> bool:
+    """True iff max-entry norm of exp(B) - A is at most 1e-8."""
     A = np.asarray(a, dtype=float)
     B = np.asarray(b, dtype=float)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrices of equal size required")
-    return bool(np.max(np.abs(matrix_exp(B) - A)) <= tol)
+    return bool(np.max(np.abs(matrix_exp(B) - A)) <= 1e-8)

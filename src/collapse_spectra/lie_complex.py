@@ -16,7 +16,9 @@ Delta_p is the largest C(n, p) of the eigenvalues of G_p and G_{p-1}
 padded with zeros, where G_p is the Gram matrix of d_p on its smaller
 side, of size min(C(n, p), C(n, p+1)).  :func:`spectrum` keeps the
 eigenvalues of each G_p on its ``StructureConstants``, so a sweep over
-all degrees builds each d_p once and solves each G_p once.
+all degrees builds each d_p once and solves each G_p once.  One rule
+separates the kernel: an eigenvalue at most :func:`kernel_cutoff` of its
+spectrum's largest eigenvalue counts as zero.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import DegreeOutOfRange, RankAmbiguous, SingularFrame
 JACOBI_TOL = 1e-9
 #: Symmetry tolerance for assembled Laplacians.
 SYM_TOL = 1e-10
-#: Eigenvalues above -EIG_TOL (times scale) are clamped to zero.
+#: Relative kernel cutoff of a spectrum; read only through kernel_cutoff.
 EIG_TOL = 1e-9
 #: Frame changes with |det P| below this are rejected.
 SINGULAR_TOL = 1e-12
@@ -258,16 +260,6 @@ def _d_pattern(n: int, p: int):
     return flat, idx
 
 
-def _checked_stack(c, p: int) -> np.ndarray:
-    """``c`` as a float stack (T, n, n, n), once 0 <= p <= n is checked."""
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 4 or len(set(c.shape[1:])) != 1:
-        raise ValueError(f"structure tensor stack must be (T,n,n,n), got {c.shape}")
-    if not 0 <= p <= c.shape[-1]:
-        raise DegreeOutOfRange(f"degree {p} not in [0, {c.shape[-1]}]")
-    return c
-
-
 def stacked_derivative(c, p: int) -> np.ndarray:
     """d_p of every tensor in the stack ``c`` (T, n, n, n), as an array
     (T, C(n, p+1), C(n, p)).
@@ -280,8 +272,12 @@ def stacked_derivative(c, p: int) -> np.ndarray:
     2.8 MB for all p at n = 12 and 18 MB at n = 14, less for each n than
     its largest Laplacian.
     """
-    c = _checked_stack(c, p)
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 4 or len(set(c.shape[1:])) != 1:
+        raise ValueError(f"structure tensor stack must be (T,n,n,n), got {c.shape}")
     count, n = c.shape[:2]
+    if not 0 <= p <= n:
+        raise DegreeOutOfRange(f"degree {p} not in [0, {n}]")
     dom_dim, cod_dim = form_dim(n, p), form_dim(n, p + 1)
     if p == 0 or p == n:
         return np.zeros((count, cod_dim, dom_dim))
@@ -294,24 +290,6 @@ def stacked_derivative(c, p: int) -> np.ndarray:
         flat = flat + np.arange(0, count * size, size)[:, None]
     return np.bincount(flat.ravel(), weights=w.ravel(),
                        minlength=count * size).reshape(count, cod_dim, dom_dim)
-
-
-def stacked_laplacian(c, p: int) -> np.ndarray:
-    """Form Laplacian d delta + delta d on degree p of every tensor in the
-    stack ``c`` (T, n, n, n), as an array (T, C(n, p), C(n, p))."""
-    c = _checked_stack(c, p)
-    count, n = c.shape[:2]
-    dim = form_dim(n, p)
-    out = np.zeros((count, dim, dim))
-    if p < n:
-        d_p = stacked_derivative(c, p)
-        out += d_p.transpose(0, 2, 1) @ d_p
-        # freed before d_{p-1} is built, so at most one d stack is alive
-        del d_p
-    if p > 0:
-        d_prev = stacked_derivative(c, p - 1)
-        out += d_prev @ d_prev.transpose(0, 2, 1)
-    return out
 
 
 def stacked_gram_eigenvalues(c, p: int) -> np.ndarray:
@@ -350,28 +328,45 @@ def exterior_derivative(L: StructureConstants, p: int) -> np.ndarray:
 
 
 def laplacian(L: StructureConstants, p: int) -> np.ndarray:
-    """Form Laplacian d delta + delta d on degree p, symmetric PSD; the
-    one-algebra case of :func:`stacked_laplacian`."""
-    return stacked_laplacian(L.c[None], p)[0]
+    """Form Laplacian d delta + delta d on degree p, symmetric PSD:
+    d_p^T d_p + d_{p-1} d_{p-1}^T from :func:`exterior_derivative`."""
+    d_p = exterior_derivative(L, p)
+    lap = d_p.T @ d_p
+    if p:
+        d_prev = exterior_derivative(L, p - 1)
+        lap += d_prev @ d_prev.T
+    return lap
+
+
+def kernel_cutoff(top):
+    """EIG_TOL * max(1, top), elementwise: the largest eigenvalue counted as
+    kernel in a spectrum whose largest eigenvalue is ``top``."""
+    return EIG_TOL * np.maximum(1.0, top)
+
+
+def above_kernel_cutoff(small: float, top: float) -> bool:
+    """Whether a predicted eigenvalue ``small`` stays at least twice the
+    kernel cutoff of a spectrum whose largest eigenvalue is ``top``."""
+    return bool(small >= 2.0 * kernel_cutoff(top))
 
 
 def clamp_spectra(vals):
     """Sort eigenvalues along the last axis, clamp them at zero and count
     the kernel, for one spectrum or a stack of them.
 
-    With scale = max(1, largest eigenvalue) of each spectrum, an
-    eigenvalue below -EIG_TOL * scale raises ValueError, and one at most
-    ``kernel_tol`` = EIG_TOL * scale counts toward the kernel.  Returns
-    ``(vals, kernel_tol, kernel_dim)``, the last two over the leading axes.
+    With cutoff = :func:`kernel_cutoff` of the largest eigenvalue of each
+    spectrum, an eigenvalue below -cutoff raises ValueError, and one at
+    most cutoff counts toward the kernel.  Returns ``(vals, kernel_dim)``,
+    the last over the leading axes.
     """
     vals = np.sort(np.asarray(vals, dtype=float), axis=-1)
-    kernel_tol = EIG_TOL * vals.max(axis=-1, initial=1.0, keepdims=True)
-    low = vals[..., :1] < -kernel_tol
+    cutoff = kernel_cutoff(vals.max(axis=-1, initial=0.0, keepdims=True))
+    low = vals[..., :1] < -cutoff
     if low.any():
         raise ValueError(
             f"eigenvalue {vals[..., :1][low][0]} below -EIG_TOL*scale")
     vals = vals.clip(0.0, None)
-    return vals, kernel_tol[..., 0], (vals <= kernel_tol).sum(-1)
+    return vals, (vals <= cutoff).sum(-1)
 
 
 @dataclass(frozen=True)
@@ -388,12 +383,12 @@ class SpectrumReport:
 
     @classmethod
     def from_eigenvalues(cls, vals) -> "SpectrumReport":
-        vals, _, kernel_dim = clamp_spectra(vals)
+        vals, kernel_dim = clamp_spectra(vals)
         vals.setflags(write=False)
         return cls(vals, int(kernel_dim))
 
 
-def _gram_eigenvalues(L: StructureConstants, p: int) -> np.ndarray:
+def gram_eigenvalues(L: StructureConstants, p: int) -> np.ndarray:
     """Eigenvalues of G_p of L as a stack of one, solved once per L."""
     vals = L._gram_eigs.get(p)
     if vals is None:
@@ -406,8 +401,8 @@ def _gram_eigenvalues(L: StructureConstants, p: int) -> np.ndarray:
 def spectrum(L: StructureConstants, p: int) -> SpectrumReport:
     """Eigenvalues of the degree-p Laplacian as a SpectrumReport, from the
     Gram eigenvalues of d_p and d_{p-1} (see :func:`hodge_union`)."""
-    gram_p = _gram_eigenvalues(L, p)
-    gram_prev = _gram_eigenvalues(L, p - 1) if p else np.zeros((1, 0))
+    gram_p = gram_eigenvalues(L, p)
+    gram_prev = gram_eigenvalues(L, p - 1) if p else np.zeros((1, 0))
     return SpectrumReport.from_eigenvalues(
         hodge_union(gram_p, gram_prev, form_dim(L.n, p))[0])
 

@@ -18,11 +18,13 @@ import numpy as np
 
 from .artifacts import csv_text
 from .curvature import solvable_curvature_closed_form
-from .errors import KTooLarge, NotSemisimple, NotUnimodular, RankAmbiguous
+from .errors import (KTooLarge, NearKernelCutoff, NotSemisimple,
+                     NotUnimodular, RankAmbiguous)
 from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
 from .lie_complex import (SpectrumReport, StructureConstants,
-                          check_lie_tensors, clamp_spectra, form_dim,
-                          hodge_union, stacked_gram_eigenvalues, svd_nullspace)
+                          above_kernel_cutoff, check_lie_tensors,
+                          clamp_spectra, form_dim, hodge_union,
+                          stacked_gram_eigenvalues, svd_nullspace)
 
 #: semisimple_floor reports ok when the sampled floor exceeds FLOOR_TOL
 FLOOR_TOL = 1e-4
@@ -68,7 +70,7 @@ class MappingTorusBundle:
         if det_int(A) != 1:
             raise NotUnimodular("A must lie in SL_n(Z)")
         B = np.asarray(self.b_matrix, dtype=float)
-        if not verify_log(np.asarray(A, dtype=float), B, 1e-8):
+        if not verify_log(np.asarray(A, dtype=float), B):
             raise ValueError("exp(B) does not reproduce A within 1e-8")
         if abs(np.trace(B)) > 1e-8:
             raise ValueError("trace(B) must vanish (det A = 1 forces it)")
@@ -324,10 +326,21 @@ def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
 
     The small count classifies the nonzero eigenvalues of C C^T (the
     kernel, of exact dimension d', is excluded by construction).  Returns
-    the one family as ``family``; errors of :func:`collapse_family` propagate.
+    the one family as ``family``; errors of :func:`collapse_family`
+    propagate.  For k >= 1, small eigenvalues eps^2 within twice the
+    kernel cutoff raise NearKernelCutoff before any eigensolve.
     """
     B = np.asarray(b_matrix, dtype=float)
     fam = collapse_family(B, k)
+    # the recipe's k small eigenvalues are eps^2, and the eps = 1 trace
+    # Tr(C^T C) bounds the top one at every eps
+    top = float(np.sum(fam.c_base ** 2))
+    eps = min(eps_grid, default=1.0)
+    if k and not above_kernel_cutoff(eps * eps, top):
+        raise NearKernelCutoff(
+            f"eps = {eps!r} puts the small eigenvalue eps^2 (k = {k} of "
+            f"them) below twice the kernel cutoff of the eps = 1 trace "
+            f"Tr(C^T C) = {top:.6g}")
     rows = []
     for eps in eps_grid:
         if not (0.0 < eps <= 1.0):
@@ -436,7 +449,7 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
         gram_prev = stacked_gram_eigenvalues(c, 0)
         for p in range(1, n + 1):
             gram_p = stacked_gram_eigenvalues(c, p)
-            vals, _, kernel = clamp_spectra(
+            vals, kernel = clamp_spectra(
                 hodge_union(gram_p, gram_prev, form_dim(n + 1, p)))
             gram_prev = gram_p
             rows = np.flatnonzero(kernel < vals.shape[1])

@@ -5,8 +5,10 @@ collapsing homogeneous bundles, emits CSV bodies that are byte-identical
 for a fixed config and seed, and returns machine-checkable margins.
 Parameters, seed and eps grid are merged with the defaults and validated
 in one place, :func:`resolve`, by types, stated bounds and closed-form
-rules before any scenario code runs.  mapping-torus decides B and k where
-it builds its collapse family and reports a bad one as ConfigInvalid.
+rules before any scenario code runs.  mapping-torus decides B, k and
+the eps grid where it builds its collapse family and reports a bad one
+as ConfigInvalid.  Every rule that keeps a predicted small eigenvalue
+away from the kernel asks :func:`lie_complex.above_kernel_cutoff`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from . import (curvature, euler_bound, flat_torus, intlat, lie_complex,
                mapping_torus, torus_bundle)
 from .artifacts import csv_text
-from .errors import (ConfigInvalid, KTooLarge, RankAmbiguous,
-                     ScenarioUnknown)
+from .errors import (ConfigInvalid, KTooLarge, NearKernelCutoff,
+                     RankAmbiguous, ScenarioUnknown)
 
 #: Config-tunable tolerances with their pinned defaults; each governs
 #: one check, named in the comment (criterion checks are in acceptance).
@@ -141,14 +143,15 @@ def _check_grid(grid, power):
 
 
 def _check_heisenberg(params, grid):
-    """The one nonzero eigenvalue eps^(2 tau) <= 1 must stay at least twice
-    the kernel cutoff EIG_TOL, as in :func:`_check_two_block`."""
+    """The one nonzero eigenvalue eps^(2 tau) <= 1 is also the top one;
+    it must stay clear of the kernel cutoff."""
     tau = params["gamma"] - params["alpha"] - params["beta"]
     if tau < 0:
         raise ConfigInvalid("gamma: need gamma >= alpha + beta for bounded curvature")
-    if min(grid) ** (2 * tau) < 2.0 * lie_complex.EIG_TOL:
+    lam = min(grid) ** (2 * tau)
+    if not lie_complex.above_kernel_cutoff(lam, lam):
         raise ConfigInvalid(f"eps_grid: eps = {min(grid)!r} puts eps^(2 tau) "
-                            f"below 2 EIG_TOL = {2.0 * lie_complex.EIG_TOL:g}")
+                            f"= {lam:.3g} below twice the kernel cutoff")
 
 
 def _check_gt_family(params, grid):
@@ -169,12 +172,12 @@ def _check_flat_threshold(params, grid):
                 and np.finfo(float).tiny <= length * length < math.inf):
             raise ConfigInvalid(f"{key}: need {key} > 0 with {key}^2 a "
                                 f"normal float, got {length!r}")
-    # the mode tables hold about 8.1 base and 5.3 base / fiber rows
     base, fiber = params["base_length"], params["fiber_length"]
+    bound = flat_torus.MAX_LENGTH_RATIO
     for key, size in (("base_length", base), ("fiber_length", base / fiber)):
-        if size > 1e3:
-            raise ConfigInvalid(f"{key}: need base_length <= 1e3 and "
-                                f"base_length / fiber_length <= 1e3")
+        if size > bound:
+            raise ConfigInvalid(f"{key}: need base_length <= {bound:g} and "
+                                f"base_length / fiber_length <= {bound:g}")
 
 
 def _check_eta(b, what="sum b_i^2"):
@@ -196,15 +199,14 @@ _TWO_BLOCK_LAM = math.log((3 + math.sqrt(5)) / 2)
 
 def _check_two_block(params, grid):
     """The degree-2 Laplacian has top eigenvalue 4 lam^2 and small
-    eigenvalue 2 eps^2; keep the small one at least twice the kernel
-    cutoff EIG_TOL * 4 lam^2, and give rate-drift two distinct grid
-    points below 0.1 to compare."""
-    eps_min = 2.0 * _TWO_BLOCK_LAM * math.sqrt(lie_complex.EIG_TOL)
+    eigenvalue 2 eps^2; keep the small one clear of the kernel cutoff,
+    and give rate-drift two distinct grid points below 0.1 to compare."""
+    top = 4.0 * _TWO_BLOCK_LAM ** 2
     for eps in grid:
-        if eps < eps_min:
+        if not lie_complex.above_kernel_cutoff(2.0 * eps ** 2, top):
             raise ConfigInvalid(
-                f"eps_grid: eps = {eps!r} is below 2 lam sqrt(EIG_TOL) = "
-                f"{eps_min:.3g}, where 2 eps^2 nears the kernel cutoff")
+                f"eps_grid: eps = {eps!r} puts 2 eps^2 below twice the "
+                f"kernel cutoff of the top eigenvalue 4 lam^2 = {top:.3g}")
     if len({eps for eps in grid if eps < 0.1}) < 2:
         raise ConfigInvalid("eps_grid: rate-drift needs two distinct "
                             "entries below 0.1")
@@ -242,6 +244,8 @@ def _scenario_mapping_torus(params, seed, eps_grid, tols):
         raise ConfigInvalid(f"B: {exc}") from exc
     except KTooLarge as exc:
         raise ConfigInvalid(f"k: {exc}") from exc
+    except NearKernelCutoff as exc:
+        raise ConfigInvalid(f"eps_grid: {exc}") from exc
     d_prime = table.d_prime
     nonzero = [np.sort(r.report.eigenvalues)[d_prime + 1:] for r in table.rows]
     kernel_miss = max(abs(r.report.kernel_dim - d_prime - 1)
@@ -339,10 +343,11 @@ def _scenario_flat_rotation_torus(params, seed, eps_grid, tols):
 def _scenario_torus_bundle(params, seed, eps_grid, tols):
     n, b = params["n"], params["b"]
     atol = tols["spectrum_atol"]
+    L = torus_bundle.nil_algebra(b)
     rows, worst = [], 0.0
     for p in range(1, n + 2):
-        gap = torus_bundle.verify_spectrum(n, p, b)
-        split = torus_bundle.eigenspace_split(n, p, b)
+        gap = torus_bundle.verify_spectrum(L, p)
+        split = torus_bundle.eigenspace_split(L, p)
         rows.append([n, p, gap, split.total, split.coclosed, split.closed])
         worst = max(worst, gap)
     eta_sq = sum(x * x for x in b)
@@ -350,7 +355,6 @@ def _scenario_torus_bundle(params, seed, eps_grid, tols):
         r[4] != lie_complex.form_dim(n - 1, r[1] - 1)
         or r[5] != lie_complex.form_dim(n - 1, r[1] - 2)
         for r in rows)
-    L = torus_bundle.nil_algebra(b)
     table = curvature.frame_curvature_table(L)
     # |K| <= 3/4 eta^2 over frame pairs with equality at (Y_1, Y_2): the
     # maximum and |K(Y_1, Y_2)| are both 3/4 eta^2 itself

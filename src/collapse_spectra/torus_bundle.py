@@ -3,7 +3,9 @@
 A nontrivial bundle is classified by an integer obstruction vector a.
 Its nilpotent model has the single bracket [Y_1, Y_2] = sum_i b_i V_i;
 every invariant form Laplacian then has exactly one nonzero eigenvalue
-|b|^2 (times Vol(base)^{-2}) with multiplicity C(n, p-1).
+|b|^2 (times Vol(base)^{-2}; the base here has unit volume) with
+multiplicity C(n, p-1).  The checks take the algebra ``nil_algebra(b)``
+itself, so one sweep over the degrees solves each Gram matrix once.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ import numpy as np
 
 from .artifacts import csv_text
 from .lie_complex import (SpectrumReport, StructureConstants, form_dim,
-                          spectrum, stacked_gram_eigenvalues)
+                          gram_eigenvalues, spectrum)
 
 
 @dataclass(frozen=True)
 class TorusBundleOverT2:
-    """Fiber dimension and integer obstruction vector; the base volume
-    enters only :func:`predict_spectrum`."""
+    """Fiber dimension and integer obstruction vector."""
 
     n: int
     a: tuple
@@ -48,30 +49,27 @@ def nil_algebra(b) -> StructureConstants:
     return StructureConstants.from_brackets(n + 2, brackets)
 
 
-def predict_spectrum(n: int, p: int, eta: float,
-                     vol_base: float = 1.0) -> SpectrumReport:
-    """Invariant p-spectrum: one eigenvalue eta^2 / vol_base^2 with
-    multiplicity C(n, p-1), zeros elsewhere."""
+def predict_spectrum(n: int, p: int, eta: float) -> SpectrumReport:
+    """Invariant p-spectrum over a base of unit volume: one eigenvalue
+    eta^2 with multiplicity C(n, p-1), zeros elsewhere."""
     if not (0 <= p <= n + 2):
         raise ValueError(f"degree {p} not in [0, {n + 2}]")
     dim = form_dim(n + 2, p)
     mult = math.comb(n, p - 1) if 1 <= p <= n + 1 else 0
-    lam = (eta / vol_base) ** 2
+    lam = eta ** 2
     if lam == 0.0:
         mult = 0
     vals = [0.0] * (dim - mult) + [lam] * mult
     return SpectrumReport.from_eigenvalues(vals)
 
 
-def verify_spectrum(n: int, p: int, b) -> float:
+def verify_spectrum(L: StructureConstants, p: int) -> float:
     """Max elementwise gap between the predicted spectrum and the
-    Chevalley-Eilenberg eigensolve of the nil algebra."""
-    b = [float(x) for x in b]
-    if len(b) != n:
-        raise ValueError("coefficient vector length must equal n")
-    eta = math.sqrt(sum(x * x for x in b))
-    predicted = predict_spectrum(n, p, eta).eigenvalues
-    computed = spectrum(nil_algebra(b), p).eigenvalues
+    Chevalley-Eilenberg eigensolve of ``L = nil_algebra(b)``, whose
+    [Y_1, Y_2] = b is ``L.c[-2, -1, :-2]``."""
+    eta = math.sqrt(sum(x * x for x in L.c[-2, -1, :-2].tolist()))
+    predicted = predict_spectrum(L.n - 2, p, eta).eigenvalues
+    computed = spectrum(L, p).eigenvalues
     return float(np.max(np.abs(predicted - computed))) if predicted.size else 0.0
 
 
@@ -83,24 +81,23 @@ class EigenspaceSplit:
     closed: int
 
 
-def eigenspace_split(n: int, p: int, b) -> EigenspaceSplit:
-    """Dimensions of the eta^2-eigenspace split into coclosed and closed
-    eigenforms; they come out as C(n-1, p-1) and C(n-1, p-2).
+def eigenspace_split(L: StructureConstants, p: int) -> EigenspaceSplit:
+    """Dimensions of the eta^2-eigenspace of ``L = nil_algebra(b)`` split
+    into coclosed and closed eigenforms; they come out as C(n-1, p-1) and
+    C(n-1, p-2).
 
     By the Hodge split, the coclosed eta^2-eigenforms of degree p are the
     singular directions of d_p with sigma^2 = eta^2 and the closed ones
     those of d_{p-1}, so each count reads the squared singular values,
-    taken as the eigenvalues of the smaller Gram matrix of d
-    (:func:`lie_complex.stacked_gram_eigenvalues`).
+    taken as the Gram eigenvalues :func:`spectrum` solves and keeps
+    (:func:`lie_complex.gram_eigenvalues`).
     """
-    b = [float(x) for x in b]
-    eta_sq = sum(x * x for x in b)
+    eta_sq = sum(x * x for x in L.c[-2, -1, :-2].tolist())
     if eta_sq == 0.0:
         return EigenspaceSplit(0.0, 0, 0, 0)
-    L = nil_algebra(b)
 
     def count(q):
-        vals = stacked_gram_eigenvalues(L.c[None], q)[0]
+        vals = gram_eigenvalues(L, q)[0]
         return int(np.sum(np.abs(vals - eta_sq) <= 1e-8 * eta_sq))
 
     coclosed = count(p)

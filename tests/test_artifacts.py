@@ -45,6 +45,14 @@ def test_collapse_sweep_matches_mapping_torus(tmp_path, monkeypatch):
     assert (tmp_path / "collapse_k1.csv").read_bytes() == expected.encode()
 
 
+def test_collapse_sweep_runs_at_its_stated_jmax(tmp_path, monkeypatch):
+    # the help's bound: eps = 2^-14 keeps eps^2 above twice the kernel
+    # cutoff for the default B, whose eps = 1 trace is 1
+    _run_script("collapse_sweep.py", monkeypatch, "--jmax", "14",
+                "--out", str(tmp_path))
+    assert (tmp_path / "collapse_k1.csv").exists()
+
+
 def test_flat_thresholds_writes_threshold_table(tmp_path, monkeypatch):
     out = tmp_path / "thresholds.csv"
     _run_script("flat_thresholds.py", monkeypatch,
@@ -59,8 +67,15 @@ def test_flat_thresholds_writes_threshold_table(tmp_path, monkeypatch):
     ("collapse_sweep.py", ["--jmax", "0"], "--jmax: need an integer >= 1"),
     ("flat_thresholds.py", ["--fiber", "1 2; 3 4"], "gram must be symmetric"),
     ("flat_thresholds.py", ["--degree", "5"], "degree 5 not in [0, 2]"),
+    # eps = 2^-15 puts eps^2 under twice the kernel cutoff
+    ("collapse_sweep.py", ["--jmax", "15"], "--jmax: eps = 3.0517578125e-05"),
+    # base / fiber length 1e5 with the default fiber, 527,792 rows
+    ("flat_thresholds.py", ["--base-length", "1e4"], "--base-length: need"),
+    # a circle of length -1 is the circle of length 1
+    ("flat_thresholds.py", ["--base-length", "-1"], "--base-length: need"),
 ], ids=["sweep-ragged-b", "sweep-jmax-0", "thresholds-asymmetric-fiber",
-        "thresholds-degree-5"])
+        "thresholds-degree-5", "sweep-jmax-15", "thresholds-base-1e4",
+        "thresholds-base-negative"])
 def test_script_rejects_malformed_input(name, args, message, tmp_path,
                                         monkeypatch, capsys):
     out = tmp_path / "out"

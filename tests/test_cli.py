@@ -493,6 +493,49 @@ def test_cli_heisenberg_grid_under_kernel_cutoff_names_key(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: eps_grid:")
 
 
+@pytest.mark.parametrize("k, grid, code", [
+    (1, "2e-5", 2),        # eps^2 = 4e-10, was a failed kernel-dim
+    (1, "1e-170", 2),      # eps^2 underflows to zero
+    (1, "5e-324", 2),      # was a LinAlgError traceback
+    (0, "5e-324", 0),      # a homothety has no small eigenvalue
+])
+def test_cli_mapping_torus_grid_under_kernel_cutoff_names_key(
+        k, grid, code, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[params]\nk = {k}\n")
+    assert cli.main(["mapping-torus", "--config", str(config), "--eps-grid",
+                     grid, "--out", str(tmp_path / "o")]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: eps_grid:")
+
+
+def _rejects(check, params, grid):
+    try:
+        check(params, grid)
+    except ConfigInvalid:
+        return True
+    return False
+
+
+def test_kernel_cutoff_rules_match_their_closed_forms():
+    # heisenberg rejected eps^(2 tau) < 2 EIG_TOL and two-block-solvable
+    # eps < 2 lam sqrt(EIG_TOL); the one cutoff rule decides the same
+    # away from one ulp of each boundary
+    eig_tol = 1e-9
+    edge = 2.0 * scenarios._TWO_BLOCK_LAM * math.sqrt(eig_tol)
+    for eps in (10.0 ** (-8 + 8 * i / 2000) for i in range(2001)):
+        if abs(eps - edge) > math.ulp(edge):
+            assert _rejects(scenarios._check_two_block, {},
+                            (eps, 0.09, 0.08)) == (eps < edge), eps
+        for tau in (0.5, 1.0, 3.0):
+            heis_edge = (2.0 * eig_tol) ** (1.0 / (2.0 * tau))
+            if abs(eps - heis_edge) <= 4 * math.ulp(heis_edge):
+                continue
+            params = {"alpha": 1.0, "beta": 1.0, "gamma": 2.0 + tau}
+            assert _rejects(scenarios._check_heisenberg, params, (eps,)) \
+                == (eps ** (2.0 * tau) < 2.0 * eig_tol), (eps, tau)
+
+
 def test_verify_all_check_records(tmp_path):
     assert cli.main(["verify-all", "--seed", "0", "--out", str(tmp_path)]) == 0
     manifests = list(tmp_path.glob("*/manifest.json"))

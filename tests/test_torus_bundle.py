@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import collapse_spectra as cs
 from collapse_spectra.lie_complex import svd_nullspace
+from collapse_spectra.scenarios import run_scenario_checks
 from collapse_spectra.torus_bundle import (eigenspace_split, nil_algebra,
                                            predict_spectrum)
 
@@ -33,14 +34,14 @@ def test_predict_spectrum_examples():
     assert np.allclose(rep.eigenvalues, [0, 0, 0, 0, 1, 1])
     rep = predict_spectrum(2, 1, 0.0)
     assert not np.any(rep.eigenvalues)
-    rep = predict_spectrum(2, 1, 2.0, vol_base=2.0)
-    assert float(rep.eigenvalues[-1]) == 1.0
+    rep = predict_spectrum(2, 1, 2.0)
+    assert float(rep.eigenvalues[-1]) == 4.0
 
 
 def test_verify_spectrum_all_degrees():
     for n, b in ((1, [1.0]), (2, [1.0, 0.0]), (3, [0.0, 0.0, 2.0])):
         for p in range(0, n + 3):
-            assert cs.verify_spectrum(n, p, b) <= 1e-10
+            assert cs.verify_spectrum(nil_algebra(b), p) <= 1e-10
 
 
 def test_spectrum_depends_only_on_norm():
@@ -55,7 +56,7 @@ def test_eigenspace_split_counts():
     for n, b in ((2, [1.0, 0.0]), (3, [0.5, 0.5, 1.0]), (2, [1e-3, 2e-3]),
                  (2, [40.0, 3.0])):
         for p in range(1, n + 2):
-            split = eigenspace_split(n, p, b)
+            split = eigenspace_split(nil_algebra(b), p)
             expect_co = math.comb(n - 1, p - 1) if p - 1 <= n - 1 else 0
             expect_cl = math.comb(n - 1, p - 2) if 0 <= p - 2 <= n - 1 else 0
             assert split.coclosed == expect_co
@@ -66,7 +67,8 @@ def test_eigenspace_split_counts():
 def test_eigenspace_split_small_eta_excludes_kernel():
     # eta^2 = 1e-8: the whole nil Laplacian scales with |b|^2, so a window
     # absolute in eta^2 would take the kernel in as well
-    got = [eigenspace_split(2, p, [1e-4, 0.0]) for p in (1, 2, 3)]
+    L = nil_algebra([1e-4, 0.0])
+    got = [eigenspace_split(L, p) for p in (1, 2, 3)]
     assert [s.total for s in got] == [1, 2, 1]
     assert [(s.coclosed, s.closed) for s in got] == [(1, 0), (1, 1), (0, 1)]
 
@@ -98,7 +100,7 @@ def test_eigenspace_split_matches_eigenvector_method():
             b[0] = 1.0
         b = b.tolist()
         for p in range(0, n + 3):
-            split = eigenspace_split(n, p, b)
+            split = eigenspace_split(nil_algebra(b), p)
             assert (split.total, split.coclosed, split.closed) \
                 == _eigenvector_split(n, p, b), (n, p, b)
 
@@ -171,13 +173,32 @@ def test_trajectory_csv():
 
 
 def test_verify_spectrum_unit_bracket():
-    assert cs.verify_spectrum(2, 1, (0.6, 0.8)) <= 1e-12
+    assert cs.verify_spectrum(nil_algebra((0.6, 0.8)), 1) <= 1e-12
 
 
 @given(st.integers(1, 3), st.lists(st.floats(-3, 3, allow_nan=False),
                                    min_size=3, max_size=3))
 @settings(max_examples=30, deadline=None)
 def test_property_unique_eigenvalue(n, coeffs):
-    b = coeffs[:n]
+    L = nil_algebra(coeffs[:n])
     for p in range(1, n + 2):
-        assert cs.verify_spectrum(n, p, b) <= 1e-10
+        assert cs.verify_spectrum(L, p) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_torus_bundle_builds_each_d_once(n, monkeypatch):
+    # one nil algebra per evaluation: the spectra solve G_0 .. G_{n+1}
+    # once each and the eigenspace split reads the same Gram eigenvalues
+    lc = cs.lie_complex
+    builds = []
+    real_d = lc.stacked_derivative
+
+    def counting_d(c, p):
+        builds.append(p)
+        return real_d(c, p)
+
+    monkeypatch.setattr(lc, "stacked_derivative", counting_d)
+    b = " ".join(["1"] + ["0.5"] * (n - 1))
+    result = run_scenario_checks("torus-bundle", {"n": n, "b": b})
+    assert result.passed
+    assert sorted(builds) == list(range(n + 2))
