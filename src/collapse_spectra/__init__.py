@@ -9,8 +9,8 @@ enumeration, integer lattice tools, and collapse experiment harnesses.
 from .errors import (CollapseSpectraError, ConfigInvalid, DegreeOutOfRange,
                      KTooLarge, NearKernelCutoff, NotInjective,
                      NotOrthonormal, NotSemisimple, NotUnimodular,
-                     RankAmbiguous, ScenarioUnknown, SingularFrame,
-                     TrivialBundle)
+                     RankAmbiguous, ScaleTooLarge, ScenarioUnknown,
+                     SingularFrame, TrivialBundle)
 from .lie_complex import (FormBasis, SpectrumReport, StructureConstants,
                           change_frame, exterior_derivative, jacobi_defect,
                           laplacian, spectrum, unimodularity_defect)

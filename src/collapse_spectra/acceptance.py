@@ -21,11 +21,8 @@ All criteria of one :func:`run_all` share a :class:`ScenarioRuns` cache
 keyed by the resolved configuration, so a configuration listed by several
 criteria is evaluated once; only criterion 12's second pass bypasses it.
 ``verify-all`` writes the scenario manifests from the cached first pass,
-so each default configuration is evaluated exactly twice.  Thresholds come
-from ``TOLERANCES``; ``run_all`` checks and applies the overrides of a
-config's ``[tolerances]`` section with ``scenarios.tolerance_table``
-before any criterion runs, and passes the table to every criterion and
-run.
+so each default configuration is evaluated exactly twice.  Every bound
+is a fixed number written at its check, here or in the scenario.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import numpy as np
 
 from . import (euler_bound, flat_torus, intlat, lie_complex, mapping_torus,
                scenarios, torus_bundle)
-from .scenarios import TOLERANCES, CheckResult, tolerance_table
+from .scenarios import CheckResult
 
 
 @dataclass(frozen=True)
@@ -59,22 +56,18 @@ def _result(number, name, checks, t0):
                            perf_counter() - t0)
 
 
-class ScenarioRuns:
-    """Scenario results under one tolerance table, keyed by resolved
-    configuration, with the seconds each evaluation took."""
-
-    def __init__(self, tols):
-        self.tols = tols
-        self.cache = {}
+class ScenarioRuns(dict):
+    """Scenario results keyed by resolved configuration, with the seconds
+    each evaluation took."""
 
     def timed(self, name, params=None, seed=0, eps_grid=None):
         key = scenarios.resolve(name, params, seed, eps_grid)
-        if key not in self.cache:
+        if key not in self:
             t0 = time.perf_counter()
             result = scenarios.run_scenario_checks(name, params, seed,
-                                                   eps_grid, self.tols)
-            self.cache[key] = (result, time.perf_counter() - t0)
-        return self.cache[key]
+                                                   eps_grid)
+            self[key] = (result, time.perf_counter() - t0)
+        return self[key]
 
     def __call__(self, name, params=None, seed=0, eps_grid=None):
         return self.timed(name, params, seed, eps_grid)[0]
@@ -88,13 +81,9 @@ def _scenario_checks(runs, run_list):
             for c in runs(name, params, seed, grid).checks]
 
 
-# ---------------------------------------------------------------------------
-# test algebra collection used by several criteria
-# ---------------------------------------------------------------------------
-
 def _unimodular_test_algebras():
     two_pi = 2.0 * math.pi
-    algebras = [
+    return [
         ("abelian3", lie_complex.StructureConstants.abelian(3)),
         ("heisenberg", lie_complex.StructureConstants.heisenberg3()),
         ("solvable-nilpotent", mapping_torus.solvable_algebra(
@@ -108,7 +97,6 @@ def _unimodular_test_algebras():
         ("product", torus_bundle.nil_algebra([1.0]).direct_sum(
             lie_complex.StructureConstants.heisenberg3())),
     ]
-    return algebras
 
 
 def _test_b_matrices():
@@ -125,7 +113,7 @@ def _test_b_matrices():
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_1_heisenberg(tols, seed, runs):
+def criterion_1_heisenberg(seed, runs):
     t0 = time.perf_counter()
     checks = _scenario_checks(runs, [
         (f"gamma-{gamma}", "heisenberg", {"gamma": gamma}, None, seed)
@@ -135,9 +123,8 @@ def criterion_1_heisenberg(tols, seed, runs):
     return _result(1, "heisenberg small eigenvalue", checks, t0)
 
 
-def criterion_2_closed_form(tols, seed, runs):
+def criterion_2_closed_form(seed, runs):
     t0 = time.perf_counter()
-    atol = tols["closed_form_atol"]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(20):
@@ -146,15 +133,13 @@ def criterion_2_closed_form(tols, seed, runs):
         fast = mapping_torus.laplacian1_fast(C)
         generic = lie_complex.laplacian(mapping_torus.solvable_algebra(C), 1)
         worst = max(worst, float(np.max(np.abs(fast - generic))))
-    checks = [CheckResult("oracle-equality", worst, atol,
+    checks = [CheckResult("oracle-equality", worst, 1e-12,
                           f"max entry gap {worst:.3e}")]
     return _result(2, "degree-1 Laplacian closed form", checks, t0)
 
 
-def criterion_3_complex_validity(tols, seed, runs):
+def criterion_3_complex_validity(seed, runs):
     t0 = time.perf_counter()
-    atol_dd = 1e-12
-    atol_dual = tols["duality_atol"]
     worst_uni = worst_dd = worst_sym = worst_neg = worst_dual = 0.0
     for _, L in _unimodular_test_algebras():
         worst_uni = max(worst_uni, lie_complex.unimodularity_defect(L))
@@ -175,18 +160,18 @@ def criterion_3_complex_validity(tols, seed, runs):
             worst_dual = max(worst_dual, float(np.max(np.abs(s1 - s2))))
     checks = [
         CheckResult("unimodular", worst_uni, 1e-12, f"max {worst_uni:.3e}"),
-        CheckResult("d-squared-zero", worst_dd, atol_dd,
+        CheckResult("d-squared-zero", worst_dd, 1e-12,
                     f"max {worst_dd:.3e}"),
         CheckResult("symmetric", worst_sym, lie_complex.SYM_TOL,
                     f"max asym {worst_sym:.3e}"),
         CheckResult("psd", worst_neg, 1e-9, f"most negative {worst_neg:.3e}"),
-        CheckResult("poincare-duality", worst_dual, atol_dual,
+        CheckResult("poincare-duality", worst_dual, 1e-9,
                     f"max {worst_dual:.3e}"),
     ]
     return _result(3, "complex validity and duality", checks, t0)
 
 
-def criterion_4_kernel_dimension(tols, seed, runs):
+def criterion_4_kernel_dimension(seed, runs):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 4)
     kernel_miss, count_miss = 0, 0
@@ -211,7 +196,7 @@ def criterion_4_kernel_dimension(tols, seed, runs):
     return _result(4, "kernel dimension over random frames", checks, t0)
 
 
-def criterion_5_collapse_counts(tols, seed, runs):
+def criterion_5_collapse_counts(seed, runs):
     t0 = time.perf_counter()
     b4 = np.zeros((4, 4))
     b4[0, 1] = 1.0
@@ -225,7 +210,7 @@ def criterion_5_collapse_counts(tols, seed, runs):
     return _result(5, "collapse small-eigenvalue counts", checks, t0)
 
 
-def criterion_6_betti(tols, seed, runs):
+def criterion_6_betti(seed, runs):
     t0 = time.perf_counter()
     known = [([[1, 0], [0, 1]], 3), ([[1, 1], [0, 1]], 2),
              ([[2, 1], [1, 1]], 1)]
@@ -254,14 +239,14 @@ def criterion_6_betti(tols, seed, runs):
     return _result(6, "first Betti numbers", checks, t0)
 
 
-def criterion_7_two_block_regression(tols, seed, runs):
+def criterion_7_two_block_regression(seed, runs):
     t0 = time.perf_counter()
     checks = _scenario_checks(runs, [
         ("two-block", "two-block-solvable", None, None, seed)])
     return _result(7, "two-block solvable regression", checks, t0)
 
 
-def criterion_8_torus_bundle(tols, seed, runs):
+def criterion_8_torus_bundle(seed, runs):
     t0 = time.perf_counter()
     cases = [(1, [1.0]), (2, [1.0, 0.0]), (2, [0.6, 0.8]), (3, [0.0, 0.0, 2.0])]
     checks = _scenario_checks(runs, [
@@ -270,7 +255,7 @@ def criterion_8_torus_bundle(tols, seed, runs):
     return _result(8, "principal bundle unique eigenvalue", checks, t0)
 
 
-def criterion_9_contrasting_collapses(tols, seed, runs):
+def criterion_9_contrasting_collapses(seed, runs):
     t0 = time.perf_counter()
     grid = (0.5, 0.25, 0.125, 0.0625)
     checks = _scenario_checks(runs, [
@@ -281,7 +266,7 @@ def criterion_9_contrasting_collapses(tols, seed, runs):
     return _result(9, "contrasting collapse modes", checks, t0)
 
 
-def criterion_10_flat_thresholds(tols, seed, runs):
+def criterion_10_flat_thresholds(seed, runs):
     t0 = time.perf_counter()
     checks = _scenario_checks(runs, [
         ("flat-threshold", "flat-threshold", None, None, seed),
@@ -295,7 +280,7 @@ def criterion_10_flat_thresholds(tols, seed, runs):
     return _result(10, "flat invariance thresholds", checks, t0)
 
 
-def criterion_11_euler_chain(tols, seed, runs):
+def criterion_11_euler_chain(seed, runs):
     t0 = time.perf_counter()
     checks = _scenario_checks(runs, [
         ("euler-bound", "euler-bound", {"trials": 50, "kmax": 4}, None,
@@ -328,12 +313,12 @@ def criterion_11_euler_chain(tols, seed, runs):
     return _result(11, "Euler determinant bound chain", checks, t0)
 
 
-def criterion_12_end_to_end(tols, seed, runs):
+def criterion_12_end_to_end(seed, runs):
     t0 = time.perf_counter()
     names = sorted(scenarios.SCENARIOS)
     first = [runs.timed(name, seed=seed) for name in names]
     t1 = time.perf_counter()
-    second = [scenarios.run_scenario_checks(name, seed=seed, tolerances=tols)
+    second = [scenarios.run_scenario_checks(name, seed=seed)
               for name in names]
     # the first pass may have been evaluated earlier, by another criterion
     elapsed = sum(s for _, s in first) + time.perf_counter() - t1
@@ -375,15 +360,13 @@ class AcceptanceSummary:
         return all(r.passed for r in self.results)
 
 
-def run_all(seed: int = 0, tolerances: dict = None,
-            skip: tuple = ()) -> AcceptanceSummary:
-    tols = tolerance_table(tolerances)
-    runs = ScenarioRuns(tols)
+def run_all(seed: int = 0, skip: tuple = ()) -> AcceptanceSummary:
+    runs = ScenarioRuns()
     t0 = time.perf_counter()
     results = []
     for func in CRITERIA:
         number = int(func.__name__.split("_")[1])
         if number in skip:
             continue
-        results.append(func(tols, seed, runs))
+        results.append(func(seed, runs))
     return AcceptanceSummary(tuple(results), time.perf_counter() - t0, runs)

@@ -60,8 +60,8 @@ def _read_config(path: str) -> dict:
     for section in cp.sections():
         if section == "scenario":
             for key, value in cp.items(section):
-                if key == "name":
-                    out["name"] = value.strip()
+                if key in ("name", "out"):
+                    out[key] = value.strip()
                 elif key == "seed":
                     try:
                         out["seed"] = int(value)
@@ -69,15 +69,10 @@ def _read_config(path: str) -> dict:
                         raise ConfigInvalid("seed: must be an integer") from exc
                 elif key == "eps_grid":
                     out["eps_grid"] = value
-                elif key == "out":
-                    out["out"] = value.strip()
                 else:
                     raise ConfigInvalid(f"{key}: unknown key in [scenario]")
         elif section == "params":
             out["params"].update(cp.items(section))
-        elif section == "tolerances":
-            # checked by acceptance.run_all before any criterion runs
-            out["tolerances"] = dict(cp.items(section))
         else:
             raise ConfigInvalid(f"{section}: unknown config section")
     return out
@@ -129,18 +124,18 @@ def _cmd_list() -> int:
     for name, tag, defaults in rows:
         default_str = ", ".join(
             "{}={}".format(k, str(v).replace("\n", "; "))
-            for k, v in sorted(defaults.items(), key=lambda kv: kv[0]))
+            for k, v in sorted(defaults.items()))
         print(f"{name:<{width}}  {tag}" + (f"  [{default_str}]"
                                            if default_str else ""))
     print(f"{len(rows)} scenarios")
     return 0
 
 
-def _cmd_verify_all(seed: int, out_dir: Path, tolerances: dict) -> int:
+def _cmd_verify_all(seed: int, out_dir: Path) -> int:
     # resolved before any criterion runs, some of which seed an RNG
     grids = {name: scenarios.resolve(name, seed=seed)[3]
              for name in sorted(scenarios.SCENARIOS)}
-    summary = acceptance.run_all(seed=seed, tolerances=tolerances)
+    summary = acceptance.run_all(seed=seed)
     scenario_manifests = {}
     for name, grid in grids.items():
         # criterion 12's first pass, not a third evaluation
@@ -190,20 +185,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = _read_config(args.config) if args.config else \
-            {"params": {}}
+        config = _read_config(args.config) if args.config else {"params": {}}
         seed = args.seed if args.seed is not None else config.get("seed", 0)
-        out_base = args.out or os.environ.get("COLLAPSE_SPECTRA_OUT") \
-            or config.get("out") or DEFAULT_OUT
-        out_dir = Path(out_base)
+        out_dir = Path(args.out or os.environ.get("COLLAPSE_SPECTRA_OUT")
+                       or config.get("out") or DEFAULT_OUT)
         if args.command == "list":
             return _cmd_list()
         if args.command == "verify-all":
-            return _cmd_verify_all(seed, out_dir, config.get("tolerances"))
+            return _cmd_verify_all(seed, out_dir)
         name = args.command
-        if "tolerances" in config:
-            raise ConfigInvalid(
-                "tolerances: only verify-all reads the [tolerances] section")
         if "name" in config and config["name"] != name:
             raise ConfigInvalid(
                 f"name: config names scenario {config['name']!r}, "

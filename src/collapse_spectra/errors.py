@@ -33,6 +33,10 @@ class NearKernelCutoff(CollapseSpectraError):
     """A predicted nonzero eigenvalue would be counted as kernel."""
 
 
+class ScaleTooLarge(CollapseSpectraError):
+    """No eps grid keeps a predicted small eigenvalue off the kernel."""
+
+
 class NotSemisimple(CollapseSpectraError):
     """Matrix is not semisimple (minimal polynomial has a repeated root)."""
 

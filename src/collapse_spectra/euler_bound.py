@@ -55,8 +55,9 @@ class BoundChainReport:
 
 
 def _chain(M: np.ndarray) -> BoundChainReport:
-    """The three terms of the bound chain of the PSD k x k matrix M = e*e;
-    the caller judges the inequalities between them."""
+    """The three terms of the bound chain of the PSD k x k matrix M = e*e,
+    judged by the caller.  ``mid_bound`` equals ``det_bound`` exactly, as
+    (Det e)^2 = Det(e*e) and |e|^2 = |e*e|: they differ by rounding alone."""
     k = M.shape[0]
     vals = np.linalg.eigvalsh(M)
     lam_min, lam_max = float(vals[0]), float(vals[-1])

@@ -19,7 +19,7 @@ import numpy as np
 from .artifacts import csv_text
 from .curvature import solvable_curvature_closed_form
 from .errors import (KTooLarge, NearKernelCutoff, NotSemisimple,
-                     NotUnimodular, RankAmbiguous)
+                     NotUnimodular, RankAmbiguous, ScaleTooLarge)
 from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
 from .lie_complex import (SpectrumReport, StructureConstants,
                           above_kernel_cutoff, check_lie_tensors,
@@ -256,8 +256,9 @@ class CollapseFamily:
 def collapse_family(b_matrix, k: int) -> CollapseFamily:
     """The collapse family of B with k small eigenvalues, where B and k
     are decided: RankAmbiguous for ambiguous Jordan chains, KTooLarge
-    unless 0 <= k <= d - d', and OverflowError when a chain vector or the
-    eps = 1 trace Tr(C^T C) = sum(c_base**2) does not fit a float."""
+    unless 0 <= k <= d - d', OverflowError when a chain vector or the
+    eps = 1 trace Tr(C^T C) = sum(c_base**2) does not fit a float, and
+    ScaleTooLarge for k >= 1 when that trace is too large for any eps."""
     B = np.asarray(b_matrix, dtype=float)
     info = jordan_zero_chain(B)
     capacity = info.d - info.d_prime
@@ -281,9 +282,13 @@ def collapse_family(b_matrix, k: int) -> CollapseFamily:
             exponents.append(1 + max(0, kc + 1 - h))
     c_base = np.linalg.solve(info.frame, B @ info.frame)
     with np.errstate(over="ignore"):
-        if not math.isfinite(float(np.sum(c_base ** 2))):
-            raise OverflowError("the collapse family's eps = 1 trace "
-                                "Tr(C^T C) overflows")
+        top = float(np.sum(c_base ** 2))
+    if not math.isfinite(top):
+        raise OverflowError("the collapse family's eps = 1 trace "
+                            "Tr(C^T C) overflows")
+    if k and not above_kernel_cutoff(1.0, top):     # eps^2 <= 1 on any grid
+        raise ScaleTooLarge(f"the eps = 1 trace Tr(C^T C) = {top:.6g} puts "
+                            f"eps^2 under twice its kernel cutoff at all eps")
     return CollapseFamily(info.frame, tuple(exponents), k, info.d,
                           info.d_prime, info.chain_lengths, c_base)
 
@@ -348,8 +353,8 @@ def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
         C = fam.c_matrix(eps)
         vals = np.linalg.eigvalsh(laplacian1_fast(C))
         report = SpectrumReport.from_eigenvalues(vals)
-        nonzero = np.sort(vals)[fam.d_prime + 1:]
-        count = int(np.sum(nonzero < small_threshold(eps)))
+        # eigvalsh sorts ascending; the d' + 1 kernel eigenvalues come first
+        count = int(np.sum(vals[fam.d_prime + 1:] < small_threshold(eps)))
         table = solvable_curvature_closed_form(C)
         rows.append(CollapseRow(float(eps), report,
                                 float(np.sum(C * C)), table.max_abs, count))

@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collapse_spectra import acceptance, scenarios
-from collapse_spectra.errors import ConfigInvalid
 from collapse_spectra.scenarios import CheckResult
 
 
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA,
                          ids=[f.__name__ for f in acceptance.CRITERIA])
 def test_criterion(criterion):
-    tols = dict(acceptance.TOLERANCES)
-    result = criterion(tols, 0, acceptance.ScenarioRuns(tols))
+    result = criterion(0, acceptance.ScenarioRuns())
     status = "PASS" if result.passed else "FAIL"
     print(f"\n{status} criterion {result.number}: {result.name} "
           f"({result.seconds:.2f} s)")
@@ -34,40 +32,6 @@ def test_run_all_summary():
     assert len(summary.results) == len(acceptance.CRITERIA) - 1
 
 
-def test_tolerance_overrides_validated():
-    with pytest.raises(ConfigInvalid, match="^bogus:"):
-        acceptance.run_all(seed=0, tolerances={"bogus": 1.0}, skip=tuple(
-            range(1, 13)))
-
-
-def test_non_finite_tolerance_override_rejected():
-    with pytest.raises(ConfigInvalid, match="^duality_atol:"):
-        acceptance.run_all(tolerances={"duality_atol": float("nan")})
-
-
-# key -> (criterion, check) it governs, with a value that check must fail on
-_FAILING_TOLERANCES = {
-    "heisenberg_rtol": (-1.0, 1, "gamma-3/eigenvalue-rate"),
-    "closed_form_atol": (-1.0, 2, "oracle-equality"),
-    "duality_atol": (-1.0, 3, "poincare-duality"),
-    "survivor_floor": (1e30, 5, "n3-k1/survivor-floor"),
-    "drift_limit": (-1.0, 7, "two-block/rate-drift"),
-    "spectrum_atol": (-1.0, 8, "b=1/spectrum-match"),
-    "chain_margin": (-1.0, 11, "euler-bound/bound-chain"),
-}
-
-
-def test_every_tolerance_key_is_live():
-    assert set(_FAILING_TOLERANCES) == set(acceptance.TOLERANCES)
-    for key, (value, number, check) in _FAILING_TOLERANCES.items():
-        summary = acceptance.run_all(seed=0, tolerances={key: value}, skip=tuple(
-            n for n in range(1, 13) if n != number))
-        (result,) = summary.results
-        failed = {c.name: c.margin for c in result.checks if not c.passed}
-        assert result.number == number and check in failed, (key, failed)
-        assert failed[check] < 0.0, (key, failed[check])
-
-
 @given(value=st.floats(allow_nan=True, allow_infinity=True),
        bound=st.floats(allow_nan=False, allow_infinity=False),
        sense=st.sampled_from(["<=", ">="]))
@@ -82,11 +46,20 @@ def test_check_result_verdict_follows_margin(value, bound, sense):
 
 
 def test_readme_tolerance_table_matches_defaults():
+    # each row's bound is the one every check of that name records in
+    # the row's criterion at seed 0
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    rows = re.findall(r"^\| `(\w+)` \| ([^ |]+) \|", readme.read_text(),
-                      flags=re.MULTILINE)
-    assert {key: float(default) for key, default in rows} \
-        == acceptance.TOLERANCES
+    rows = re.findall(r"^\| (?:`[\w-]+` )?`([\w-]+)` \| ([^ |]+) \| (\d+) \|$",
+                      readme.read_text(), flags=re.MULTILINE)
+    assert len(rows) == 7
+    numbers = {int(number) for _, _, number in rows}
+    summary = acceptance.run_all(seed=0, skip=tuple(
+        n for n in range(1, 13) if n not in numbers))
+    results = {r.number: r for r in summary.results}
+    for check, bound, number in rows:
+        bounds = {c.bound for c in results[int(number)].checks
+                  if c.name.split("/")[-1] == check}
+        assert bounds == {float(bound)}, (check, bounds)
 
 
 def test_criterion_runs_reuse_one_evaluation(monkeypatch):
@@ -98,7 +71,7 @@ def test_criterion_runs_reuse_one_evaluation(monkeypatch):
         return real(name, *args, **kwargs)
 
     monkeypatch.setattr(scenarios, "run_scenario_checks", counting)
-    runs = acceptance.ScenarioRuns(dict(acceptance.TOLERANCES))
+    runs = acceptance.ScenarioRuns()
     first = runs("heisenberg", {"gamma": "3"}, 0, (0.5, 0.1, 0.01))
     assert runs("heisenberg") is first
     assert runs("heisenberg", {"gamma": 2}) is not first

@@ -161,3 +161,33 @@ def test_verdicts_are_check_results():
     with_ok = {node.name for _, node in _dataclasses()
                if "ok" in _fields(node)}
     assert with_ok == OK_FIELDS
+
+
+#: parameters with a default plus dataclass fields in src/; see
+#: test_settable_values_do_not_grow
+SETTABLE_VALUES = 142
+
+
+def test_settable_values_do_not_grow():
+    # each default and each field is a value a caller can set; a new one
+    # must earn its place, and the config file sets none beyond the two
+    # sections a run needs
+    defaults = sum(len(node.args.defaults)
+                   + sum(d is not None for d in node.args.kw_defaults)
+                   for _, tree in _modules() for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.Lambda)))
+    fields = sum(len(_fields(node)) for _, node in _dataclasses())
+    count = defaults + fields
+    assert count <= SETTABLE_VALUES, (
+        f"{count} settable values (parameters with a default plus "
+        f"dataclass fields) in src/, pinned at {SETTABLE_VALUES}: if the "
+        f"new one is needed, raise SETTABLE_VALUES and record in "
+        f"CHANGES.md why")
+    cli = next(tree for module, tree in _modules() if module == "cli")
+    (reader,) = [node for node in cli.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "_read_config"]
+    sections = {node.comparators[0].value for node in ast.walk(reader)
+                if isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Name)
+                and node.left.id == "section"}
+    assert sections == {"scenario", "params"}
