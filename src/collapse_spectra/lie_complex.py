@@ -13,12 +13,18 @@ Spectra come from the Hodge split, not from the assembled Laplacian.
 Since d^2 = 0, d_p^T d_p and d_{p-1} d_{p-1}^T have orthogonal ranges,
 and M^T M and M M^T share their nonzero spectrum, so the spectrum of
 Delta_p is the largest C(n, p) of the eigenvalues of G_p and G_{p-1}
-padded with zeros, where G_p is the Gram matrix of d_p on its smaller
-side, of size min(C(n, p), C(n, p+1)).  :func:`spectrum` keeps the
-eigenvalues of each G_p on its ``StructureConstants``, so a sweep over
-all degrees builds each d_p once and solves each G_p once.  One rule
-separates the kernel: an eigenvalue at most :func:`kernel_cutoff` of its
-spectrum's largest eigenvalue counts as zero.
+padded with zeros.  G_p is the Gram matrix of d_p restricted to its
+nonzero rows and columns, taken on the smaller side of that block: a
+zero row or column of d_p adds only exact zeros, and the padding in
+:func:`hodge_union` puts them back.  For nilpotent and solvable algebras
+most rows and columns are zero (in the solvable model d is nonzero only
+from forms without the coform y of Y to forms with y); a dense frame
+keeps the full size min(C(n, p), C(n, p+1)) in the middle degrees.
+:func:`spectrum` keeps the eigenvalues of each G_p on its
+``StructureConstants``, so a sweep over all degrees builds each d_p once
+and solves each G_p once.  One rule separates the kernel: an eigenvalue
+at most :func:`kernel_cutoff` of its spectrum's largest eigenvalue
+counts as zero.
 """
 
 from __future__ import annotations
@@ -293,11 +299,21 @@ def stacked_derivative(c, p: int) -> np.ndarray:
 
 
 def stacked_gram_eigenvalues(c, p: int) -> np.ndarray:
-    """Ascending eigenvalues of the Gram matrix of d_p on its smaller side
-    for every tensor in the stack ``c`` (T, n, n, n), as an array
-    (T, min(C(n, p), C(n, p+1))): d_p^T d_p or d_p d_p^T, whichever is
-    smaller."""
+    """Ascending nonzero-block eigenvalues of the Gram matrix of d_p for
+    every tensor in the stack ``c`` (T, n, n, n), as an array (T, r).
+
+    d_p is first cut to the rows and columns that are nonzero in some
+    member of the stack; its Gram matrix is then taken on the smaller
+    side of what is left, so r <= min(C(n, p), C(n, p+1)).  The dropped
+    eigenvalues are exact zeros, which :func:`hodge_union` restores.  A
+    d_p with no zero row or column is not copied.
+    """
     d_p = stacked_derivative(c, p)
+    rows, cols = d_p.any(axis=(0, 2)), d_p.any(axis=(0, 1))
+    if not rows.all():
+        d_p = d_p[:, rows]
+    if not cols.all():
+        d_p = d_p[:, :, cols]
     d_t = d_p.transpose(0, 2, 1)
     gram = d_t @ d_p if d_p.shape[2] <= d_p.shape[1] else d_p @ d_t
     return np.linalg.eigvalsh(gram)
@@ -309,7 +325,9 @@ def hodge_union(gram_p, gram_prev, dim: int) -> np.ndarray:
 
     The nonzero spectrum of Delta_p is the union of the nonzero spectra
     of the two Gram matrices, so it is the largest ``dim`` values of both
-    padded with zeros to 2 dim; no rank decision is made.
+    padded with zeros to 2 dim; no rank decision is made.  The padding
+    also restores the exact zeros that :func:`stacked_gram_eigenvalues`
+    drops with the zero rows and columns of d_p.
     """
     count = len(gram_p)
     pad = np.zeros((count, 2 * dim - gram_p.shape[1] - gram_prev.shape[1]))
@@ -389,7 +407,12 @@ class SpectrumReport:
 
 
 def gram_eigenvalues(L: StructureConstants, p: int) -> np.ndarray:
-    """Eigenvalues of G_p of L as a stack of one, solved once per L."""
+    """Eigenvalues of G_p of L as a stack of one (1, r), solved once per L.
+
+    Only the nonzero block of d_p is solved (see
+    :func:`stacked_gram_eigenvalues`), so the exact zeros of its dropped
+    rows and columns are missing here; :func:`hodge_union` restores them.
+    """
     vals = L._gram_eigs.get(p)
     if vals is None:
         vals = stacked_gram_eigenvalues(L.c[None], p)

@@ -90,7 +90,9 @@ def eigenspace_split(L: StructureConstants, p: int) -> EigenspaceSplit:
     singular directions of d_p with sigma^2 = eta^2 and the closed ones
     those of d_{p-1}, so each count reads the squared singular values,
     taken as the Gram eigenvalues :func:`spectrum` solves and keeps
-    (:func:`lie_complex.gram_eigenvalues`).
+    (:func:`lie_complex.gram_eigenvalues`).  Those omit the exact zeros
+    of the zero rows and columns of d_p; only sigma^2 = eta^2 > 0 is
+    counted, so the counts are those of the full Gram matrix.
     """
     eta_sq = sum(x * x for x in L.c[-2, -1, :-2].tolist())
     if eta_sq == 0.0:

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import collapse_spectra as cs
 from collapse_spectra.intlat import rational_rank
 from collapse_spectra.lie_complex import (FormBasis, clamp_spectra, form_dim,
-                                          kernel_cutoff, stacked_derivative)
+                                          hodge_union, kernel_cutoff,
+                                          stacked_derivative,
+                                          stacked_gram_eigenvalues)
 from collapse_spectra.mapping_torus import solvable_algebra
 
 
@@ -261,9 +263,16 @@ def test_spectrum_memo_is_invisible():
     assert one._gram_eigs and one == cs.StructureConstants.abelian(1)
 
 
+def _deflated_side(L, p):
+    """Side of G_p: the smaller of the nonzero row and column counts of d_p."""
+    d = cs.exterior_derivative(L, p)
+    return int(min(d.any(axis=1).sum(), d.any(axis=0).sum()))
+
+
 def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
-    # counts, not timings: two d builds per degree or a C(n, p)-sized
-    # solve of the assembled Laplacian fails here deterministically
+    # counts, not timings: two d builds per degree, a C(n, p)-sized solve
+    # of the assembled Laplacian, or a G_p that keeps the zero rows and
+    # columns of d_p fails here deterministically
     lc = cs.lie_complex
     builds, solves = [], []
     real_d, real_eig = lc.stacked_derivative, lc.np.linalg.eigvalsh
@@ -276,13 +285,52 @@ def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
         solves.append(a.shape)
         return real_eig(a)
 
-    monkeypatch.setattr(lc, "stacked_derivative", counting_d)
-    monkeypatch.setattr(lc.np.linalg, "eigvalsh", counting_eig)
-    L = _algebra("dense", 8, np.random.default_rng(8))
-    for p in range(L.n + 1):
-        cs.spectrum(L, p)
-    for p in reversed(range(L.n + 1)):
-        cs.spectrum(L, p)
-    assert builds == list(range(9))
-    assert solves == [(1, m, m) for m in (
-        min(math.comb(8, p), math.comb(8, p + 1)) for p in range(9))]
+    rng = np.random.default_rng(8)
+    # bounds on the side of G_p at n = 8: the full one for a dense frame;
+    # d is nonzero only into forms with the coform of Y (solvable) or of
+    # both Y_1 and Y_2 (nil)
+    for kind, bound in (
+            ("dense", lambda p: min(form_dim(8, p), form_dim(8, p + 1))),
+            ("solvable", lambda p: form_dim(7, p)),
+            ("nil", lambda p: form_dim(6, p - 1))):
+        L = _algebra(kind, 8, rng)
+        sides = [_deflated_side(L, p) for p in range(L.n + 1)]
+        builds.clear()
+        solves.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(lc, "stacked_derivative", counting_d)
+            patch.setattr(lc.np.linalg, "eigvalsh", counting_eig)
+            for p in range(L.n + 1):
+                cs.spectrum(L, p)
+            for p in reversed(range(L.n + 1)):
+                cs.spectrum(L, p)
+        assert builds == list(range(9)), kind
+        assert solves == [(1, m, m) for m in sides], kind
+        assert all(m <= bound(p) for p, m in enumerate(sides)), (kind, sides)
+        if kind == "dense":
+            assert sides == [0, 8, 28, 56, 56, 28, 8, 1, 0]
+
+
+def test_mixed_stack_deflates_on_the_union_of_nonzero_patterns():
+    # the sparse member first: masks taken from it alone would cut the
+    # rows and columns the dense member needs
+    n = 7
+    rng = np.random.default_rng(21)
+    algebras = [_algebra(kind, n, rng)
+                for kind in ("nil", "solvable", "dense", "abelian")]
+    stack = np.stack([L.c for L in algebras])
+    gram_prev = np.zeros((len(algebras), 0))
+    for p in range(n + 1):
+        gram_p = stacked_gram_eigenvalues(stack, p)
+        vals, kernel = clamp_spectra(
+            hodge_union(gram_p, gram_prev, form_dim(n, p)))
+        gram_prev = gram_p
+        for t, L in enumerate(algebras):
+            want = cs.spectrum(cs.StructureConstants(L.c), p)
+            scale = max(1.0, float(want.eigenvalues[-1]))
+            assert (np.max(np.abs(vals[t] - want.eigenvalues))
+                    <= 1e-12 * scale), (p, t)
+            assert kernel[t] == want.kernel_dim, (p, t)
+        abelian = algebras[-1]
+        assert stacked_gram_eigenvalues(abelian.c[None], p).shape == (1, 0)
+        assert cs.spectrum(abelian, p).kernel_dim == math.comb(n, p)
