@@ -12,10 +12,9 @@ from .errors import (CollapseSpectraError, ConfigInvalid, DegreeOutOfRange,
                      RankAmbiguous, ScaleTooLarge, ScenarioUnknown,
                      SingularFrame, TrivialBundle)
 from .lie_complex import (FormBasis, SpectrumReport, StructureConstants,
-                          change_frame, exterior_derivative, jacobi_defect,
-                          laplacian, spectrum, unimodularity_defect)
-from .curvature import (CurvatureTable, frame_curvature_table,
-                        nil_bundle_curvature_closed_form, oneill_defect,
+                          change_frame, exterior_derivative, laplacian,
+                          spectrum, unimodularity_defect)
+from .curvature import (CurvatureTable, frame_curvature_table, oneill_defect,
                         sectional_curvature, solvable_curvature_closed_form)
 from .intlat import (AbelianizationReport, betti1_mapping_torus, matrix_exp,
                      smith_normal_form, verify_log)

@@ -6,7 +6,7 @@ fields U, V of a Lie group with orthonormal frame:
     K(U,V) = 1/4 |ad*_U V + ad*_V U|^2 - <ad*_U U, ad*_V V>
              - 3/4 |[U,V]|^2 - 1/2 <[[U,V],V],U> - 1/2 <[[V,U],U],V>
 
-Closed forms for the two bundle families are provided alongside and are
+A closed form for the solvable family is provided alongside and is
 cross-checked against the general formula in the test suite.
 """
 
@@ -106,22 +106,6 @@ def solvable_curvature_closed_form(C) -> CurvatureTable:
         pairs[(i, n)] = float(-np.sum(C[:, i] ** 2)
                               + 0.25 * np.sum((C[i, :] - C[:, i]) ** 2))
     return CurvatureTable(n + 1, pairs)
-
-
-def nil_bundle_curvature_closed_form(eta: float, n: int = 2) -> CurvatureTable:
-    """Curvature table of the nilpotent bundle algebra with [Y1,Y2] = eta V1.
-
-    Frame order is (V_1, ..., V_n, Y_1, Y_2): K(Y_1, Y_2) = -3/4 eta^2,
-    K(V_1, Y_i) = eta^2 / 4, all other pairs flat.
-    """
-    pairs = {}
-    for i in range(n + 2):
-        for j in range(i + 1, n + 2):
-            pairs[(i, j)] = 0.0
-    pairs[(n, n + 1)] = -0.75 * eta ** 2
-    pairs[(0, n)] = eta ** 2 / 4.0
-    pairs[(0, n + 1)] = eta ** 2 / 4.0
-    return CurvatureTable(n + 2, pairs)
 
 
 def oneill_defect(L: StructureConstants, horizontal) -> float:

@@ -2,11 +2,9 @@
 
 Function eigenvalues are 4 pi^2 q*(gamma) over the dual lattice, p-forms
 tensor a constant-coefficient factor of multiplicity C(k, p), and the
-diameter is the covering radius of the lattice: in two dimensions the
-circumradius of the reduced basis, in three or more read off the Voronoi
-cell of 0.  Enumeration boxes are certified: no relevant lattice vector
-can live outside them.  scipy is imported only by ``diameter`` for
-k >= 3, so importing this module does not load it.
+diameter is the covering radius of the lattice, a closed form for the
+circles and 2-tori that every check builds.  Enumeration boxes are
+certified: no relevant lattice vector can live outside them.
 """
 
 from __future__ import annotations
@@ -188,18 +186,14 @@ def _gauss_reduce(g: np.ndarray) -> tuple:
 
 
 def diameter(torus: FlatTorus) -> float:
-    """Covering radius of the lattice Z^k in the metric: the largest norm
-    of a vertex of the Voronoi cell of 0.
+    """Covering radius of the lattice Z^k in the metric, for k <= 2.
 
     A circle of length l has l / 2.  For k = 2 the deepest hole is the
     circumcentre of the non-obtuse triangle 0, u, v of a reduced basis
     with b = |u.v|, so with a = |u|^2 and c = |v|^2 the radius is
     sqrt(a c (a + c - 2b) / (4 (a c - b^2))); reduction gives
     b <= a / 2, so a c - b^2 >= 3 a c / 4 and the denominator does not
-    cancel.  For k >= 3 every Voronoi-relevant vector v has
-    |v| <= 2 mu, and Babai's nearest-plane bound gives
-    mu^2 <= 1/4 sum |b_i*|^2 <= 1/4 tr G, so the lattice vectors with
-    gamma^T G gamma <= tr G cut out the whole cell, which Qhull builds.
+    cancel.  k >= 3 raises ValueError: no check builds such a torus.
     """
     g = torus.gram
     if torus.k == 1:
@@ -209,11 +203,7 @@ def diameter(torus: FlatTorus) -> float:
         a, c = float(u @ g @ u), float(v @ g @ v)
         b = abs(float(u @ g @ v))
         return math.sqrt(a * c * (a + c - 2.0 * b) / (4.0 * (a * c - b * b)))
-    from scipy.spatial import Voronoi
-    gammas = [gamma for gamma, _ in _enumerate_dual(g, float(np.trace(g)))]
-    vor = Voronoi(np.array(gammas, dtype=float) @ np.linalg.cholesky(g))
-    cell = vor.regions[vor.point_region[gammas.index((0,) * torus.k)]]
-    return float(np.max(np.linalg.norm(vor.vertices[cell], axis=1)))
+    raise ValueError(f"diameter needs k <= 2, got k = {torus.k}")
 
 
 # ---------------------------------------------------------------------------

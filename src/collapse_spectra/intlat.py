@@ -32,14 +32,6 @@ def identity_int(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul_int(a, b) -> list:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != inner:
-        raise ValueError("shape mismatch")
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
 def det_int(m) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)
@@ -118,17 +110,6 @@ def rational_nullspace(m, n) -> list:
             v[c] = -rows[r][free]
         basis.append(v)
     return basis
-
-
-def unimodular_inverse(u) -> list:
-    """Exact inverse of a unimodular integer matrix (integer entries)."""
-    n = len(u)
-    d = det_int(u)
-    if d not in (1, -1):
-        raise NotUnimodular(f"determinant {d}, expected +-1")
-    rows, _ = rref([list(row) + [int(i == j) for j in range(n)]
-                    for i, row in enumerate(u)])
-    return [[int(x) for x in row[n:]] for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -142,15 +142,6 @@ def _jacobi_defects(c) -> np.ndarray:
     return np.abs(cyc, out=cyc).reshape(count, -1).max(axis=1)
 
 
-def jacobi_defect(L: StructureConstants) -> float:
-    """Max-norm of the Jacobi cyclic-sum tensor; zero iff L is a Lie algebra.
-
-    Works on raw tensors too (no antisymmetry assumed), so it can be used
-    to measure how badly a perturbed table fails.
-    """
-    return float(_jacobi_defects(L.c[None])[0])
-
-
 def check_lie_tensors(c) -> None:
     """Raise ValueError unless every tensor of the stack ``c`` (T, n, n, n)
     is antisymmetric in (i, j) and satisfies the Jacobi identity, both up

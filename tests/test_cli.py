@@ -125,23 +125,6 @@ def test_console_script_entry():
     assert "heisenberg" in proc.stdout
 
 
-def test_scipy_submodules_stay_unloaded(tmp_path):
-    # the import and every verify-all path load no scipy module at all;
-    # only diameter for k >= 3 loads scipy (scipy.spatial)
-    code = ("import sys\n"
-            "from collapse_spectra import cli\n"
-            "def scipy_loaded():\n"
-            "    return [m for m in sys.modules\n"
-            "            if m == 'scipy' or m.startswith('scipy.')]\n"
-            "assert not scipy_loaded(), scipy_loaded()\n"
-            "assert cli.main(['verify-all', '--seed', '0', '--out', "
-            "sys.argv[1]]) == 0\n"
-            "assert not scipy_loaded(), scipy_loaded()\n")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_scenario_config_dataclass():
     from collapse_spectra.errors import ScenarioUnknown
 

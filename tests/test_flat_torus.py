@@ -196,23 +196,24 @@ def test_diameter_circle():
     assert cs.diameter(FlatTorus.circle(2.0)) == 1.0
 
 
-def test_diameter_cube():
-    assert cs.diameter(FlatTorus.identity(3)) == pytest.approx(
-        math.sqrt(3) / 2, rel=1e-15)
-
-
 def test_diameter_identity_closed_form():
-    # the deepest hole of Z^k is (1/2, ..., 1/2), in every dimension
-    for k in range(1, 6):
+    # the deepest hole of Z^k is (1/2, ..., 1/2)
+    for k in (1, 2):
         assert cs.diameter(FlatTorus.identity(k)) == pytest.approx(
             math.sqrt(k) / 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_diameter_rejects_dimension_three_and_up(k):
+    with pytest.raises(ValueError, match=f"k = {k}"):
+        cs.diameter(FlatTorus.identity(k))
+
+
 def test_diameter_within_grid_bracket():
-    grams = [g for g in TEST_GRAMS if g.shape[0] >= 2]
-    grams += list(_random_grams(83, 2, 12)) + list(_random_grams(89, 3, 10))
+    grams = [g for g in TEST_GRAMS if g.shape[0] == 2]
+    grams += list(_random_grams(83, 2, 12))
     for gram in grams:
-        value, half_diag = _grid_diameter(gram, 60 if len(gram) == 2 else 16)
+        value, half_diag = _grid_diameter(gram, 60)
         exact = cs.diameter(FlatTorus(gram))
         assert value - 1e-12 <= exact <= value + half_diag + 1e-12, gram
 

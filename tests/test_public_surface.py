@@ -1,8 +1,9 @@
 """Every top-level function and class of the package, every public
 method of its classes and every dataclass field has a reader in
-``src/``, ``scripts/`` or ``perfbench/``.  Code that only the tests read
-is deleted, or listed in ``TEST_ONLY`` or ``TEST_ONLY_FIELDS`` with the
-reason it stays.
+``src/``, ``scripts/`` or ``perfbench/``.  A function or class that only
+the tests read is deleted or moved into ``tests/``; a field that only
+the tests read is listed in ``TEST_ONLY_FIELDS`` with the reason it
+stays.  No module of the package imports scipy, a test-only dependency.
 
 Both guards match by name, not by type: a field counts as read when any
 attribute of that name is loaded anywhere in those folders.  So a field
@@ -15,21 +16,10 @@ import re
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "collapse_spectra"
-
-#: names that only the tests read, each with the reason it stays in src/
-TEST_ONLY = {
-    "nil_bundle_curvature_closed_form":
-        "reference closed form the general curvature formula is checked "
-        "against",
-    "jacobi_defect":
-        "measures how far a rejected bracket table is from a Lie algebra",
-    "mat_mul_int":
-        "exact-integer fixture of the Smith form and Jordan chain tests",
-    "unimodular_inverse":
-        "exact-integer fixture of the Jordan chain tests",
-}
 
 #: dataclass fields that only the tests read, as ``Class.field``, each
 #: with the reason it stays; ``RunManifest`` is exempt because
@@ -133,12 +123,7 @@ def test_every_definition_has_a_reader():
     elapsed = time.perf_counter() - start
     unread = sorted(qual for qual, name in definitions.items()
                     if name not in references)
-    kept = sorted(qual for qual, name in definitions.items()
-                  if name in TEST_ONLY)
-    assert unread == kept, (
-        f"read by tests only: {sorted(set(unread) - set(kept))}; "
-        f"in TEST_ONLY but read: {sorted(set(kept) - set(unread))}")
-    assert set(TEST_ONLY) <= set(definitions.values())
+    assert unread == [], f"read by tests only: {unread}"
     assert elapsed < 1.0, f"scan took {elapsed:.2f} s"
 
 
@@ -165,7 +150,7 @@ def test_verdicts_are_check_results():
 
 #: parameters with a default plus dataclass fields in src/; see
 #: test_settable_values_do_not_grow
-SETTABLE_VALUES = 142
+SETTABLE_VALUES = 141
 
 
 def test_settable_values_do_not_grow():
@@ -191,3 +176,36 @@ def test_settable_values_do_not_grow():
                 and isinstance(node.left, ast.Name)
                 and node.left.id == "section"}
     assert sections == {"scenario", "params"}
+
+
+def test_src_imports_no_scipy():
+    # scipy is a test-only dependency; the scan covers every path of
+    # src/, and a string such as "scipy.linalg" could reach importlib
+    found = []
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and _IDENTIFIER.match(node.value)):
+                names = [node.value]
+            else:
+                continue
+            found += [f"{module}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower()
+                for r in requirements}
+
+    assert "scipy" not in names(project["dependencies"])
+    assert "scipy" in names(project["optional-dependencies"]["test"])
