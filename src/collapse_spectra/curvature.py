@@ -86,26 +86,42 @@ def frame_curvature_table(L: StructureConstants) -> CurvatureTable:
     return CurvatureTable(n, pairs)
 
 
+def solvable_pair_curvatures(C) -> np.ndarray:
+    """K on the frame pairs of the (n+1)-dim solvable algebra with
+    vertical bracket matrix C, or of each C in a stack (..., n, n), by the
+    closed forms
+
+        K(V_i, V_j) = 1/4 (c_ij + c_ji)^2 - c_ii c_jj
+        K(Y, V_i)   = -sum_j c_ji^2 + 1/4 sum_j (c_ij - c_ji)^2
+
+    Shape (..., n (n + 1) / 2): the pairs (V_i, V_j), i < j, in row
+    order, then (V_i, Y).  Each K equals the one-matrix value bit for bit:
+    the sums run along a contiguous last axis, as for one column.
+    """
+    C = np.asarray(C, dtype=float)
+    Ct = np.ascontiguousarray(C.swapaxes(-1, -2))
+    i, j = np.triu_indices(C.shape[-1], 1)
+    diag = np.diagonal(C, axis1=-2, axis2=-1)
+    # float_power squares through pow, as the closed form's scalar
+    # x ** 2 does; an array's x ** 2 multiplies, which can differ by an ulp
+    vertical = (0.25 * np.float_power(C[..., i, j] + C[..., j, i], 2.0)
+                - diag[..., i] * diag[..., j])
+    mixed = (-np.sum(Ct ** 2, axis=-1)
+             + 0.25 * np.sum((C - Ct) ** 2, axis=-1))
+    return np.concatenate([vertical, mixed], axis=-1)
+
+
 def solvable_curvature_closed_form(C) -> CurvatureTable:
     """Curvature table of the (n+1)-dim solvable algebra with vertical
-    bracket matrix C, using the closed forms
-
-        K(Y, V_i)   = -sum_j c_ji^2 + 1/4 sum_j (c_ij - c_ji)^2
-        K(V_i, V_j) = 1/4 (c_ij + c_ji)^2 - c_ii c_jj
+    bracket matrix C, from :func:`solvable_pair_curvatures`.
 
     Frame order is (V_1, ..., V_n, Y), so Y has index n.
     """
-    C = np.asarray(C, dtype=float)
-    n = C.shape[0]
-    pairs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs[(i, j)] = float(0.25 * (C[i, j] + C[j, i]) ** 2
-                                  - C[i, i] * C[j, j])
-    for i in range(n):
-        pairs[(i, n)] = float(-np.sum(C[:, i] ** 2)
-                              + 0.25 * np.sum((C[i, :] - C[:, i]) ** 2))
-    return CurvatureTable(n + 1, pairs)
+    n = np.shape(C)[0]
+    keys = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keys += [(i, n) for i in range(n)]
+    values = solvable_pair_curvatures(C).tolist()
+    return CurvatureTable(n + 1, dict(zip(keys, values)))
 
 
 def oneill_defect(L: StructureConstants, horizontal) -> float:

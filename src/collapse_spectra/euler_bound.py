@@ -22,7 +22,7 @@ from .artifacts import csv_text
 from .errors import NotInjective, TrivialBundle
 from .flat_torus import FlatTorus, _shortest
 from .intlat import det_int, int_matrix, smith_normal_form
-from .torus_bundle import collapse_lambda
+from .torus_bundle import check_eps_grid, collapse_lambda
 
 #: Largest relative residual |Det e - (Det' e) Vol(T^k)| / max(1, Det e)
 #: that :func:`det_factorization` accepts.
@@ -240,9 +240,7 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
     if len(alpha) != len(b0):
         raise ValueError("alpha length must equal the fiber dimension")
     rows = []
-    for eps in sorted(eps_grid, reverse=True):
-        if not (0.0 < eps <= 1.0):
-            raise ValueError("eps grid must lie in (0, 1]")
+    for eps in sorted(check_eps_grid(eps_grid), reverse=True):
         lam = collapse_lambda(eps, alpha, b0, f"alpha = {alpha!r}")
         vol = 1.0
         for a in alpha:

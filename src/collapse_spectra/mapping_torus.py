@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import csv_text
-from .curvature import solvable_curvature_closed_form
+from .curvature import solvable_pair_curvatures
 from .errors import (KTooLarge, NearKernelCutoff, NotSemisimple,
                      NotUnimodular, RankAmbiguous, ScaleTooLarge)
 from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
@@ -25,6 +25,7 @@ from .lie_complex import (SpectrumReport, StructureConstants,
                           above_kernel_cutoff, check_lie_tensors,
                           clamp_spectra, form_dim, hodge_union,
                           stacked_gram_eigenvalues, svd_nullspace)
+from .torus_bundle import check_eps_grid
 
 #: semisimple_floor reports ok when the sampled floor exceeds FLOOR_TOL
 FLOOR_TOL = 1e-4
@@ -126,11 +127,13 @@ def invariants_dd(b_matrix):
 
 
 def laplacian1_fast(c_matrix) -> np.ndarray:
-    """Degree-1 invariant Laplacian diag(C C^T, 0) of the solvable model."""
+    """Degree-1 invariant Laplacian diag(C C^T, 0) of the solvable model,
+    for one C (n, n) or a stack (..., n, n) -> (..., n+1, n+1); each
+    member equals its own call bit for bit."""
     C = np.asarray(c_matrix, dtype=float)
-    n = C.shape[0]
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = C @ C.T
+    n = C.shape[-1]
+    out = np.zeros(C.shape[:-2] + (n + 1, n + 1))
+    out[..., :n, :n] = C @ C.swapaxes(-1, -2)
     return out
 
 
@@ -248,8 +251,10 @@ class CollapseFamily:
     chain_lengths: tuple
     c_base: np.ndarray
 
-    def c_matrix(self, eps: float) -> np.ndarray:
+    def c_matrix(self, eps) -> np.ndarray:
+        """C at one eps (n, n), or at each eps of a grid (T, n, n)."""
         e = np.asarray(self.exponents, dtype=float)
+        eps = np.asarray(eps, dtype=float)[..., None, None]
         return self.c_base * np.power(eps, e[:, None] - e[None, :])
 
 
@@ -320,45 +325,52 @@ class CollapseTable:
               row.small_count] for row in self.rows])
 
 
-def small_threshold(eps: float) -> float:
-    """Classification threshold for a small eigenvalue at grid point eps."""
-    return min(10.0 * eps * eps, SMALL_ABS_CAP)
+def small_threshold(eps):
+    """Classification threshold for a small eigenvalue at grid point eps,
+    elementwise over an array of grid points."""
+    return np.minimum(10.0 * eps * eps, SMALL_ABS_CAP)
 
 
 def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
     """Sweep the collapse family over eps and report spectra, the trace
     Tr(C_eps^T C_eps), the frame curvature bound, and small counts.
 
-    The small count classifies the nonzero eigenvalues of C C^T (the
-    kernel, of exact dimension d', is excluded by construction).  Returns
-    the one family as ``family``; errors of :func:`collapse_family`
-    propagate.  For k >= 1, small eigenvalues eps^2 within twice the
-    kernel cutoff raise NearKernelCutoff before any eigensolve.
+    The grid is checked against (0, 1] first (ValueError), before the
+    family is built.  Then the whole grid is solved as one stack of C_eps:
+    one Laplacian assembly, one eigensolve and one clamp, each row bit
+    for bit what a per-eps loop gives.  The small count classifies the
+    nonzero eigenvalues of C C^T (the kernel, of exact dimension d', is
+    excluded by construction).  Returns the one family as ``family``;
+    errors of :func:`collapse_family` propagate.  For k >= 1, small
+    eigenvalues eps^2 within twice the kernel cutoff raise
+    NearKernelCutoff before any eigensolve.
     """
+    grid = np.array(check_eps_grid(eps_grid))
     B = np.asarray(b_matrix, dtype=float)
     fam = collapse_family(B, k)
     # the recipe's k small eigenvalues are eps^2, and the eps = 1 trace
     # Tr(C^T C) bounds the top one at every eps
     top = float(np.sum(fam.c_base ** 2))
-    eps = min(eps_grid, default=1.0)
+    eps = float(grid.min(initial=1.0))
     if k and not above_kernel_cutoff(eps * eps, top):
         raise NearKernelCutoff(
             f"eps = {eps!r} puts the small eigenvalue eps^2 (k = {k} of "
             f"them) below twice the kernel cutoff of the eps = 1 trace "
             f"Tr(C^T C) = {top:.6g}")
-    rows = []
-    for eps in eps_grid:
-        if not (0.0 < eps <= 1.0):
-            raise ValueError("eps grid must lie in (0, 1]")
-        C = fam.c_matrix(eps)
-        vals = np.linalg.eigvalsh(laplacian1_fast(C))
-        report = SpectrumReport.from_eigenvalues(vals)
-        # eigvalsh sorts ascending; the d' + 1 kernel eigenvalues come first
-        count = int(np.sum(vals[fam.d_prime + 1:] < small_threshold(eps)))
-        table = solvable_curvature_closed_form(C)
-        rows.append(CollapseRow(float(eps), report,
-                                float(np.sum(C * C)), table.max_abs, count))
-    return CollapseTable(B, k, fam.d, fam.d_prime, tuple(rows), fam)
+    C = fam.c_matrix(grid)
+    raw = np.linalg.eigvalsh(laplacian1_fast(C))
+    vals, kernel = clamp_spectra(raw)
+    vals.setflags(write=False)
+    # eigvalsh sorts ascending; the d' + 1 kernel eigenvalues come first
+    counts = np.sum(raw[:, fam.d_prime + 1:]
+                    < small_threshold(grid)[:, None], axis=1)
+    traces = np.sum(C * C, axis=(1, 2))
+    max_k = np.abs(solvable_pair_curvatures(C)).max(axis=-1, initial=0.0)
+    rows = tuple(CollapseRow(float(e), SpectrumReport(v, int(kd)), float(tr),
+                             float(mk), int(count))
+                 for e, v, kd, tr, mk, count
+                 in zip(grid, vals, kernel, traces, max_k, counts))
+    return CollapseTable(B, k, fam.d, fam.d_prime, rows, fam)
 
 
 # ---------------------------------------------------------------------------

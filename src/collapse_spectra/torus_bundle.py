@@ -122,6 +122,15 @@ class Trajectory:
                          for e, l in zip(self.eps, self.lam)])
 
 
+def check_eps_grid(eps_grid) -> tuple:
+    """The eps grid as a tuple of floats; ValueError unless every entry
+    lies in (0, 1] (NaN does not)."""
+    grid = tuple(float(eps) for eps in eps_grid)
+    if not all(0.0 < eps <= 1.0 for eps in grid):
+        raise ValueError("eps grid must lie in (0, 1]")
+    return grid
+
+
 def collapse_lambda(eps: float, alpha, b0, culprit: str) -> float:
     """lambda = |V_eps|^2 = sum_i (eps^alpha_i b_i)^2, added term by term.
 
@@ -153,13 +162,9 @@ def collapse_direction(b0, alpha, eps_grid) -> Trajectory:
         raise ValueError("alpha and b0 must have equal length")
     if any(a < 0 for a in alpha):
         raise ValueError("exponents must be nonnegative")
-    eps_list, lam_list = [], []
-    for eps in eps_grid:
-        if not (0.0 < eps <= 1.0):
-            raise ValueError("eps grid must lie in (0, 1]")
-        lam = collapse_lambda(eps, alpha, b0, f"b0 = {b0!r}")
-        eps_list.append(float(eps))
-        lam_list.append(float(lam))
+    eps_list = check_eps_grid(eps_grid)
+    lam_list = [float(collapse_lambda(eps, alpha, b0, f"b0 = {b0!r}"))
+                for eps in eps_list]
     limit = sum(x * x for a, x in zip(alpha, b0) if a == 0)
     cls = "positive" if limit > 0 else "vanishes"
-    return Trajectory(tuple(eps_list), tuple(lam_list), float(limit), cls)
+    return Trajectory(eps_list, tuple(lam_list), float(limit), cls)

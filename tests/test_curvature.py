@@ -5,10 +5,12 @@ import pytest
 
 import collapse_spectra as cs
 from collapse_spectra.curvature import (frame_curvature_table,
-                                        solvable_curvature_closed_form)
+                                        solvable_curvature_closed_form,
+                                        solvable_pair_curvatures)
 from collapse_spectra.mapping_torus import solvable_algebra
 from collapse_spectra.torus_bundle import nil_algebra
-from oracles import nil_bundle_curvature_closed_form
+from oracles import (nil_bundle_curvature_closed_form,
+                     solvable_curvatures_by_pair)
 
 
 def test_sectional_curvature_abelian_zero():
@@ -66,6 +68,21 @@ def test_solvable_closed_form_matches_general():
         general = frame_curvature_table(solvable_algebra(C))
         for pair, val in closed.pairs.items():
             assert abs(val - general.pairs[pair]) <= 1e-10
+
+
+def test_solvable_pair_curvatures_match_scalar_closed_form_bitwise():
+    # the Y-pair sums run along a contiguous axis, as for one column, so
+    # n >= 8 (numpy's pairwise blocks) keeps its bits, and (c_ij + c_ji)^2
+    # goes through pow, as the scalar x ** 2 does
+    rng = np.random.default_rng(18)
+    for n in range(1, 13):
+        C = rng.standard_normal((40, n, n)) * 10.0 ** rng.uniform(-3, 3)
+        stack = solvable_pair_curvatures(C)
+        for t in range(len(C)):
+            want = solvable_curvatures_by_pair(C[t])
+            assert stack[t].tolist() == want, (n, t)
+            table = solvable_curvature_closed_form(C[t])
+            assert list(table.pairs.values()) == want
 
 
 def test_nil_closed_form_matches_general():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import collapse_spectra as cs
+from collapse_spectra import mapping_torus
 from collapse_spectra.intlat import rational_rank
 from collapse_spectra.mapping_torus import (_extend_numeric, small_threshold,
                                             semisimple_defect, solvable_algebra)
-from oracles import int_product
+from oracles import collapse_rows_by_eps, int_product
 
 
 def test_solvable_algebra_zero_is_abelian():
@@ -130,6 +131,16 @@ def test_laplacian1_fast_matches_engine():
         C = rng.uniform(-2, 2, (n, n))
         gap = cs.laplacian1_fast(C) - cs.laplacian(solvable_algebra(C), 1)
         assert np.max(np.abs(gap)) <= 1e-12
+
+
+def test_laplacian1_fast_stack_matches_single_calls():
+    rng = np.random.default_rng(52)
+    for shape in [(7, 2, 2), (5, 6, 6), (4, 10, 10), (2, 3, 8, 8), (0, 4, 4)]:
+        C = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        stack = cs.laplacian1_fast(C)
+        assert stack.shape == shape[:-2] + (shape[-1] + 1,) * 2
+        for idx in np.ndindex(shape[:-2]):
+            assert stack[idx].tobytes() == cs.laplacian1_fast(C[idx]).tobytes()
 
 
 def test_jordan_zero_chain_simple():
@@ -484,6 +495,75 @@ def test_run_collapse_rejects_bad_grid():
         cs.run_collapse(B, 1, [1.5])
     with pytest.raises(cs.KTooLarge):
         cs.collapse_family(B, -1)
+
+
+@pytest.mark.parametrize("grid", [[0.5, 0.0], [math.nan], [0.5, -0.25],
+                                  [1.5], [0.5, math.inf]])
+def test_eps_grid_is_checked_before_anything_else(grid, monkeypatch):
+    # every entry outside (0, 1], NaN included, is a plain ValueError
+    # raised before the family is built, never NearKernelCutoff
+    B = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+    def refuse(*args):
+        raise AssertionError("built a collapse family for a bad grid")
+
+    monkeypatch.setattr(mapping_torus, "collapse_family", refuse)
+    for call in (lambda: cs.run_collapse(B, 1, grid),
+                 lambda: cs.collapse_direction([1.0, 2.0], [1, 0], grid),
+                 lambda: cs.vol_bound_experiment(
+                     cs.TorusBundleOverT2(1, (1,)), [1.0], grid)):
+        with pytest.raises(ValueError, match=r"eps grid must lie in \(0, 1\]"
+                           ) as info:
+            call()
+        assert type(info.value) is ValueError
+
+
+def _collapse_matrices(rng):
+    """Seeded B with n = 2..10: nilpotent Jordan types with an invertible
+    diagonal block, as integer matrices under a signed permutation and as
+    float matrices under a random frame."""
+    for n in range(2, 11):
+        for exact in (True, False):
+            sizes, left = [], n
+            while left:
+                sizes.append(int(rng.integers(1, left + 1)))
+                left -= sizes[-1]
+            J = np.zeros((n, n))
+            start = 0
+            for size in sizes:
+                if size == 1 and rng.random() < 0.5:
+                    J[start, start] = float(rng.choice([-2.0, 1.0, 3.0]))
+                for i in range(start, start + size - 1):
+                    J[i, i + 1] = 1.0
+                start += size
+            if exact:
+                P = np.eye(n)[rng.permutation(n)] \
+                    * rng.choice([-1.0, 1.0], size=n)
+                yield P @ J @ P.T
+            else:
+                P = np.linalg.qr(rng.standard_normal((n, n)))[0] \
+                    @ np.diag(rng.uniform(0.5, 2.0, size=n))
+                yield P @ J @ np.linalg.inv(P)
+
+
+def test_run_collapse_stack_matches_per_eps_loop():
+    rng = np.random.default_rng(23)
+    cases = 0
+    for B in _collapse_matrices(rng):
+        d, d_prime = cs.invariants_dd(B)
+        for k in range(d - d_prime + 1):
+            grids = [2.0 ** -rng.uniform(0.0, 7.0, size=6), [0.3],
+                     [1.0, 0.5, 0.125], []]
+            for grid in grids:
+                table = cs.run_collapse(B, k, grid)
+                got = np.array(
+                    [[r.eps, *r.report.eigenvalues, r.report.kernel_dim,
+                      r.trace, r.max_k, r.small_count] for r in table.rows],
+                    dtype=float).reshape(len(table.rows), B.shape[0] + 6)
+                want = collapse_rows_by_eps(table.family, grid)
+                assert got.tobytes() == want.tobytes(), (B, k, grid)
+            cases += 1
+    assert cases >= 40, cases
 
 
 def _floor_script():
