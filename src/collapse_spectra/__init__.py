@@ -6,11 +6,8 @@ curvature), mapping-torus and principal-bundle models, exact flat-torus
 enumeration, integer lattice tools, and collapse experiment harnesses.
 """
 
-from .errors import (CollapseSpectraError, ConfigInvalid, DegreeOutOfRange,
-                     KTooLarge, NearKernelCutoff, NotInjective,
-                     NotOrthonormal, NotSemisimple, NotUnimodular,
-                     RankAmbiguous, ScaleTooLarge, ScenarioUnknown,
-                     SingularFrame, TrivialBundle)
+from .errors import (CollapseSpectraError, ConfigInvalid, KTooLarge,
+                     NearKernelCutoff, RankAmbiguous, ScaleTooLarge)
 from .lie_complex import (FormBasis, SpectrumReport, StructureConstants,
                           change_frame, exterior_derivative, laplacian,
                           spectrum, unimodularity_defect)

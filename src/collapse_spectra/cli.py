@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import acceptance, scenarios
-from .errors import CollapseSpectraError, ConfigInvalid, ScenarioUnknown
+from .errors import CollapseSpectraError, ConfigInvalid
 
 DEFAULT_OUT = "collapse-spectra-out"
 
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
         print(("PASS" if manifest.passed else "FAIL")
               + f" scenario {name}; artifacts in {out_dir}")
         return 0 if manifest.passed else 1
-    except (ConfigInvalid, ScenarioUnknown) as exc:
+    except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CollapseSpectraError as exc:

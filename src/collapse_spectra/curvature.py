@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import csv_text
-from .errors import NotOrthonormal
+from .errors import CollapseSpectraError
 from .lie_complex import StructureConstants
 
 ORTHO_TOL = 1e-9
@@ -35,9 +35,9 @@ def sectional_curvature(L: StructureConstants, u, v) -> float:
     u = _coeffs(L, u)
     v = _coeffs(L, v)
     if abs(u @ u - 1.0) > ORTHO_TOL or abs(v @ v - 1.0) > ORTHO_TOL:
-        raise NotOrthonormal("u and v must be unit vectors")
+        raise CollapseSpectraError("u and v must be unit vectors")
     if abs(u @ v) > ORTHO_TOL:
-        raise NotOrthonormal("u and v must be orthogonal")
+        raise CollapseSpectraError("u and v must be orthogonal")
     ad_u = L.ad_vector(u)
     ad_v = L.ad_vector(v)
     ad_u_star = ad_u.T
@@ -55,7 +55,6 @@ def sectional_curvature(L: StructureConstants, u, v) -> float:
 class CurvatureTable:
     """K(e_i, e_j) for unordered frame pairs."""
 
-    n: int
     pairs: dict = field(repr=False)
 
     def k(self, i: int, j: int) -> float:
@@ -83,7 +82,7 @@ def frame_curvature_table(L: StructureConstants) -> CurvatureTable:
     for i in range(n):
         for j in range(i + 1, n):
             pairs[(i, j)] = sectional_curvature(L, eye[i], eye[j])
-    return CurvatureTable(n, pairs)
+    return CurvatureTable(pairs)
 
 
 def solvable_pair_curvatures(C) -> np.ndarray:
@@ -121,7 +120,7 @@ def solvable_curvature_closed_form(C) -> CurvatureTable:
     keys = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keys += [(i, n) for i in range(n)]
     values = solvable_pair_curvatures(C).tolist()
-    return CurvatureTable(n + 1, dict(zip(keys, values)))
+    return CurvatureTable(dict(zip(keys, values)))
 
 
 def oneill_defect(L: StructureConstants, horizontal) -> float:

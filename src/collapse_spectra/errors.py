@@ -1,24 +1,24 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library.
+
+Every library error is a :class:`CollapseSpectraError`, itself a
+``ValueError``.  A subclass exists only where a caller catches it by
+type:
+
+- ``ConfigInvalid``: ``cli.main`` exits 2 on it, and exits 1 on any
+  other ``CollapseSpectraError``;
+- ``RankAmbiguous``, ``ScaleTooLarge``, ``KTooLarge`` and
+  ``NearKernelCutoff``: the ``mapping-torus`` scenario turns each into a
+  ``ConfigInvalid`` naming the config key at fault (``B``, ``k`` or
+  ``eps_grid``); ``scripts/collapse_sweep.py`` also catches
+  ``NearKernelCutoff`` to name its ``--jmax``.
+
+Any other error raises the base class with a message that says what is
+wrong.
+"""
 
 
 class CollapseSpectraError(ValueError):
     """Base class for all library errors."""
-
-
-class SingularFrame(CollapseSpectraError):
-    """Frame-change matrix is singular or numerically unusable."""
-
-
-class DegreeOutOfRange(CollapseSpectraError):
-    """Form degree outside the valid range for the algebra."""
-
-
-class NotOrthonormal(CollapseSpectraError):
-    """Vector pair fails the orthonormality precondition."""
-
-
-class NotUnimodular(CollapseSpectraError):
-    """Integer matrix does not have determinant one."""
 
 
 class RankAmbiguous(CollapseSpectraError):
@@ -37,21 +37,5 @@ class ScaleTooLarge(CollapseSpectraError):
     """No eps grid keeps a predicted small eigenvalue off the kernel."""
 
 
-class NotSemisimple(CollapseSpectraError):
-    """Matrix is not semisimple (minimal polynomial has a repeated root)."""
-
-
-class TrivialBundle(CollapseSpectraError):
-    """Obstruction vector is zero, so the bundle is a product."""
-
-
-class NotInjective(CollapseSpectraError):
-    """Linear map is not injective; use the non-injective reduction."""
-
-
 class ConfigInvalid(CollapseSpectraError):
-    """Scenario configuration failed validation."""
-
-
-class ScenarioUnknown(CollapseSpectraError):
-    """Requested scenario name is not registered."""
+    """Scenario configuration failed validation, or names no scenario."""

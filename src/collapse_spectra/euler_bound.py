@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import csv_text
-from .errors import NotInjective, TrivialBundle
+from .errors import CollapseSpectraError
 from .flat_torus import FlatTorus, _shortest
 from .intlat import det_int, int_matrix, smith_normal_form
 from .torus_bundle import check_eps_grid, collapse_lambda
@@ -77,10 +77,11 @@ def gram_det(e_matrix) -> int:
 
 
 def _injective_gram_det(E) -> int:
-    """gram_det of E, or NotInjective when it is zero."""
+    """gram_det of E; CollapseSpectraError when it is zero."""
     det = gram_det(E)
     if det == 0:
-        raise NotInjective("Euler map has a kernel; use noninjective_reduce")
+        raise CollapseSpectraError("Euler map has a kernel; use "
+                                   "noninjective_reduce")
     return det
 
 
@@ -121,8 +122,7 @@ class NonInjectiveReport:
     kernel_basis: tuple            # integral lattice basis of ker e
     reduced_integral: tuple        # e on the complement, lattice basis
     quotient_volume: float         # volume of T^k / T^{k-l}
-    restricted: BoundChainReport | None
-    trivial: bool
+    restricted: BoundChainReport | None       # None for the zero map
 
 
 def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
@@ -131,7 +131,7 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
 
     The kernel of an integral map is spanned by integral vectors; Smith
     reduction provides a primitive basis and a complementary sublattice.
-    A zero map is flagged trivial (no bound available).
+    A zero map has no bound: ``restricted`` is None.
     """
     E = int_matrix(e_matrix)
     k = len(E[0])
@@ -145,7 +145,7 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
                 for j in range(rank)] for r in range(len(E))]
     if rank == 0:
         return NonInjectiveReport(tuple(map(tuple, kernel_cols)), (),
-                                  float("nan"), None, True)
+                                  float("nan"), None)
     if rank == k:
         raise ValueError("Euler map is injective; use bound_chain directly")
     K = np.asarray(kernel_cols, dtype=float).T           # k x l
@@ -157,8 +157,7 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
     null = np.linalg.qr(g @ K, mode="complete")[0][:, K.shape[1]:]
     return NonInjectiveReport(tuple(map(tuple, kernel_cols)),
                               tuple(map(tuple, reduced)), quotient_volume,
-                              _chain(ee_star(Ef @ null, null.T @ g @ null)),
-                              False)
+                              _chain(ee_star(Ef @ null, null.T @ g @ null)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +167,9 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
 @dataclass(frozen=True)
 class RhoReport:
     rho: float
-    attaining: tuple              # integer coefficients in the dx_i ^ dx_j basis
-    pairs: tuple                  # index pairs labelling the coefficients
+    #: integer coefficients of the minimizer in the dx_i ^ dx_j basis,
+    #: over the pairs i < j in lexicographic order
+    attaining: tuple
 
 
 def rho_flat(base: FlatTorus) -> RhoReport:
@@ -193,7 +193,7 @@ def rho_flat(base: FlatTorus) -> RhoReport:
             gram2[a, b] = qinv[i1, j1] * qinv[i2, j2] \
                 - qinv[i1, j2] * qinv[i2, j1]
     norm2, attaining = _shortest(gram2 * base.volume)
-    return RhoReport(math.sqrt(norm2), attaining, tuple(pairs))
+    return RhoReport(math.sqrt(norm2), attaining)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +228,13 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
     lambda is the unique nonzero invariant eigenvalue |V_eps|^2 and the
     fiber volume scales as prod eps^{alpha_i}; the ratio never drops
     below its value at the largest grid point.  A trivial bundle has
-    lambda = 0 and raises TrivialBundle; a grid point whose lambda is not
-    finite or whose vol^2 is not a normal float raises ValueError naming
-    alpha and eps.
+    lambda = 0 and raises CollapseSpectraError; a grid point whose lambda
+    is not finite or whose vol^2 is not a normal float raises ValueError
+    naming alpha and eps.
     """
     if bundle.trivial:
-        raise TrivialBundle("zero obstruction vector: lambda vanishes, so "
-                            "there is no ratio to bound")
+        raise CollapseSpectraError("zero obstruction vector: lambda "
+                                   "vanishes, so there is no ratio to bound")
     b0 = [float(x) for x in bundle.a]
     alpha = [float(x) for x in alpha]
     if len(alpha) != len(b0):

@@ -132,7 +132,6 @@ class ModeSpectrum:
     """Complete mode list below the cutoff, symmetric under gamma -> -gamma."""
 
     k: int
-    degree: int
     modes: tuple
 
     def eigenvalues(self) -> np.ndarray:
@@ -165,7 +164,7 @@ def p_form_spectrum(torus: FlatTorus, p: int, cutoff: float) -> ModeSpectrum:
     modes = [Mode(gamma, FOUR_PI_SQ * val, mult)
              for gamma, val in _enumerate_dual(q, cutoff / FOUR_PI_SQ)]
     modes.sort(key=lambda m: (m.eigenvalue, m.gamma))
-    return ModeSpectrum(torus.k, p, tuple(modes))
+    return ModeSpectrum(torus.k, tuple(modes))
 
 
 def _gauss_reduce(g: np.ndarray) -> tuple:
@@ -227,7 +226,7 @@ def _product_modes(base: FlatTorus, fiber: FlatTorus, p: int,
             if lam <= cutoff * (1.0 + 1e-12):
                 modes.append(Mode(gb + gf, lam, mult))
     modes.sort(key=lambda m: (m.eigenvalue, m.gamma))
-    return ModeSpectrum(base.k + fiber.k, p, tuple(modes))
+    return ModeSpectrum(base.k + fiber.k, tuple(modes))
 
 
 @dataclass(frozen=True)

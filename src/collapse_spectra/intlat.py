@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import NotUnimodular
+from .errors import CollapseSpectraError
 
 def int_matrix(data) -> list:
     """Normalize to a rectangular list of lists of Python ints."""
@@ -189,11 +189,6 @@ def _step(x, y):
     return s, (1 - s * x) // y, y, x
 
 
-def invariant_factors(d) -> list:
-    """Diagonal of a Smith form, zeros dropped from the tail kept as zeros."""
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
 # ---------------------------------------------------------------------------
 # mapping-torus first Betti number
 # ---------------------------------------------------------------------------
@@ -213,11 +208,11 @@ def betti1_mapping_torus(a_matrix) -> AbelianizationReport:
     A = int_matrix(a_matrix)
     n = len(A)
     if det_int(A) != 1:
-        raise NotUnimodular("matrix must lie in SL_n(Z)")
+        raise CollapseSpectraError("matrix must lie in SL_n(Z)")
     m = [[A[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     _, d, _ = smith_normal_form(m)
-    factors = invariant_factors(d)
-    zeros = sum(1 for f in factors if f == 0) + (n - len(factors))
+    factors = [d[i][i] for i in range(n)]      # A - I is square
+    zeros = factors.count(0)
     torsion = tuple(f for f in factors if f > 1)
     return AbelianizationReport(zeros, torsion, zeros + 1)
 

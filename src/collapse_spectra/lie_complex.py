@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, RankAmbiguous, SingularFrame
+from .errors import CollapseSpectraError, RankAmbiguous
 
 #: Relative Jacobi tolerance accepted by validating constructors.
 JACOBI_TOL = 1e-9
@@ -178,7 +178,8 @@ def change_frame(L: StructureConstants, P) -> StructureConstants:
         raise ValueError(f"frame matrix must be {L.n}x{L.n}")
     det = np.linalg.det(P)
     if abs(det) < SINGULAR_TOL:
-        raise SingularFrame(f"|det P| = {abs(det)} below {SINGULAR_TOL}")
+        raise CollapseSpectraError(
+            f"|det P| = {abs(det)} below {SINGULAR_TOL}")
     c_new = np.einsum("ia,jb,ijk,mk->abm", P, P, L.c, np.linalg.inv(P),
                       optimize=True)
     return StructureConstants(c_new)
@@ -194,18 +195,15 @@ class FormBasis:
 
     n: int
     degree: int
-    tuples: tuple = field(default=None)
-    rank: dict = field(default=None, repr=False)
+    #: basis tuple -> its position in the basis
+    rank: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0 <= self.degree <= self.n):
-            raise DegreeOutOfRange(f"degree {self.degree} not in [0, {self.n}]")
-        tuples = tuple(itertools.combinations(range(self.n), self.degree))
-        object.__setattr__(self, "tuples", tuples)
+            raise CollapseSpectraError(
+                f"degree {self.degree} not in [0, {self.n}]")
+        tuples = itertools.combinations(range(self.n), self.degree)
         object.__setattr__(self, "rank", {t: r for r, t in enumerate(tuples)})
-
-    def __len__(self) -> int:
-        return len(self.tuples)
 
 
 def form_dim(n: int, p: int) -> int:
@@ -274,7 +272,7 @@ def stacked_derivative(c, p: int) -> np.ndarray:
         raise ValueError(f"structure tensor stack must be (T,n,n,n), got {c.shape}")
     count, n = c.shape[:2]
     if not 0 <= p <= n:
-        raise DegreeOutOfRange(f"degree {p} not in [0, {n}]")
+        raise CollapseSpectraError(f"degree {p} not in [0, {n}]")
     dom_dim, cod_dim = form_dim(n, p), form_dim(n, p + 1)
     if p == 0 or p == n:
         return np.zeros((count, cod_dim, dom_dim))

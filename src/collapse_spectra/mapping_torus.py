@@ -18,8 +18,8 @@ import numpy as np
 
 from .artifacts import csv_text
 from .curvature import solvable_pair_curvatures
-from .errors import (KTooLarge, NearKernelCutoff, NotSemisimple,
-                     NotUnimodular, RankAmbiguous, ScaleTooLarge)
+from .errors import (CollapseSpectraError, KTooLarge, NearKernelCutoff,
+                     RankAmbiguous, ScaleTooLarge)
 from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
 from .lie_complex import (SpectrumReport, StructureConstants,
                           above_kernel_cutoff, check_lie_tensors,
@@ -69,7 +69,7 @@ class MappingTorusBundle:
     def __post_init__(self):
         A = int_matrix(self.a_matrix)
         if det_int(A) != 1:
-            raise NotUnimodular("A must lie in SL_n(Z)")
+            raise CollapseSpectraError("A must lie in SL_n(Z)")
         B = np.asarray(self.b_matrix, dtype=float)
         if not verify_log(np.asarray(A, dtype=float), B):
             raise ValueError("exp(B) does not reproduce A within 1e-8")
@@ -79,10 +79,6 @@ class MappingTorusBundle:
         B = B.copy()
         B.setflags(write=False)
         object.__setattr__(self, "b_matrix", B)
-
-    @property
-    def n(self) -> int:
-        return len(self.a_matrix)
 
     def algebra(self) -> StructureConstants:
         return solvable_algebra(self.b_matrix)
@@ -241,15 +237,15 @@ class CollapseFamily:
     below; with several chains each chain gets a budget k_c (longest
     chains first, sum k) and is scaled the same way internally, which
     annihilates exactly k rows in the limit.  k = 0 is a pure homothety.
+    ``c_base`` is C at eps = 1 and ``trace`` its Tr(C^T C) =
+    sum(c_base**2), which bounds Tr(C_eps^T C_eps) at every eps <= 1.
+    The frame and the chains are those of ``jordan_zero_chain(B)``.
     """
 
-    frame: np.ndarray
     exponents: tuple
-    k: int
-    d: int
     d_prime: int
-    chain_lengths: tuple
     c_base: np.ndarray
+    trace: float
 
     def c_matrix(self, eps) -> np.ndarray:
         """C at one eps (n, n), or at each eps of a grid (T, n, n)."""
@@ -263,7 +259,8 @@ def collapse_family(b_matrix, k: int) -> CollapseFamily:
     are decided: RankAmbiguous for ambiguous Jordan chains, KTooLarge
     unless 0 <= k <= d - d', OverflowError when a chain vector or the
     eps = 1 trace Tr(C^T C) = sum(c_base**2) does not fit a float, and
-    ScaleTooLarge for k >= 1 when that trace is too large for any eps."""
+    ScaleTooLarge for k >= 1 when that trace is too large for any eps.
+    The family keeps that trace as ``trace``."""
     B = np.asarray(b_matrix, dtype=float)
     info = jordan_zero_chain(B)
     capacity = info.d - info.d_prime
@@ -294,8 +291,7 @@ def collapse_family(b_matrix, k: int) -> CollapseFamily:
     if k and not above_kernel_cutoff(1.0, top):     # eps^2 <= 1 on any grid
         raise ScaleTooLarge(f"the eps = 1 trace Tr(C^T C) = {top:.6g} puts "
                             f"eps^2 under twice its kernel cutoff at all eps")
-    return CollapseFamily(info.frame, tuple(exponents), k, info.d,
-                          info.d_prime, info.chain_lengths, c_base)
+    return CollapseFamily(tuple(exponents), info.d_prime, c_base, top)
 
 
 @dataclass(frozen=True)
@@ -310,9 +306,6 @@ class CollapseRow:
 @dataclass(frozen=True)
 class CollapseTable:
     b_matrix: np.ndarray
-    k: int
-    d: int
-    d_prime: int
     rows: tuple
     family: CollapseFamily
 
@@ -350,13 +343,12 @@ def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
     fam = collapse_family(B, k)
     # the recipe's k small eigenvalues are eps^2, and the eps = 1 trace
     # Tr(C^T C) bounds the top one at every eps
-    top = float(np.sum(fam.c_base ** 2))
     eps = float(grid.min(initial=1.0))
-    if k and not above_kernel_cutoff(eps * eps, top):
+    if k and not above_kernel_cutoff(eps * eps, fam.trace):
         raise NearKernelCutoff(
             f"eps = {eps!r} puts the small eigenvalue eps^2 (k = {k} of "
             f"them) below twice the kernel cutoff of the eps = 1 trace "
-            f"Tr(C^T C) = {top:.6g}")
+            f"Tr(C^T C) = {fam.trace:.6g}")
     C = fam.c_matrix(grid)
     raw = np.linalg.eigvalsh(laplacian1_fast(C))
     vals, kernel = clamp_spectra(raw)
@@ -370,7 +362,7 @@ def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
                              float(mk), int(count))
                  for e, v, kd, tr, mk, count
                  in zip(grid, vals, kernel, traces, max_k, counts))
-    return CollapseTable(B, k, fam.d, fam.d_prime, rows, fam)
+    return CollapseTable(B, rows, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +436,7 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
     if curvature_cap is not None and not math.isfinite(curvature_cap):
         raise ValueError(f"curvature_cap = {curvature_cap} is not finite")
     if semisimple_defect(B) > 1e-8:
-        raise NotSemisimple("B has a nontrivial nilpotent part")
+        raise CollapseSpectraError("B has a nontrivial nilpotent part")
     base_tr = float(np.sum(B * B))
     if curvature_cap is None:
         curvature_cap = 2.0 * base_tr + 1.0

@@ -23,7 +23,7 @@ from . import (curvature, euler_bound, flat_torus, intlat, lie_complex,
                mapping_torus, torus_bundle)
 from .artifacts import csv_text
 from .errors import (ConfigInvalid, KTooLarge, NearKernelCutoff,
-                     RankAmbiguous, ScaleTooLarge, ScenarioUnknown)
+                     RankAmbiguous, ScaleTooLarge)
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def _scenario_mapping_torus(params, seed, eps_grid):
         raise ConfigInvalid(f"k: {exc}") from exc
     except NearKernelCutoff as exc:
         raise ConfigInvalid(f"eps_grid: {exc}") from exc
-    d_prime = table.d_prime
+    d_prime = table.family.d_prime
     nonzero = [r.report.eigenvalues[d_prime + 1:] for r in table.rows]
     kernel_miss = max(abs(r.report.kernel_dim - d_prime - 1)
                       for r in table.rows)
@@ -244,7 +244,7 @@ def _scenario_mapping_torus(params, seed, eps_grid):
             floor = min(float(nz[k]) for nz in nonzero)
             checks.append(CheckResult("survivor-floor", floor, floor_req,
                                       f"floor {floor:.3e}", ">="))
-    tr1 = float(np.sum(table.family.c_base ** 2))
+    tr1 = table.family.trace
     checks.append(CheckResult("trace-bounded", max(r.trace for r in table.rows),
                               tr1 + 1e-9, f"eps=1 trace {tr1:.6g}"))
     return ScenarioResult({"collapse.csv": table.to_csv()}, checks)
@@ -477,11 +477,11 @@ def _scenario_euler_bound(params, seed, eps_grid):
 
 
 def _scenario_vol_bound(params, seed, eps_grid):
-    n1 = torus_bundle.TorusBundleOverT2(1, (1,))
+    n1 = torus_bundle.TorusBundleOverT2((1,))
     rep1 = euler_bound.vol_bound_experiment(n1, [1.0], eps_grid)
-    n2 = torus_bundle.TorusBundleOverT2(2, (1, 0))
+    n2 = torus_bundle.TorusBundleOverT2((1, 0))
     rep2 = euler_bound.vol_bound_experiment(n2, [1.0, 1.0], eps_grid)
-    n2b = torus_bundle.TorusBundleOverT2(2, (1, 2))
+    n2b = torus_bundle.TorusBundleOverT2((1, 2))
     rep3 = euler_bound.vol_bound_experiment(n2b, [1.0, 0.0], eps_grid)
     ratio1 = [r.ratio for r in rep1.rows]
     circle_constant = max(ratio1) - min(ratio1)
@@ -574,10 +574,10 @@ def resolve(name: str, params: dict = None, seed: int = 0,
 
     Returns ``(name, typed params as sorted items, seed, grid)``: hashable,
     and equal for any two spellings of one configuration.  Raises
-    ``ScenarioUnknown`` or ``ConfigInvalid`` naming the offending key.
+    ``ConfigInvalid`` naming the offending key or the unknown scenario.
     """
     if name not in SCENARIOS:
-        raise ScenarioUnknown(f"unknown scenario {name!r}; see 'list'")
+        raise ConfigInvalid(f"unknown scenario {name!r}; see 'list'")
     spec = SCENARIOS[name]
     merged = spec.defaults
     for key, value in (params or {}).items():

@@ -22,16 +22,12 @@ from .lie_complex import (SpectrumReport, StructureConstants, form_dim,
 
 @dataclass(frozen=True)
 class TorusBundleOverT2:
-    """Fiber dimension and integer obstruction vector."""
+    """Integer obstruction vector a of a bundle with fiber T^n, n = len(a)."""
 
-    n: int
     a: tuple
 
     def __post_init__(self):
-        a = tuple(int(x) for x in self.a)
-        if len(a) != self.n:
-            raise ValueError("obstruction vector length must equal n")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
 
     @property
     def trivial(self) -> bool:
@@ -75,7 +71,6 @@ def verify_spectrum(L: StructureConstants, p: int) -> float:
 
 @dataclass(frozen=True)
 class EigenspaceSplit:
-    eigenvalue: float
     total: int
     coclosed: int
     closed: int
@@ -96,7 +91,7 @@ def eigenspace_split(L: StructureConstants, p: int) -> EigenspaceSplit:
     """
     eta_sq = sum(x * x for x in L.c[-2, -1, :-2].tolist())
     if eta_sq == 0.0:
-        return EigenspaceSplit(0.0, 0, 0, 0)
+        return EigenspaceSplit(0, 0, 0)
 
     def count(q):
         vals = gram_eigenvalues(L, q)[0]
@@ -104,7 +99,7 @@ def eigenspace_split(L: StructureConstants, p: int) -> EigenspaceSplit:
 
     coclosed = count(p)
     closed = count(p - 1) if p else 0
-    return EigenspaceSplit(eta_sq, coclosed + closed, coclosed, closed)
+    return EigenspaceSplit(coclosed + closed, coclosed, closed)
 
 
 @dataclass(frozen=True)

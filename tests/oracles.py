@@ -36,7 +36,7 @@ def nil_bundle_curvature_closed_form(eta: float, n: int = 2) -> CurvatureTable:
     pairs[(n, n + 1)] = -0.75 * eta ** 2
     pairs[(0, n)] = eta ** 2 / 4.0
     pairs[(0, n + 1)] = eta ** 2 / 4.0
-    return CurvatureTable(n + 2, pairs)
+    return CurvatureTable(pairs)
 
 
 def solvable_curvatures_by_pair(C) -> list:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -126,13 +127,12 @@ def test_console_script_entry():
 
 
 def test_scenario_config_dataclass():
-    from collapse_spectra.errors import ScenarioUnknown
-
     assert scenarios.resolve("heisenberg", {"gamma": 2}, 1,
                              (0.5, 0.1))[3] == (0.5, 0.1)
     assert run_scenario_checks("heisenberg", {"gamma": 2}, 1,
                                (0.5, 0.1)).passed
-    with pytest.raises(ScenarioUnknown):
+    with pytest.raises(ConfigInvalid,
+                       match=re.escape("unknown scenario 'nope'; see 'list'")):
         scenarios.resolve("nope")
     with pytest.raises(ConfigInvalid):
         scenarios.resolve("heisenberg", {"bad": 1})

@@ -45,9 +45,11 @@ def test_sectional_curvature_symmetry():
 
 def test_sectional_curvature_requires_orthonormal():
     L = cs.StructureConstants.abelian(3)
-    with pytest.raises(cs.NotOrthonormal):
+    with pytest.raises(cs.CollapseSpectraError,
+                       match="u and v must be orthogonal"):
         cs.sectional_curvature(L, [1, 0, 0], [1, 0, 0])
-    with pytest.raises(cs.NotOrthonormal):
+    with pytest.raises(cs.CollapseSpectraError,
+                       match="u and v must be unit vectors"):
         cs.sectional_curvature(L, [2, 0, 0], [0, 1, 0])
 
 

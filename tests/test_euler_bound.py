@@ -10,6 +10,9 @@ from collapse_spectra.euler_bound import gram_det
 from collapse_spectra.flat_torus import FlatTorus
 from collapse_spectra.intlat import rational_rank
 
+#: the error of an Euler map with a kernel
+KERNEL = "Euler map has a kernel; use noninjective_reduce"
+
 
 def test_ee_star_examples():
     assert not np.any(cs.ee_star([[0, 0]], np.eye(2)))
@@ -64,9 +67,9 @@ def test_bound_chain_random():
 
 
 def test_bound_chain_rejects_kernel():
-    with pytest.raises(cs.NotInjective):
+    with pytest.raises(cs.CollapseSpectraError, match=KERNEL):
         cs.bound_chain([[1, 2], [2, 4]], np.eye(2))
-    with pytest.raises(cs.NotInjective):
+    with pytest.raises(cs.CollapseSpectraError, match=KERNEL):
         cs.det_factorization([[1, 2], [2, 4]], np.eye(2))
     # seeded rank-deficient maps: a random integral map of rank r < k
     # composed into k columns; both functions apply one rule to them
@@ -79,7 +82,7 @@ def test_bound_chain_rejects_kernel():
         assert rational_rank(E.tolist()) < k
         assert gram_det(E.tolist()) == 0
         for func in (cs.bound_chain, cs.det_factorization):
-            with pytest.raises(cs.NotInjective):
+            with pytest.raises(cs.CollapseSpectraError, match=KERNEL):
                 func(E.tolist(), np.eye(k))
 
 
@@ -134,7 +137,7 @@ def test_det_factorization_hard_trials(trial):
 
 def test_noninjective_zero_map():
     rep = cs.noninjective_reduce([[0, 0]], np.eye(2))
-    assert rep.trivial and rep.restricted is None
+    assert rep.restricted is None
 
 
 def test_noninjective_block_oracle():
@@ -227,7 +230,7 @@ def test_rho_flat_brute_force():
 
 
 def test_vol_bound_circle_constant_ratio():
-    bundle = cs.TorusBundleOverT2(1, (1,))
+    bundle = cs.TorusBundleOverT2((1,))
     rep = cs.vol_bound_experiment(bundle, [1.0], [1.0, 0.5, 0.25, 0.125])
     ratios = [r.ratio for r in rep.rows]
     assert max(ratios) - min(ratios) <= 1e-12
@@ -235,14 +238,14 @@ def test_vol_bound_circle_constant_ratio():
 
 
 def test_vol_bound_homothety_grows():
-    bundle = cs.TorusBundleOverT2(2, (1, 0))
+    bundle = cs.TorusBundleOverT2((1, 0))
     rep = cs.vol_bound_experiment(bundle, [1.0, 1.0], [1.0, 0.5, 0.25])
     assert rep.margin >= 0.0 and rep.min_ratio > 0.0
     assert rep.rows[-1].ratio > rep.rows[0].ratio
 
 
 def test_vol_bound_dense_direction():
-    bundle = cs.TorusBundleOverT2(2, (1, 2))
+    bundle = cs.TorusBundleOverT2((1, 2))
     rep = cs.vol_bound_experiment(bundle, [1.0, 0.0], [1.0, 0.5, 0.25])
     assert rep.margin >= 0.0 and rep.min_ratio > 0.0
     assert rep.rows[-1].lam >= 4.0       # limit sum_{i>1} b_i^2 = 4
@@ -250,8 +253,9 @@ def test_vol_bound_dense_direction():
 
 def test_vol_bound_trivial_bundle_raises():
     # lambda vanishes identically: no ratio to bound, so no verdict
-    with pytest.raises(cs.TrivialBundle):
-        cs.vol_bound_experiment(cs.TorusBundleOverT2(1, (0,)), [1.0],
+    with pytest.raises(cs.CollapseSpectraError,
+                       match="zero obstruction vector: lambda vanishes"):
+        cs.vol_bound_experiment(cs.TorusBundleOverT2((0,)), [1.0],
                                 [1.0, 0.5])
 
 
@@ -259,7 +263,7 @@ def test_vol_bound_trivial_bundle_raises():
 def test_vol_bound_divisor_outside_normal_floats_names_alpha_and_eps(alpha):
     # at eps = 0.5, vol^2 = 0.5^(2 sum alpha) underflows to 0 (600), is
     # subnormal (530) or overflows (-1500): none is a usable divisor
-    bundle = cs.TorusBundleOverT2(len(alpha), (1,) + (0,) * (len(alpha) - 1))
+    bundle = cs.TorusBundleOverT2((1,) + (0,) * (len(alpha) - 1))
     with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha!r}: "
                                                    "eps = 0.5")):
         cs.vol_bound_experiment(bundle, alpha, [1.0, 0.5])
@@ -269,12 +273,12 @@ def test_vol_bound_lambda_overflow_names_alpha():
     # at eps = 0.5 the term (eps^-600 b)^2 = 2^1200 is past the floats
     with pytest.raises(ValueError, match=re.escape("alpha = [-600.0]: "
                                                    "eps = 0.5")):
-        cs.vol_bound_experiment(cs.TorusBundleOverT2(1, (1,)), [-600.0],
+        cs.vol_bound_experiment(cs.TorusBundleOverT2((1,)), [-600.0],
                                 [1.0, 0.5])
 
 
 def test_vol_bound_margin_sign_follows_verdict():
-    bundle = cs.TorusBundleOverT2(2, (1, 0))
+    bundle = cs.TorusBundleOverT2((1, 0))
     rep = cs.vol_bound_experiment(bundle, [1.0, 1.0], [1.0, 0.5, 0.25])
     floor = rep.rows[0].ratio * (1.0 - 1e-9)
     assert rep.margin >= 0.0 and rep.min_ratio >= floor

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_spectra as cs
-from collapse_spectra.intlat import (det_int, invariant_factors,
-                                     rational_nullspace, rational_rank, rref)
+from collapse_spectra.intlat import (det_int, rational_nullspace,
+                                     rational_rank, rref)
 from oracles import int_product
 
 
@@ -17,7 +18,7 @@ def _check_snf(m):
     U, D, V = cs.smith_normal_form(m)
     assert int_product(int_product(U, m), V) == D
     assert abs(det_int(U)) == 1 and abs(det_int(V)) == 1
-    diag = invariant_factors(D)
+    diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
     for i in range(len(D)):
         for j in range(len(D[0])):
             if i != j:
@@ -164,7 +165,8 @@ def test_betti_torsion():
 
 
 def test_betti_rejects_non_unimodular():
-    with pytest.raises(cs.NotUnimodular):
+    with pytest.raises(cs.CollapseSpectraError,
+                       match=re.escape("matrix must lie in SL_n(Z)")):
         cs.betti1_mapping_torus([[2, 0], [0, 1]])
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -262,7 +263,7 @@ def test_run_collapse_two_blocks():
         assert row.small_count == expected
     table = cs.run_collapse(B, 1, grid)
     for row in table.rows:
-        vals = np.sort(row.report.eigenvalues)[table.d_prime + 1:]
+        vals = np.sort(row.report.eigenvalues)[table.family.d_prime + 1:]
         assert vals[0] < 10.0 * row.eps ** 2
         assert vals[1] >= 1e-2
 
@@ -291,7 +292,8 @@ def test_semisimple_floor():
     assert not rep.vacuous and rep.floor > 0.01 and rep.ok
     rep = cs.semisimple_floor(np.zeros((2, 2)), trials=5, seed=1)
     assert rep.vacuous and rep.ok
-    with pytest.raises(cs.NotSemisimple):
+    with pytest.raises(cs.CollapseSpectraError,
+                       match="B has a nontrivial nilpotent part"):
         cs.semisimple_floor(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -299,9 +301,10 @@ def test_bundle_validation():
     A = [[1, 1], [0, 1]]
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
     bundle = cs.MappingTorusBundle(A, B)
-    assert bundle.n == 2
+    assert len(bundle.a_matrix) == 2
     assert cs.invariants_dd(bundle.b_matrix) == (2, 1)
-    with pytest.raises(cs.NotUnimodular):
+    with pytest.raises(cs.CollapseSpectraError,
+                       match=re.escape("A must lie in SL_n(Z)")):
         cs.MappingTorusBundle([[2, 0], [0, 1]], B)
     with pytest.raises(ValueError):
         cs.MappingTorusBundle(A, np.zeros((2, 2)))
@@ -357,9 +360,10 @@ def test_run_collapse_mixed_spectrum():
     assert cs.invariants_dd(B) == (2, 1)
     fam = cs.collapse_family(B, 1)
     tr1 = float(np.sum(fam.c_matrix(1.0) ** 2))
+    assert fam.trace == tr1
     table = cs.run_collapse(B, 1, [2.0 ** -j for j in range(1, 11)])
     for row in table.rows:
-        vals = np.sort(row.report.eigenvalues)[table.d_prime + 1:]
+        vals = np.sort(row.report.eigenvalues)[table.family.d_prime + 1:]
         assert abs(float(vals[0]) - row.eps ** 2) <= 1e-9 * row.eps ** 2
         assert float(vals[1]) >= 0.99
         assert row.trace <= tr1 + 1e-9
@@ -379,7 +383,7 @@ def test_run_collapse_numeric_chain_path():
     assert info.chain_lengths == (3,)
     table = cs.run_collapse(B, 2, [2.0 ** -j for j in range(2, 9)])
     for row in table.rows:
-        vals = np.sort(row.report.eigenvalues)[table.d_prime + 1:]
+        vals = np.sort(row.report.eigenvalues)[table.family.d_prime + 1:]
         assert np.all(vals < 10.0 * row.eps ** 2)
 
 
@@ -511,7 +515,7 @@ def test_eps_grid_is_checked_before_anything_else(grid, monkeypatch):
     for call in (lambda: cs.run_collapse(B, 1, grid),
                  lambda: cs.collapse_direction([1.0, 2.0], [1, 0], grid),
                  lambda: cs.vol_bound_experiment(
-                     cs.TorusBundleOverT2(1, (1,)), [1.0], grid)):
+                     cs.TorusBundleOverT2((1,)), [1.0], grid)):
         with pytest.raises(ValueError, match=r"eps grid must lie in \(0, 1\]"
                            ) as info:
             call()

@@ -13,9 +13,9 @@ from collapse_spectra.torus_bundle import (eigenspace_split, nil_algebra,
 
 
 def test_bundle_dataclass():
-    bundle = cs.TorusBundleOverT2(2, (3, 6))
-    assert not bundle.trivial
-    assert cs.TorusBundleOverT2(2, (0, 0)).trivial
+    bundle = cs.TorusBundleOverT2((3, 6))
+    assert not bundle.trivial and len(bundle.a) == 2
+    assert cs.TorusBundleOverT2((0, 0)).trivial
 
 
 def test_nil_algebra_brackets():
