@@ -25,7 +25,7 @@ from .flat_torus import (FlatTorus, ModeSpectrum, diameter, gt_gram,
                          lambda01, odd_multiplicity_check, p_form_spectrum,
                          threshold_check_product)
 from .euler_bound import (RhoReport, bound_chain, det_factorization,
-                          ee_star, noninjective_reduce, rho_flat,
+                          noninjective_reduce, rho_flat,
                           vol_bound_experiment)
 
 __version__ = "0.1.0"

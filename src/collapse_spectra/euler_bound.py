@@ -34,17 +34,13 @@ FACTORIZATION_RTOL = 1e-10
 #: 1/s, gramG = (1/s^2) and volT = s.
 
 
-def _orthonormal_matrix(e_matrix, gram_g) -> np.ndarray:
-    """Matrix of e in a gram-orthonormalized dual-algebra frame."""
-    E = np.asarray(e_matrix, dtype=float)
+def _orthonormal_matrix(e_matrix, gram_g) -> tuple:
+    """The matrix E L^-T of e in a gram-orthonormalized dual-algebra frame,
+    with the Cholesky factor L of gramG; for one map or for a stack
+    ``(..., m, k)`` of maps with their ``(..., k, k)`` Grams."""
     L = np.linalg.cholesky(np.asarray(gram_g, dtype=float))
-    return E @ np.linalg.inv(L).T
-
-
-def ee_star(e_matrix, gram_g) -> np.ndarray:
-    """Symmetric PSD matrix of e*e in the orthonormalized dual frame."""
-    E_on = _orthonormal_matrix(e_matrix, gram_g)
-    return E_on.T @ E_on
+    L_inv_t = np.linalg.inv(L).swapaxes(-1, -2)
+    return np.asarray(e_matrix, dtype=float) @ L_inv_t, L
 
 
 @dataclass(frozen=True)
@@ -54,24 +50,74 @@ class BoundChainReport:
     det_bound: float          # (Det e)^2 / |e|^{2k-2}
 
 
-def _chain(M: np.ndarray) -> BoundChainReport:
-    """The three terms of the bound chain of the PSD k x k matrix M = e*e,
-    judged by the caller.  ``mid_bound`` equals ``det_bound`` exactly, as
-    (Det e)^2 = Det(e*e) and |e|^2 = |e*e|: they differ by rounding alone."""
-    k = M.shape[0]
+@dataclass(frozen=True)
+class DetFactorizationReport:
+    det_prime: float          # lattice-basis determinant of e
+    vol_t: float              # fiber volume det(gramG)^{-1/2}
+    det_e: float              # orthonormal-basis determinant
+    residual: float           # |det_e - det_prime * vol_t| (relative)
+    ok: bool                  # residual <= FACTORIZATION_RTOL
+
+
+def _chain(E_on) -> list:
+    """The BoundChainReport of each map of a stack ``(T, m, k)`` of Euler
+    maps in orthonormalized frames (:func:`_orthonormal_matrix`), from
+    one ``eigvalsh`` and one ``det`` of the stack of M = e*e; each map's
+    report is bit for bit that of a stack of one.  ``mid_bound`` equals
+    ``det_bound`` exactly, as (Det e)^2 = Det(e*e) and |e|^2 = |e*e|:
+    they differ by rounding alone."""
+    M = E_on.swapaxes(-1, -2) @ E_on
+    k = M.shape[-1]
     vals = np.linalg.eigvalsh(M)
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
-    det_m = float(np.linalg.det(M))
-    det_e = math.sqrt(max(det_m, 0.0))
-    op_norm = math.sqrt(lam_max)
-    mid = det_m / lam_max ** (k - 1) if k > 1 else det_m
-    det_bound = det_e ** 2 / op_norm ** (2 * k - 2) if k > 1 else det_e ** 2
-    return BoundChainReport(lam_min, mid, det_bound)
+    reports = []
+    for lam_min, lam_max, det_m in zip(vals[:, 0].tolist(),
+                                       vals[:, -1].tolist(),
+                                       np.linalg.det(M).tolist()):
+        det_e = math.sqrt(max(det_m, 0.0))
+        op_norm = math.sqrt(lam_max)
+        mid = det_m / lam_max ** (k - 1) if k > 1 else det_m
+        det_bound = det_e ** 2 / op_norm ** (2 * k - 2) if k > 1 else det_e ** 2
+        reports.append(BoundChainReport(lam_min, mid, det_bound))
+    return reports
+
+
+def _factorization(E_on, L, gram_dets) -> list:
+    """The DetFactorizationReport of each map of a stack of injective
+    Euler maps in orthonormalized frames, with the Cholesky factors L of
+    their Grams and their exact ``gram_det`` values, which are Det'^2.
+
+    Each side is found its own way: Det' from the exact integer Gram,
+    Vol(T^k) and Det e from triangular factors (one QR of the stack),
+    since a determinant of E_on^T E_on squares E_on's conditioning.
+    """
+    # a product multiplies each diagonal in index order, stacked or not
+    vol_ts = 1.0 / L.diagonal(0, -2, -1).prod(-1)
+    det_es = np.abs(np.linalg.qr(E_on, mode="r").diagonal(0, -2, -1)).prod(-1)
+    reports = []
+    for vol_t, det_e, det in zip(vol_ts.tolist(), det_es.tolist(), gram_dets):
+        det_prime = math.sqrt(det)
+        residual = abs(det_e - det_prime * vol_t) / max(1.0, det_e)
+        reports.append(DetFactorizationReport(det_prime, vol_t, det_e,
+                                              residual,
+                                              residual <= FACTORIZATION_RTOL))
+    return reports
+
+
+def chain_stack(e_stack, gram_stack, gram_dets) -> list:
+    """``(BoundChainReport, DetFactorizationReport)`` of each map of a
+    stack ``(T, m, k)`` of injective integral Euler maps of one shape,
+    with their dual Grams ``(T, k, k)`` and their ``gram_det`` values:
+    one Cholesky, inverse and ``E_on`` for the whole stack, then
+    :func:`_chain` and :func:`_factorization`, which :func:`bound_chain`
+    and :func:`det_factorization` call on a stack of one."""
+    E_on, L = _orthonormal_matrix(e_stack, gram_stack)
+    return list(zip(_chain(E_on), _factorization(E_on, L, gram_dets)))
 
 
 def gram_det(e_matrix) -> int:
     """det(E^T E) of an integral Euler map E, exact by Bareiss
-    elimination; it is zero exactly when E has a kernel."""
+    elimination; it is zero exactly when E has a kernel, and otherwise
+    it is (Det' e)^2."""
     Ex = np.array(int_matrix(e_matrix), dtype=object)
     return det_int((Ex.T @ Ex).tolist())
 
@@ -86,35 +132,21 @@ def _injective_gram_det(E) -> int:
 
 
 def bound_chain(e_matrix, gram_g) -> BoundChainReport:
-    """The two-step determinant bound chain of an injective Euler map."""
+    """The two-step determinant bound chain of an injective Euler map:
+    :func:`_chain` on a stack of one.  A map whose gram_det is zero has a
+    kernel and raises CollapseSpectraError."""
     E = int_matrix(e_matrix)
     _injective_gram_det(E)
-    return _chain(ee_star(E, gram_g))
-
-
-@dataclass(frozen=True)
-class DetFactorizationReport:
-    det_prime: float          # lattice-basis determinant of e
-    vol_t: float              # fiber volume det(gramG)^{-1/2}
-    det_e: float              # orthonormal-basis determinant
-    residual: float           # |det_e - det_prime * vol_t| (relative)
-    ok: bool                  # residual <= FACTORIZATION_RTOL
+    return _chain(_orthonormal_matrix([E], [gram_g])[0])[0]
 
 
 def det_factorization(e_matrix, gram_g) -> DetFactorizationReport:
-    """Verify Det e = (Det' e) Vol(T^k) for an injective Euler map."""
+    """Verify Det e = (Det' e) Vol(T^k) for an injective Euler map:
+    :func:`_factorization` on a stack of one, with the same
+    CollapseSpectraError for a map with a kernel."""
     E = int_matrix(e_matrix)
-    # Det' exact from the integer Gram; the others from triangular
-    # factors, since a determinant of E_on^T E_on squares E_on's
-    # conditioning
-    det_prime = math.sqrt(_injective_gram_det(E))
-    L = np.linalg.cholesky(np.asarray(gram_g, dtype=float))
-    vol_t = float(1.0 / np.prod(np.diag(L)))
-    R = np.linalg.qr(_orthonormal_matrix(E, gram_g), mode="r")
-    det_e = float(np.prod(np.abs(np.diag(R))))
-    residual = abs(det_e - det_prime * vol_t) / max(1.0, det_e)
-    return DetFactorizationReport(det_prime, vol_t, det_e, residual,
-                                  residual <= FACTORIZATION_RTOL)
+    det = _injective_gram_det(E)
+    return _factorization(*_orthonormal_matrix([E], [gram_g]), [det])[0]
 
 
 @dataclass(frozen=True)
@@ -155,9 +187,10 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
     # full column rank l, so the trailing columns of its complete QR span
     # the vectors x with K^T g x = 0
     null = np.linalg.qr(g @ K, mode="complete")[0][:, K.shape[1]:]
+    E_on, _ = _orthonormal_matrix([Ef @ null], [null.T @ g @ null])
     return NonInjectiveReport(tuple(map(tuple, kernel_cols)),
                               tuple(map(tuple, reduced)), quotient_volume,
-                              _chain(ee_star(Ef @ null, null.T @ g @ null)))
+                              _chain(E_on)[0])
 
 
 # ---------------------------------------------------------------------------

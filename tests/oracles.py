@@ -71,3 +71,36 @@ def collapse_rows_by_eps(family, eps_grid) -> np.ndarray:
         rows.append([float(eps), *report.eigenvalues, report.kernel_dim,
                      float(np.sum(C * C)), max_k, count])
     return np.array(rows, dtype=float).reshape(len(rows), n + 6)
+
+
+def euler_rows_by_map(trials, kmax, seed) -> tuple:
+    """``(rows, slack, max_residual)`` of the ``euler-bound`` scenario, one
+    map at a time: the draws and the ``gram_det`` filter of the scenario,
+    then ``bound_chain`` and ``det_factorization`` for each kept map."""
+    import math
+
+    from collapse_spectra import euler_bound
+
+    margin = 1e-10
+    rng = np.random.default_rng(seed)
+    rows = []
+    slack, max_residual = math.inf, 0.0
+    count = 0
+    while count < trials:
+        k = int(rng.integers(1, kmax + 1))
+        m = int(rng.integers(k, k + 3))
+        E = rng.integers(-4, 5, size=(m, k))
+        if not euler_bound.gram_det(E.tolist()):
+            continue
+        count += 1
+        w = rng.standard_normal((k, k))
+        gram = w @ w.T + 0.5 * np.eye(k)
+        bc = euler_bound.bound_chain(E.tolist(), gram)
+        df = euler_bound.det_factorization(E.tolist(), gram)
+        row_slack = min(bc.lam_min - bc.mid_bound, bc.mid_bound - bc.det_bound,
+                        bc.lam_min - bc.det_bound)
+        slack = min(slack, row_slack)
+        max_residual = max(max_residual, df.residual)
+        rows.append([count, k, m, bc.lam_min, bc.mid_bound, bc.det_bound,
+                     df.residual, int(row_slack >= -margin and df.ok)])
+    return rows, slack, max_residual

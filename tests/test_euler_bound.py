@@ -6,21 +6,37 @@ import numpy as np
 import pytest
 
 import collapse_spectra as cs
-from collapse_spectra.euler_bound import gram_det
+from collapse_spectra.artifacts import csv_text
+from collapse_spectra.euler_bound import _orthonormal_matrix, gram_det
 from collapse_spectra.flat_torus import FlatTorus
 from collapse_spectra.intlat import rational_rank
+from collapse_spectra.scenarios import run_scenario_checks
+from oracles import euler_rows_by_map
 
 #: the error of an Euler map with a kernel
 KERNEL = "Euler map has a kernel; use noninjective_reduce"
 
 
-def test_ee_star_examples():
-    assert not np.any(cs.ee_star([[0, 0]], np.eye(2)))
-    assert cs.ee_star([[2]], [[1.0]]) == pytest.approx(np.array([[4.0]]))
+def test_orthonormal_matrix_examples():
+    # E_on = E L^-T with L L^T = gramG, so E_on^T E_on is e*e and
+    # E_on E_on^T = E gramG^-1 E^T
+    E_on, _ = _orthonormal_matrix([[0, 0]], np.eye(2))
+    assert not np.any(E_on.T @ E_on)
+    E_on, L = _orthonormal_matrix([[2]], [[0.25]])
+    assert E_on == pytest.approx(np.array([[4.0]]))
+    assert L == pytest.approx(np.array([[0.5]]))
     rng = np.random.default_rng(73)
-    E = rng.integers(-3, 4, (3, 3)).tolist()
-    assert np.allclose(cs.ee_star(E, np.eye(3)),
-                       np.array(E).T @ np.array(E), atol=1e-12)
+    E = rng.integers(-3, 4, (3, 3))
+    E_on, _ = _orthonormal_matrix(E.tolist(), np.eye(3))
+    assert np.allclose(E_on.T @ E_on, E.T @ E, atol=1e-12)
+    w = rng.standard_normal((2, 3, 3))
+    grams = w @ w.swapaxes(-1, -2) + 0.5 * np.eye(3)
+    E_on, L = _orthonormal_matrix([E, 2 * E], grams)
+    assert np.allclose(L @ L.swapaxes(-1, -2), grams, atol=1e-12)
+    for t, scale in enumerate((1, 2)):
+        assert np.allclose(E_on[t] @ E_on[t].T,
+                           scale ** 2 * E @ np.linalg.inv(grams[t]) @ E.T,
+                           atol=1e-9)
 
 
 def test_det_factorization_vol_t_convention():
@@ -133,6 +149,91 @@ def test_det_factorization_hard_trials(trial):
     w = rng.standard_normal((k, k))
     rep = cs.det_factorization(E.tolist(), w @ w.T + 0.5 * np.eye(k))
     assert k >= 6 and rep.residual <= 1e-10 and rep.ok
+
+
+#: fixed dual Grams of the pinned examples below
+_G2 = [[2.0, 0.5], [0.5, 1.5]]
+_G3 = [[1.5, 0.25, -0.5], [0.25, 2.0, 0.125], [-0.5, 0.125, 0.75]]
+_G4 = [[2.0, 0.5, 0.0, -0.25], [0.5, 1.0, 0.25, 0.0],
+       [0.0, 0.25, 3.0, 0.5], [-0.25, 0.0, 0.5, 1.25]]
+
+#: (E, gramG) -> float.hex of bound_chain's (lam_min, mid_bound,
+#: det_bound) and of det_factorization's (det_prime, vol_t, det_e,
+#: residual): a stack of one keeps every bit of these
+_PINNED_CHAINS = [
+    (([[5], [-3]], [[0.7]]),
+     ("0x1.8492492492492p+5", "0x1.8492492492491p+5", "0x1.8492492492491p+5"),
+     ("0x1.752e50db3a3a2p+2", "0x1.31fa808c55b43p+0", "0x1.be0958f3e126fp+2",
+      "0x1.25dbfe5e6a2bdp-53")),
+    (([[2, 1], [1, 1], [0, 3]], _G2),
+     ("0x1.22b38ca6bf25dp+1", "0x1.22b38ca6bf25ep+1", "0x1.22b38ca6bf25ep+1"),
+     ("0x1.b211b1c70d023p+2", "0x1.34bf63d156825p-1", "0x1.05c0e72b75052p+2",
+      "0x1.f4bef1e3d4bc4p-53")),
+    (([[1, -2, 0, 3], [4, 1, -1, 0], [0, 2, 3, -4], [-1, 0, 1, 2],
+       [2, 2, -3, 1]], _G4),
+     ("0x1.8b8503d828a50p+0", "0x1.3e0459ab0b50dp-4", "0x1.3e0459ab0b50ep-4"),
+     ("0x1.66a89accadad7p+7", "0x1.a897bf8042d6cp-2", "0x1.296ded10e5e92p+6",
+      "0x1.b8aec7892cf80p-53")),
+]
+
+
+@pytest.mark.parametrize("args,chain,factorization", _PINNED_CHAINS)
+def test_bound_chain_and_factorization_bits_pinned(args, chain, factorization):
+    bc = cs.bound_chain(*args)
+    assert tuple(x.hex() for x in (bc.lam_min, bc.mid_bound,
+                                   bc.det_bound)) == chain
+    df = cs.det_factorization(*args)
+    assert tuple(x.hex() for x in (df.det_prime, df.vol_t, df.det_e,
+                                   df.residual)) == factorization
+    assert df.ok
+
+
+#: (E, gramG) -> kernel basis, reduced map, float.hex of the quotient
+#: volume and of the restricted chain (lam_min, mid_bound, det_bound)
+_PINNED_REDUCTIONS = [
+    (([[3, 6]], np.eye(2)), ((-2, 1),), ((3,),), "0x1.c9f25c5bfeddap-2",
+     ("0x1.6800000000004p+5", "0x1.6800000000005p+5", "0x1.6800000000006p+5")),
+    (([[0, 2, 1], [0, 1, 1], [0, 0, 3]], _G3), ((1, 0, 0),),
+     ((1, 0), (1, -1), (3, -6)), "0x1.a20bd700c2c3fp-1",
+     ("0x1.1b6ad18124662p+1", "0x1.1b6ad18124662p+1", "0x1.1b6ad18124663p+1")),
+    (([[1, 2, -1], [2, 4, -2]], _G3), ((-2, 1, 0), (1, 0, 1)), ((1,), (2,)),
+     "0x1.9e498909f645ap-2",
+     ("0x1.287e2e1ab1235p+4", "0x1.287e2e1ab1236p+4", "0x1.287e2e1ab1237p+4")),
+]
+
+
+@pytest.mark.parametrize("args,kernel,reduced,volume,chain",
+                         _PINNED_REDUCTIONS)
+def test_noninjective_reduce_bits_pinned(args, kernel, reduced, volume, chain):
+    rep = cs.noninjective_reduce(*args)
+    assert (rep.kernel_basis, rep.reduced_integral) == (kernel, reduced)
+    assert rep.quotient_volume.hex() == volume
+    r = rep.restricted
+    assert tuple(x.hex() for x in (r.lam_min, r.mid_bound,
+                                   r.det_bound)) == chain
+
+
+def test_euler_bound_stack_matches_per_map_loop():
+    # the scenario solves its maps in stacks of one shape (k, m); its rows,
+    # in draw order, and its check values equal those of bound_chain and
+    # det_factorization map by map, bit for bit (trials = 1 makes a
+    # stack of one)
+    header = ["trial", "k", "m", "lam_min", "mid_bound", "det_bound",
+              "fact_residual", "ok"]
+    for seed in range(15):
+        for kmax in (1, 2, 5, 8):
+            for trials in (1, 200):
+                res = run_scenario_checks(
+                    "euler-bound", {"trials": trials, "kmax": kmax}, seed)
+                rows, slack, max_residual = euler_rows_by_map(trials, kmax,
+                                                              seed)
+                config = (seed, kmax, trials)
+                assert res.artifacts["chain.csv"] == csv_text(header, rows), \
+                    config
+                values = {c.name: c.value for c in res.checks}
+                assert values["bound-chain"].hex() == slack.hex(), config
+                assert (values["det-factorization"].hex()
+                        == max_residual.hex()), config
 
 
 def test_noninjective_zero_map():
