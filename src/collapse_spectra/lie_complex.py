@@ -22,9 +22,23 @@ from forms without the coform y of Y to forms with y); a dense frame
 keeps the full size min(C(n, p), C(n, p+1)) in the middle degrees.
 :func:`spectrum` keeps the eigenvalues of each G_p on its
 ``StructureConstants``, so a sweep over all degrees builds each d_p once
-and solves each G_p once.  One rule separates the kernel: an eigenvalue
-at most :func:`kernel_cutoff` of its spectrum's largest eigenvalue
-counts as zero.
+and solves each G_p once.
+
+On a unimodular algebra (trace form theta = tr ad = 0) the Hodge star,
+a signed permutation of the wedge basis, carries d_{n-1-p} d_{n-1-p}^T
+onto d_p^T d_p, so G_p and G_{n-1-p} share their nonzero spectrum, and
+:func:`gram_eigenvalues` takes G_p for (n-1)/2 < p < n from G_{n-1-p}
+without building d_p.  An algebra counts as unimodular when
+:func:`unimodularity_defect` is at most ``UNIMODULAR_ULPS * n * eps *
+max|c|``, the rounding of a trace of n terms.  In general the star
+carries d_{n-1-p} to d_p^T plus an interior product with theta, whose
+norm is at most |theta| <= sqrt(n) max_i |theta_i|, so by Weyl's
+inequality the mirrored eigenvalues differ from those of G_p by at most
+2 |d_p| |theta| + |theta|^2.  Under the rule that is of order
+n^(3/2) eps max|c| |d_p|, the rounding level of forming and solving G_p
+directly.  Algebras outside the rule solve every G_p.  One rule
+separates the kernel: an eigenvalue at most :func:`kernel_cutoff` of its
+spectrum's largest eigenvalue counts as zero.
 """
 
 from __future__ import annotations
@@ -48,6 +62,9 @@ EIG_TOL = 1e-9
 SINGULAR_TOL = 1e-12
 #: Singular values above RANK_TOL count toward a numerical rank.
 RANK_TOL = 1e-9
+#: An algebra with unimodularity_defect at most UNIMODULAR_ULPS * n * eps
+#: * max|c| is unimodular to rounding, and its G_p are mirrored.
+UNIMODULAR_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -298,7 +315,10 @@ def stacked_gram_eigenvalues(c, p: int) -> np.ndarray:
     d_p with no zero row or column is not copied.
     """
     d_p = stacked_derivative(c, p)
-    rows, cols = d_p.any(axis=(0, 2)), d_p.any(axis=(0, 1))
+    # from the values, not from _d_pattern: a pattern entry can cancel to
+    # an exact zero, and keeping it would change the block and its bits
+    nonzero = d_p != 0
+    rows, cols = nonzero.any(axis=(0, 2)), nonzero.any(axis=(0, 1))
     if not rows.all():
         d_p = d_p[:, rows]
     if not cols.all():
@@ -401,11 +421,24 @@ def gram_eigenvalues(L: StructureConstants, p: int) -> np.ndarray:
     Only the nonzero block of d_p is solved (see
     :func:`stacked_gram_eigenvalues`), so the exact zeros of its dropped
     rows and columns are missing here; :func:`hodge_union` restores them.
+    For (n-1)/2 < p < n on an algebra with :func:`unimodularity_defect`
+    at most ``UNIMODULAR_ULPS * n * eps * max|c|``, the eigenvalues of
+    G_{n-1-p} are returned and d_p is not built: the Hodge star gives
+    both the same nonzero spectrum, and by Weyl's inequality a trace form
+    theta moves each eigenvalue by at most 2 |d_p| |theta| + |theta|^2,
+    the rounding level of the direct solve under that rule.  Both blocks
+    have at most min(C(n, p), C(n, p+1)) values, so :func:`hodge_union`
+    pads either alike.
     """
     vals = L._gram_eigs.get(p)
     if vals is None:
-        vals = stacked_gram_eigenvalues(L.c[None], p)
-        vals.setflags(write=False)
+        mirror, eps = L.n - 1 - p, np.finfo(float).eps
+        if 0 <= mirror < p and unimodularity_defect(L) <= (
+                UNIMODULAR_ULPS * L.n * eps * np.abs(L.c).max()):
+            vals = gram_eigenvalues(L, mirror)
+        else:
+            vals = stacked_gram_eigenvalues(L.c[None], p)
+            vals.setflags(write=False)
         L._gram_eigs[p] = vals
     return vals
 

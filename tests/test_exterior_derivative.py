@@ -273,8 +273,9 @@ def _deflated_side(L, p):
 
 def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
     # counts, not timings: two d builds per degree, a C(n, p)-sized solve
-    # of the assembled Laplacian, or a G_p that keeps the zero rows and
-    # columns of d_p fails here deterministically
+    # of the assembled Laplacian, a G_p that keeps the zero rows and
+    # columns of d_p, or a unimodular G_p solved again instead of
+    # mirrored from G_{n-1-p} fails here deterministically
     lc = cs.lie_complex
     builds, solves = [], []
     real_d, real_eig = lc.stacked_derivative, lc.np.linalg.eigvalsh
@@ -294,9 +295,16 @@ def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
     for kind, bound in (
             ("dense", lambda p: min(form_dim(8, p), form_dim(8, p + 1))),
             ("solvable", lambda p: form_dim(7, p)),
-            ("nil", lambda p: form_dim(6, p - 1))):
-        L = _algebra(kind, 8, rng)
+            ("nil", lambda p: form_dim(6, p - 1)),
+            ("not unimodular", lambda p: form_dim(7, p))):
+        if kind == "not unimodular":
+            L = solvable_algebra(_trace_free(rng, 7) + np.eye(7))
+        else:
+            L = _algebra(kind, 8, rng)
         sides = [_deflated_side(L, p) for p in range(L.n + 1)]
+        # a unimodular algebra builds d_p for p <= (n - 1) / 2 and p = n
+        # only; the other G_p are those of G_{n-1-p}
+        built = list(range(9)) if kind == "not unimodular" else [0, 1, 2, 3, 8]
         builds.clear()
         solves.clear()
         with monkeypatch.context() as patch:
@@ -306,8 +314,8 @@ def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
                 cs.spectrum(L, p)
             for p in reversed(range(L.n + 1)):
                 cs.spectrum(L, p)
-        assert builds == list(range(9)), kind
-        assert solves == [(1, m, m) for m in sides], kind
+        assert builds == built, kind
+        assert solves == [(1, sides[p], sides[p]) for p in built], kind
         assert all(m <= bound(p) for p, m in enumerate(sides)), (kind, sides)
         if kind == "dense":
             assert sides == [0, 8, 28, 56, 56, 28, 8, 1, 0]

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_spectra as cs
-from collapse_spectra.lie_complex import FormBasis, check_lie_tensors
+from collapse_spectra.lie_complex import (FormBasis, check_lie_tensors,
+                                          clamp_spectra, gram_eigenvalues,
+                                          kernel_cutoff,
+                                          stacked_gram_eigenvalues)
 from collapse_spectra.mapping_torus import solvable_algebra
 from oracles import jacobi_defect
 
@@ -198,7 +201,26 @@ def test_unimodularity_defect():
     assert cs.unimodularity_defect(L) == 1.0
 
 
+def _assert_matches_assembled(L):
+    """Check spectrum(L, p) at every p against eigvalsh of the assembled
+    Laplacian, which no Gram block or mirror enters; returns the
+    assembled spectra."""
+    assembled = []
+    for p in range(L.n + 1):
+        want, kernel = clamp_spectra(np.linalg.eigvalsh(cs.laplacian(L, p)))
+        got = cs.spectrum(L, p)
+        scale = max(1.0, float(want[-1]))
+        assert np.max(np.abs(got.eigenvalues - want)) <= 1e-12 * scale, p
+        assert got.kernel_dim == kernel, p
+        assembled.append(want)
+    return assembled
+
+
 def test_poincare_duality_unimodular():
+    # spectrum(p) and spectrum(n - p) read mirrored Gram blocks on a
+    # unimodular algebra, so duality of its own output holds by
+    # construction; the assembled Laplacians are the oracle, in the
+    # original frame and in a skewed one
     rng = np.random.default_rng(5)
     for _ in range(10):
         C = rng.uniform(-2, 2, (3, 3))
@@ -206,10 +228,61 @@ def test_poincare_duality_unimodular():
         L = solvable_algebra(C)
         assert cs.unimodularity_defect(L) <= 1e-12
         n = L.n
-        for p in range(n + 1):
-            s1 = cs.spectrum(L, p).eigenvalues
-            s2 = cs.spectrum(L, n - p).eigenvalues
-            assert np.max(np.abs(s1 - s2)) <= 1e-9
+        P = rng.uniform(-1, 1, (n, n)) + 2 * np.eye(n)
+        for M in (L, cs.change_frame(L, P)):
+            assembled = _assert_matches_assembled(M)
+            for p in range(n + 1):
+                assert np.max(np.abs(assembled[p] - assembled[n - p])) <= 1e-9
+
+
+def test_non_unimodular_spectrum_matches_assembled_laplacian():
+    # tr ad_Y = tr B = 1: d_{n-1} is nonzero and G_p differs from
+    # G_{n-1-p}, so every G_p must be solved directly
+    rng = np.random.default_rng(6)
+    for m in (2, 3, 4):
+        B = rng.uniform(-2, 2, (m, m))
+        B += (1.0 - np.trace(B)) / m * np.eye(m)
+        L = solvable_algebra(B)
+        assert cs.unimodularity_defect(L) >= 0.5
+        n = L.n
+        P = rng.uniform(-1, 1, (n, n)) + 2 * np.eye(n)
+        for M in (L, cs.change_frame(L, P)):
+            _assert_matches_assembled(M)
+
+
+def _ce_spectra_algebras(seed):
+    """The nil, solvable and dense algebras at n = 10 and 12 that the
+    ce-spectra benchmark workload draws for ``seed``, in its draw order."""
+    rng = np.random.default_rng([seed, 1])
+    for n in (10, 12):
+        b = rng.uniform(0.5, 2.0, size=n - 2) * rng.choice([-1.0, 1.0],
+                                                           size=n - 2)
+        B = rng.standard_normal((n - 1, n - 1))
+        B -= np.trace(B) / (n - 1) * np.eye(n - 1)
+        solvable = solvable_algebra(B)
+        while True:
+            P = rng.uniform(-1.0, 1.0, size=(n, n))
+            if np.linalg.cond(P) < 50.0:
+                break
+        yield from (cs.nil_algebra(b), solvable, cs.change_frame(solvable, P))
+
+
+@pytest.mark.parametrize("seed", [21, 37])
+def test_hodge_mirror_matches_direct_gram(seed):
+    for L in _ce_spectra_algebras(seed):
+        n = L.n
+        for p in range((n + 1) // 2, n):
+            got = gram_eigenvalues(L, p)
+            assert got is gram_eigenvalues(L, n - 1 - p), (n, p)
+            want = stacked_gram_eigenvalues(L.c[None], p)[0]
+            size = max(got.shape[1], len(want))
+            got, want = (np.sort(np.concatenate((v, np.zeros(size - len(v)))))
+                         for v in (got[0], want))
+            top = float(want.max(initial=0.0))
+            assert np.max(np.abs(got - want), initial=0.0) \
+                <= 1e-12 * max(1.0, top), (n, p)
+            cutoff = kernel_cutoff(top)
+            assert np.sum(got <= cutoff) == np.sum(want <= cutoff), (n, p)
 
 
 def test_frame_change_preserves_jacobi():
