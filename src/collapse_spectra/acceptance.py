@@ -178,14 +178,15 @@ def criterion_4_kernel_dimension(seed, runs):
     for name, B in _test_b_matrices():
         n = B.shape[0]
         d, d_prime = mapping_torus.invariants_dd(B)
-        frames = []
-        for _ in range(50):
-            while True:
-                P = rng.uniform(-1.0, 1.0, size=(n, n))
-                if abs(np.linalg.det(P)) > 0.1 and np.linalg.cond(P) < 50.0:
-                    break
-            frames.append(P)
-        P = np.array(frames)
+        # draw only the missing count each round: the last candidate of
+        # the final round is the 50th kept, so the stream is that of
+        # drawing one candidate at a time until 50 are kept
+        P = np.zeros((0, n, n))
+        while len(P) < 50:
+            cand = rng.uniform(-1.0, 1.0, size=(50 - len(P), n, n))
+            keep = (np.abs(np.linalg.det(cand)) > 0.1) \
+                & (np.linalg.cond(cand) < 50.0)
+            P = np.concatenate((P, cand[keep]))
         C = np.linalg.solve(P, B @ P)
         kernel = lie_complex.clamp_spectra(
             np.linalg.eigvalsh(mapping_torus.laplacian1_fast(C)))[1]
@@ -229,7 +230,7 @@ def criterion_6_betti(seed, runs):
             i, j = rng.integers(0, n, size=2)
             if i == j:
                 continue
-            s = int(rng.choice([-1, 1]))
+            s = (-1, 1)[int(rng.integers(0, 2))]
             for c in range(n):
                 A[i][c] += s * A[j][c]
         m = [[A[i][j] - int(i == j) for j in range(n)] for i in range(n)]

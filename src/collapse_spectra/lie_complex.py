@@ -36,9 +36,24 @@ norm is at most |theta| <= sqrt(n) max_i |theta_i|, so by Weyl's
 inequality the mirrored eigenvalues differ from those of G_p by at most
 2 |d_p| |theta| + |theta|^2.  Under the rule that is of order
 n^(3/2) eps max|c| |d_p|, the rounding level of forming and solving G_p
-directly.  Algebras outside the rule solve every G_p.  One rule
-separates the kernel: an eigenvalue at most :func:`kernel_cutoff` of its
-spectrum's largest eigenvalue counts as zero.
+directly.  Algebras outside the rule solve every G_p.
+
+The mirror leaves G_{m-1} of the middle degrees at full size when
+n = 2m.  On Lambda^m the star is S e_J = s_J e_{J^c}, and S^2 = (-1)^(m^2),
+so for even m, that is n = 0 (mod 4), S is a symmetric involution (for
+odd m it is skew and has no real halves to fold onto).  Folding the rows
+of d_{m-1} by it, E = d_{m-1}[J] + s_J d_{m-1}[J^c] over the C(n, m) / 2
+subsets J that contain index 0, gives E^T E = G_{m-1} + d_{m-1}^T S
+d_{m-1}.  The second term pairs d alpha with d beta into the top-degree
+exact form d(alpha ^ d beta), which is zero on a unimodular algebra; in
+general its norm is at most |theta| |d_{m-1}|, the same Weyl-type bound
+as the mirror's.  So under the unimodularity rule :func:`gram_eigenvalues`
+solves the Gram matrix of E, whose side is at most C(n, m) / 2, in place
+of that of d_{m-1}, but only when C(n, m) / 2 is strictly smaller than
+the side of the nonzero block of d_{m-1}; at n = 12 a dense frame solves
+462 in place of 792.  One rule separates the kernel: an eigenvalue at
+most :func:`kernel_cutoff` of its spectrum's largest eigenvalue counts
+as zero.
 """
 
 from __future__ import annotations
@@ -304,6 +319,30 @@ def stacked_derivative(c, p: int) -> np.ndarray:
                        minlength=count * size).reshape(count, cod_dim, dom_dim)
 
 
+def _nonzero_block(d) -> np.ndarray:
+    """The stack ``d`` (T, rows, cols) cut to the rows and columns that are
+    nonzero in some member; a stack with no zero row or column is not
+    copied."""
+    # from the values, not from _d_pattern: a pattern entry can cancel to
+    # an exact zero, and keeping it would change the block and its bits
+    nonzero = d != 0
+    rows, cols = nonzero.any(axis=(0, 2)), nonzero.any(axis=(0, 1))
+    if not rows.all():
+        d = d[:, rows]
+    if not cols.all():
+        d = d[:, :, cols]
+    return d
+
+
+def _gram_block_eigenvalues(block) -> np.ndarray:
+    """Ascending eigenvalues of the Gram matrix of each member of the stack
+    ``block``, taken on its smaller side."""
+    block_t = block.transpose(0, 2, 1)
+    gram = (block_t @ block if block.shape[2] <= block.shape[1]
+            else block @ block_t)
+    return np.linalg.eigvalsh(gram)
+
+
 def stacked_gram_eigenvalues(c, p: int) -> np.ndarray:
     """Ascending nonzero-block eigenvalues of the Gram matrix of d_p for
     every tensor in the stack ``c`` (T, n, n, n), as an array (T, r).
@@ -314,18 +353,28 @@ def stacked_gram_eigenvalues(c, p: int) -> np.ndarray:
     eigenvalues are exact zeros, which :func:`hodge_union` restores.  A
     d_p with no zero row or column is not copied.
     """
-    d_p = stacked_derivative(c, p)
-    # from the values, not from _d_pattern: a pattern entry can cancel to
-    # an exact zero, and keeping it would change the block and its bits
-    nonzero = d_p != 0
-    rows, cols = nonzero.any(axis=(0, 2)), nonzero.any(axis=(0, 1))
-    if not rows.all():
-        d_p = d_p[:, rows]
-    if not cols.all():
-        d_p = d_p[:, :, cols]
-    d_t = d_p.transpose(0, 2, 1)
-    gram = d_t @ d_p if d_p.shape[2] <= d_p.shape[1] else d_p @ d_t
-    return np.linalg.eigvalsh(gram)
+    return _gram_block_eigenvalues(_nonzero_block(stacked_derivative(c, p)))
+
+
+@functools.lru_cache(maxsize=None)
+def _hodge_star(n: int):
+    """The Hodge star on Lambda^m, n = 2m, as ``(J, Jc, sign)``.
+
+    ``J`` holds the ranks of the C(n, m) / 2 subsets that contain index 0,
+    ``Jc`` the ranks of their complements, and ``sign`` the shuffle sign
+    s_J = (-1)^(sum J - m(m-1)/2) of e_J ^ e_{J^c} = s_J vol for 0-based J,
+    so the star is e_J -> s_J e_{J^c}.  For even m, s_{J^c} = s_J and the
+    star is a symmetric involution.
+    """
+    m = n // 2
+    rank = FormBasis(n, m).rank
+    half = [K for K in rank if K[0] == 0]
+    J = np.array([rank[K] for K in half])
+    Jc = np.array([rank[tuple(sorted(set(range(n)) - set(K)))] for K in half])
+    sign = np.array([(-1.0) ** (sum(K) - m * (m - 1) // 2) for K in half])
+    for table in (J, Jc, sign):
+        table.setflags(write=False)
+    return J, Jc, sign
 
 
 def hodge_union(gram_p, gram_prev, dim: int) -> np.ndarray:
@@ -426,21 +475,40 @@ def gram_eigenvalues(L: StructureConstants, p: int) -> np.ndarray:
     G_{n-1-p} are returned and d_p is not built: the Hodge star gives
     both the same nonzero spectrum, and by Weyl's inequality a trace form
     theta moves each eigenvalue by at most 2 |d_p| |theta| + |theta|^2,
-    the rounding level of the direct solve under that rule.  Both blocks
-    have at most min(C(n, p), C(n, p+1)) values, so :func:`hodge_union`
-    pads either alike.
+    the rounding level of the direct solve under that rule.  For n = 0
+    (mod 4) and p = n/2 - 1 on such an algebra, the rows of d_p are first
+    folded by the Hodge star of Lambda^{p+1}, a symmetric involution there
+    since S^2 = (-1)^((p+1)^2), into C(n, p+1) / 2 rows, provided that is
+    strictly fewer than the side of the nonzero block of d_p: the folded
+    Gram matrix is G_p plus a term of norm at most |theta| |d_p|, zero on
+    a unimodular algebra (see the module docstring).  Every block has at
+    most min(C(n, p), C(n, p+1)) values, so :func:`hodge_union` pads any
+    of them alike.
     """
     vals = L._gram_eigs.get(p)
     if vals is None:
-        mirror, eps = L.n - 1 - p, np.finfo(float).eps
-        if 0 <= mirror < p and unimodularity_defect(L) <= (
-                UNIMODULAR_ULPS * L.n * eps * np.abs(L.c).max()):
+        n, mirror = L.n, L.n - 1 - p
+        if 0 <= mirror < p and _unimodular(L):
             vals = gram_eigenvalues(L, mirror)
         else:
-            vals = stacked_gram_eigenvalues(L.c[None], p)
+            d_p = stacked_derivative(L.c[None], p)
+            block = _nonzero_block(d_p)
+            if (n % 4 == 0 and p == n // 2 - 1
+                    and form_dim(n, p + 1) // 2 < min(block.shape[1:])
+                    and _unimodular(L)):
+                J, Jc, sign = _hodge_star(n)
+                block = _nonzero_block(d_p[:, J] + sign[:, None] * d_p[:, Jc])
+            vals = _gram_block_eigenvalues(block)
             vals.setflags(write=False)
         L._gram_eigs[p] = vals
     return vals
+
+
+def _unimodular(L: StructureConstants) -> bool:
+    """The rule of :func:`gram_eigenvalues`: unimodularity_defect(L) at most
+    ``UNIMODULAR_ULPS * n * eps * max|c|``."""
+    return unimodularity_defect(L) <= (
+        UNIMODULAR_ULPS * L.n * np.finfo(float).eps * np.abs(L.c).max())
 
 
 def spectrum(L: StructureConstants, p: int) -> SpectrumReport:

@@ -274,8 +274,9 @@ def _deflated_side(L, p):
 def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
     # counts, not timings: two d builds per degree, a C(n, p)-sized solve
     # of the assembled Laplacian, a G_p that keeps the zero rows and
-    # columns of d_p, or a unimodular G_p solved again instead of
-    # mirrored from G_{n-1-p} fails here deterministically
+    # columns of d_p, a unimodular G_p solved again instead of mirrored
+    # from G_{n-1-p}, or a dense G_3 not folded by the Hodge star fails
+    # here deterministically
     lc = cs.lie_complex
     builds, solves = [], []
     real_d, real_eig = lc.stacked_derivative, lc.np.linalg.eigvalsh
@@ -314,8 +315,12 @@ def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
                 cs.spectrum(L, p)
             for p in reversed(range(L.n + 1)):
                 cs.spectrum(L, p)
+        # the dense G_3 is solved folded, on C(8, 4) / 2 = 35 rows; the
+        # solvable block ties at 35 and the nil block has 15, so neither
+        # folds, and the non-unimodular algebra fails the rule
+        solved = [35 if (kind, p) == ("dense", 3) else sides[p] for p in built]
         assert builds == built, kind
-        assert solves == [(1, sides[p], sides[p]) for p in built], kind
+        assert solves == [(1, m, m) for m in solved], kind
         assert all(m <= bound(p) for p, m in enumerate(sides)), (kind, sides)
         if kind == "dense":
             assert sides == [0, 8, 28, 56, 56, 28, 8, 1, 0]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from pathlib import Path
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_spectra as cs
-from collapse_spectra.lie_complex import (FormBasis, check_lie_tensors,
-                                          clamp_spectra, gram_eigenvalues,
+from collapse_spectra.lie_complex import (FormBasis, _hodge_star,
+                                          check_lie_tensors, clamp_spectra,
+                                          form_dim, gram_eigenvalues,
                                           kernel_cutoff,
                                           stacked_gram_eigenvalues)
 from collapse_spectra.mapping_torus import solvable_algebra
@@ -283,6 +285,71 @@ def test_hodge_mirror_matches_direct_gram(seed):
                 <= 1e-12 * max(1.0, top), (n, p)
             cutoff = kernel_cutoff(top)
             assert np.sum(got <= cutoff) == np.sum(want <= cutoff), (n, p)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_hodge_star_table_is_a_signed_pairing(n):
+    # the sign of e_J ^ e_{J^c} = s_J vol is the parity of the shuffle
+    # (J, J^c), counted here by brute force over all pairs of positions
+    m = n // 2
+    combos = list(itertools.combinations(range(n), m))
+    J, Jc, sign = _hodge_star(n)
+    assert len(J) == len(combos) // 2
+    assert sorted([*J, *Jc]) == list(range(len(combos)))
+    for r, rc, s in zip(J, Jc, sign):
+        seq = combos[r] + combos[rc]
+        assert combos[r][0] == 0 and sorted(seq) == list(range(n))
+        inversions = sum(seq[a] > seq[b] for a in range(n)
+                         for b in range(a + 1, n))
+        assert s == (-1) ** inversions, combos[r]
+
+
+def _dense_algebra(rng, n, trace):
+    """The solvable algebra of a random B with tr B = ``trace`` in a
+    random frame, so that all n^3 structure constants are nonzero; it is
+    unimodular exactly when ``trace`` is 0."""
+    B = rng.standard_normal((n - 1, n - 1))
+    B += (trace - np.trace(B)) / (n - 1) * np.eye(n - 1)
+    P = rng.uniform(-1.0, 1.0, (n, n)) + 2.0 * np.eye(n)
+    return cs.change_frame(solvable_algebra(B), P)
+
+
+def _star_matrix(n):
+    """The Hodge star on Lambda^{n/2} as a dense signed permutation."""
+    J, Jc, sign = _hodge_star(n)
+    S = np.zeros((form_dim(n, n // 2),) * 2)
+    S[Jc, J] = sign
+    S[J, Jc] = sign
+    return S
+
+
+def test_hodge_star_commutes_with_the_middle_laplacian_iff_unimodular():
+    S = _star_matrix(8)
+    assert np.array_equal(S, S.T) and np.array_equal(S @ S, np.eye(len(S)))
+    rng = np.random.default_rng(28)
+    for trace, commutes in ((0.0, True), (1.0, False)):
+        L = _dense_algebra(rng, 8, trace)
+        lap = cs.laplacian(L, 4)
+        gap = np.linalg.norm(S @ lap @ S - lap)
+        assert (gap <= 1e-12 * np.linalg.norm(lap)) == commutes, trace
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_folded_middle_gram_matches_direct_gram(n):
+    # gram_eigenvalues folds d_{n/2-1} by the star when n % 4 == 0, so it
+    # solves C(n, n/2) / 2 rows; stacked_gram_eigenvalues never folds
+    p = n // 2 - 1
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        L = _dense_algebra(rng, n, 0.0)
+        got = gram_eigenvalues(L, p)[0]
+        assert len(got) == form_dim(n, p + 1) // 2
+        want = stacked_gram_eigenvalues(L.c[None], p)[0]
+        got = np.sort(np.concatenate((np.zeros(len(want) - len(got)), got)))
+        top = float(want[-1])
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, top)
+        cutoff = kernel_cutoff(top)
+        assert np.sum(got <= cutoff) == np.sum(want <= cutoff)
 
 
 def test_frame_change_preserves_jacobi():
