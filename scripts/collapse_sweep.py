@@ -25,20 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from collapse_spectra import NearKernelCutoff, invariants_dd, run_collapse
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    """Square matrix of finite numbers from rows separated by ';';
-    ValueError naming --b when the text is not one."""
-    try:
-        rows = [[float(x) for x in row.split()] for row in text.split(";")]
-    except ValueError:
-        rows = None
-    if not rows or any(len(row) != len(rows) for row in rows) \
-            or not np.isfinite(rows).all():
-        raise ValueError(f"--b: need a square matrix of finite numbers, "
-                         f"rows separated by ';', got {text!r}")
-    return np.array(rows)
+from collapse_spectra.scenarios import parse_value
 
 
 def main() -> int:
@@ -54,7 +41,7 @@ def main() -> int:
     try:
         if args.jmax < 1:
             raise ValueError(f"--jmax: need an integer >= 1, got {args.jmax}")
-        B = parse_matrix(args.b)
+        B = np.array(parse_value("matrix", "--b", args.b))
         d, d_prime = invariants_dd(B)
         grid = [2.0 ** -j for j in range(1, args.jmax + 1)]
         tables = [run_collapse(B, k, grid) for k in range(d - d_prime + 1)]

@@ -6,12 +6,13 @@ cutoff with its fiber-invariance flag, confirming that everything below
 the first fiber eigenvalue is invariant and that the bound is attained.
 
 Exit status: 0 when the threshold holds and is attained, 1 when it does
-not, 2 when the fiber is not a matrix of numbers, when the base length
-breaks the flat-threshold scenario's size rule (0 < base length <= 1e3
-and base length / fiber length <= 1e3, the fiber length read as
-2 pi / sqrt(lambda01(fiber))), or when the library rejects the input (a
-Gram matrix that is not square, finite, symmetric and positive definite,
-a degree outside 0..dim).
+not, 2 when the fiber is not a square matrix of finite numbers, when the
+lengths break the flat-threshold scenario's size rule
+(``flat_torus.check_product_lengths``: lengths > 0 with normal-float
+squares, base length <= 1e3 and base length / fiber length <= 1e3, the
+fiber length read as 2 pi / sqrt(lambda01(fiber))), or when the library
+rejects the input (a Gram matrix that is not symmetric and positive
+definite, a degree outside 0..dim).
 
 Example:
     python scripts/flat_thresholds.py --fiber "0.04 0; 0 0.09" --degree 1
@@ -25,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from collapse_spectra import FlatTorus, lambda01, threshold_check_product
-from collapse_spectra.flat_torus import MAX_LENGTH_RATIO
+from collapse_spectra.flat_torus import check_product_lengths
+from collapse_spectra.scenarios import parse_value
 
 
 def main() -> int:
@@ -38,25 +40,14 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        try:
-            gram = np.array([[float(x) for x in row.split()]
-                             for row in args.fiber.split(";")])
-        except ValueError:
-            raise ValueError(f"--fiber: need a matrix of numbers, rows "
-                             f"separated by ';', got {args.fiber!r}") from None
-        base = FlatTorus.circle(args.base_length)
-        fiber = FlatTorus(gram)
-        # the flat-threshold scenario's size rule, reading the fiber length
-        # as 2 pi / sqrt(lambda01(fiber)), the length of a circle fiber
+        fiber = FlatTorus(np.array(parse_value("matrix", "--fiber",
+                                               args.fiber)))
+        # the fiber length of a circle fiber with the same lambda01
         fiber_length = 2.0 * math.pi / math.sqrt(lambda01(fiber))
-        if not (args.base_length > 0.0 and max(
-                args.base_length, args.base_length / fiber_length)
-                <= MAX_LENGTH_RATIO):
-            raise ValueError(
-                f"--base-length: need 0 < base length <= "
-                f"{MAX_LENGTH_RATIO:g} and base length / fiber length <= "
-                f"{MAX_LENGTH_RATIO:g}, with fiber length {fiber_length:.6g}")
-        rep = threshold_check_product(base, fiber, args.degree)
+        check_product_lengths(args.base_length, fiber_length,
+                              ("--base-length", "--fiber"))
+        rep = threshold_check_product(FlatTorus.circle(args.base_length),
+                                      fiber, args.degree)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

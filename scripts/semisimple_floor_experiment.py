@@ -7,8 +7,9 @@ minimum nonzero invariant eigenvalue seen across all form degrees.
 
 Prints a summary and writes no files.  Exit status: 0 when the floor
 lies above the 1e-4 sanity line, 1 when it does not, 2 when B is not a
-matrix of numbers or the library rejects the input (for example trials
-outside 1..10000, a non-finite cap or a B that is not semisimple).
+square matrix of finite numbers or the library rejects the input (for
+example trials outside 1..10000, a non-finite cap, or a B that is not
+semisimple or whose Tr(B^T B) is not a finite float, which names --b).
 
 Example:
     python scripts/semisimple_floor_experiment.py --b "1 0; 0 -1" --trials 500
@@ -19,7 +20,8 @@ import sys
 
 import numpy as np
 
-from collapse_spectra import semisimple_floor
+from collapse_spectra import CollapseSpectraError, semisimple_floor
+from collapse_spectra.scenarios import parse_value
 
 
 def main() -> int:
@@ -33,14 +35,12 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
+        B = np.array(parse_value("matrix", "--b", args.b))
         try:
-            B = np.array([[float(x) for x in row.split()]
-                          for row in args.b.split(";")])
-        except ValueError:
-            raise ValueError(f"--b: need a matrix of numbers, rows "
-                             f"separated by ';', got {args.b!r}") from None
-        rep = semisimple_floor(B, trials=args.trials, curvature_cap=args.cap,
-                               seed=args.seed)
+            rep = semisimple_floor(B, trials=args.trials,
+                                   curvature_cap=args.cap, seed=args.seed)
+        except CollapseSpectraError as exc:     # the library's verdict on B
+            raise ValueError(f"--b: {exc}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -366,13 +366,8 @@ class AcceptanceSummary:
         return all(r.passed for r in self.results)
 
 
-def run_all(seed: int = 0, skip: tuple = ()) -> AcceptanceSummary:
+def run_all(seed: int = 0) -> AcceptanceSummary:
     runs = ScenarioRuns()
     t0 = time.perf_counter()
-    results = []
-    for func in CRITERIA:
-        number = int(func.__name__.split("_")[1])
-        if number in skip:
-            continue
-        results.append(func(seed, runs))
-    return AcceptanceSummary(tuple(results), time.perf_counter() - t0, runs)
+    results = tuple(func(seed, runs) for func in CRITERIA)
+    return AcceptanceSummary(results, time.perf_counter() - t0, runs)

@@ -22,6 +22,26 @@ FOUR_PI_SQ = 4.0 * math.pi ** 2
 MAX_LENGTH_RATIO = 1e3
 
 
+def check_product_lengths(base_length, fiber_length, names):
+    """The size rule of a listed product of a base circle and a fiber of
+    first eigenvalue (2 pi / fiber_length)^2: both lengths > 0 with
+    normal-float squares, base_length and base_length / fiber_length at
+    most MAX_LENGTH_RATIO.  A ValueError names the length at fault from
+    ``names`` (base, fiber); a ratio too large is the fiber's."""
+    bound = MAX_LENGTH_RATIO
+    rule = (f"need lengths > 0 with normal-float squares, base length <= "
+            f"{bound:g} and base / fiber length <= {bound:g}, got base "
+            f"length {base_length!r} and fiber length {fiber_length!r}")
+    for name, length in zip(names, (base_length, fiber_length)):
+        if not (length > 0.0
+                and np.finfo(float).tiny <= length * length < math.inf):
+            raise ValueError(f"{name}: {rule}")
+    if base_length > bound:
+        raise ValueError(f"{names[0]}: {rule}")
+    if base_length / fiber_length > bound:
+        raise ValueError(f"{names[1]}: {rule}")
+
+
 @dataclass(frozen=True)
 class FlatTorus:
     """Flat torus R^k / Z^k with Gram matrix ``gram`` on the coordinates."""

@@ -257,10 +257,9 @@ class CollapseFamily:
 def collapse_family(b_matrix, k: int) -> CollapseFamily:
     """The collapse family of B with k small eigenvalues, where B and k
     are decided: RankAmbiguous for ambiguous Jordan chains, KTooLarge
-    unless 0 <= k <= d - d', OverflowError when a chain vector or the
-    eps = 1 trace Tr(C^T C) = sum(c_base**2) does not fit a float, and
-    ScaleTooLarge for k >= 1 when that trace is too large for any eps.
-    The family keeps that trace as ``trace``."""
+    unless 0 <= k <= d - d', and OverflowError when a chain vector or the
+    eps = 1 trace Tr(C^T C) = sum(c_base**2) does not fit a float.  The
+    family keeps that trace as ``trace``."""
     B = np.asarray(b_matrix, dtype=float)
     info = jordan_zero_chain(B)
     capacity = info.d - info.d_prime
@@ -288,9 +287,6 @@ def collapse_family(b_matrix, k: int) -> CollapseFamily:
     if not math.isfinite(top):
         raise OverflowError("the collapse family's eps = 1 trace "
                             "Tr(C^T C) overflows")
-    if k and not above_kernel_cutoff(1.0, top):     # eps^2 <= 1 on any grid
-        raise ScaleTooLarge(f"the eps = 1 trace Tr(C^T C) = {top:.6g} puts "
-                            f"eps^2 under twice its kernel cutoff at all eps")
     return CollapseFamily(tuple(exponents), info.d_prime, c_base, top)
 
 
@@ -335,16 +331,21 @@ def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
     nonzero eigenvalues of C C^T (the kernel, of exact dimension d', is
     excluded by construction).  Returns the one family as ``family``;
     errors of :func:`collapse_family` propagate.  For k >= 1, small
-    eigenvalues eps^2 within twice the kernel cutoff raise
-    NearKernelCutoff before any eigensolve.
+    eigenvalues eps^2 within twice the kernel cutoff raise, before any
+    eigensolve, ScaleTooLarge when eps = 1 already puts them there, so
+    that no grid could pass, and NearKernelCutoff otherwise.
     """
     grid = np.array(check_eps_grid(eps_grid))
     B = np.asarray(b_matrix, dtype=float)
     fam = collapse_family(B, k)
     # the recipe's k small eigenvalues are eps^2, and the eps = 1 trace
     # Tr(C^T C) bounds the top one at every eps
-    eps = float(grid.min(initial=1.0))
+    eps = float(grid.min())
     if k and not above_kernel_cutoff(eps * eps, fam.trace):
+        if not above_kernel_cutoff(1.0, fam.trace):
+            raise ScaleTooLarge(
+                f"the eps = 1 trace Tr(C^T C) = {fam.trace:.6g} puts eps^2 "
+                f"under twice its kernel cutoff at all eps")
         raise NearKernelCutoff(
             f"eps = {eps!r} puts the small eigenvalue eps^2 (k = {k} of "
             f"them) below twice the kernel cutoff of the eps = 1 trace "
@@ -370,19 +371,21 @@ def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
 # ---------------------------------------------------------------------------
 
 def semisimple_defect(b_matrix) -> float:
-    """Relative norm of m(B) where m is the squarefree part of the
-    characteristic polynomial; zero iff B is semisimple."""
+    """Norm of m(B / s), m the squarefree part of the characteristic
+    polynomial of B / s, s = max(1, spectral radius); zero iff B is
+    semisimple.  Scaling first keeps the products of m(B / s) in range."""
     B = np.asarray(b_matrix, dtype=float)
     eigs = np.linalg.eigvals(B)
     scale = max(1.0, float(np.max(np.abs(eigs))))
+    B, eigs = B / scale, eigs / scale
     distinct = []
     for lam in sorted(eigs, key=lambda z: (z.real, z.imag)):
-        if not distinct or abs(lam - distinct[-1]) > 1e-8 * scale:
+        if not distinct or abs(lam - distinct[-1]) > 1e-8:
             distinct.append(lam)
     m = np.eye(B.shape[0], dtype=complex)
     for lam in distinct:
         m = m @ (B - lam * np.eye(B.shape[0]))
-    return float(np.max(np.abs(m)) / scale ** len(distinct))
+    return float(np.max(np.abs(m)))
 
 
 @dataclass(frozen=True)
@@ -426,6 +429,10 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
     d_p and d_{p-1} into the degree-p spectrum as ``lie_complex.spectrum``
     does, so the floor is bit-identical to a trial-by-trial loop over
     ``spectrum``.
+
+    Bounds: 1 <= trials <= MAX_FLOOR_TRIALS and a finite cap, else
+    ValueError; Tr(B^T B) a finite float and B semisimple, else
+    CollapseSpectraError.
     """
     B = np.asarray(b_matrix, dtype=float)
     n = B.shape[0]
@@ -435,9 +442,12 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
                          f" got {trials!r}")
     if curvature_cap is not None and not math.isfinite(curvature_cap):
         raise ValueError(f"curvature_cap = {curvature_cap} is not finite")
+    with np.errstate(over="ignore"):
+        base_tr = float(np.sum(B * B))
+    if not math.isfinite(base_tr):
+        raise CollapseSpectraError("B needs Tr(B^T B) to be a finite float")
     if semisimple_defect(B) > 1e-8:
         raise CollapseSpectraError("B has a nontrivial nilpotent part")
-    base_tr = float(np.sum(B * B))
     if curvature_cap is None:
         curvature_cap = 2.0 * base_tr + 1.0
     if base_tr == 0.0:

@@ -4,12 +4,14 @@ Every scenario computes a table tied to one quantitative claim about
 collapsing homogeneous bundles, emits CSV bodies that are byte-identical
 for a fixed config and seed, and returns machine-checkable margins
 against fixed bounds, each written once at its check.
-Parameters, seed and eps grid are merged with the defaults and validated
-in one place, :func:`resolve`, by types, stated bounds and closed-form
-rules before any scenario code runs.  mapping-torus decides B, k and
-the eps grid where it builds its collapse family and reports a bad one
-as ConfigInvalid.  Every rule that keeps a predicted small eigenvalue
-away from the kernel asks :func:`lie_complex.above_kernel_cutoff`.
+Parameters, seed and eps grid are merged with the defaults and checked
+by :func:`resolve` before any scenario code runs, each rule through its
+one declaration in the layer that owns its math (the eps grid in
+``torus_bundle.check_eps_grid``).  mapping-torus decides B, k and the
+grid where it builds its collapse family, vol-bound its grid where it
+divides by vol^2; each reports a bad one as ConfigInvalid naming the
+key.  Every rule that keeps a predicted small eigenvalue away from the
+kernel asks :func:`lie_complex.above_kernel_cutoff`.
 """
 
 from __future__ import annotations
@@ -77,21 +79,23 @@ def diameter_bound_check(pairs, detail) -> CheckResult:
 
 _KINDS = {float: "a finite number", int: "an integer",
           "vector": "a list of finite numbers",
-          "matrix": "a square matrix of finite numbers, one row per line"}
+          "matrix": "a square matrix of finite numbers, rows separated by "
+                    "newlines or ';'"}
 
 
-def _parse(kind, key, value):
+def parse_value(kind, key, value):
     """Typed, hashable value of one parameter: a float, an int, a tuple
     ("vector") or a tuple of equally long tuples ("matrix"); every float
-    entry is finite."""
+    entry is finite.  Raises ConfigInvalid naming ``key`` otherwise.  The
+    scripts read their matrix flags with it too."""
     try:
         if kind == "vector":
             items = value.replace(",", " ").split() \
                 if isinstance(value, str) else value
             typed = tuple(float(x) for x in items)
         elif kind == "matrix":
-            rows = [r.split() for r in value.splitlines() if r.strip()] \
-                if isinstance(value, str) else value
+            rows = [r.split() for r in value.replace(";", "\n").splitlines()
+                    if r.strip()] if isinstance(value, str) else value
             typed = tuple(tuple(float(x) for x in r) for r in rows)
             if not typed or any(len(r) != len(typed) for r in typed):
                 raise ValueError
@@ -103,14 +107,6 @@ def _parse(kind, key, value):
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"{key}: need {_KINDS[kind]}, got {value!r}") \
             from exc
-
-
-def _check_grid(grid, power):
-    """Reject a grid on which eps^power, a divisor, is not a normal float."""
-    for eps in grid:
-        if eps ** power < np.finfo(float).tiny:
-            raise ConfigInvalid(f"eps_grid: eps = {eps!r} underflows "
-                                f"eps^{power!r}")
 
 
 def _check_heisenberg(params, grid):
@@ -137,18 +133,12 @@ def _check_gt_family(params, grid):
 
 
 def _check_flat_threshold(params, grid):
-    for key in ("base_length", "fiber_length"):
-        length = params[key]
-        if not (length > 0.0
-                and np.finfo(float).tiny <= length * length < math.inf):
-            raise ConfigInvalid(f"{key}: need {key} > 0 with {key}^2 a "
-                                f"normal float, got {length!r}")
-    base, fiber = params["base_length"], params["fiber_length"]
-    bound = flat_torus.MAX_LENGTH_RATIO
-    for key, size in (("base_length", base), ("fiber_length", base / fiber)):
-        if size > bound:
-            raise ConfigInvalid(f"{key}: need base_length <= {bound:g} and "
-                                f"base_length / fiber_length <= {bound:g}")
+    try:
+        flat_torus.check_product_lengths(
+            params["base_length"], params["fiber_length"],
+            ("base_length", "fiber_length"))
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
 
 def _check_eta(b, what="sum b_i^2"):
@@ -488,12 +478,15 @@ def _scenario_euler_bound(params, seed, eps_grid):
 
 
 def _scenario_vol_bound(params, seed, eps_grid):
-    n1 = torus_bundle.TorusBundleOverT2((1,))
-    rep1 = euler_bound.vol_bound_experiment(n1, [1.0], eps_grid)
-    n2 = torus_bundle.TorusBundleOverT2((1, 0))
-    rep2 = euler_bound.vol_bound_experiment(n2, [1.0, 1.0], eps_grid)
-    n2b = torus_bundle.TorusBundleOverT2((1, 2))
-    rep3 = euler_bound.vol_bound_experiment(n2b, [1.0, 0.0], eps_grid)
+    try:
+        n1 = torus_bundle.TorusBundleOverT2((1,))
+        rep1 = euler_bound.vol_bound_experiment(n1, [1.0], eps_grid)
+        n2 = torus_bundle.TorusBundleOverT2((1, 0))
+        rep2 = euler_bound.vol_bound_experiment(n2, [1.0, 1.0], eps_grid)
+        n2b = torus_bundle.TorusBundleOverT2((1, 2))
+        rep3 = euler_bound.vol_bound_experiment(n2b, [1.0, 0.0], eps_grid)
+    except ValueError as exc:       # the divisor vol^2 is not a normal float
+        raise ConfigInvalid(f"eps_grid: {exc}") from exc
     ratio1 = [r.ratio for r in rep1.rows]
     circle_constant = max(ratio1) - min(ratio1)
     checks = [
@@ -565,11 +558,9 @@ SCENARIOS = {
     "euler-bound": ScenarioSpec(
         _scenario_euler_bound, "determinant-bound-chain",
         {"trials": (int, 50, 1, 10000), "kmax": (int, 4, 1, 8)}),
-    # the homothety ratio divides by vol^2 = eps^4
     "vol-bound": ScenarioSpec(
         _scenario_vol_bound, "volume-squared-lower-bound",
-        {}, (1.0, 0.5, 0.25, 0.125, 0.0625),
-        check=lambda params, grid: _check_grid(grid, 4)),
+        {}, (1.0, 0.5, 0.25, 0.125, 0.0625)),
 }
 
 
@@ -597,11 +588,13 @@ def resolve(name: str, params: dict = None, seed: int = 0,
         merged[key] = value
     if not isinstance(seed, int) or seed < 0:
         raise ConfigInvalid(f"seed: need an integer >= 0, got {seed!r}")
-    grid = _parse("vector", "eps_grid",
-                  spec.default_grid if eps_grid is None else eps_grid)
-    if not grid or any(not (0.0 < e <= 1.0) for e in grid):
-        raise ConfigInvalid("eps_grid: entries must lie in (0, 1]")
-    typed = {key: _parse(spec.params[key][0], key, value)
+    grid = parse_value("vector", "eps_grid",
+                       spec.default_grid if eps_grid is None else eps_grid)
+    try:
+        torus_bundle.check_eps_grid(grid)
+    except ValueError as exc:
+        raise ConfigInvalid(f"eps_grid: {exc}") from exc
+    typed = {key: parse_value(spec.params[key][0], key, value)
              for key, value in merged.items()}
     for key, (_, _, *bounds) in spec.params.items():
         if bounds and not bounds[0] <= typed[key] <= bounds[1]:

@@ -118,11 +118,12 @@ class Trajectory:
 
 
 def check_eps_grid(eps_grid) -> tuple:
-    """The eps grid as a tuple of floats; ValueError unless every entry
-    lies in (0, 1] (NaN does not)."""
+    """The eps grid as a tuple of floats; ValueError unless it is
+    nonempty and every entry lies in (0, 1] (NaN does not)."""
     grid = tuple(float(eps) for eps in eps_grid)
-    if not all(0.0 < eps <= 1.0 for eps in grid):
-        raise ValueError("eps grid must lie in (0, 1]")
+    if not grid or not all(0.0 < eps <= 1.0 for eps in grid):
+        raise ValueError(f"eps grid must lie in (0, 1] and be nonempty, "
+                         f"got {grid!r}")
     return grid
 
 

@@ -1,0 +1,91 @@
+"""Each input rule has one declaration, and every entry point that reads
+the input gives its verdict: the eps grid rule
+(``torus_bundle.check_eps_grid``), the flat-threshold size rule
+(``flat_torus.check_product_lengths``) and the matrix rule (the
+``matrix`` kind of ``scenarios.parse_value``).  A rejected input exits 2
+naming the key or flag it came from, never with a traceback."""
+
+import math
+import runpy
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import collapse_spectra as cs
+from collapse_spectra import cli, scenarios, torus_bundle
+from collapse_spectra.errors import ConfigInvalid
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _script(name, monkeypatch, capsys, *args):
+    """``(exit code, stderr)`` of one run of ``scripts/<name>``."""
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
+    return exit_.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [(), (0.0,), (1.5,), (math.nan,)],
+                         ids=["empty", "zero", "above-one", "nan"])
+def test_grid_rule_verdict_is_shared(grid):
+    for name in scenarios.SCENARIOS:
+        with pytest.raises(ConfigInvalid, match="^eps_grid: "):
+            scenarios.resolve(name, eps_grid=grid)
+    B = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for call in (lambda: torus_bundle.check_eps_grid(grid),
+                 lambda: cs.run_collapse(B, 1, grid),
+                 lambda: cs.collapse_direction([1.0, 2.0], [1, 0], grid),
+                 lambda: cs.vol_bound_experiment(
+                     cs.TorusBundleOverT2((1,)), [1.0], grid)):
+        with pytest.raises(ValueError, match=r"eps grid must lie in \(0, 1\]"):
+            call()
+
+
+@pytest.mark.parametrize("base_length, key, flag", [
+    ("1e-160", "base_length", "--base-length"),   # its square is subnormal
+    ("1e-200", "base_length", "--base-length"),   # its square is zero
+    ("1e3", "fiber_length", "--fiber"),           # base / fiber length 1e4
+    ("1001", "base_length", "--base-length"),
+    ("100", None, None),                          # base / fiber length 1e3
+])
+def test_size_rule_verdict_is_shared(base_length, key, flag, tmp_path,
+                                     monkeypatch, capsys):
+    # the script's default fiber 0.01 is a circle of length 0.1, the
+    # scenario's default fiber_length
+    config = tmp_path / "run.ini"
+    config.write_text(f"[params]\nbase_length = {base_length}\n")
+    code = cli.main(["flat-threshold", "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if key:
+        assert code == 2 and err.startswith(f"error: {key}: need lengths")
+    else:
+        assert code == 0 and err == ""
+    code, err = _script("flat_thresholds.py", monkeypatch, capsys,
+                        "--base-length", base_length,
+                        "--out", str(tmp_path / "modes.csv"))
+    if flag:
+        assert code == 2 and err.startswith(f"error: {flag}: need lengths")
+    else:
+        assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("text", ["1 2; 3", "1 2 3; 4 5 6", "nan 0; 0 1",
+                                  ""],
+                         ids=["ragged", "non-square", "nan", "empty"])
+def test_matrix_rule_verdict_is_shared(text, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[params]\nB = {text}\n")
+    assert cli.main(["mapping-torus", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: B: need a square")
+    for name, flag, *out in [
+            ("collapse_sweep.py", "--b", "--out", str(tmp_path / "sweep")),
+            ("flat_thresholds.py", "--fiber", "--out", str(tmp_path / "t")),
+            ("semisimple_floor_experiment.py", "--b")]:
+        code, err = _script(name, monkeypatch, capsys, flag, text, *out)
+        assert code == 2, name
+        assert err.startswith(f"error: {flag}: need a square"), (name, err)

@@ -285,6 +285,7 @@ def test_semisimple_defect():
     assert semisimple_defect(np.diag([1.0, -1.0])) <= 1e-12
     assert semisimple_defect(np.zeros((2, 2))) <= 1e-12
     assert semisimple_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) > 1e-3
+    assert semisimple_defect(np.diag([1e200, -1e200])) <= 1e-12
 
 
 def test_semisimple_floor():
@@ -557,7 +558,7 @@ def test_run_collapse_stack_matches_per_eps_loop():
         d, d_prime = cs.invariants_dd(B)
         for k in range(d - d_prime + 1):
             grids = [2.0 ** -rng.uniform(0.0, 7.0, size=6), [0.3],
-                     [1.0, 0.5, 0.125], []]
+                     [1.0, 0.5, 0.125]]
             for grid in grids:
                 table = cs.run_collapse(B, k, grid)
                 got = np.array(
@@ -583,7 +584,11 @@ def _floor_script():
     (["--trials", "0"], "trials must be an integer in 1..10000, got 0"),
     (["--cap", "nan"], "curvature_cap = nan is not finite"),
     (["--b", "0 1; 0 0"], "nilpotent part"),
-    (["--b", "1 0; 0"], "--b: need a matrix of numbers"),
+    (["--b", "1 0; 0"], "--b: need a square matrix"),
+    # Tr(B^T B) overflows: was an OverflowError traceback at 1e200 and a
+    # RuntimeWarning at 1e154
+    (["--b", "1e200 0; 0 -1e200"], "--b: B needs Tr(B^T B) to be a finite"),
+    (["--b", "1e154 0; 0 -1e154"], "--b: B needs Tr(B^T B) to be a finite"),
 ])
 def test_floor_script_reports_rejected_input(argv, message, monkeypatch,
                                              capsys):

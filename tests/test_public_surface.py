@@ -215,7 +215,19 @@ def test_verdicts_are_check_results():
 
 #: parameters with a default plus dataclass fields in src/; see
 #: test_settable_values_do_not_grow
-SETTABLE_VALUES = 128
+SETTABLE_VALUES = 127
+#: lines of the package's modules, as ``wc -l`` counts them; see
+#: test_src_lines_do_not_grow
+SRC_LINES = 3469
+
+
+def test_src_lines_do_not_grow():
+    # deleted code stays deleted: a change that needs more lines raises
+    # SRC_LINES and records in CHANGES.md why
+    count = sum(path.read_text().count("\n")
+                for path in PACKAGE.glob("*.py"))
+    assert count <= SRC_LINES, (
+        f"{count} lines in src/collapse_spectra/*.py, pinned at {SRC_LINES}")
 
 
 def test_settable_values_do_not_grow():
