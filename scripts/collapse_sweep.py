@@ -5,10 +5,11 @@ Writes one CSV per admissible k (0 <= k <= d - d') for the chosen B,
 showing the spectrum of the degree-1 invariant Laplacian, the trace of
 C_eps^T C_eps and the frame curvature bound along the collapse.
 
-Exit status: 0 when every table is written, 2 on malformed input (a B
-that is not a square matrix of finite numbers, --jmax below 1), when
-the finest eps puts the small eigenvalues eps^2 of some k >= 1 within
-twice the kernel cutoff, or when the library rejects the input.  The
+Exit status: 0 when every table is written, 2 when the input is
+rejected, naming the flag at fault: --b for a B that is not a square
+matrix of finite numbers or whose Jordan chains the library cannot
+decide, --jmax below 1 or when the finest eps puts the small
+eigenvalues eps^2 of some k >= 1 within twice the kernel cutoff.  The
 largest admissible --jmax is 14 for every B whose collapse family has
 eps = 1 trace Tr(C^T C) <= 1.86, the default B among them; a larger
 trace T lowers it to the largest j with 4^-j >= 2e-9 T.
@@ -24,8 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from collapse_spectra import NearKernelCutoff, invariants_dd, run_collapse
+from collapse_spectra import InputRejected, invariants_dd, run_collapse
 from collapse_spectra.scenarios import parse_value
+
+#: the flag of each library key the sweep's input can be rejected under
+FLAGS = {"B": "--b", "eps_grid": "--jmax"}
 
 
 def main() -> int:
@@ -40,16 +44,15 @@ def main() -> int:
 
     try:
         if args.jmax < 1:
-            raise ValueError(f"--jmax: need an integer >= 1, got {args.jmax}")
-        B = np.array(parse_value("matrix", "--b", args.b))
+            raise InputRejected("eps_grid",
+                                f"need an integer >= 1, got {args.jmax}")
+        B = np.array(parse_value("matrix", "B", args.b))
         d, d_prime = invariants_dd(B)
         grid = [2.0 ** -j for j in range(1, args.jmax + 1)]
         tables = [run_collapse(B, k, grid) for k in range(d - d_prime + 1)]
-    except NearKernelCutoff as exc:
-        print(f"error: --jmax: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except InputRejected as exc:
+        print(f"error: {FLAGS.get(exc.key, exc.key)}: {exc.message}",
+              file=sys.stderr)
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

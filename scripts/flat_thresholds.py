@@ -6,13 +6,14 @@ cutoff with its fiber-invariance flag, confirming that everything below
 the first fiber eigenvalue is invariant and that the bound is attained.
 
 Exit status: 0 when the threshold holds and is attained, 1 when it does
-not, 2 when the fiber is not a square matrix of finite numbers, when the
+not, 2 when the fiber is not a square matrix of finite numbers or the
 lengths break the flat-threshold scenario's size rule
 (``flat_torus.check_product_lengths``: lengths > 0 with normal-float
 squares, base length <= 1e3 and base length / fiber length <= 1e3, the
-fiber length read as 2 pi / sqrt(lambda01(fiber))), or when the library
-rejects the input (a Gram matrix that is not symmetric and positive
-definite, a degree outside 0..dim).
+fiber length read as 2 pi / sqrt(lambda01(fiber))), each naming its flag
+(--fiber or --base-length), and 2 when the library rejects the input (a
+Gram matrix that is not symmetric and positive definite, a degree
+outside 0..dim).
 
 Example:
     python scripts/flat_thresholds.py --fiber "0.04 0; 0 0.09" --degree 1
@@ -25,9 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from collapse_spectra import FlatTorus, lambda01, threshold_check_product
+from collapse_spectra import (FlatTorus, InputRejected, lambda01,
+                              threshold_check_product)
 from collapse_spectra.flat_torus import check_product_lengths
 from collapse_spectra.scenarios import parse_value
+
+#: the flag of each library key a length can be rejected under
+FLAGS = {"base_length": "--base-length", "fiber_length": "--fiber"}
 
 
 def main() -> int:
@@ -44,11 +49,14 @@ def main() -> int:
                                                args.fiber)))
         # the fiber length of a circle fiber with the same lambda01
         fiber_length = 2.0 * math.pi / math.sqrt(lambda01(fiber))
-        check_product_lengths(args.base_length, fiber_length,
-                              ("--base-length", "--fiber"))
+        check_product_lengths(args.base_length, fiber_length)
         rep = threshold_check_product(FlatTorus.circle(args.base_length),
                                       fiber, args.degree)
-    except ValueError as exc:
+    except InputRejected as exc:
+        print(f"error: {FLAGS.get(exc.key, exc.key)}: {exc.message}",
+              file=sys.stderr)
+        return 2
+    except ValueError as exc:   # a fiber Gram matrix or degree it rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
     Path(args.out).write_text(rep.csv)

@@ -6,10 +6,11 @@ this samples random bounded-curvature metric frames and reports the
 minimum nonzero invariant eigenvalue seen across all form degrees.
 
 Prints a summary and writes no files.  Exit status: 0 when the floor
-lies above the 1e-4 sanity line, 1 when it does not, 2 when B is not a
-square matrix of finite numbers or the library rejects the input (for
-example trials outside 1..10000, a non-finite cap, or a B that is not
-semisimple or whose Tr(B^T B) is not a finite float, which names --b).
+lies above the 1e-4 sanity line, 1 when it does not, 2 when the input
+is rejected, naming the flag at fault: --b for a B that is not a square
+matrix of finite numbers, not semisimple, or whose Tr(B^T B) or default
+cap 2 Tr(B^T B) + 1 is too large; --trials outside 1..10000; --cap not
+finite or outside Tr(B^T B) .. float max / (n + 1)^2.
 
 Example:
     python scripts/semisimple_floor_experiment.py --b "1 0; 0 -1" --trials 500
@@ -20,8 +21,11 @@ import sys
 
 import numpy as np
 
-from collapse_spectra import CollapseSpectraError, semisimple_floor
+from collapse_spectra import InputRejected, semisimple_floor
 from collapse_spectra.scenarios import parse_value
+
+#: the flag of each library key the floor's input can be rejected under
+FLAGS = {"B": "--b", "trials": "--trials", "curvature_cap": "--cap"}
 
 
 def main() -> int:
@@ -35,14 +39,12 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        B = np.array(parse_value("matrix", "--b", args.b))
-        try:
-            rep = semisimple_floor(B, trials=args.trials,
-                                   curvature_cap=args.cap, seed=args.seed)
-        except CollapseSpectraError as exc:     # the library's verdict on B
-            raise ValueError(f"--b: {exc}") from None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        B = np.array(parse_value("matrix", "B", args.b))
+        rep = semisimple_floor(B, trials=args.trials, curvature_cap=args.cap,
+                               seed=args.seed)
+    except InputRejected as exc:
+        print(f"error: {FLAGS.get(exc.key, exc.key)}: {exc.message}",
+              file=sys.stderr)
         return 2
     if rep.vacuous:
         print("B = 0: no nonzero eigenvalues to bound")

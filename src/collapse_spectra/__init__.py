@@ -6,8 +6,7 @@ curvature), mapping-torus and principal-bundle models, exact flat-torus
 enumeration, integer lattice tools, and collapse experiment harnesses.
 """
 
-from .errors import (CollapseSpectraError, ConfigInvalid, KTooLarge,
-                     NearKernelCutoff, RankAmbiguous, ScaleTooLarge)
+from .errors import CollapseSpectraError, InputRejected
 from .lie_complex import (FormBasis, SpectrumReport, StructureConstants,
                           change_frame, exterior_derivative, laplacian,
                           spectrum, unimodularity_defect)

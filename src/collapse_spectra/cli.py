@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import acceptance, scenarios
-from .errors import CollapseSpectraError, ConfigInvalid
+from .errors import CollapseSpectraError, InputRejected
 
 DEFAULT_OUT = "collapse-spectra-out"
 
@@ -53,9 +53,10 @@ def _read_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
     except OSError as exc:
-        raise ConfigInvalid(f"config: cannot read {path}: {exc}") from exc
+        raise InputRejected("config", f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigInvalid(f"config: parse error in {path}: {exc}") from exc
+        raise InputRejected("config",
+                            f"parse error in {path}: {exc}") from exc
     out = {"params": {}}
     for section in cp.sections():
         if section == "scenario":
@@ -66,15 +67,16 @@ def _read_config(path: str) -> dict:
                     try:
                         out["seed"] = int(value)
                     except ValueError as exc:
-                        raise ConfigInvalid("seed: must be an integer") from exc
+                        raise InputRejected("seed",
+                                            "must be an integer") from exc
                 elif key == "eps_grid":
                     out["eps_grid"] = value
                 else:
-                    raise ConfigInvalid(f"{key}: unknown key in [scenario]")
+                    raise InputRejected(key, "unknown key in [scenario]")
         elif section == "params":
             out["params"].update(cp.items(section))
         else:
-            raise ConfigInvalid(f"{section}: unknown config section")
+            raise InputRejected(section, "unknown config section")
     return out
 
 
@@ -195,9 +197,9 @@ def main(argv=None) -> int:
             return _cmd_verify_all(seed, out_dir)
         name = args.command
         if "name" in config and config["name"] != name:
-            raise ConfigInvalid(
-                f"name: config names scenario {config['name']!r}, "
-                f"command line says {name!r}")
+            raise InputRejected(
+                "name", f"config names scenario {config['name']!r}, "
+                        f"command line says {name!r}")
         eps_grid = args.eps_grid or config.get("eps_grid")
         grid = scenarios.resolve(name, config["params"], seed, eps_grid)[3]
         result = scenarios.run_scenario_checks(name, config["params"], seed,
@@ -211,7 +213,7 @@ def main(argv=None) -> int:
         print(("PASS" if manifest.passed else "FAIL")
               + f" scenario {name}; artifacts in {out_dir}")
         return 0 if manifest.passed else 1
-    except ConfigInvalid as exc:
+    except InputRejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CollapseSpectraError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import csv_text
-from .errors import CollapseSpectraError
+from .errors import CollapseSpectraError, InputRejected
 from .flat_torus import FlatTorus, _shortest
 from .intlat import det_int, int_matrix, smith_normal_form
 from .torus_bundle import check_eps_grid, collapse_lambda
@@ -262,8 +262,8 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
     fiber volume scales as prod eps^{alpha_i}; the ratio never drops
     below its value at the largest grid point.  A trivial bundle has
     lambda = 0 and raises CollapseSpectraError; a grid point whose lambda
-    is not finite or whose vol^2 is not a normal float raises ValueError
-    naming alpha and eps.
+    is not finite raises ValueError naming alpha and eps, and one whose
+    vol^2 is not a normal float rejects eps_grid, naming alpha and eps.
     """
     if bundle.trivial:
         raise CollapseSpectraError("zero obstruction vector: lambda "
@@ -280,9 +280,9 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
             vol *= eps ** a
         vol_sq = vol ** 2
         if not np.finfo(float).tiny <= vol_sq < math.inf:
-            raise ValueError(f"alpha = {alpha!r}: eps = {eps!r} puts the "
-                             f"divisor vol^2 = {vol_sq!r} outside the "
-                             "normal floats")
+            raise InputRejected("eps_grid", (
+                f"alpha = {alpha!r}: eps = {eps!r} puts the divisor vol^2 = "
+                f"{vol_sq!r} outside the normal floats"))
         rows.append(VolBoundRow(float(eps), float(lam), float(vol),
                                 float(lam / vol_sq)))
     min_ratio = min(r.ratio for r in rows)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import csv_text
+from .errors import InputRejected
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 #: largest base length, and base / fiber length, of a listed product: a
@@ -22,24 +23,25 @@ FOUR_PI_SQ = 4.0 * math.pi ** 2
 MAX_LENGTH_RATIO = 1e3
 
 
-def check_product_lengths(base_length, fiber_length, names):
+def check_product_lengths(base_length, fiber_length):
     """The size rule of a listed product of a base circle and a fiber of
     first eigenvalue (2 pi / fiber_length)^2: both lengths > 0 with
     normal-float squares, base_length and base_length / fiber_length at
-    most MAX_LENGTH_RATIO.  A ValueError names the length at fault from
-    ``names`` (base, fiber); a ratio too large is the fiber's."""
+    most MAX_LENGTH_RATIO.  InputRejected names the length at fault; a
+    ratio too large is the fiber's."""
     bound = MAX_LENGTH_RATIO
     rule = (f"need lengths > 0 with normal-float squares, base length <= "
             f"{bound:g} and base / fiber length <= {bound:g}, got base "
             f"length {base_length!r} and fiber length {fiber_length!r}")
-    for name, length in zip(names, (base_length, fiber_length)):
+    for key, length in (("base_length", base_length),
+                        ("fiber_length", fiber_length)):
         if not (length > 0.0
                 and np.finfo(float).tiny <= length * length < math.inf):
-            raise ValueError(f"{name}: {rule}")
+            raise InputRejected(key, rule)
     if base_length > bound:
-        raise ValueError(f"{names[0]}: {rule}")
+        raise InputRejected("base_length", rule)
     if base_length / fiber_length > bound:
-        raise ValueError(f"{names[1]}: {rule}")
+        raise InputRejected("fiber_length", rule)
 
 
 @dataclass(frozen=True)

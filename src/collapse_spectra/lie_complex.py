@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollapseSpectraError, RankAmbiguous
+from .errors import CollapseSpectraError
 
 #: Relative Jacobi tolerance accepted by validating constructors.
 JACOBI_TOL = 1e-9
@@ -75,8 +75,6 @@ SYM_TOL = 1e-10
 EIG_TOL = 1e-9
 #: Frame changes with |det P| below this are rejected.
 SINGULAR_TOL = 1e-12
-#: Singular values above RANK_TOL count toward a numerical rank.
-RANK_TOL = 1e-9
 #: An algebra with unimodularity_defect at most UNIMODULAR_ULPS * n * eps
 #: * max|c| is unimodular to rounding, and its G_p are mirrored.
 UNIMODULAR_ULPS = 4
@@ -519,17 +517,3 @@ def spectrum(L: StructureConstants, p: int) -> SpectrumReport:
     return SpectrumReport.from_eigenvalues(
         hodge_union(gram_p, gram_prev, form_dim(L.n, p))[0])
 
-
-def svd_nullspace(m) -> np.ndarray:
-    """Orthonormal kernel basis (columns) of m from its SVD.
-
-    Singular values above RANK_TOL count toward the rank; one within a
-    factor of 10 of RANK_TOL raises RankAmbiguous instead of guessing, so
-    callers scale m to make its nonzero singular values O(1).
-    """
-    _, sv, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    for s in sv:
-        if RANK_TOL / 10.0 < s < RANK_TOL * 10.0:
-            raise RankAmbiguous(
-                f"singular value {s} too close to RANK_TOL {RANK_TOL}")
-    return vt[int(np.sum(sv > RANK_TOL)):].T

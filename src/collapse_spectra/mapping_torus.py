@@ -18,15 +18,16 @@ import numpy as np
 
 from .artifacts import csv_text
 from .curvature import solvable_pair_curvatures
-from .errors import (CollapseSpectraError, KTooLarge, NearKernelCutoff,
-                     RankAmbiguous, ScaleTooLarge)
+from .errors import CollapseSpectraError, InputRejected
 from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
 from .lie_complex import (SpectrumReport, StructureConstants,
                           above_kernel_cutoff, check_lie_tensors,
                           clamp_spectra, form_dim, hodge_union,
-                          stacked_gram_eigenvalues, svd_nullspace)
+                          stacked_gram_eigenvalues)
 from .torus_bundle import check_eps_grid
 
+#: Singular values above RANK_TOL count toward a numerical rank.
+RANK_TOL = 1e-9
 #: semisimple_floor reports ok when the sampled floor exceeds FLOOR_TOL
 FLOOR_TOL = 1e-4
 #: semisimple_floor accepts 1..MAX_FLOOR_TRIALS trials
@@ -84,6 +85,21 @@ class MappingTorusBundle:
         return solvable_algebra(self.b_matrix)
 
 
+def svd_nullspace(m) -> np.ndarray:
+    """Orthonormal kernel basis (columns) of m from its SVD.
+
+    Singular values above RANK_TOL count toward the rank; one within a
+    factor of 10 of RANK_TOL rejects B instead of guessing, so callers
+    scale m to make its nonzero singular values O(1).
+    """
+    _, sv, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    for s in sv:
+        if RANK_TOL / 10.0 < s < RANK_TOL * 10.0:
+            raise InputRejected(
+                "B", f"singular value {s} too close to RANK_TOL {RANK_TOL}")
+    return vt[int(np.sum(sv > RANK_TOL)):].T
+
+
 def _kernel_tower(B):
     """``(Bx, kernels)``: column bases of ker B^j for j = 0, 1, ... while
     the dimension grows, so the last has dimension d and kernels[1] (if
@@ -92,7 +108,7 @@ def _kernel_tower(B):
     Integer B is handled exactly: ``Bx`` is B as an object array of
     Python ints and the bases hold Fractions, so ``@`` works in both
     arithmetics.  Otherwise ``Bx`` is B and the powers of B / |B|_2 go
-    through svd_nullspace, which may raise RankAmbiguous.
+    through svd_nullspace, which may reject B.
     """
     n = B.shape[0]
     if np.array_equal(B, np.round(B)):
@@ -169,7 +185,7 @@ def _extend_numeric(base, cands):
     q = np.linalg.qr(base)[0]
     new = cands @ svd_nullspace(q.T @ cands)
     if new.shape[1] != cands.shape[1] - base.shape[1]:
-        raise RankAmbiguous("chain extraction is numerically degenerate")
+        raise InputRejected("B", "chain extraction is numerically degenerate")
     return list(new.T)
 
 
@@ -177,8 +193,8 @@ def jordan_zero_chain(b_matrix) -> JordanZeroChain:
     """Adapted frame for E_0 with explicit Jordan chains.
 
     The chains come from the kernel tower of B, exactly for integer B;
-    anything else uses SVD rank decisions and may raise RankAmbiguous.
-    An exact chain vector too large for a float raises OverflowError.
+    anything else uses SVD rank decisions, which may reject B, as does
+    an exact chain vector too large for a float.
     From the tallest height down, new chain tops extend the kernel one
     level down together with the members of the taller chains.  Column
     order: kernel vectors first, then increasing height, finally an
@@ -202,8 +218,8 @@ def jordan_zero_chain(b_matrix) -> JordanZeroChain:
     try:
         chains = [[np.asarray(v, dtype=float) for v in ch] for ch in chains]
     except OverflowError as exc:
-        raise OverflowError("an exact Jordan chain vector does not fit a "
-                            "float") from exc
+        raise InputRejected("B", "an exact Jordan chain vector does not fit "
+                                 "a float") from exc
     d = sum(len(ch) for ch in chains)
     d_prime = len(chains)
     max_h = max((len(ch) for ch in chains), default=0)
@@ -256,15 +272,16 @@ class CollapseFamily:
 
 def collapse_family(b_matrix, k: int) -> CollapseFamily:
     """The collapse family of B with k small eigenvalues, where B and k
-    are decided: RankAmbiguous for ambiguous Jordan chains, KTooLarge
-    unless 0 <= k <= d - d', and OverflowError when a chain vector or the
+    are decided: InputRejected naming k unless 0 <= k <= d - d', and
+    naming B for ambiguous Jordan chains or when a chain vector or the
     eps = 1 trace Tr(C^T C) = sum(c_base**2) does not fit a float.  The
     family keeps that trace as ``trace``."""
     B = np.asarray(b_matrix, dtype=float)
     info = jordan_zero_chain(B)
     capacity = info.d - info.d_prime
     if not (0 <= k <= capacity):
-        raise KTooLarge(f"need 0 <= k <= d - d' = {capacity}, got {k}")
+        raise InputRejected("k", f"need 0 <= k <= d - d' = {capacity}, "
+                                 f"got {k}")
     # budgets: longest chains first, each up to length - 1
     budgets = {}
     remaining = k
@@ -285,8 +302,8 @@ def collapse_family(b_matrix, k: int) -> CollapseFamily:
     with np.errstate(over="ignore"):
         top = float(np.sum(c_base ** 2))
     if not math.isfinite(top):
-        raise OverflowError("the collapse family's eps = 1 trace "
-                            "Tr(C^T C) overflows")
+        raise InputRejected("B", "the collapse family's eps = 1 trace "
+                                 "Tr(C^T C) overflows")
     return CollapseFamily(tuple(exponents), info.d_prime, c_base, top)
 
 
@@ -324,16 +341,16 @@ def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
     """Sweep the collapse family over eps and report spectra, the trace
     Tr(C_eps^T C_eps), the frame curvature bound, and small counts.
 
-    The grid is checked against (0, 1] first (ValueError), before the
-    family is built.  Then the whole grid is solved as one stack of C_eps:
-    one Laplacian assembly, one eigensolve and one clamp, each row bit
-    for bit what a per-eps loop gives.  The small count classifies the
+    The grid is checked against (0, 1] first, before the family is
+    built.  Then the whole grid is solved as one stack of C_eps: one
+    Laplacian assembly, one eigensolve and one clamp, each row bit for
+    bit what a per-eps loop gives.  The small count classifies the
     nonzero eigenvalues of C C^T (the kernel, of exact dimension d', is
     excluded by construction).  Returns the one family as ``family``;
     errors of :func:`collapse_family` propagate.  For k >= 1, small
-    eigenvalues eps^2 within twice the kernel cutoff raise, before any
-    eigensolve, ScaleTooLarge when eps = 1 already puts them there, so
-    that no grid could pass, and NearKernelCutoff otherwise.
+    eigenvalues eps^2 within twice the kernel cutoff are rejected before
+    any eigensolve, naming B when eps = 1 already puts them there, so
+    that no grid could pass, and eps_grid otherwise.
     """
     grid = np.array(check_eps_grid(eps_grid))
     B = np.asarray(b_matrix, dtype=float)
@@ -343,13 +360,13 @@ def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
     eps = float(grid.min())
     if k and not above_kernel_cutoff(eps * eps, fam.trace):
         if not above_kernel_cutoff(1.0, fam.trace):
-            raise ScaleTooLarge(
+            raise InputRejected("B", (
                 f"the eps = 1 trace Tr(C^T C) = {fam.trace:.6g} puts eps^2 "
-                f"under twice its kernel cutoff at all eps")
-        raise NearKernelCutoff(
+                f"under twice its kernel cutoff at all eps"))
+        raise InputRejected("eps_grid", (
             f"eps = {eps!r} puts the small eigenvalue eps^2 (k = {k} of "
             f"them) below twice the kernel cutoff of the eps = 1 trace "
-            f"Tr(C^T C) = {fam.trace:.6g}")
+            f"Tr(C^T C) = {fam.trace:.6g}"))
     C = fam.c_matrix(grid)
     raw = np.linalg.eigvalsh(laplacian1_fast(C))
     vals, kernel = clamp_spectra(raw)
@@ -410,7 +427,9 @@ def _capped_frames(B, q1, q2, u, cap) -> np.ndarray:
         scale = np.exp(t[todo, None] * u[todo])[:, :, None] * np.eye(n)
         P = q1[todo] @ scale @ q2[todo]
         C[todo] = Ct = np.linalg.solve(P, B @ P)
-        done = (np.sum(Ct * Ct, axis=(1, 2)) <= cap) | (t[todo] < 1e-8)
+        with np.errstate(over="ignore"):     # an infinite trace fails the cap
+            trace = np.sum(Ct * Ct, axis=(1, 2))
+        done = (trace <= cap) | (t[todo] < 1e-8)
         todo = todo[~done]
         t[todo] /= 2.0
     return C
@@ -430,30 +449,42 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
     does, so the floor is bit-identical to a trial-by-trial loop over
     ``spectrum``.
 
-    Bounds: 1 <= trials <= MAX_FLOOR_TRIALS and a finite cap, else
-    ValueError; Tr(B^T B) a finite float and B semisimple, else
-    CollapseSpectraError.
+    Bounds, each an InputRejected naming the input: 1 <= trials <=
+    MAX_FLOOR_TRIALS; Tr(B^T B) a finite float and B semisimple; a cap
+    from Tr(B^T B) to float max / (n + 1)^2, the default 2 Tr(B^T B) + 1
+    included (naming B).  A frame with Tr(C^T C) <= cap has its Gram
+    entries and eigenvalues at most p^2 Tr(C^T C) <= n^2 cap, since d_p
+    is the derivation of C on p-forms, so none overflows.
     """
     B = np.asarray(b_matrix, dtype=float)
     n = B.shape[0]
     if not (isinstance(trials, numbers.Integral)
             and 1 <= trials <= MAX_FLOOR_TRIALS):
-        raise ValueError(f"trials must be an integer in 1..{MAX_FLOOR_TRIALS},"
-                         f" got {trials!r}")
+        raise InputRejected("trials", f"trials must be an integer in "
+                                      f"1..{MAX_FLOOR_TRIALS}, got {trials!r}")
     if curvature_cap is not None and not math.isfinite(curvature_cap):
-        raise ValueError(f"curvature_cap = {curvature_cap} is not finite")
+        raise InputRejected("curvature_cap", f"curvature_cap = "
+                                             f"{curvature_cap} is not finite")
     with np.errstate(over="ignore"):
         base_tr = float(np.sum(B * B))
     if not math.isfinite(base_tr):
-        raise CollapseSpectraError("B needs Tr(B^T B) to be a finite float")
+        raise InputRejected("B", "B needs Tr(B^T B) to be a finite float")
     if semisimple_defect(B) > 1e-8:
-        raise CollapseSpectraError("B has a nontrivial nilpotent part")
+        raise InputRejected("B", "B has a nontrivial nilpotent part")
+    key, cap_name = "curvature_cap", "cap"
     if curvature_cap is None:
+        key, cap_name = "B", "default cap 2 Tr(B^T B) + 1"
         curvature_cap = 2.0 * base_tr + 1.0
     if base_tr == 0.0:
         return FloorReport(float("inf"), trials, curvature_cap, True, True)
     if curvature_cap < base_tr:
-        raise ValueError("cap below Tr(B^T B); orthogonal frames already exceed it")
+        raise InputRejected("curvature_cap", "cap below Tr(B^T B); "
+                            "orthogonal frames already exceed it")
+    limit = np.finfo(float).max / (n + 1) ** 2
+    if curvature_cap > limit:
+        raise InputRejected(key, f"{cap_name} = {curvature_cap:.6g} is above "
+                                 f"float max / (n + 1)^2 = {limit:.6g}, "
+                                 f"where Gram entries could overflow")
     rng = np.random.default_rng(seed)
     floor = float("inf")
     for start in range(0, trials, FLOOR_CHUNK):

@@ -9,9 +9,10 @@ by :func:`resolve` before any scenario code runs, each rule through its
 one declaration in the layer that owns its math (the eps grid in
 ``torus_bundle.check_eps_grid``).  mapping-torus decides B, k and the
 grid where it builds its collapse family, vol-bound its grid where it
-divides by vol^2; each reports a bad one as ConfigInvalid naming the
-key.  Every rule that keeps a predicted small eigenvalue away from the
-kernel asks :func:`lie_complex.above_kernel_cutoff`.
+divides by vol^2.  Each rule raises InputRejected naming its key where
+it is declared, so no scenario translates a library error.  Every rule
+that keeps a predicted small eigenvalue away from the kernel asks
+:func:`lie_complex.above_kernel_cutoff`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 from . import (curvature, euler_bound, flat_torus, intlat, lie_complex,
                mapping_torus, torus_bundle)
 from .artifacts import csv_text
-from .errors import (ConfigInvalid, KTooLarge, NearKernelCutoff,
-                     RankAmbiguous, ScaleTooLarge)
+from .errors import InputRejected
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ _KINDS = {float: "a finite number", int: "an integer",
 def parse_value(kind, key, value):
     """Typed, hashable value of one parameter: a float, an int, a tuple
     ("vector") or a tuple of equally long tuples ("matrix"); every float
-    entry is finite.  Raises ConfigInvalid naming ``key`` otherwise.  The
+    entry is finite.  Raises InputRejected naming ``key`` otherwise.  The
     scripts read their matrix flags with it too."""
     try:
         if kind == "vector":
@@ -105,7 +105,7 @@ def parse_value(kind, key, value):
             raise ValueError
         return typed
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigInvalid(f"{key}: need {_KINDS[kind]}, got {value!r}") \
+        raise InputRejected(key, f"need {_KINDS[kind]}, got {value!r}") \
             from exc
 
 
@@ -114,42 +114,35 @@ def _check_heisenberg(params, grid):
     it must stay clear of the kernel cutoff."""
     tau = params["gamma"] - params["alpha"] - params["beta"]
     if tau < 0:
-        raise ConfigInvalid("gamma: need gamma >= alpha + beta for bounded curvature")
+        raise InputRejected("gamma", "need gamma >= alpha + beta for "
+                                     "bounded curvature")
     lam = min(grid) ** (2 * tau)
     if not lie_complex.above_kernel_cutoff(lam, lam):
-        raise ConfigInvalid(f"eps_grid: eps = {min(grid)!r} puts eps^(2 tau) "
-                            f"= {lam:.3g} below twice the kernel cutoff")
+        raise InputRejected("eps_grid", (
+            f"eps = {min(grid)!r} puts eps^(2 tau) = {lam:.3g} below twice "
+            f"the kernel cutoff"))
 
 
 def _check_gt_family(params, grid):
     t_values = params["t_values"]
     if not 1 <= len(t_values) <= 100:
-        raise ConfigInvalid(f"t_values: need 1 to 100 values, got "
-                            f"{len(t_values)}")
+        raise InputRejected("t_values", f"need 1 to 100 values, got "
+                                        f"{len(t_values)}")
     # the enumeration box of gt(t) grows like |t|^3, 4 million at t = 100
     if max(map(abs, t_values)) > 100.0:
-        raise ConfigInvalid(f"t_values: need |t| <= 100, got "
-                            f"{max(t_values, key=abs)!r}")
-
-
-def _check_flat_threshold(params, grid):
-    try:
-        flat_torus.check_product_lengths(
-            params["base_length"], params["fiber_length"],
-            ("base_length", "fiber_length"))
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
+        raise InputRejected("t_values", f"need |t| <= 100, got "
+                                        f"{max(t_values, key=abs)!r}")
 
 
 def _check_eta(b, what="sum b_i^2"):
     if not np.finfo(float).tiny <= sum(x * x for x in b) < math.inf:
-        raise ConfigInvalid(f"b: need {what} to be a positive normal float")
+        raise InputRejected("b", f"need {what} to be a positive normal float")
 
 
 def _check_torus_bundle(params, grid):
     n, b = params["n"], params["b"]
     if len(b) != n:
-        raise ConfigInvalid(f"b: need n = {n} entries, got {len(b)}")
+        raise InputRejected("b", f"need n = {n} entries, got {len(b)}")
     _check_eta(b)
 
 
@@ -165,12 +158,12 @@ def _check_two_block(params, grid):
     top = 4.0 * _TWO_BLOCK_LAM ** 2
     for eps in grid:
         if not lie_complex.above_kernel_cutoff(2.0 * eps ** 2, top):
-            raise ConfigInvalid(
-                f"eps_grid: eps = {eps!r} puts 2 eps^2 below twice the "
-                f"kernel cutoff of the top eigenvalue 4 lam^2 = {top:.3g}")
+            raise InputRejected("eps_grid", (
+                f"eps = {eps!r} puts 2 eps^2 below twice the kernel cutoff "
+                f"of the top eigenvalue 4 lam^2 = {top:.3g}"))
     if len({eps for eps in grid if eps < 0.1}) < 2:
-        raise ConfigInvalid("eps_grid: rate-drift needs two distinct "
-                            "entries below 0.1")
+        raise InputRejected("eps_grid", "rate-drift needs two distinct "
+                                        "entries below 0.1")
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +191,7 @@ def _scenario_heisenberg(params, seed, eps_grid):
 def _scenario_mapping_torus(params, seed, eps_grid):
     k = params["k"]
     floor_req = 1e-2          # also the eps range of exact-count
-    try:
-        table = mapping_torus.run_collapse(params["B"], k, eps_grid)
-    except (RankAmbiguous, OverflowError, ScaleTooLarge) as exc:
-        raise ConfigInvalid(f"B: {exc}") from exc
-    except KTooLarge as exc:
-        raise ConfigInvalid(f"k: {exc}") from exc
-    except NearKernelCutoff as exc:
-        raise ConfigInvalid(f"eps_grid: {exc}") from exc
+    table = mapping_torus.run_collapse(params["B"], k, eps_grid)
     d_prime = table.family.d_prime
     nonzero = [r.report.eigenvalues[d_prime + 1:] for r in table.rows]
     kernel_miss = max(abs(r.report.kernel_dim - d_prime - 1)
@@ -478,15 +464,12 @@ def _scenario_euler_bound(params, seed, eps_grid):
 
 
 def _scenario_vol_bound(params, seed, eps_grid):
-    try:
-        n1 = torus_bundle.TorusBundleOverT2((1,))
-        rep1 = euler_bound.vol_bound_experiment(n1, [1.0], eps_grid)
-        n2 = torus_bundle.TorusBundleOverT2((1, 0))
-        rep2 = euler_bound.vol_bound_experiment(n2, [1.0, 1.0], eps_grid)
-        n2b = torus_bundle.TorusBundleOverT2((1, 2))
-        rep3 = euler_bound.vol_bound_experiment(n2b, [1.0, 0.0], eps_grid)
-    except ValueError as exc:       # the divisor vol^2 is not a normal float
-        raise ConfigInvalid(f"eps_grid: {exc}") from exc
+    n1 = torus_bundle.TorusBundleOverT2((1,))
+    rep1 = euler_bound.vol_bound_experiment(n1, [1.0], eps_grid)
+    n2 = torus_bundle.TorusBundleOverT2((1, 0))
+    rep2 = euler_bound.vol_bound_experiment(n2, [1.0, 1.0], eps_grid)
+    n2b = torus_bundle.TorusBundleOverT2((1, 2))
+    rep3 = euler_bound.vol_bound_experiment(n2b, [1.0, 0.0], eps_grid)
     ratio1 = [r.ratio for r in rep1.rows]
     circle_constant = max(ratio1) - min(ratio1)
     checks = [
@@ -551,7 +534,8 @@ SCENARIOS = {
     "flat-threshold": ScenarioSpec(
         _scenario_flat_threshold, "fiber-invariance-threshold",
         {"base_length": (float, 1.0), "fiber_length": (float, 0.1)},
-        check=_check_flat_threshold),
+        check=lambda params, grid: flat_torus.check_product_lengths(
+            params["base_length"], params["fiber_length"])),
     "gt-family": ScenarioSpec(
         _scenario_gt_family, "shear-family-periodicity",
         {"t_values": ("vector", "0 0.3 0.5")}, check=_check_gt_family),
@@ -576,30 +560,28 @@ def resolve(name: str, params: dict = None, seed: int = 0,
 
     Returns ``(name, typed params as sorted items, seed, grid)``: hashable,
     and equal for any two spellings of one configuration.  Raises
-    ``ConfigInvalid`` naming the offending key or the unknown scenario.
+    ``InputRejected`` naming the offending key, ``name`` for an unknown
+    scenario.
     """
     if name not in SCENARIOS:
-        raise ConfigInvalid(f"unknown scenario {name!r}; see 'list'")
+        raise InputRejected("name", f"unknown scenario {name!r}; see 'list'")
     spec = SCENARIOS[name]
     merged = spec.defaults
     for key, value in (params or {}).items():
         if key not in merged:
-            raise ConfigInvalid(f"{key}: not a parameter of {name}")
+            raise InputRejected(key, f"not a parameter of {name}")
         merged[key] = value
     if not isinstance(seed, int) or seed < 0:
-        raise ConfigInvalid(f"seed: need an integer >= 0, got {seed!r}")
+        raise InputRejected("seed", f"need an integer >= 0, got {seed!r}")
     grid = parse_value("vector", "eps_grid",
                        spec.default_grid if eps_grid is None else eps_grid)
-    try:
-        torus_bundle.check_eps_grid(grid)
-    except ValueError as exc:
-        raise ConfigInvalid(f"eps_grid: {exc}") from exc
+    torus_bundle.check_eps_grid(grid)
     typed = {key: parse_value(spec.params[key][0], key, value)
              for key, value in merged.items()}
     for key, (_, _, *bounds) in spec.params.items():
         if bounds and not bounds[0] <= typed[key] <= bounds[1]:
-            raise ConfigInvalid(f"{key}: need {bounds[0]} <= {key} <= "
-                                f"{bounds[1]}, got {typed[key]}")
+            raise InputRejected(key, f"need {bounds[0]} <= {key} <= "
+                                     f"{bounds[1]}, got {typed[key]}")
     if spec.check is not None:
         spec.check(typed, grid)
     return name, tuple(sorted(typed.items())), seed, grid

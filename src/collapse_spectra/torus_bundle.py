@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import csv_text
+from .errors import InputRejected
 from .lie_complex import (SpectrumReport, StructureConstants, form_dim,
                           gram_eigenvalues, spectrum)
 
@@ -118,12 +119,12 @@ class Trajectory:
 
 
 def check_eps_grid(eps_grid) -> tuple:
-    """The eps grid as a tuple of floats; ValueError unless it is
-    nonempty and every entry lies in (0, 1] (NaN does not)."""
+    """The eps grid as a tuple of floats; InputRejected naming eps_grid
+    unless it is nonempty and every entry lies in (0, 1] (NaN does not)."""
     grid = tuple(float(eps) for eps in eps_grid)
     if not grid or not all(0.0 < eps <= 1.0 for eps in grid):
-        raise ValueError(f"eps grid must lie in (0, 1] and be nonempty, "
-                         f"got {grid!r}")
+        raise InputRejected("eps_grid", f"eps grid must lie in (0, 1] and "
+                                        f"be nonempty, got {grid!r}")
     return grid
 
 

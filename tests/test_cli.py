@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from collapse_spectra import cli, mapping_torus, scenarios
-from collapse_spectra.errors import ConfigInvalid
+from collapse_spectra.errors import InputRejected
 from collapse_spectra.scenarios import list_scenarios, run_scenario_checks
 
 
@@ -109,7 +109,8 @@ def test_cli_corrupt_tolerance_config(tmp_path, capsys):
 def test_config_reader_rejects_bad_section(tmp_path):
     config = tmp_path / "bad.ini"
     config.write_text("[mystery]\nkey = 1\n")
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(InputRejected,
+                       match=r"^mystery: unknown config section$"):
         cli._read_config(str(config))
 
 
@@ -131,14 +132,15 @@ def test_scenario_config_dataclass():
                              (0.5, 0.1))[3] == (0.5, 0.1)
     assert run_scenario_checks("heisenberg", {"gamma": 2}, 1,
                                (0.5, 0.1)).passed
-    with pytest.raises(ConfigInvalid,
-                       match=re.escape("unknown scenario 'nope'; see 'list'")):
+    with pytest.raises(InputRejected, match=re.escape(
+            "name: unknown scenario 'nope'; see 'list'")):
         scenarios.resolve("nope")
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(InputRejected,
+                       match="^bad: not a parameter of heisenberg$"):
         scenarios.resolve("heisenberg", {"bad": 1})
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(InputRejected, match=r"^eps_grid: eps grid must lie"):
         scenarios.resolve("heisenberg", eps_grid=(2.0,))
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(InputRejected, match="^seed: need an integer >= 0"):
         scenarios.resolve("heisenberg", seed="zero")
 
 
@@ -401,7 +403,7 @@ def test_cli_non_finite_param_names_key(scenario, key, value, tmp_path,
 
 
 def test_negative_seed_names_key(tmp_path, capsys):
-    with pytest.raises(ConfigInvalid, match="^seed:"):
+    with pytest.raises(InputRejected, match="^seed:"):
         scenarios.resolve("heisenberg", seed=-1)
     assert cli.main(["euler-bound", "--seed", "-1",
                      "--out", str(tmp_path / "o")]) == 2
@@ -497,7 +499,7 @@ def test_cli_mapping_torus_grid_under_kernel_cutoff_names_key(
 def _rejects(check, params, grid):
     try:
         check(params, grid)
-    except ConfigInvalid:
+    except InputRejected:
         return True
     return False
 

@@ -2,8 +2,9 @@
 the input gives its verdict: the eps grid rule
 (``torus_bundle.check_eps_grid``), the flat-threshold size rule
 (``flat_torus.check_product_lengths``) and the matrix rule (the
-``matrix`` kind of ``scenarios.parse_value``).  A rejected input exits 2
-naming the key or flag it came from, never with a traceback."""
+``matrix`` kind of ``scenarios.parse_value``).  A rejected input raises
+``InputRejected`` keyed by the input, and each front end exits 2 naming
+the key or the flag it came from, never with a traceback."""
 
 import math
 import runpy
@@ -15,7 +16,7 @@ import pytest
 
 import collapse_spectra as cs
 from collapse_spectra import cli, scenarios, torus_bundle
-from collapse_spectra.errors import ConfigInvalid
+from collapse_spectra.errors import InputRejected
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,7 +33,7 @@ def _script(name, monkeypatch, capsys, *args):
                          ids=["empty", "zero", "above-one", "nan"])
 def test_grid_rule_verdict_is_shared(grid):
     for name in scenarios.SCENARIOS:
-        with pytest.raises(ConfigInvalid, match="^eps_grid: "):
+        with pytest.raises(InputRejected, match="^eps_grid: "):
             scenarios.resolve(name, eps_grid=grid)
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
     for call in (lambda: torus_bundle.check_eps_grid(grid),
@@ -40,7 +41,8 @@ def test_grid_rule_verdict_is_shared(grid):
                  lambda: cs.collapse_direction([1.0, 2.0], [1, 0], grid),
                  lambda: cs.vol_bound_experiment(
                      cs.TorusBundleOverT2((1,)), [1.0], grid)):
-        with pytest.raises(ValueError, match=r"eps grid must lie in \(0, 1\]"):
+        with pytest.raises(InputRejected,
+                           match=r"^eps_grid: eps grid must lie in \(0, 1\]"):
             call()
 
 
@@ -89,3 +91,47 @@ def test_matrix_rule_verdict_is_shared(text, tmp_path, monkeypatch, capsys):
         code, err = _script(name, monkeypatch, capsys, flag, text, *out)
         assert code == 2, name
         assert err.startswith(f"error: {flag}: need a square"), (name, err)
+
+
+#: a B that every front end reading B rejects: a singular value at the
+#: rank threshold, an eps = 1 trace that puts eps^2 under the kernel
+#: cutoff at every eps (k = 1), an exact Jordan chain past the floats
+BAD_B = ["1 0; 0 1e-9", "1e5 0 0; 0 0 1; 0 0 0",
+         "0 1e200 0; 0 0 1e200; 0 0 0"]
+
+#: (front end, arguments, [params] of the CLI config, key or flag named)
+REJECTED = [
+    *[("cli", ["mapping-torus"], {"B": b, "k": "1"}, "B") for b in BAD_B],
+    ("cli", ["mapping-torus"], {"k": "2"}, "k"),
+    ("cli", ["mapping-torus", "--eps-grid", "2e-5"], {}, "eps_grid"),
+    ("cli", ["vol-bound", "--eps-grid", "1e-200"], {}, "eps_grid"),
+    ("cli", ["flat-threshold"], {"base_length": "0"}, "base_length"),
+    ("cli", ["flat-threshold"], {"fiber_length": "0"}, "fiber_length"),
+    *[("collapse_sweep.py", ["--b", b], {}, "--b") for b in BAD_B],
+    ("collapse_sweep.py", ["--jmax", "20"], {}, "--jmax"),
+    ("semisimple_floor_experiment.py", ["--b", "7e153 0; 0 -7e153"], {},
+     "--b"),
+    ("semisimple_floor_experiment.py", ["--trials", "0"], {}, "--trials"),
+    ("semisimple_floor_experiment.py", ["--cap", "nan"], {}, "--cap"),
+    ("flat_thresholds.py", ["--base-length", "0"], {}, "--base-length"),
+    ("flat_thresholds.py", ["--fiber", "1e-12"], {}, "--fiber"),
+]
+
+
+@pytest.mark.parametrize(
+    "front_end, args, params, key", REJECTED,
+    ids=[f"{row[0]}-{row[3]}-{i}" for i, row in enumerate(REJECTED)])
+def test_rejected_input_names_its_key(front_end, args, params, key,
+                                      tmp_path, monkeypatch, capsys):
+    if front_end == "cli":
+        config = tmp_path / "run.ini"
+        config.write_text("[params]\n" + "".join(
+            f"{name} = {value}\n" for name, value in params.items()))
+        code = cli.main([*args, "--config", str(config),
+                         "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+    else:
+        out = [] if front_end.startswith("semisimple") \
+            else ["--out", str(tmp_path / "o")]
+        code, err = _script(front_end, monkeypatch, capsys, *args, *out)
+    assert code == 2 and err.startswith(f"error: {key}: "), err

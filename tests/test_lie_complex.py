@@ -393,10 +393,10 @@ def test_check_lie_tensors_flags_any_item_of_a_stack():
 
 
 def test_one_rank_rule_and_no_eigenvectors():
-    # svd_nullspace holds the only numeric rank rule, and every count the
-    # package reads off a spectrum needs eigenvalues only
+    # mapping_torus.svd_nullspace holds the only numeric rank rule, and
+    # every count the package reads off a spectrum needs eigenvalues only
     for path in Path(cs.__file__).parent.glob("*.py"):
         text = path.read_text()
-        if path.name != "lie_complex.py":
+        if path.name != "mapping_torus.py":
             assert "RANK_TOL" not in text, path.name
         assert not re.search(r"\beigh\b", text), path.name

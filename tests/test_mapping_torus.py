@@ -47,7 +47,8 @@ def test_invariants_dd():
 
 def test_invariants_rank_ambiguous():
     B = np.diag([1.0, 1e-9])
-    with pytest.raises(cs.RankAmbiguous):
+    with pytest.raises(cs.InputRejected,
+                       match=r"^B: singular value \S+ too close to RANK_TOL"):
         cs.invariants_dd(B)
 
 
@@ -115,7 +116,8 @@ def test_invariants_invertible_with_small_eigenvalues():
     # kernel tower stops at ker B = 0
     B = np.diag([1.0, 1e-3, -1.0, -1e-3])
     assert cs.invariants_dd(B) == (0, 0)
-    with pytest.raises(cs.KTooLarge):
+    with pytest.raises(cs.InputRejected,
+                       match=re.escape("k: need 0 <= k <= d - d' = 0, got 1")):
         cs.collapse_family(B, 1)
 
 
@@ -181,7 +183,8 @@ def test_extend_numeric_orthogonal_to_base():
 
 
 def test_extend_numeric_base_outside_span_raises():
-    with pytest.raises(cs.RankAmbiguous):
+    with pytest.raises(cs.InputRejected, match="^B: chain extraction is "
+                                               "numerically degenerate$"):
         _extend_numeric(np.eye(3)[:, 2:], np.eye(3)[:, :2])
 
 
@@ -224,7 +227,8 @@ def test_collapse_family_exponents():
     assert cs.collapse_family(B, 0).exponents == (1, 1)
     B3 = np.diag(np.ones(2), 1)
     assert cs.collapse_family(B3, 2).exponents == (3, 2, 1)
-    with pytest.raises(cs.KTooLarge):
+    with pytest.raises(cs.InputRejected,
+                       match=re.escape("k: need 0 <= k <= d - d' = 1, got 2")):
         cs.collapse_family(B, 2)
 
 
@@ -498,15 +502,16 @@ def test_run_collapse_rejects_bad_grid():
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         cs.run_collapse(B, 1, [1.5])
-    with pytest.raises(cs.KTooLarge):
+    with pytest.raises(cs.InputRejected, match=re.escape(
+            "k: need 0 <= k <= d - d' = 1, got -1")):
         cs.collapse_family(B, -1)
 
 
 @pytest.mark.parametrize("grid", [[0.5, 0.0], [math.nan], [0.5, -0.25],
                                   [1.5], [0.5, math.inf]])
 def test_eps_grid_is_checked_before_anything_else(grid, monkeypatch):
-    # every entry outside (0, 1], NaN included, is a plain ValueError
-    # raised before the family is built, never NearKernelCutoff
+    # every entry outside (0, 1], NaN included, is rejected by the grid
+    # rule before the family is built, never by the kernel-cutoff rule
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
 
     def refuse(*args):
@@ -517,10 +522,11 @@ def test_eps_grid_is_checked_before_anything_else(grid, monkeypatch):
                  lambda: cs.collapse_direction([1.0, 2.0], [1, 0], grid),
                  lambda: cs.vol_bound_experiment(
                      cs.TorusBundleOverT2((1,)), [1.0], grid)):
-        with pytest.raises(ValueError, match=r"eps grid must lie in \(0, 1\]"
-                           ) as info:
+        with pytest.raises(cs.InputRejected) as info:
             call()
-        assert type(info.value) is ValueError
+        assert info.value.key == "eps_grid"
+        assert info.value.message == (f"eps grid must lie in (0, 1] and be "
+                                      f"nonempty, got {tuple(grid)!r}")
 
 
 def _collapse_matrices(rng):
@@ -589,17 +595,40 @@ def _floor_script():
     # RuntimeWarning at 1e154
     (["--b", "1e200 0; 0 -1e200"], "--b: B needs Tr(B^T B) to be a finite"),
     (["--b", "1e154 0; 0 -1e154"], "--b: B needs Tr(B^T B) to be a finite"),
+    # the default cap 2 Tr(B^T B) + 1 overflows to inf: was a Gram
+    # overflow and a floor of 0 (exit 1)
+    (["--b", "7e153 0; 0 -7e153"], "--b: default cap 2 Tr(B^T B) + 1 = inf "
+                                   "is above float max / (n + 1)^2"),
 ])
 def test_floor_script_reports_rejected_input(argv, message, monkeypatch,
                                              capsys):
     monkeypatch.setattr(sys, "argv", ["semisimple_floor_experiment.py"] + argv)
     assert _floor_script().main() == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and message in err
+    # every rejection names the flag it came from
+    assert out == "" and err.startswith(f"error: {argv[0]}: ")
+    assert message in err
+
+
+def test_semisimple_floor_scales_up_to_its_cap_bound():
+    # the caps scale with B, so the same frames pass them and the floor
+    # scales by 1e306, with no overflow on the way
+    B = np.diag([1.0, -1.0])
+    small = cs.semisimple_floor(B, trials=5, curvature_cap=4.0).floor
+    big = cs.semisimple_floor(1e153 * B, trials=5, curvature_cap=4e306).floor
+    assert big == pytest.approx(1e306 * small, rel=1e-12)
+    limit = np.finfo(float).max / 9
+    assert cs.semisimple_floor(B, trials=5, curvature_cap=limit).ok
+    with pytest.raises(cs.InputRejected, match=r"^curvature_cap: cap = "):
+        cs.semisimple_floor(B, trials=5, curvature_cap=limit * (1 + 1e-15))
 
 
 def test_floor_script_passes(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["semisimple_floor_experiment.py",
-                                      "--trials", "5", "--seed", "1"])
-    assert _floor_script().main() == 0
-    assert "above the 1e-4 sanity line" in capsys.readouterr().out
+    # for 1e153 at seed 0 a drawn frame's Tr(C^T C) overflows, which only
+    # fails the cap (was a RuntimeWarning); its default cap 4e306 is
+    # under float max / 9 = 2e307
+    for argv in (["--seed", "1"], ["--b", "1e153 0; 0 -1e153"]):
+        monkeypatch.setattr(sys, "argv", ["semisimple_floor_experiment.py",
+                                          "--trials", "5", *argv])
+        assert _floor_script().main() == 0
+        assert "above the 1e-4 sanity line" in capsys.readouterr().out

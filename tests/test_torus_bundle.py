@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_spectra as cs
-from collapse_spectra.lie_complex import svd_nullspace
+from collapse_spectra.mapping_torus import svd_nullspace
 from collapse_spectra.scenarios import run_scenario_checks
 from collapse_spectra.torus_bundle import (eigenspace_split, nil_algebra,
                                            predict_spectrum)
