@@ -6,14 +6,13 @@ cutoff with its fiber-invariance flag, confirming that everything below
 the first fiber eigenvalue is invariant and that the bound is attained.
 
 Exit status: 0 when the threshold holds and is attained, 1 when it does
-not, 2 when the fiber is not a square matrix of finite numbers or the
-lengths break the flat-threshold scenario's size rule
-(``flat_torus.check_product_lengths``: lengths > 0 with normal-float
-squares, base length <= 1e3 and base length / fiber length <= 1e3, the
-fiber length read as 2 pi / sqrt(lambda01(fiber))), each naming its flag
-(--fiber or --base-length), and 2 when the library rejects the input (a
-Gram matrix that is not symmetric and positive definite, a degree
-outside 0..dim).
+not, 2 when an input breaks its rule, naming its flag: a fiber that is
+not a symmetric positive definite matrix of finite numbers (--fiber), a
+degree outside 0..dim (--degree), or lengths that break the
+flat-threshold scenario's size rule (``flat_torus.check_product_lengths``:
+lengths > 0 with normal-float squares, base length <= 1e3 and base
+length / fiber length <= 1e3, the fiber length read as
+2 pi / sqrt(lambda01(fiber)); --base-length or --fiber).
 
 Example:
     python scripts/flat_thresholds.py --fiber "0.04 0; 0 0.09" --degree 1
@@ -31,8 +30,9 @@ from collapse_spectra import (FlatTorus, InputRejected, lambda01,
 from collapse_spectra.flat_torus import check_product_lengths
 from collapse_spectra.scenarios import parse_value
 
-#: the flag of each library key a length can be rejected under
-FLAGS = {"base_length": "--base-length", "fiber_length": "--fiber"}
+#: the flag of each library key an input can be rejected under
+FLAGS = {"base_length": "--base-length", "fiber_length": "--fiber",
+         "gram": "--fiber", "p": "--degree"}
 
 
 def main() -> int:
@@ -55,9 +55,6 @@ def main() -> int:
     except InputRejected as exc:
         print(f"error: {FLAGS.get(exc.key, exc.key)}: {exc.message}",
               file=sys.stderr)
-        return 2
-    except ValueError as exc:   # a fiber Gram matrix or degree it rejects
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     Path(args.out).write_text(rep.csv)
     print(f"fiber lambda01 = {rep.threshold:.8g}")

@@ -9,8 +9,8 @@ CSV bodies are byte-identical for a fixed config and seed; every run
 writes a JSON manifest tying artifacts and checks together.  Exit codes:
 0 all checks pass, 1 a check failed, 2 configuration error.
 
-The environment variable COLLAPSE_SPECTRA_OUT overrides the output
-directory.
+The output directory is --out if given, else the environment variable
+COLLAPSE_SPECTRA_OUT, else the config's ``out``, else DEFAULT_OUT.
 """
 
 from __future__ import annotations

@@ -1,17 +1,19 @@
 """Exception types raised by the library.
 
-Every library error is a :class:`CollapseSpectraError`, itself a
-``ValueError``.  An input that breaks the rule declared for it raises
+An input that breaks the rule declared for it raises
 :class:`InputRejected`, raised where the rule is declared and keyed by
 the input it checks: ``cli.main`` exits 2 on it and 1 on any other
-``CollapseSpectraError``, and each script maps its key to the flag the
-input came from.  Any other error raises the base class with a message
-that says what is wrong.
+:class:`CollapseSpectraError`, and each script maps its key to the flag
+the input came from.  Other library errors raise the base class, but
+some lower-level checks still raise a plain ``ValueError``, such as a
+malformed tensor in ``StructureConstants`` or ``check_lie_tensors`` and
+an eigenvalue below minus the kernel cutoff in ``clamp_spectra``.  So a
+caller can receive any of the three, and all of them are ValueErrors.
 """
 
 
 class CollapseSpectraError(ValueError):
-    """Base class for all library errors."""
+    """Base class for the library's own errors."""
 
 
 class InputRejected(CollapseSpectraError):

@@ -53,12 +53,15 @@ class FlatTorus:
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("gram must be square")
+            raise InputRejected("gram", "must be square")
         if not np.isfinite(g).all():
-            raise ValueError("gram must be finite")
+            raise InputRejected("gram", "must be finite")
         if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
-            raise ValueError("gram must be symmetric")
-        np.linalg.cholesky(g)          # SPD check
+            raise InputRejected("gram", "must be symmetric")
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError as exc:
+            raise InputRejected("gram", "must be positive definite") from exc
         g = 0.5 * (g + g.T)
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
@@ -172,7 +175,7 @@ class ModeSpectrum:
 def _multiplicity(k: int, p: int) -> int:
     """C(k, p): the constant p-forms that tensor each mode on T^k."""
     if not (0 <= p <= k):
-        raise ValueError(f"degree {p} not in [0, {k}]")
+        raise InputRejected("p", f"degree {p} not in [0, {k}]")
     return math.comb(k, p)
 
 

@@ -20,23 +20,27 @@ zero row or column of d_p adds only exact zeros, and the padding in
 most rows and columns are zero (in the solvable model d is nonzero only
 from forms without the coform y of Y to forms with y); a dense frame
 keeps the full size min(C(n, p), C(n, p+1)) in the middle degrees.
-:func:`spectrum` keeps the eigenvalues of each G_p on its
-``StructureConstants``, so a sweep over all degrees builds each d_p once
-and solves each G_p once.
+One function, :func:`stacked_gram_eigenvalues`, builds and solves G_p,
+for a stack of algebras at once, and keeps the eigenvalues in a dict
+that belongs to the stack.  :func:`spectrum` passes one algebra and the
+dict kept on its ``StructureConstants``, so a sweep over all degrees
+builds each d_p once and solves each G_p once; ``semisimple_floor``
+passes each chunk of its trials, split by the rule below, with a dict
+of its own.
 
 On a unimodular algebra (trace form theta = tr ad = 0) the Hodge star,
 a signed permutation of the wedge basis, carries d_{n-1-p} d_{n-1-p}^T
 onto d_p^T d_p, so G_p and G_{n-1-p} share their nonzero spectrum, and
-:func:`gram_eigenvalues` takes G_p for (n-1)/2 < p < n from G_{n-1-p}
-without building d_p.  An algebra counts as unimodular when
-:func:`unimodularity_defect` is at most ``UNIMODULAR_ULPS * n * eps *
-max|c|``, the rounding of a trace of n terms.  In general the star
-carries d_{n-1-p} to d_p^T plus an interior product with theta, whose
-norm is at most |theta| <= sqrt(n) max_i |theta_i|, so by Weyl's
-inequality the mirrored eigenvalues differ from those of G_p by at most
-2 |d_p| |theta| + |theta|^2.  Under the rule that is of order
-n^(3/2) eps max|c| |d_p|, the rounding level of forming and solving G_p
-directly.  Algebras outside the rule solve every G_p.
+G_p for (n-1)/2 < p < n is taken from G_{n-1-p} without building d_p.
+An algebra counts as :func:`unimodular` when every |trace(ad_{e_i})| is
+at most ``UNIMODULAR_ULPS * n * eps * max|c|``, the rounding of a trace
+of n terms.  In general the star carries d_{n-1-p} to d_p^T plus an
+interior product with theta, whose norm is at most |theta| <= sqrt(n)
+max_i |theta_i|, so by Weyl's inequality the mirrored eigenvalues differ
+from those of G_p by at most 2 |d_p| |theta| + |theta|^2.  Under the
+rule that is of order n^(3/2) eps max|c| |d_p|, the rounding level of
+forming and solving G_p directly.  A stack takes the mirror only when
+every member passes the rule; otherwise it solves every G_p.
 
 The mirror leaves G_{m-1} of the middle degrees at full size when
 n = 2m.  On Lambda^m the star is S e_J = s_J e_{J^c}, and S^2 = (-1)^(m^2),
@@ -47,13 +51,13 @@ subsets J that contain index 0, gives E^T E = G_{m-1} + d_{m-1}^T S
 d_{m-1}.  The second term pairs d alpha with d beta into the top-degree
 exact form d(alpha ^ d beta), which is zero on a unimodular algebra; in
 general its norm is at most |theta| |d_{m-1}|, the same Weyl-type bound
-as the mirror's.  So under the unimodularity rule :func:`gram_eigenvalues`
-solves the Gram matrix of E, whose side is at most C(n, m) / 2, in place
-of that of d_{m-1}, but only when C(n, m) / 2 is strictly smaller than
-the side of the nonzero block of d_{m-1}; at n = 12 a dense frame solves
-462 in place of 792.  One rule separates the kernel: an eigenvalue at
-most :func:`kernel_cutoff` of its spectrum's largest eigenvalue counts
-as zero.
+as the mirror's.  So under the same rule the Gram matrix of E, whose
+side is at most C(n, m) / 2, is solved in place of that of d_{m-1}, but
+only when C(n, m) / 2 is strictly smaller than the side of the nonzero
+block of d_{m-1}; at n = 12 a dense frame solves 462 in place of 792.
+One rule separates the kernel: an eigenvalue at most
+:func:`kernel_cutoff` of its spectrum's largest eigenvalue counts as
+zero.
 """
 
 from __future__ import annotations
@@ -332,28 +336,6 @@ def _nonzero_block(d) -> np.ndarray:
     return d
 
 
-def _gram_block_eigenvalues(block) -> np.ndarray:
-    """Ascending eigenvalues of the Gram matrix of each member of the stack
-    ``block``, taken on its smaller side."""
-    block_t = block.transpose(0, 2, 1)
-    gram = (block_t @ block if block.shape[2] <= block.shape[1]
-            else block @ block_t)
-    return np.linalg.eigvalsh(gram)
-
-
-def stacked_gram_eigenvalues(c, p: int) -> np.ndarray:
-    """Ascending nonzero-block eigenvalues of the Gram matrix of d_p for
-    every tensor in the stack ``c`` (T, n, n, n), as an array (T, r).
-
-    d_p is first cut to the rows and columns that are nonzero in some
-    member of the stack; its Gram matrix is then taken on the smaller
-    side of what is left, so r <= min(C(n, p), C(n, p+1)).  The dropped
-    eigenvalues are exact zeros, which :func:`hodge_union` restores.  A
-    d_p with no zero row or column is not copied.
-    """
-    return _gram_block_eigenvalues(_nonzero_block(stacked_derivative(c, p)))
-
-
 @functools.lru_cache(maxsize=None)
 def _hodge_star(n: int):
     """The Hodge star on Lambda^m, n = 2m, as ``(J, Jc, sign)``.
@@ -462,51 +444,55 @@ class SpectrumReport:
         return cls(vals, int(kernel_dim))
 
 
-def gram_eigenvalues(L: StructureConstants, p: int) -> np.ndarray:
-    """Eigenvalues of G_p of L as a stack of one (1, r), solved once per L.
+def unimodular(c) -> np.ndarray:
+    """Whether each tensor of the stack ``c`` (T, n, n, n) is unimodular to
+    rounding: max_i |trace(ad_{e_i})| at most ``UNIMODULAR_ULPS * n * eps *
+    max|c|``, the rule under which G_p is mirrored and folded."""
+    count, n = c.shape[:2]
+    # trace(ad_i) = sum_j c[i,j,j]
+    defect = np.abs(np.einsum("tijj->ti", c)).max(axis=1, initial=0.0)
+    scale = np.abs(c).reshape(count, -1).max(axis=1, initial=0.0)
+    return defect <= UNIMODULAR_ULPS * n * np.finfo(float).eps * scale
 
-    Only the nonzero block of d_p is solved (see
-    :func:`stacked_gram_eigenvalues`), so the exact zeros of its dropped
-    rows and columns are missing here; :func:`hodge_union` restores them.
-    For (n-1)/2 < p < n on an algebra with :func:`unimodularity_defect`
-    at most ``UNIMODULAR_ULPS * n * eps * max|c|``, the eigenvalues of
-    G_{n-1-p} are returned and d_p is not built: the Hodge star gives
-    both the same nonzero spectrum, and by Weyl's inequality a trace form
-    theta moves each eigenvalue by at most 2 |d_p| |theta| + |theta|^2,
-    the rounding level of the direct solve under that rule.  For n = 0
-    (mod 4) and p = n/2 - 1 on such an algebra, the rows of d_p are first
-    folded by the Hodge star of Lambda^{p+1}, a symmetric involution there
-    since S^2 = (-1)^((p+1)^2), into C(n, p+1) / 2 rows, provided that is
-    strictly fewer than the side of the nonzero block of d_p: the folded
-    Gram matrix is G_p plus a term of norm at most |theta| |d_p|, zero on
-    a unimodular algebra (see the module docstring).  Every block has at
-    most min(C(n, p), C(n, p+1)) values, so :func:`hodge_union` pads any
-    of them alike.
+
+def stacked_gram_eigenvalues(c, p: int, cache: dict) -> np.ndarray:
+    """Ascending eigenvalues of G_p of every tensor in the stack ``c``
+    (T, n, n, n), as (T, r), solved once per ``cache``, the dict degree ->
+    eigenvalues that the caller keeps with the stack.
+
+    G_p is the Gram matrix of d_p cut to the rows and columns nonzero in
+    some member, on its smaller side, so r <= min(C(n, p), C(n, p+1)).
+    When every member is :func:`unimodular`, G_p for (n-1)/2 < p < n is
+    G_{n-1-p}, and for n = 0 (mod 4) G_{n/2-1} is folded by the Hodge star
+    when that is smaller (see the module docstring); a stack that mixes
+    unimodular and other members takes neither rule.
     """
-    vals = L._gram_eigs.get(p)
+    vals = cache.get(p)
     if vals is None:
-        n, mirror = L.n, L.n - 1 - p
-        if 0 <= mirror < p and _unimodular(L):
-            vals = gram_eigenvalues(L, mirror)
+        n, mirror = c.shape[1], c.shape[1] - 1 - p
+        if 0 <= mirror < p and unimodular(c).all():
+            vals = stacked_gram_eigenvalues(c, mirror, cache)
         else:
-            d_p = stacked_derivative(L.c[None], p)
+            d_p = stacked_derivative(c, p)
             block = _nonzero_block(d_p)
             if (n % 4 == 0 and p == n // 2 - 1
                     and form_dim(n, p + 1) // 2 < min(block.shape[1:])
-                    and _unimodular(L)):
+                    and unimodular(c).all()):
                 J, Jc, sign = _hodge_star(n)
                 block = _nonzero_block(d_p[:, J] + sign[:, None] * d_p[:, Jc])
-            vals = _gram_block_eigenvalues(block)
+            block_t = block.transpose(0, 2, 1)
+            vals = np.linalg.eigvalsh(block_t @ block
+                                      if block.shape[2] <= block.shape[1]
+                                      else block @ block_t)
             vals.setflags(write=False)
-        L._gram_eigs[p] = vals
+        cache[p] = vals
     return vals
 
 
-def _unimodular(L: StructureConstants) -> bool:
-    """The rule of :func:`gram_eigenvalues`: unimodularity_defect(L) at most
-    ``UNIMODULAR_ULPS * n * eps * max|c|``."""
-    return unimodularity_defect(L) <= (
-        UNIMODULAR_ULPS * L.n * np.finfo(float).eps * np.abs(L.c).max())
+def gram_eigenvalues(L: StructureConstants, p: int) -> np.ndarray:
+    """Eigenvalues of G_p of L as a stack of one (1, r), kept on L:
+    :func:`stacked_gram_eigenvalues` of ``L.c[None]``."""
+    return stacked_gram_eigenvalues(L.c[None], p, L._gram_eigs)
 
 
 def spectrum(L: StructureConstants, p: int) -> SpectrumReport:

@@ -23,7 +23,7 @@ from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
 from .lie_complex import (SpectrumReport, StructureConstants,
                           above_kernel_cutoff, check_lie_tensors,
                           clamp_spectra, form_dim, hodge_union,
-                          stacked_gram_eigenvalues)
+                          stacked_gram_eigenvalues, unimodular)
 from .torus_bundle import check_eps_grid
 
 #: Singular values above RANK_TOL count toward a numerical rank.
@@ -161,6 +161,8 @@ class JordanZeroChain:
     by increasing height (taller chain members later), followed by an
     orthonormal complement of E_0.  ``heights[i]`` is the chain height of
     column i (0 for complement columns) and ``chain_ids[i]`` its chain.
+    Chains are numbered longest first, in the order of ``chain_lengths``:
+    they are found from the tallest height down.
     """
 
     frame: np.ndarray
@@ -283,21 +285,13 @@ def collapse_family(b_matrix, k: int) -> CollapseFamily:
         raise InputRejected("k", f"need 0 <= k <= d - d' = {capacity}, "
                                  f"got {k}")
     # budgets: longest chains first, each up to length - 1
-    budgets = {}
+    budgets = []
     remaining = k
-    order = sorted(range(len(info.chain_lengths)),
-                   key=lambda i: (-info.chain_lengths[i], i))
-    for ci in order:
-        take = min(info.chain_lengths[ci] - 1, remaining)
-        budgets[ci] = take
-        remaining -= take
-    exponents = []
-    for h, ci in zip(info.heights, info.chain_ids):
-        if ci < 0:
-            exponents.append(1)
-        else:
-            kc = budgets.get(ci, 0)
-            exponents.append(1 + max(0, kc + 1 - h))
+    for length in info.chain_lengths:
+        budgets.append(min(length - 1, remaining))
+        remaining -= budgets[-1]
+    exponents = [1 if ci < 0 else 1 + max(0, budgets[ci] + 1 - h)
+                 for h, ci in zip(info.heights, info.chain_ids)]
     c_base = np.linalg.solve(info.frame, B @ info.frame)
     with np.errstate(over="ignore"):
         top = float(np.sum(c_base ** 2))
@@ -443,11 +437,11 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
     The guarantee for semisimple B is existence of a positive floor, not
     its value; this experiment reports the sampled minimum across all
     form degrees.  Trials run in chunks of FLOOR_CHUNK: each chunk draws
-    its frames in trial order, validates every trial's tensor, and solves
-    the stacked Gram matrix of each d_p once, joining the eigenvalues of
-    d_p and d_{p-1} into the degree-p spectrum as ``lie_complex.spectrum``
-    does, so the floor is bit-identical to a trial-by-trial loop over
-    ``spectrum``.
+    its frames in trial order, validates every trial's tensor, splits by
+    ``lie_complex.unimodular`` as ``spectrum`` decides for each trial, and
+    solves each part's G_p by ``stacked_gram_eigenvalues``, the function
+    ``spectrum`` reads, so the floor is bit-identical to a trial-by-trial
+    loop over ``spectrum``, the mirror and the fold included.
 
     Bounds, each an InputRejected naming the input: 1 <= trials <=
     MAX_FLOOR_TRIALS; Tr(B^T B) a finite float and B semisimple; a cap
@@ -496,13 +490,15 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
                            curvature_cap)
         c = solvable_tensors(C)
         check_lie_tensors(c)
-        gram_prev = stacked_gram_eigenvalues(c, 0)
-        for p in range(1, n + 1):
-            gram_p = stacked_gram_eigenvalues(c, p)
-            vals, kernel = clamp_spectra(
-                hodge_union(gram_p, gram_prev, form_dim(n + 1, p)))
-            gram_prev = gram_p
-            rows = np.flatnonzero(kernel < vals.shape[1])
-            if rows.size:
-                floor = min(floor, float(np.min(vals[rows, kernel[rows]])))
+        uni = unimodular(c)
+        for part in filter(len, (c[uni], c[~uni])):
+            grams = {}
+            for p in range(1, n + 1):
+                vals, kernel = clamp_spectra(hodge_union(
+                    stacked_gram_eigenvalues(part, p, grams),
+                    stacked_gram_eigenvalues(part, p - 1, grams),
+                    form_dim(n + 1, p)))
+                rows = np.flatnonzero(kernel < vals.shape[1])
+                if rows.size:
+                    floor = min(floor, float(np.min(vals[rows, kernel[rows]])))
     return FloorReport(floor, trials, curvature_cap, False, floor > FLOOR_TOL)

@@ -2,6 +2,12 @@ import signal
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples: each @given test seeds from a hash of
+# its own code, keeps its own max_examples, and replays no saved failure
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 class _Overrun(Exception):

@@ -52,6 +52,20 @@ def solvable_curvatures_by_pair(C) -> list:
     return [float(v) for v in pairs]
 
 
+def direct_gram_eigenvalues(c, p) -> np.ndarray:
+    """Ascending eigenvalues of G_p of each tensor of the stack ``c``
+    (T, n, n, n), solved directly: d_p cut to its nonzero rows and
+    columns, its Gram matrix taken on the smaller side, with neither the
+    Hodge mirror nor the middle-degree fold."""
+    from collapse_spectra.lie_complex import _nonzero_block, stacked_derivative
+
+    block = _nonzero_block(stacked_derivative(c, p))
+    block_t = block.transpose(0, 2, 1)
+    return np.linalg.eigvalsh(block_t @ block
+                              if block.shape[2] <= block.shape[1]
+                              else block @ block_t)
+
+
 def collapse_rows_by_eps(family, eps_grid) -> np.ndarray:
     """The rows of ``run_collapse`` for a built family, one eps at a time:
     ``[eps, *eigenvalues, kernel_dim, trace, max |K|, small_count]`` per

@@ -65,8 +65,13 @@ def test_flat_thresholds_writes_threshold_table(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name,args,message", [
     ("collapse_sweep.py", ["--b", "0 1; 0"], "--b: need a square matrix"),
     ("collapse_sweep.py", ["--jmax", "0"], "--jmax: need an integer >= 1"),
-    ("flat_thresholds.py", ["--fiber", "1 2; 3 4"], "gram must be symmetric"),
-    ("flat_thresholds.py", ["--degree", "5"], "degree 5 not in [0, 2]"),
+    ("flat_thresholds.py", ["--fiber", "1 2; 3 4"],
+     "--fiber: must be symmetric"),
+    ("flat_thresholds.py", ["--degree", "5"],
+     "--degree: degree 5 not in [0, 2]"),
+    # numpy's Cholesky check used to reach stderr as a LinAlgError
+    ("flat_thresholds.py", ["--fiber", "1 2; 2 1"],
+     "--fiber: must be positive definite"),
     # eps = 2^-15 puts eps^2 under twice the kernel cutoff
     ("collapse_sweep.py", ["--jmax", "15"], "--jmax: eps = 3.0517578125e-05"),
     # base / fiber length 1e5 with the default fiber, 527,792 rows
@@ -74,8 +79,8 @@ def test_flat_thresholds_writes_threshold_table(tmp_path, monkeypatch):
     # a circle of length -1 is the circle of length 1
     ("flat_thresholds.py", ["--base-length", "-1"], "--base-length: need"),
 ], ids=["sweep-ragged-b", "sweep-jmax-0", "thresholds-asymmetric-fiber",
-        "thresholds-degree-5", "sweep-jmax-15", "thresholds-base-1e4",
-        "thresholds-base-negative"])
+        "thresholds-degree-5", "thresholds-indefinite-fiber", "sweep-jmax-15",
+        "thresholds-base-1e4", "thresholds-base-negative"])
 def test_script_rejects_malformed_input(name, args, message, tmp_path,
                                         monkeypatch, capsys):
     out = tmp_path / "out"

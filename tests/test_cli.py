@@ -106,12 +106,26 @@ def test_cli_corrupt_tolerance_config(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_config_reader_rejects_bad_section(tmp_path):
+def test_config_reader_rejects_bad_section(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     config.write_text("[mystery]\nkey = 1\n")
     with pytest.raises(InputRejected,
                        match=r"^mystery: unknown config section$"):
         cli._read_config(str(config))
+    # every other rejection of the reader, and heisenberg's curvature
+    # rule, through the command line: exit 2 naming the key
+    for i, (text, key) in enumerate((
+            (None, "config"),                   # no such file
+            ("gamma = 1\n", "config"),          # no section header
+            ("[scenario]\nseed = x\n", "seed"),
+            ("[scenario]\nmystery = 1\n", "mystery"),
+            ("[params]\ngamma = 1\n", "gamma"))):
+        config = tmp_path / f"case{i}.ini"
+        if text is not None:
+            config.write_text(text)
+        assert cli.main(["heisenberg", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 2, text
+        assert capsys.readouterr().err.startswith(f"error: {key}: "), text
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):

@@ -19,8 +19,9 @@ from collapse_spectra.intlat import rational_rank
 from collapse_spectra.lie_complex import (FormBasis, clamp_spectra, form_dim,
                                           hodge_union, kernel_cutoff,
                                           stacked_derivative,
-                                          stacked_gram_eigenvalues)
+                                          stacked_gram_eigenvalues, unimodular)
 from collapse_spectra.mapping_torus import solvable_algebra
+from oracles import direct_gram_eigenvalues
 
 
 def _wedge_insert(base: tuple, extra: tuple):
@@ -328,24 +329,52 @@ def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
 
 def test_mixed_stack_deflates_on_the_union_of_nonzero_patterns():
     # the sparse member first: masks taken from it alone would cut the
-    # rows and columns the dense member needs
+    # rows and columns the dense member needs; each member is checked
+    # against its own direct solve, which takes neither mirror nor fold
     n = 7
     rng = np.random.default_rng(21)
     algebras = [_algebra(kind, n, rng)
                 for kind in ("nil", "solvable", "dense", "abelian")]
     stack = np.stack([L.c for L in algebras])
+    grams = {}
     gram_prev = np.zeros((len(algebras), 0))
     for p in range(n + 1):
-        gram_p = stacked_gram_eigenvalues(stack, p)
+        gram_p = stacked_gram_eigenvalues(stack, p, grams)
         vals, kernel = clamp_spectra(
             hodge_union(gram_p, gram_prev, form_dim(n, p)))
         gram_prev = gram_p
         for t, L in enumerate(algebras):
-            want = cs.spectrum(cs.StructureConstants(L.c), p)
-            scale = max(1.0, float(want.eigenvalues[-1]))
-            assert (np.max(np.abs(vals[t] - want.eigenvalues))
-                    <= 1e-12 * scale), (p, t)
-            assert kernel[t] == want.kernel_dim, (p, t)
+            want, want_kernel = clamp_spectra(hodge_union(
+                direct_gram_eigenvalues(L.c[None], p),
+                direct_gram_eigenvalues(L.c[None], p - 1) if p
+                else np.zeros((1, 0)), form_dim(n, p)))
+            scale = max(1.0, float(want[0, -1]))
+            assert np.max(np.abs(vals[t] - want[0])) <= 1e-12 * scale, (p, t)
+            assert kernel[t] == want_kernel[0], (p, t)
         abelian = algebras[-1]
-        assert stacked_gram_eigenvalues(abelian.c[None], p).shape == (1, 0)
+        assert stacked_gram_eigenvalues(abelian.c[None], p, {}).shape == (1, 0)
         assert cs.spectrum(abelian, p).kernel_dim == math.comb(n, p)
+
+
+def test_stack_mirrors_only_when_every_member_is_unimodular(monkeypatch):
+    # one member outside the rule sends the whole stack to the direct
+    # solve at every degree; a unimodular stack builds d_p only for
+    # p <= (n - 1) / 2 and p = n
+    lc = cs.lie_complex
+    builds = []
+    real_d = lc.stacked_derivative
+    monkeypatch.setattr(lc, "stacked_derivative",
+                        lambda c, p: builds.append(p) or real_d(c, p))
+    rng = np.random.default_rng(3)
+    uni = solvable_algebra(_trace_free(rng, 5))
+    other = solvable_algebra(_trace_free(rng, 5) + np.eye(5))
+    for members, flags, built in (([uni, uni], [True, True], [0, 1, 2, 6]),
+                                  ([uni, other], [True, False],
+                                   list(range(7)))):
+        stack = np.stack([L.c for L in members])
+        assert unimodular(stack).tolist() == flags
+        builds.clear()
+        grams = {}
+        for p in range(7):
+            stacked_gram_eigenvalues(stack, p, grams)
+        assert builds == built, flags

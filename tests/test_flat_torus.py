@@ -19,8 +19,9 @@ TEST_GRAMS = [
 
 
 def test_flat_torus_validation():
-    with pytest.raises(Exception):
-        FlatTorus(np.array([[1.0, 2.0], [2.0, 1.0]]))   # not SPD
+    with pytest.raises(cs.InputRejected,
+                       match="^gram: must be positive definite$"):
+        FlatTorus(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         FlatTorus(np.array([[1.0, 0.0]]))
 
@@ -28,9 +29,9 @@ def test_flat_torus_validation():
 @pytest.mark.parametrize("entry", [math.nan, math.inf])
 def test_flat_torus_rejects_non_finite_gram(entry):
     # a NaN Gram passed the symmetry and Cholesky checks
-    with pytest.raises(ValueError, match="gram must be finite"):
+    with pytest.raises(ValueError, match="^gram: must be finite$"):
         FlatTorus(np.array([[1.0, 0.0], [0.0, entry]]))
-    with pytest.raises(ValueError, match="gram must be finite"):
+    with pytest.raises(ValueError, match="^gram: must be finite$"):
         FlatTorus.circle(entry)
 
 

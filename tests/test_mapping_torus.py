@@ -227,6 +227,12 @@ def test_collapse_family_exponents():
     assert cs.collapse_family(B, 0).exponents == (1, 1)
     B3 = np.diag(np.ones(2), 1)
     assert cs.collapse_family(B3, 2).exponents == (3, 2, 1)
+    # a lone kernel vector ahead of a chain of length 3: chains are
+    # numbered longest first, so the budget k = 2 goes to the long one
+    B4 = np.zeros((4, 4))
+    B4[1, 2] = B4[2, 3] = 1.0
+    assert cs.jordan_zero_chain(B4).chain_lengths == (3, 1)
+    assert cs.collapse_family(B4, 2).exponents == (3, 1, 2, 1)
     with pytest.raises(cs.InputRejected,
                        match=re.escape("k: need 0 <= k <= d - d' = 1, got 2")):
         cs.collapse_family(B, 2)
@@ -475,10 +481,13 @@ def reference_semisimple_floor(B, trials, seed):
     return floor, halvings
 
 
-def _semisimple(rng, n):
+def _semisimple(rng, n, trace_free=False):
     lam = rng.uniform(-1.5, 1.5, size=n)
+    if trace_free:
+        lam -= lam.mean()
     s = rng.uniform(-1.0, 1.0, (n, n)) + 2.0 * np.eye(n)
-    return s @ np.diag(lam) @ np.linalg.inv(s)
+    B = s @ np.diag(lam) @ np.linalg.inv(s)
+    return B - np.trace(B) / n * np.eye(n) if trace_free else B
 
 
 def test_semisimple_floor_bit_identical_to_trial_loop():
@@ -488,6 +497,11 @@ def test_semisimple_floor_bit_identical_to_trial_loop():
     cases = [(np.diag([1.0, -1.0]), 200, 1)]
     cases += [(_semisimple(rng, n), 40, seed) for n in (2, 3, 4, 5)
               for seed in (3, 8)]
+    # a trace-free B, the case of every mapping torus, gives unimodular
+    # algebras, whose spectrum mirrors G_p and, at n + 1 = 4, folds G_1
+    rng = np.random.default_rng(5)
+    cases += [(_semisimple(rng, n, trace_free=True), 40, seed)
+              for n in (3, 4, 5) for seed in range(6)]
     halvings = []
     for B, trials, seed in cases:
         want, halved = reference_semisimple_floor(B, trials, seed)

@@ -218,7 +218,7 @@ def test_verdicts_are_check_results():
 SETTABLE_VALUES = 127
 #: lines of the package's modules, as ``wc -l`` counts them; see
 #: test_src_lines_do_not_grow
-SRC_LINES = 3456
+SRC_LINES = 3443
 
 
 def test_src_lines_do_not_grow():
