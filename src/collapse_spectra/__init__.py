@@ -7,11 +7,11 @@ enumeration, integer lattice tools, and collapse experiment harnesses.
 """
 
 from .errors import CollapseSpectraError, InputRejected
-from .lie_complex import (FormBasis, SpectrumReport, StructureConstants,
-                          change_frame, exterior_derivative, laplacian,
-                          spectrum, unimodularity_defect)
+from .lie_complex import (SpectrumReport, StructureConstants, change_frame,
+                          exterior_derivative, laplacian, spectrum,
+                          unimodularity_defect)
 from .curvature import (CurvatureTable, frame_curvature_table, oneill_defect,
-                        sectional_curvature, solvable_curvature_closed_form)
+                        solvable_curvature_closed_form)
 from .intlat import (AbelianizationReport, betti1_mapping_torus, matrix_exp,
                      smith_normal_form, verify_log)
 from .mapping_torus import (CollapseFamily, MappingTorusBundle,

@@ -142,7 +142,8 @@ def criterion_3_complex_validity(seed, runs):
     t0 = time.perf_counter()
     worst_uni = worst_dd = worst_sym = worst_neg = worst_dual = 0.0
     for _, L in _unimodular_test_algebras():
-        worst_uni = max(worst_uni, lie_complex.unimodularity_defect(L))
+        worst_uni = max(worst_uni,
+                        float(lie_complex.unimodularity_defect(L.c[None])[0]))
         n = L.n
         for p in range(n):
             dd = lie_complex.exterior_derivative(L, p + 1) \

@@ -135,9 +135,9 @@ def _enumerate_dual(q: np.ndarray, qmax: float):
 def _shortest(q: np.ndarray) -> tuple:
     """(q(gamma), gamma) for the shortest nonzero integer gamma, the
     lexicographically first on ties; no shorter vector escapes the
-    ellipsoid through e_1."""
+    ellipsoid through the shortest basis vector, q <= min_i q_ii."""
     return min((val, gamma) for gamma, val
-               in _enumerate_dual(q, float(q[0, 0])) if any(gamma))
+               in _enumerate_dual(q, float(np.diag(q).min())) if any(gamma))
 
 
 def lambda01(torus: FlatTorus) -> float:

@@ -146,11 +146,6 @@ class StructureConstants:
         """[e_1, e_2] = eta e_3, all other brackets zero."""
         return cls.from_brackets(3, {(0, 1, 2): eta})
 
-    def ad_vector(self, u) -> np.ndarray:
-        """Matrix of ad_u for a coefficient vector u."""
-        u = np.asarray(u, dtype=float)
-        return np.einsum("i,ijk->kj", u, self.c)
-
     def direct_sum(self, other: "StructureConstants") -> "StructureConstants":
         """Block direct sum of two algebras (used for product manifolds)."""
         n1, n2 = self.n, other.n
@@ -194,11 +189,11 @@ def check_lie_tensors(c) -> None:
             f"Jacobi defect {defect[np.argmax(defect > tol)]} exceeds tolerance")
 
 
-def unimodularity_defect(L: StructureConstants) -> float:
-    """max_i |trace(ad_{e_i})|; zero for unimodular algebras."""
+def unimodularity_defect(c) -> np.ndarray:
+    """max_i |trace(ad_{e_i})| of each tensor of the stack ``c``
+    (T, n, n, n); zero for unimodular algebras."""
     # trace(ad_i) = sum_j c[i,j,j]
-    traces = np.einsum("ijj->i", L.c)
-    return float(np.max(np.abs(traces))) if L.n else 0.0
+    return np.abs(np.einsum("tijj->ti", c)).max(axis=1, initial=0.0)
 
 
 def change_frame(L: StructureConstants, P) -> StructureConstants:
@@ -219,25 +214,18 @@ def change_frame(L: StructureConstants, P) -> StructureConstants:
     return StructureConstants(c_new)
 
 
-@dataclass(frozen=True)
-class FormBasis:
-    """Lexicographically ordered basis of degree-p invariant forms.
-
-    Basis elements are strictly increasing index tuples (i_1 < ... < i_p);
-    the ordering is deterministic across runs.
-    """
-
-    n: int
-    degree: int
-    #: basis tuple -> its position in the basis
-    rank: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not (0 <= self.degree <= self.n):
-            raise CollapseSpectraError(
-                f"degree {self.degree} not in [0, {self.n}]")
-        tuples = itertools.combinations(range(self.n), self.degree)
-        object.__setattr__(self, "rank", {t: r for r, t in enumerate(tuples)})
+@functools.lru_cache(maxsize=None)
+def subset_rank(n: int, p: int) -> np.ndarray:
+    """Position of each p-subset of range(n) in the lexicographic basis of
+    Lambda^p, indexed by the subset's bitmask; masks of other sizes read 0.
+    Read-only int32 of length 2^n, built and cached per (n, p)."""
+    subsets = np.array(list(itertools.combinations(range(n), p)),
+                       dtype=np.int64)
+    masks = np.sum(np.int64(1) << subsets, axis=1)
+    rank = np.zeros(1 << n, dtype=np.int32)
+    rank[masks] = np.arange(len(masks), dtype=np.int32)
+    rank.setflags(write=False)
+    return rank
 
 
 def form_dim(n: int, p: int) -> int:
@@ -259,10 +247,7 @@ def _d_pattern(n: int, p: int):
     """
     dom = np.array(list(itertools.combinations(range(n), p)), dtype=np.int64)
     dom_mask = np.sum(np.int64(1) << dom, axis=1)
-    cod_mask = np.sum(np.int64(1) << np.array(
-        list(itertools.combinations(range(n), p + 1)), dtype=np.int64), axis=1)
-    rank = np.zeros(1 << n, dtype=np.int32)
-    rank[cod_mask] = np.arange(len(cod_mask), dtype=np.int32)
+    rank = subset_rank(n, p + 1)
     # parity of the popcount of every n-bit mask
     parity = np.zeros(1, dtype=np.int64)
     for _ in range(n):
@@ -347,11 +332,12 @@ def _hodge_star(n: int):
     star is a symmetric involution.
     """
     m = n // 2
-    rank = FormBasis(n, m).rank
-    half = [K for K in rank if K[0] == 0]
-    J = np.array([rank[K] for K in half])
-    Jc = np.array([rank[tuple(sorted(set(range(n)) - set(K)))] for K in half])
-    sign = np.array([(-1.0) ** (sum(K) - m * (m - 1) // 2) for K in half])
+    rank = subset_rank(n, m)
+    half = np.array([(0,) + K for K in
+                     itertools.combinations(range(1, n), m - 1)])
+    masks = np.sum(np.int64(1) << half, axis=1)
+    J, Jc = rank[masks], rank[masks ^ ((1 << n) - 1)]
+    sign = (-1.0) ** (half.sum(axis=1) - m * (m - 1) // 2)
     for table in (J, Jc, sign):
         table.setflags(write=False)
     return J, Jc, sign
@@ -446,13 +432,12 @@ class SpectrumReport:
 
 def unimodular(c) -> np.ndarray:
     """Whether each tensor of the stack ``c`` (T, n, n, n) is unimodular to
-    rounding: max_i |trace(ad_{e_i})| at most ``UNIMODULAR_ULPS * n * eps *
-    max|c|``, the rule under which G_p is mirrored and folded."""
+    rounding: :func:`unimodularity_defect` at most ``UNIMODULAR_ULPS * n *
+    eps * max|c|``, the rule under which G_p is mirrored and folded."""
     count, n = c.shape[:2]
-    # trace(ad_i) = sum_j c[i,j,j]
-    defect = np.abs(np.einsum("tijj->ti", c)).max(axis=1, initial=0.0)
     scale = np.abs(c).reshape(count, -1).max(axis=1, initial=0.0)
-    return defect <= UNIMODULAR_ULPS * n * np.finfo(float).eps * scale
+    return (unimodularity_defect(c)
+            <= UNIMODULAR_ULPS * n * np.finfo(float).eps * scale)
 
 
 def stacked_gram_eigenvalues(c, p: int, cache: dict) -> np.ndarray:

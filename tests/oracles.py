@@ -1,6 +1,8 @@
 """Reference implementations the tests check the package against: closed
 forms and second algorithms that ``src/`` does not carry."""
 
+import itertools
+
 import numpy as np
 
 from collapse_spectra.curvature import CurvatureTable
@@ -39,6 +41,30 @@ def nil_bundle_curvature_closed_form(eta: float, n: int = 2) -> CurvatureTable:
     return CurvatureTable(pairs)
 
 
+def sectional_curvature(c, u, v) -> float:
+    """K(u, v) of the bracket tensor ``c`` for orthonormal coefficient
+    vectors u, v, by the five-term formula for left-invariant metrics
+
+        K(U,V) = 1/4 |ad*_U V + ad*_V U|^2 - <ad*_U U, ad*_V V>
+                 - 3/4 |[U,V]|^2 - 1/2 <[[U,V],V],U> - 1/2 <[[V,U],U],V>
+
+    with each inner product summed as ``np.sum(x * y)``; the last two use
+    <[[U,V],V],U> = sum_m [U,V]_m <[e_m,V],U>."""
+    c = np.asarray(c, dtype=float)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+
+    # ad_u @ x = [u, x], so ad_u.T is ad*_u
+    ad_u, ad_v = (np.einsum("i,ijk->kj", w, c) for w in (u, v))
+    uv = ad_u @ v
+    term1 = 0.25 * np.sum((ad_u.T @ v + ad_v.T @ u) ** 2)
+    term2 = np.sum((ad_u.T @ u) * (ad_v.T @ v))
+    term3 = 0.75 * np.sum(uv ** 2)
+    # c @ y @ x is the vector <[e_m, x], y> over m
+    term4 = 0.5 * np.sum(uv * (c @ u @ v))
+    term5 = 0.5 * np.sum(-uv * (c @ v @ u))
+    return float(term1 - term2 - term3 - term4 - term5)
+
+
 def solvable_curvatures_by_pair(C) -> list:
     """K on the frame pairs of the solvable algebra of one C, pair by pair
     in scalar arithmetic: (V_i, V_j) for i < j in row order, then (V_i, Y),
@@ -50,6 +76,48 @@ def solvable_curvatures_by_pair(C) -> list:
     pairs += [-np.sum(C[:, i] ** 2) + 0.25 * np.sum((C[i, :] - C[:, i]) ** 2)
               for i in range(n)]
     return [float(v) for v in pairs]
+
+
+def additive_compound(C, p) -> np.ndarray:
+    """The p-th additive compound C^[p] of the n x n matrix C on the
+    lexicographic basis of Lambda^p R^n: the derivation
+    v_1 ^ ... ^ v_p -> sum_k v_1 ^ ... ^ C v_k ^ ... ^ v_p.  Subsets are
+    bitmasks; C[i, j] moves e_J to e_K, K = J - j + i, with the sign of
+    sorting e_i into place past the elements of J strictly between i and
+    j.  C^[0] is the 1 x 1 zero; for p < 0 or p > n the matrix is empty."""
+    n = len(C)
+    if not 0 <= p <= n:
+        return np.zeros((0, 0))
+    masks = np.array([sum(1 << i for i in J)
+                      for J in itertools.combinations(range(n), p)])
+    rank = np.zeros(1 << n, dtype=int)
+    rank[masks] = np.arange(len(masks))
+    popcount = np.array([bin(m).count("1") for m in range(1 << n)])
+    out = np.zeros((len(masks), len(masks)))
+    cols = np.arange(len(masks))
+    for j in range(n):
+        has_j = (masks >> j) & 1 == 1
+        for i in range(n):
+            J = cols[has_j & ((masks >> i) & 1 == 0)] if i != j \
+                else cols[has_j]
+            lo, hi = min(i, j), max(i, j)
+            between = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
+            sign = (-1.0) ** popcount[masks[J] & between]
+            out[rank[masks[J] ^ (1 << j) ^ (1 << i)], J] += sign * C[i, j]
+    return out
+
+
+def solvable_spectra(C) -> list:
+    """Ascending spectra of the Laplacians of ``solvable_algebra(C)``,
+    n + 1 dimensional, for p = 0 .. n + 1: d_p carries the forms without
+    the coform of Y onto those with it by +-(C^[p])^T and kills the rest,
+    so spec Delta_p = sigma^2(C^[p]) u sigma^2(C^[p-1]), which has
+    C(n + 1, p) entries."""
+    n = len(C)
+    sq = [np.linalg.svd(M, compute_uv=False) ** 2 if M.size else np.zeros(0)
+          for M in (additive_compound(C, p) for p in range(-1, n + 2))]
+    return [np.sort(np.concatenate((sq[p + 1], sq[p])))
+            for p in range(n + 2)]
 
 
 def direct_gram_eigenvalues(c, p) -> np.ndarray:

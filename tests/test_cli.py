@@ -474,6 +474,8 @@ def test_failing_eigenvalue_rate_has_negative_margin():
     ("torus-bundle", "0 0"),                # failed eigenspace-split, margin 0
     ("torus-bundle", "1e-200 0"),           # sum b_i^2 underflows
     ("torus-bundle", "1e200 0"),            # sum b_i^2 overflows: NaN margin
+    ("torus-bundle", "1e4 1"),              # sum b_i^2 > 1e4: spectrum-match
+                                            # failed its absolute 1e-10
     ("nil-homothety", "1e200 1"),           # was an OverflowError traceback
     ("nil-dense-direction", "1 0"),         # limit 0: failed positive-limit
 ])
@@ -483,6 +485,20 @@ def test_cli_bracket_vector_names_key(scenario, b, tmp_path, capsys):
     assert cli.main([scenario, "--config", str(config),
                      "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: b:")
+
+
+def test_cli_nil_homothety_rate_is_exact_to_rounding_of_lambda(tmp_path):
+    # lambda(0.9) = 10.7: a one-ulp gap of 1.8e-15 failed the absolute
+    # 1e-15 that now holds relative to max(1, lambda)
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\nb = 3 -2 0.5\n")
+    assert cli.main(["nil-homothety", "--config", str(config),
+                     "--eps-grid", "0.9,0.3", "--out", str(tmp_path / "o")]) \
+        == 0
+    (check,) = [c for c in run_scenario_checks(
+        "nil-homothety", {"b": "3 -2 0.5"}, eps_grid="0.9,0.3").checks
+        if c.name == "rate-exact"]
+    assert 0.0 < check.value <= check.bound == 1e-15
 
 
 def test_cli_heisenberg_grid_under_kernel_cutoff_names_key(tmp_path, capsys):

@@ -4,25 +4,33 @@ import numpy as np
 import pytest
 
 import collapse_spectra as cs
+from collapse_spectra import cli, lie_complex
 from collapse_spectra.curvature import (frame_curvature_table,
+                                        frame_curvatures,
                                         solvable_curvature_closed_form,
                                         solvable_pair_curvatures)
 from collapse_spectra.mapping_torus import solvable_algebra
 from collapse_spectra.torus_bundle import nil_algebra
-from oracles import (nil_bundle_curvature_closed_form,
+from oracles import (nil_bundle_curvature_closed_form, sectional_curvature,
                      solvable_curvatures_by_pair)
 
 
+def _assert_oracle_bitwise(c):
+    K = frame_curvatures(c)
+    e = np.eye(len(c))
+    for i in range(len(c)):
+        for j in range(len(c)):
+            if i != j:
+                assert K[i, j] == sectional_curvature(c, e[i], e[j]), (i, j)
+
+
 def test_sectional_curvature_abelian_zero():
-    L = cs.StructureConstants.abelian(3)
-    assert cs.sectional_curvature(L, [1, 0, 0], [0, 1, 0]) == 0.0
+    assert not frame_curvatures(cs.StructureConstants.abelian(3).c).any()
 
 
 def test_sectional_curvature_nil_horizontal():
-    L = nil_algebra([1.0, 0.0])
-    e = np.eye(4)
-    assert cs.sectional_curvature(L, e[2], e[3]) == pytest.approx(-0.75,
-                                                                  abs=1e-14)
+    K = frame_curvatures(nil_algebra([1.0, 0.0]).c)
+    assert K[2, 3] == pytest.approx(-0.75, abs=1e-14)
 
 
 def test_sectional_curvature_rotation_flat():
@@ -36,21 +44,39 @@ def test_sectional_curvature_symmetry():
     rng = np.random.default_rng(6)
     L = solvable_algebra(rng.uniform(-2, 2, (3, 3)))
     for _ in range(20):
-        m = rng.standard_normal((L.n, 2))
-        q, _ = np.linalg.qr(m)
-        k1 = cs.sectional_curvature(L, q[:, 0], q[:, 1])
-        k2 = cs.sectional_curvature(L, q[:, 1], q[:, 0])
-        assert abs(k1 - k2) <= 1e-12
+        q, _ = np.linalg.qr(rng.standard_normal((L.n, L.n)))
+        K = frame_curvatures(cs.change_frame(L, q).c)
+        assert np.abs(K - K.T).max() <= 1e-12
+        # the plane of (q_0, q_1) is the frame pair (0, 1) of frame q
+        assert abs(K[0, 1] - sectional_curvature(L.c, q[:, 0], q[:, 1])) \
+            <= 1e-12
 
 
-def test_sectional_curvature_requires_orthonormal():
-    L = cs.StructureConstants.abelian(3)
-    with pytest.raises(cs.CollapseSpectraError,
-                       match="u and v must be orthogonal"):
-        cs.sectional_curvature(L, [1, 0, 0], [1, 0, 0])
-    with pytest.raises(cs.CollapseSpectraError,
-                       match="u and v must be unit vectors"):
-        cs.sectional_curvature(L, [2, 0, 0], [0, 1, 0])
+def test_frame_curvatures_match_the_oracle_bitwise_on_dense_frames():
+    # every frame pair of 300 seeded dense frames, n = 2 to 12
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        B = rng.uniform(-2.0, 2.0, (n - 1, n - 1))
+        P = rng.uniform(-1.0, 1.0, (n, n)) + 2.0 * np.eye(n)
+        _assert_oracle_bitwise(cs.change_frame(solvable_algebra(B), P).c)
+
+
+def test_frame_curvatures_match_the_oracle_on_verify_all_algebras(
+        tmp_path, monkeypatch):
+    built = []
+    post_init = lie_complex.StructureConstants.__post_init__
+
+    def record(self):
+        post_init(self)
+        built.append(self.c)
+
+    monkeypatch.setattr(lie_complex.StructureConstants, "__post_init__",
+                        record)
+    assert cli.main(["verify-all", "--out", str(tmp_path)]) == 0
+    assert len(built) >= 30
+    for c in {c.tobytes() + repr(c.shape).encode(): c for c in built}.values():
+        _assert_oracle_bitwise(c)
 
 
 def test_solvable_closed_form_example():
@@ -128,12 +154,14 @@ def test_curvature_table_csv():
 
 
 def _sampled_plane_max(L, samples, seed):
-    """max |K| over seeded random orthonormal 2-planes."""
+    """max |K| over seeded random orthonormal 2-planes, each the frame
+    pair (0, 1) of L rewritten in a random orthonormal frame."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        q, _ = np.linalg.qr(rng.standard_normal((L.n, 2)))
-        worst = max(worst, abs(cs.sectional_curvature(L, q[:, 0], q[:, 1])))
+        q, _ = np.linalg.qr(rng.standard_normal((L.n, L.n)))
+        K = frame_curvatures(cs.change_frame(L, q).c)
+        worst = max(worst, abs(K[0, 1]))
     return worst
 
 

@@ -4,6 +4,7 @@ dimensions of integer algebras against exact ranks, and spectra from
 the Hodge split against the assembled Laplacian."""
 
 import dataclasses
+import itertools
 import math
 import re
 import subprocess
@@ -16,9 +17,8 @@ from hypothesis import strategies as st
 
 import collapse_spectra as cs
 from collapse_spectra.intlat import rational_rank
-from collapse_spectra.lie_complex import (FormBasis, clamp_spectra, form_dim,
-                                          hodge_union, kernel_cutoff,
-                                          stacked_derivative,
+from collapse_spectra.lie_complex import (clamp_spectra, form_dim, hodge_union,
+                                          kernel_cutoff, stacked_derivative,
                                           stacked_gram_eigenvalues, unimodular)
 from collapse_spectra.mapping_torus import solvable_algebra
 from oracles import direct_gram_eigenvalues
@@ -45,12 +45,12 @@ def reference_exterior_derivative(L, p):
     """d: Lambda^p -> Lambda^{p+1} by the antiderivation rule, one
     contribution at a time in the order column, generator position, pair."""
     n = L.n
-    dom = FormBasis(n, p)
-    D = np.zeros((form_dim(n, p + 1), len(dom.rank)))
+    dom, cod = (list(itertools.combinations(range(n), q)) for q in (p, p + 1))
+    D = np.zeros((len(cod), len(dom)))
     if p == 0 or p == n:
         return D
-    cod = FormBasis(n, p + 1)
-    for I, col in dom.rank.items():
+    cod = {J: row for row, J in enumerate(cod)}
+    for col, I in enumerate(dom):
         for t, gen in enumerate(I):
             rest = I[:t] + I[t + 1:]
             sign_t = -1.0 if t % 2 else 1.0
@@ -62,7 +62,7 @@ def reference_exterior_derivative(L, p):
                     s, J = _wedge_insert(rest, (i, j))
                     if J is None:
                         continue
-                    D[cod.rank[J], col] += -coeff * sign_t * s
+                    D[cod[J], col] += -coeff * sign_t * s
     return D
 
 

@@ -7,7 +7,7 @@ from scipy.spatial import Voronoi, cKDTree
 
 import collapse_spectra as cs
 from collapse_spectra.flat_torus import (FOUR_PI_SQ, FlatTorus,
-                                         _enumerate_dual)
+                                         _enumerate_dual, _shortest)
 
 TEST_GRAMS = [
     np.eye(1),
@@ -271,8 +271,8 @@ def test_gt_diameters_periodic():
 
 
 def test_gt_large_shear_matches_reduced(time_limit):
-    # gt(t) is isometric to gt(t mod 1); at t = 100 the search box holds
-    # millions of points
+    # gt(t) is isometric to gt(t mod 1), though its search boxes are
+    # about |t| times longer
     cutoff = 300.0
     for t in (30.0, 100.0):
         with time_limit(5.0, f"gt({t})"):
@@ -351,6 +351,35 @@ def test_diameter_eigenvalue_bound():
     margin, allowance = _diameter_bound_margin(cs.gt_gram(0.5))
     assert margin >= -allowance
     assert cs.diameter(cs.gt_gram(0.5)) == pytest.approx(0.625, rel=1e-12)
+
+
+def _shortest_through_e1(q):
+    """The shortest-vector search over the ellipsoid through e_1."""
+    return min((val, gamma) for gamma, val
+               in _enumerate_dual(q, float(q[0, 0])) if any(gamma))
+
+
+def test_shortest_matches_the_ellipsoid_through_e1(time_limit):
+    # every minimizer has q <= min_i q_ii, so the smaller ellipsoid holds
+    # all of them: same value, same lexicographically first vector
+    rng = np.random.default_rng(34)
+    for trial in range(100):
+        k = 1 + trial % 4
+        A = rng.standard_normal((k, k)) * rng.uniform(0.2, 3.0, k)
+        q = FlatTorus(A @ A.T + 0.05 * np.eye(k)).dual_quadratic()
+        assert _shortest(q) == _shortest_through_e1(q), trial
+    # at t = 100 the box around the ellipsoid through e_1 holds 4 million
+    # points and that through the shortest basis vector 1,015; every
+    # vector with q <= q_11 = 1 has |gamma_1| <= 1 and |gamma_2| <= 101,
+    # so a box of 5 x 601 values, each taken as the search takes it,
+    # stands in for the 4 million
+    q = cs.gt_gram(100.0).dual_quadratic()
+    with time_limit(0.25, "shortest vector of gt(100)"):
+        got = _shortest(q)
+    assert got == min((float(np.array(g, dtype=float) @ q
+                             @ np.array(g, dtype=float)), g)
+                      for g in itertools.product(range(-2, 3),
+                                                 range(-300, 301)) if any(g))
 
 
 def test_lambda01_skewed_brute_force():

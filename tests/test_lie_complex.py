@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_spectra as cs
-from collapse_spectra.lie_complex import (FormBasis, _hodge_star,
-                                          check_lie_tensors, clamp_spectra,
-                                          form_dim, gram_eigenvalues,
-                                          kernel_cutoff)
+from collapse_spectra.lie_complex import (_hodge_star, check_lie_tensors,
+                                          clamp_spectra, form_dim,
+                                          gram_eigenvalues, kernel_cutoff,
+                                          subset_rank, unimodular)
 from collapse_spectra.mapping_torus import solvable_algebra
-from oracles import direct_gram_eigenvalues, jacobi_defect
+from oracles import (direct_gram_eigenvalues, jacobi_defect,
+                     solvable_spectra)
 
 
 def test_jacobi_abelian_zero():
@@ -95,9 +96,8 @@ def test_exterior_derivative_heisenberg_column():
     eps, tau = 0.1, 1.0
     L = cs.StructureConstants.heisenberg3(eps ** tau)
     d1 = cs.exterior_derivative(L, 1)
-    basis2 = FormBasis(3, 2)
     col = d1[:, 2]
-    assert col[basis2.rank[(0, 1)]] == -eps ** tau
+    assert col[subset_rank(3, 2)[0b011]] == -eps ** tau
     assert np.count_nonzero(d1) == 1
 
 
@@ -121,8 +121,7 @@ def test_codifferential_heisenberg():
     eps, tau = 0.2, 1.0
     L = cs.StructureConstants.heisenberg3(eps ** tau)
     delta2 = cs.exterior_derivative(L, 1).T
-    basis2 = FormBasis(3, 2)
-    assert delta2[2, basis2.rank[(0, 1)]] == -eps ** tau
+    assert delta2[2, subset_rank(3, 2)[0b011]] == -eps ** tau
 
 
 def _random_valid_algebra(rng):
@@ -173,6 +172,35 @@ def test_laplacian_solvable_closed_form():
         assert np.max(np.abs(lap - expected)) <= 1e-12
 
 
+def test_spectrum_matches_compound_closed_form_at_every_degree():
+    # spec Delta_p of the solvable model is sigma^2(C^[p]) u
+    # sigma^2(C^[p-1]): a second algorithm for deflation, hodge_union and
+    # clamp_spectra at every degree, and for the Hodge mirror on the
+    # trace-free C with n + 1 = 4, 8, 12; tr C = 2^-30 must not mirror
+    rng = np.random.default_rng(9)
+    cases = []
+    for t in range(15):
+        n = 2 + t % 5
+        C = rng.uniform(-2.0, 2.0, (n, n))
+        if t % 3 == 0:          # integer diagonal, often singular
+            C = np.diag(rng.integers(-2, 3, n).astype(float))
+        cases.append(C)
+    for n, trace in ((3, 0.0), (7, 0.0), (11, 0.0), (4, 2.0 ** -30)):
+        C = rng.standard_normal((n, n))
+        diag = rng.integers(-8, 9, n) / 4.0
+        diag[-1] = trace - diag[:-1].sum()  # exact: tr C = trace
+        np.fill_diagonal(C, diag)
+        cases.append(C)
+    for C in cases:
+        L = solvable_algebra(C)
+        assert unimodular(L.c[None])[0] == (np.trace(C) == 0)
+        for p, want in enumerate(solvable_spectra(C)):
+            got = cs.spectrum(L, p).eigenvalues
+            assert len(got) == len(want) == math.comb(len(C) + 1, p)
+            assert np.max(np.abs(got - want)) <= 1e-12 * want[-1], \
+                (len(C), p)
+
+
 def test_spectrum_examples():
     rep = cs.spectrum(cs.nil_algebra([1.0, 0.0]), 1)
     assert rep.kernel_dim == 3
@@ -195,11 +223,26 @@ def test_spectrum_multiplicity_groups_sum():
 
 
 def test_unimodularity_defect():
-    assert cs.unimodularity_defect(cs.StructureConstants.abelian(3)) == 0.0
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert cs.unimodularity_defect(solvable_algebra(B)) == 0.0
-    L = cs.StructureConstants.from_brackets(2, {(0, 1, 1): 1.0})
-    assert cs.unimodularity_defect(L) == 1.0
+    algebras = [cs.StructureConstants.abelian(3).c, solvable_algebra(B).c,
+                cs.StructureConstants.from_brackets(2, {(0, 1, 1): 1.0}).c]
+    for c, want in zip(algebras, (0.0, 0.0, 1.0)):
+        assert cs.unimodularity_defect(c[None]).tolist() == [want]
+    # one defect per member of a stack, the same as each member alone
+    stack = np.stack([algebras[1], 3.0 * algebras[1]])
+    stack[1, 2, 0, 0] = -0.25
+    assert cs.unimodularity_defect(stack).tolist() == [0.0, 0.25]
+    assert cs.unimodularity_defect(np.zeros((2, 0, 0, 0))).tolist() == [0, 0]
+
+
+def test_subset_rank_is_the_lexicographic_position():
+    for n in range(8):
+        for p in range(n + 1):
+            rank = subset_rank(n, p)
+            assert rank.shape == (1 << n,) and not rank.flags.writeable
+            assert rank is subset_rank(n, p)
+            for r, K in enumerate(itertools.combinations(range(n), p)):
+                assert rank[sum(1 << i for i in K)] == r, (n, p, K)
 
 
 def _assert_matches_assembled(L):
@@ -227,7 +270,7 @@ def test_poincare_duality_unimodular():
         C = rng.uniform(-2, 2, (3, 3))
         C -= np.trace(C) / 3.0 * np.eye(3)
         L = solvable_algebra(C)
-        assert cs.unimodularity_defect(L) <= 1e-12
+        assert cs.unimodularity_defect(L.c[None])[0] <= 1e-12
         n = L.n
         P = rng.uniform(-1, 1, (n, n)) + 2 * np.eye(n)
         for M in (L, cs.change_frame(L, P)):
@@ -244,7 +287,7 @@ def test_non_unimodular_spectrum_matches_assembled_laplacian():
         B = rng.uniform(-2, 2, (m, m))
         B += (1.0 - np.trace(B)) / m * np.eye(m)
         L = solvable_algebra(B)
-        assert cs.unimodularity_defect(L) >= 0.5
+        assert cs.unimodularity_defect(L.c[None])[0] >= 0.5
         n = L.n
         P = rng.uniform(-1, 1, (n, n)) + 2 * np.eye(n)
         for M in (L, cs.change_frame(L, P)):

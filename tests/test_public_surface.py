@@ -215,10 +215,10 @@ def test_verdicts_are_check_results():
 
 #: parameters with a default plus dataclass fields in src/; see
 #: test_settable_values_do_not_grow
-SETTABLE_VALUES = 127
+SETTABLE_VALUES = 124
 #: lines of the package's modules, as ``wc -l`` counts them; see
 #: test_src_lines_do_not_grow
-SRC_LINES = 3443
+SRC_LINES = 3408
 
 
 def test_src_lines_do_not_grow():

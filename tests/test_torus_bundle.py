@@ -185,6 +185,21 @@ def test_property_unique_eigenvalue(n, coeffs):
         assert cs.verify_spectrum(L, p) <= 1e-10
 
 
+def test_torus_bundle_scaled_bracket_passes_or_names_b():
+    # b = 2^j (0.6, 0.8, 0), sum b_i^2 = 4^j: spectrum-match failed its
+    # absolute 1e-10 from j = 20 on; now every run passes or, above
+    # sum b_i^2 = 1e4, exits 2 naming b
+    for j in (-40, -20, -5, 0, 2, 6, 7, 10, 20, 40):
+        b = f"{0.6 * 2.0 ** j!r} {0.8 * 2.0 ** j!r} 0"
+        if 4.0 ** j <= 1e4:
+            assert run_scenario_checks("torus-bundle",
+                                       {"n": 3, "b": b}).passed, j
+        else:
+            with pytest.raises(cs.InputRejected) as exc:
+                run_scenario_checks("torus-bundle", {"n": 3, "b": b})
+            assert exc.value.key == "b", j
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_torus_bundle_builds_each_d_once(n, monkeypatch):
     # one nil algebra of dimension n + 2 per evaluation: the spectra of
