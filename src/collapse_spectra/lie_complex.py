@@ -20,6 +20,10 @@ zero row or column of d_p adds only exact zeros, and the padding in
 most rows and columns are zero (in the solvable model d is nonzero only
 from forms without the coform y of Y to forms with y); a dense frame
 keeps the full size min(C(n, p), C(n, p+1)) in the middle degrees.
+d_p is assembled straight into the rows and columns that contributions
+with a nonzero structure constant touch, and those whose entries cancel
+to exact zeros are cut by value after, so the block has the shape and
+bits of the full d_p cut by value.
 One function, :func:`stacked_gram_eigenvalues`, builds and solves G_p,
 for a stack of algebras at once, and keeps the eigenvalues in a dict
 that belongs to the stack.  :func:`spectrum` passes one algebra and the
@@ -242,49 +246,51 @@ def _d_pattern(n: int, p: int):
     The contributions to any one entry share its column and come in the
     order of the loop definition of d (generator position t, then pair
     i < j), which fixes the order of every entry's floating-point sum.
+    For each t, the pairs added to ``rest`` (the column's subset without
+    its t-th element) are those of its n - p + 1 sorted free indices,
+    i = free[a] < j = free[b]; i - a elements of rest lie below i, so
+    sorting rest + (i, j) has the parity of i + j + a + b.
     Requires 1 <= p < n; int32 and int16 hold every position and index
     up to n = 18, beyond which d_p itself would not fit in memory.
     """
     dom = np.array(list(itertools.combinations(range(n), p)), dtype=np.int64)
-    dom_mask = np.sum(np.int64(1) << dom, axis=1)
+    col = np.arange(len(dom))[:, None]
+    outside = np.ones((len(dom), n), dtype=bool)
+    outside[col, dom] = False
+    dom_mask = np.sum(np.int64(1) << dom, axis=1, keepdims=True)
     rank = subset_rank(n, p + 1)
-    # parity of the popcount of every n-bit mask
-    parity = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        parity = np.concatenate((parity, parity ^ 1))
-    pi, pj = np.triu_indices(n, 1)
-    pair_mask = (np.int64(1) << pi) | (np.int64(1) << pj)
+    a, b = np.triu_indices(n - p + 1, 1)
     flats, idxs = [], []
     for t in range(p):
-        gen = dom[:, t]
-        rest = dom_mask & ~(np.int64(1) << gen)
-        col, pair = np.nonzero((rest[:, None] & pair_mask[None, :]) == 0)
-        r, i, j = rest[col], pi[pair], pj[pair]
-        # sorting rest + (i, j) takes one transposition per element of
-        # rest above i and one per element above j
-        odd = parity[r >> (i + 1)] ^ parity[r >> (j + 1)] ^ (t % 2)
+        gen = dom[:, t:t + 1]
+        free = outside.copy()
+        free[col, gen] = True
+        free = np.nonzero(free)[1].reshape(len(dom), n - p + 1)
+        i, j = free[:, a], free[:, b]
+        rest = dom_mask - (1 << gen)
         # d xi^k carries -c, so an even total sign picks the -c half of w
-        idx = (i * n + j) * n + gen[col] + odd * n ** 3
-        idxs.append(idx.astype(np.int16))
-        flats.append(rank[r | pair_mask[pair]] * np.int32(len(dom))
-                     + col.astype(np.int32))
+        idx = (i * n + j) * n + gen + ((i + j + a + b + t) & 1) * n ** 3
+        idxs.append(idx.astype(np.int16).ravel())
+        flats.append((rank[rest | (1 << i) | (1 << j)] * np.int32(len(dom))
+                      + col.astype(np.int32)).ravel())
     flat, idx = np.concatenate(flats), np.concatenate(idxs)
     flat.setflags(write=False)
     idx.setflags(write=False)
     return flat, idx
 
 
-def stacked_derivative(c, p: int) -> np.ndarray:
-    """d_p of every tensor in the stack ``c`` (T, n, n, n), as an array
-    (T, C(n, p+1), C(n, p)).
+def _assemble(c, p: int, cut: bool):
+    """``(d, rows)``: d_p of every tensor in the stack ``c`` (T, n, n, n),
+    and the index that picks its rows from those of Lambda^{p+1}.
 
-    One ``np.bincount`` over the index tables cached per (n, p), with the
-    positions of item t offset by t C(n, p+1) C(n, p).  bincount adds in
-    input order, so each entry sums its contributions in the order of the
-    loop over generator positions and then pairs i < j, and every slice
-    is bit-identical to that loop definition of d.  The tables take about
-    2.8 MB for all p at n = 12 and 18 MB at n = 14, less for each n than
-    its largest Laplacian.
+    One ``np.bincount`` over the tables of :func:`_d_pattern`, with item
+    t's positions offset by t times the size of d.  It adds in input
+    order, so every entry is bit-identical to the loop definition of d.
+    With ``cut``, a contribution whose weight is zero in every member is
+    dropped (a sum starts at +0.0, and adding +-0 never changes it) and d
+    is assembled on the rows and columns that the rest touch; with none
+    dropped (a dense frame) it is built in full.  A touched row or column
+    can still cancel to exact zeros; :func:`_nonzero_block` drops those.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 4 or len(set(c.shape[1:])) != 1:
@@ -293,31 +299,54 @@ def stacked_derivative(c, p: int) -> np.ndarray:
     if not 0 <= p <= n:
         raise CollapseSpectraError(f"degree {p} not in [0, {n}]")
     dom_dim, cod_dim = form_dim(n, p), form_dim(n, p + 1)
+    rows = slice(None)
     if p == 0 or p == n:
-        return np.zeros((count, cod_dim, dom_dim))
+        return np.zeros((count, cod_dim, dom_dim)), rows
     flat, idx = _d_pattern(n, p)
-    size = cod_dim * dom_dim
+    # take casts an int16 index element by element, several times slower
+    idx = idx.astype(np.intp)
     w = c.reshape(count, -1)
-    w = np.concatenate((-w, w), axis=1).take(idx, axis=1)
+    w = np.concatenate((-w, w), axis=1)
+    live = w.any(axis=0)[idx] if cut else None
+    if cut and not live.all():
+        keep = np.flatnonzero(live)
+        flat, idx = flat[keep], idx[keep]
+        row, col = np.divmod(flat, dom_dim)
+        rows, cols = np.zeros(cod_dim, dtype=bool), np.zeros(dom_dim, dtype=bool)
+        rows[row] = cols[col] = True
+        at_row, at_col = np.cumsum(rows) - 1, np.cumsum(cols) - 1
+        cod_dim, dom_dim = int(at_row[-1]) + 1, int(at_col[-1]) + 1
+        flat = at_row[row] * dom_dim + at_col[col]
+    size = cod_dim * dom_dim
+    w = w.take(idx, axis=1)
     if count > 1:
         # one offset copy of the tables; a single algebra reads them as cached
-        flat = flat + np.arange(0, count * size, size)[:, None]
-    return np.bincount(flat.ravel(), weights=w.ravel(),
-                       minlength=count * size).reshape(count, cod_dim, dom_dim)
+        flat = flat + np.arange(count)[:, None] * size
+    d = np.bincount(flat.ravel(), weights=w.ravel(), minlength=count * size)
+    return d.reshape(count, cod_dim, dom_dim), rows
+
+
+def stacked_derivative(c, p: int) -> np.ndarray:
+    """d_p of every tensor in the stack ``c`` (T, n, n, n), as an array
+    (T, C(n, p+1), C(n, p)): :func:`_assemble` in full.  The index tables
+    take about 2.8 MB for all p at n = 12 and 18 MB at n = 14, less for
+    each n than its largest Laplacian."""
+    return _assemble(c, p, False)[0]
 
 
 def _nonzero_block(d) -> np.ndarray:
     """The stack ``d`` (T, rows, cols) cut to the rows and columns that are
     nonzero in some member; a stack with no zero row or column is not
-    copied."""
+    copied.  ``take`` keeps each member's block contiguous, so BLAS forms
+    its Gram matrix as it would for that member alone."""
     # from the values, not from _d_pattern: a pattern entry can cancel to
     # an exact zero, and keeping it would change the block and its bits
     nonzero = d != 0
     rows, cols = nonzero.any(axis=(0, 2)), nonzero.any(axis=(0, 1))
     if not rows.all():
-        d = d[:, rows]
+        d = d.take(np.flatnonzero(rows), axis=1)
     if not cols.all():
-        d = d[:, :, cols]
+        d = d.take(np.flatnonzero(cols), axis=2)
     return d
 
 
@@ -458,13 +487,21 @@ def stacked_gram_eigenvalues(c, p: int, cache: dict) -> np.ndarray:
         if 0 <= mirror < p and unimodular(c).all():
             vals = stacked_gram_eigenvalues(c, mirror, cache)
         else:
-            d_p = stacked_derivative(c, p)
+            d_p, rows = _assemble(c, p, True)
             block = _nonzero_block(d_p)
             if (n % 4 == 0 and p == n // 2 - 1
                     and form_dim(n, p + 1) // 2 < min(block.shape[1:])
                     and unimodular(c).all()):
+                if d_p.shape[1] < form_dim(n, p + 1):
+                    full = np.zeros((len(d_p), form_dim(n, p + 1),
+                                     d_p.shape[2]))
+                    full[:, rows] = d_p
+                    d_p = full
                 J, Jc, sign = _hodge_star(n)
-                block = _nonzero_block(d_p[:, J] + sign[:, None] * d_p[:, Jc])
+                folded = d_p[:, Jc]
+                folded *= sign[:, None]
+                folded += d_p[:, J]
+                block = _nonzero_block(folded)
             block_t = block.transpose(0, 2, 1)
             vals = np.linalg.eigvalsh(block_t @ block
                                       if block.shape[2] <= block.shape[1]

@@ -122,16 +122,23 @@ def solvable_spectra(C) -> list:
 
 def direct_gram_eigenvalues(c, p) -> np.ndarray:
     """Ascending eigenvalues of G_p of each tensor of the stack ``c``
-    (T, n, n, n), solved directly: d_p cut to its nonzero rows and
-    columns, its Gram matrix taken on the smaller side, with neither the
-    Hodge mirror nor the middle-degree fold."""
-    from collapse_spectra.lie_complex import _nonzero_block, stacked_derivative
+    (T, n, n, n), solved directly and member by member: d_p from the
+    public ``exterior_derivative``, cut to the rows and columns that are
+    nonzero in some member, its Gram matrix taken on the smaller side,
+    with neither the Hodge mirror nor the middle-degree fold."""
+    from collapse_spectra.lie_complex import (StructureConstants,
+                                              exterior_derivative)
 
-    block = _nonzero_block(stacked_derivative(c, p))
-    block_t = block.transpose(0, 2, 1)
-    return np.linalg.eigvalsh(block_t @ block
-                              if block.shape[2] <= block.shape[1]
-                              else block @ block_t)
+    d = np.stack([exterior_derivative(StructureConstants(m), p) for m in c])
+    rows, cols = (np.flatnonzero((d != 0).any(axis=axes))
+                  for axes in ((0, 2), (0, 1)))
+    vals = []
+    for member in d:
+        block = member[np.ix_(rows, cols)]
+        vals.append(np.linalg.eigvalsh(block.T @ block
+                                       if len(cols) <= len(rows)
+                                       else block @ block.T))
+    return np.array(vals).reshape(len(d), -1)
 
 
 def collapse_rows_by_eps(family, eps_grid) -> np.ndarray:

@@ -233,6 +233,25 @@ def test_clamp_spectra_stack_matches_reports():
     assert empty[0].shape == (3, 0) and list(empty[1]) == [0, 0, 0]
 
 
+def test_spectra_clamp_negative_rounding_to_zero():
+    # dense frames of trace-free solvable algebras leave some raw kernel
+    # eigenvalues just below zero, of G_p and of the assembled Laplacian.
+    # hodge_union keeps the negative Gram ones out of the spectrum (its
+    # zero padding ranks above them), so the Laplacian's reach the clamp
+    rng = np.random.default_rng(8)
+    negative_gram = negative_laplacian = 0
+    for _ in range(20):
+        L = _algebra("dense", 6, rng)
+        for p in range(L.n + 1):
+            assert cs.spectrum(L, p).eigenvalues.min() >= 0.0, p
+            raw = np.linalg.eigvalsh(cs.laplacian(L, p))
+            assert clamp_spectra(raw)[0].min() >= 0.0, p
+            negative_laplacian += int(raw.min() < 0.0)
+        solves = {id(v): v for v in L._gram_eigs.values()}.values()
+        negative_gram += sum(bool((v < 0).any()) for v in solves)
+    assert negative_gram > 0 and negative_laplacian > 0
+
+
 @given(st.integers(2, 8), st.sampled_from(("nil", "solvable", "dense")),
        st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=40, deadline=None)
@@ -280,11 +299,11 @@ def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
     # here deterministically
     lc = cs.lie_complex
     builds, solves = [], []
-    real_d, real_eig = lc.stacked_derivative, lc.np.linalg.eigvalsh
+    real_d, real_eig = lc._assemble, lc.np.linalg.eigvalsh
 
-    def counting_d(c, p):
+    def counting_d(c, p, cut):
         builds.append(p)
-        return real_d(c, p)
+        return real_d(c, p, cut)
 
     def counting_eig(a):
         solves.append(a.shape)
@@ -310,7 +329,7 @@ def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
         builds.clear()
         solves.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(lc, "stacked_derivative", counting_d)
+            patch.setattr(lc, "_assemble", counting_d)
             patch.setattr(lc.np.linalg, "eigvalsh", counting_eig)
             for p in range(L.n + 1):
                 cs.spectrum(L, p)
@@ -356,15 +375,74 @@ def test_mixed_stack_deflates_on_the_union_of_nonzero_patterns():
         assert cs.spectrum(abelian, p).kernel_dim == math.comb(n, p)
 
 
+def test_gram_block_drops_rows_and_columns_that_cancel():
+    # trace 2, so no mirror: three rows and three columns of d_2 receive
+    # nonzero contributions, and one row and one column of them sum to an
+    # exact zero, which the block must drop as a full d_2 would
+    L = solvable_algebra(np.diag([1.0, -1.0, 2.0]))
+    block, _ = cs.lie_complex._assemble(L.c[None], 2, True)
+    d = cs.exterior_derivative(L, 2)
+    assert block.shape == (1, 3, 3)
+    assert ((d != 0).any(axis=1).sum(), (d != 0).any(axis=0).sum()) == (2, 2)
+    gram = cs.lie_complex.gram_eigenvalues(L, 2)
+    assert gram.shape == (1, 2)
+    assert gram.tobytes() == direct_gram_eigenvalues(L.c[None], 2).tobytes()
+    stack = np.stack([L.c, _algebra("dense", 4, np.random.default_rng(4)).c])
+    assert not unimodular(stack).all()
+    assert (stacked_gram_eigenvalues(stack, 2, {}).tobytes()
+            == direct_gram_eigenvalues(stack, 2).tobytes())
+
+
+def test_fold_scatters_a_block_that_misses_rows(monkeypatch):
+    # two solvable models with the coform of Y at opposite ends: the union
+    # block of d_3 lacks the 15 rows of 4-forms with neither, yet has more
+    # than C(8, 4) / 2 = 35 rows and columns, so G_3 is folded, from the
+    # block put back on all 70 rows of Lambda^4
+    lc = cs.lie_complex
+    rng = np.random.default_rng(6)
+    flip = cs.change_frame(solvable_algebra(_trace_free(rng, 7)),
+                           np.eye(8)[::-1])
+    stack = np.stack([solvable_algebra(_trace_free(rng, 7)).c, flip.c])
+    block, _ = lc._assemble(stack, 3, True)
+    assert block.shape == (2, 55, 50) and unimodular(stack).all()
+    solves = []
+    real_eig = lc.np.linalg.eigvalsh
+    monkeypatch.setattr(lc.np.linalg, "eigvalsh",
+                        lambda a: solves.append(a.shape) or real_eig(a))
+    folded = stacked_gram_eigenvalues(stack, 3, {})
+    assert solves == [(2, 35, 35)]
+    # the fold keeps the nonzero spectrum of G_3, whose rank is at most 35
+    direct = direct_gram_eigenvalues(stack, 3)
+    scale = float(direct.max())
+    assert np.max(np.abs(direct[:, -35:] - folded)) <= 1e-12 * scale
+    assert np.max(np.abs(direct[:, :-35])) <= 1e-12 * scale
+
+
+def test_stacked_gram_bits_match_each_member_alone():
+    # a stack cut on both sides still hands BLAS each member's block as a
+    # matrix of its own, so G_p of every member has the bits of a solve of
+    # that member alone on the same rows and columns; the solvable member
+    # is not unimodular, so no degree is mirrored
+    rng = np.random.default_rng(5)
+    n = 7
+    algebras = [solvable_algebra(rng.standard_normal((n - 1, n - 1))),
+                _algebra("nil", n, rng),
+                solvable_algebra(np.diag(rng.integers(-2, 3, n - 1)) * 1.0)]
+    stack = np.stack([L.c for L in algebras])
+    for p in range(n + 1):
+        assert (stacked_gram_eigenvalues(stack, p, {}).tobytes()
+                == direct_gram_eigenvalues(stack, p).tobytes()), p
+
+
 def test_stack_mirrors_only_when_every_member_is_unimodular(monkeypatch):
     # one member outside the rule sends the whole stack to the direct
     # solve at every degree; a unimodular stack builds d_p only for
     # p <= (n - 1) / 2 and p = n
     lc = cs.lie_complex
     builds = []
-    real_d = lc.stacked_derivative
-    monkeypatch.setattr(lc, "stacked_derivative",
-                        lambda c, p: builds.append(p) or real_d(c, p))
+    real_d = lc._assemble
+    monkeypatch.setattr(lc, "_assemble", lambda c, p, cut:
+                        builds.append(p) or real_d(c, p, cut))
     rng = np.random.default_rng(3)
     uni = solvable_algebra(_trace_free(rng, 5))
     other = solvable_algebra(_trace_free(rng, 5) + np.eye(5))

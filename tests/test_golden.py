@@ -6,17 +6,21 @@ theirs in ``golden/scripts_sha256.json``.
 Two runs of the same code agree with each other whatever it computes, so
 only a recorded digest notices a changed default grid or a loosened
 bound.  The CSVs print floats by ``repr``, so the digests hold for the
-numpy and BLAS build they were recorded with.  A change that alters an
-artifact on purpose replaces the digests of that seed with the table the
-failure prints, and lists each changed value in CHANGES.md.
+numpy and BLAS build they were recorded with; each file keeps that build
+under ``"build"``, and a mismatch on another build still fails but says
+so.  A change that alters an artifact on purpose replaces the digests of
+that seed with the table the failure prints, and lists each changed
+value in CHANGES.md.
 """
 
+import ctypes
 import hashlib
 import json
 import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from collapse_spectra import cli
@@ -30,6 +34,31 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _blas_build() -> dict:
+    """numpy's version and the config string of its bundled OpenBLAS
+    (version and the kernel picked at run time)."""
+    for path in sorted((Path(np.__file__).parent.parent
+                        / "numpy.libs").glob("*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+            config = lib.scipy_openblas_get_config64_().decode()
+            break
+        except (OSError, AttributeError):
+            continue
+    else:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        config = f"{blas.get('name')} {blas.get('version')} (build)"
+    return {"numpy": np.__version__, "openblas": config}
+
+
+def _build_note(golden: dict) -> str:
+    here = _blas_build()
+    if golden["build"] == here:
+        return ""
+    return f"recorded on another BLAS build: {golden['build']} vs {here}; "
+
+
 def _digests(root: Path) -> dict:
     return {path.relative_to(root).as_posix():
             _sha256(path.read_bytes())
@@ -41,12 +70,13 @@ def test_verify_all_matches_golden_digests(tmp_path, seed):
     code = cli.main(["verify-all", "--seed", str(seed),
                      "--out", str(tmp_path)])
     got = _digests(tmp_path)
-    want = json.loads(GOLDEN.read_text())[str(seed)]
+    golden = json.loads(GOLDEN.read_text())
+    want = golden[str(seed)]
     changed = sorted(name for name in want.keys() | got.keys()
                      if got.get(name) != want.get(name))
     assert changed == [], (
-        f"seed {seed}: {changed} differ from the golden digests; if the "
-        f"change is meant, the new table is\n"
+        f"{_build_note(golden)}seed {seed}: {changed} differ from the "
+        f"golden digests; if the change is meant, the new table is\n"
         f"{json.dumps(got, indent=1, sort_keys=True)}")
     assert code == 0
 
@@ -64,7 +94,8 @@ def test_script_defaults_match_golden_digests(script, tmp_path, monkeypatch,
     assert exc.value.code == 0
     got = {"stdout": _sha256(capsys.readouterr().out.encode()),
            **_digests(tmp_path)}
-    want = json.loads(SCRIPTS_GOLDEN.read_text())[script]
-    assert got == want, (
-        f"{script}: outputs differ from the golden digests; if the change "
-        f"is meant, the new table is\n{json.dumps(got, indent=1)}")
+    golden = json.loads(SCRIPTS_GOLDEN.read_text())
+    assert got == golden[script], (
+        f"{_build_note(golden)}{script}: outputs differ from the golden "
+        f"digests; if the change is meant, the new table is\n"
+        f"{json.dumps(got, indent=1)}")

@@ -512,6 +512,18 @@ def test_semisimple_floor_bit_identical_to_trial_loop():
     assert sum(h > 0 for h in halvings) >= 2, halvings
 
 
+def test_semisimple_floor_bit_identical_to_trial_loop_at_n6():
+    # the chunked stacks are cut on both sides; each member's Gram block
+    # must still reach BLAS as it does alone, which the smaller n above
+    # do not show
+    rng = np.random.default_rng(41)
+    for trace_free in (False, True):
+        B = _semisimple(rng, 6, trace_free=trace_free)
+        want, _ = reference_semisimple_floor(B, 40, 1)
+        got = cs.semisimple_floor(B, trials=40, seed=1).floor
+        assert got.hex() == want.hex(), trace_free
+
+
 def test_run_collapse_rejects_bad_grid():
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):

@@ -208,13 +208,13 @@ def test_torus_bundle_builds_each_d_once(n, monkeypatch):
     # the rest are mirrored; the eigenspace split reads the same values
     lc = cs.lie_complex
     builds = []
-    real_d = lc.stacked_derivative
+    real_d = lc._assemble
 
-    def counting_d(c, p):
+    def counting_d(c, p, cut):
         builds.append(p)
-        return real_d(c, p)
+        return real_d(c, p, cut)
 
-    monkeypatch.setattr(lc, "stacked_derivative", counting_d)
+    monkeypatch.setattr(lc, "_assemble", counting_d)
     b = " ".join(["1"] + ["0.5"] * (n - 1))
     result = run_scenario_checks("torus-bundle", {"n": n, "b": b})
     assert result.passed
