@@ -144,15 +144,14 @@ def criterion_3_complex_validity(seed, runs):
     for _, L in _unimodular_test_algebras():
         worst_uni = max(worst_uni,
                         float(lie_complex.unimodularity_defect(L.c[None])[0]))
-        n = L.n
-        for p in range(n):
-            dd = lie_complex.exterior_derivative(L, p + 1) \
-                @ lie_complex.exterior_derivative(L, p)
+        ds = [lie_complex.exterior_derivative(L, p) for p in range(L.n + 1)]
+        for d_p, d_next in zip(ds, ds[1:]):
+            dd = d_next @ d_p
             if dd.size:
                 worst_dd = max(worst_dd, float(np.max(np.abs(dd))))
         spectra = []
-        for p in range(n + 1):
-            lap = lie_complex.laplacian(L, p)
+        for p, d_p in enumerate(ds):
+            lap = lie_complex.laplacian_of(d_p, ds[p - 1] if p else None)
             worst_sym = max(worst_sym, float(np.max(np.abs(lap - lap.T))))
             vals = np.linalg.eigvalsh(lap)
             worst_neg = max(worst_neg, float(-vals[0]))

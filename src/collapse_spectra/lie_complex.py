@@ -26,11 +26,11 @@ to exact zeros are cut by value after, so the block has the shape and
 bits of the full d_p cut by value.
 One function, :func:`stacked_gram_eigenvalues`, builds and solves G_p,
 for a stack of algebras at once, and keeps the eigenvalues in a dict
-that belongs to the stack.  :func:`spectrum` passes one algebra and the
-dict kept on its ``StructureConstants``, so a sweep over all degrees
-builds each d_p once and solves each G_p once; ``semisimple_floor``
-passes each chunk of its trials, split by the rule below, with a dict
-of its own.
+that belongs to the stack; G_0 and G_n are empty and never built.
+:func:`spectrum` passes one algebra and the dict kept on its
+``StructureConstants``, so a sweep over all degrees builds each d_p once
+and solves each G_p once; ``semisimple_floor`` passes each chunk of its
+trials, split by the rule below, with a dict of its own.
 
 On a unimodular algebra (trace form theta = tr ad = 0) the Hodge star,
 a signed permutation of the wedge basis, carries d_{n-1-p} d_{n-1-p}^T
@@ -44,7 +44,8 @@ max_i |theta_i|, so by Weyl's inequality the mirrored eigenvalues differ
 from those of G_p by at most 2 |d_p| |theta| + |theta|^2.  Under the
 rule that is of order n^(3/2) eps max|c| |d_p|, the rounding level of
 forming and solving G_p directly.  A stack takes the mirror only when
-every member passes the rule; otherwise it solves every G_p.
+every member passes the rule, decided once per stack; otherwise it
+solves every G_p.  A unimodular sweep builds d_p for 1 <= p <= (n-1)/2.
 
 The mirror leaves G_{m-1} of the middle degrees at full size when
 n = 2m.  On Lambda^m the star is S e_J = s_J e_{J^c}, and S^2 = (-1)^(m^2),
@@ -115,6 +116,11 @@ class StructureConstants:
     @property
     def n(self) -> int:
         return self.c.shape[0]
+
+    @functools.cached_property
+    def is_unimodular(self) -> bool:
+        """:func:`unimodular` for this algebra, decided once for all p."""
+        return bool(unimodular(self.c[None])[0])
 
     @classmethod
     def from_tensor(cls, c) -> "StructureConstants":
@@ -281,7 +287,8 @@ def _d_pattern(n: int, p: int):
 
 def _assemble(c, p: int, cut: bool):
     """``(d, rows)``: d_p of every tensor in the stack ``c`` (T, n, n, n),
-    and the index that picks its rows from those of Lambda^{p+1}.
+    and ``rows``, 1 on the rows of Lambda^{p+1} that d keeps (a slice of
+    all of them when d is built in full).
 
     One ``np.bincount`` over the tables of :func:`_d_pattern`, with item
     t's positions offset by t times the size of d.  It adds in input
@@ -309,14 +316,15 @@ def _assemble(c, p: int, cut: bool):
     w = np.concatenate((-w, w), axis=1)
     live = w.any(axis=0)[idx] if cut else None
     if cut and not live.all():
-        keep = np.flatnonzero(live)
-        flat, idx = flat[keep], idx[keep]
+        flat, idx = flat[live], idx[live]
         row, col = np.divmod(flat, dom_dim)
-        rows, cols = np.zeros(cod_dim, dtype=bool), np.zeros(dom_dim, dtype=bool)
-        rows[row] = cols[col] = True
-        at_row, at_col = np.cumsum(rows) - 1, np.cumsum(cols) - 1
-        cod_dim, dom_dim = int(at_row[-1]) + 1, int(at_col[-1]) + 1
-        flat = at_row[row] * dom_dim + at_col[col]
+        # 1 marks each touched row and column (intp: a cumsum casts bool
+        # first), and the running sums number them from 1
+        rows, cols = np.zeros(cod_dim, np.intp), np.zeros(dom_dim, np.intp)
+        rows[row] = cols[col] = 1
+        at_row, at_col = rows.cumsum(), cols.cumsum()
+        cod_dim, dom_dim = int(at_row[-1]), int(at_col[-1])
+        flat = at_row[row] * dom_dim + at_col[col] - (dom_dim + 1)
     size = cod_dim * dom_dim
     w = w.take(idx, axis=1)
     if count > 1:
@@ -400,11 +408,15 @@ def exterior_derivative(L: StructureConstants, p: int) -> np.ndarray:
 
 def laplacian(L: StructureConstants, p: int) -> np.ndarray:
     """Form Laplacian d delta + delta d on degree p, symmetric PSD:
-    d_p^T d_p + d_{p-1} d_{p-1}^T from :func:`exterior_derivative`."""
-    d_p = exterior_derivative(L, p)
+    :func:`laplacian_of` d_p and d_{p-1} from :func:`exterior_derivative`."""
+    return laplacian_of(exterior_derivative(L, p),
+                        exterior_derivative(L, p - 1) if p else None)
+
+
+def laplacian_of(d_p, d_prev) -> np.ndarray:
+    """d_p^T d_p + d_prev d_prev^T from d_p and d_{p-1} (None for p = 0)."""
     lap = d_p.T @ d_p
-    if p:
-        d_prev = exterior_derivative(L, p - 1)
+    if d_prev is not None:
         lap += d_prev @ d_prev.T
     return lap
 
@@ -469,33 +481,37 @@ def unimodular(c) -> np.ndarray:
             <= UNIMODULAR_ULPS * n * np.finfo(float).eps * scale)
 
 
-def stacked_gram_eigenvalues(c, p: int, cache: dict) -> np.ndarray:
+def stacked_gram_eigenvalues(c, p: int, cache: dict,
+                             all_unimodular: bool) -> np.ndarray:
     """Ascending eigenvalues of G_p of every tensor in the stack ``c``
     (T, n, n, n), as (T, r), solved once per ``cache``, the dict degree ->
     eigenvalues that the caller keeps with the stack.
 
-    G_p is the Gram matrix of d_p cut to the rows and columns nonzero in
-    some member, on its smaller side, so r <= min(C(n, p), C(n, p+1)).
-    When every member is :func:`unimodular`, G_p for (n-1)/2 < p < n is
-    G_{n-1-p}, and for n = 0 (mod 4) G_{n/2-1} is folded by the Hodge star
-    when that is smaller (see the module docstring); a stack that mixes
-    unimodular and other members takes neither rule.
+    G_0 and G_n are empty, (T, 0), and nothing is built: d_0 = 0 and
+    Lambda^{n+1} = 0.  Otherwise G_p is the Gram matrix of d_p cut to the
+    rows and columns nonzero in some member, on its smaller side, so
+    r <= min(C(n, p), C(n, p+1)).  When ``all_unimodular``, the caller's
+    one decision that every member is :func:`unimodular`, G_p for
+    (n-1)/2 < p < n is G_{n-1-p}, and for n = 0 (mod 4) G_{n/2-1} is
+    folded by the Hodge star when that is smaller (see the module docstring).
     """
     vals = cache.get(p)
     if vals is None:
         n, mirror = c.shape[1], c.shape[1] - 1 - p
-        if 0 <= mirror < p and unimodular(c).all():
-            vals = stacked_gram_eigenvalues(c, mirror, cache)
+        if p == 0 or p == n:
+            vals = np.zeros((len(c), 0))
+        elif 0 <= mirror < p and all_unimodular:
+            vals = stacked_gram_eigenvalues(c, mirror, cache, True)
         else:
             d_p, rows = _assemble(c, p, True)
             block = _nonzero_block(d_p)
             if (n % 4 == 0 and p == n // 2 - 1
                     and form_dim(n, p + 1) // 2 < min(block.shape[1:])
-                    and unimodular(c).all()):
+                    and all_unimodular):
                 if d_p.shape[1] < form_dim(n, p + 1):
                     full = np.zeros((len(d_p), form_dim(n, p + 1),
                                      d_p.shape[2]))
-                    full[:, rows] = d_p
+                    full[:, rows == 1] = d_p
                     d_p = full
                 J, Jc, sign = _hodge_star(n)
                 folded = d_p[:, Jc]
@@ -506,7 +522,7 @@ def stacked_gram_eigenvalues(c, p: int, cache: dict) -> np.ndarray:
             vals = np.linalg.eigvalsh(block_t @ block
                                       if block.shape[2] <= block.shape[1]
                                       else block @ block_t)
-            vals.setflags(write=False)
+        vals.setflags(write=False)
         cache[p] = vals
     return vals
 
@@ -514,7 +530,8 @@ def stacked_gram_eigenvalues(c, p: int, cache: dict) -> np.ndarray:
 def gram_eigenvalues(L: StructureConstants, p: int) -> np.ndarray:
     """Eigenvalues of G_p of L as a stack of one (1, r), kept on L:
     :func:`stacked_gram_eigenvalues` of ``L.c[None]``."""
-    return stacked_gram_eigenvalues(L.c[None], p, L._gram_eigs)
+    return stacked_gram_eigenvalues(L.c[None], p, L._gram_eigs,
+                                    L.is_unimodular)
 
 
 def spectrum(L: StructureConstants, p: int) -> SpectrumReport:

@@ -439,9 +439,10 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
     form degrees.  Trials run in chunks of FLOOR_CHUNK: each chunk draws
     its frames in trial order, validates every trial's tensor, splits by
     ``lie_complex.unimodular`` as ``spectrum`` decides for each trial, and
-    solves each part's G_p by ``stacked_gram_eigenvalues``, the function
-    ``spectrum`` reads, so the floor is bit-identical to a trial-by-trial
-    loop over ``spectrum``, the mirror and the fold included.
+    solves each part's G_p, with that part's flag, by
+    ``stacked_gram_eigenvalues``, the function ``spectrum`` reads, so the
+    floor is bit-identical to a trial-by-trial loop over ``spectrum``, the
+    mirror and the fold included.
 
     Bounds, each an InputRejected naming the input: 1 <= trials <=
     MAX_FLOOR_TRIALS; Tr(B^T B) a finite float and B semisimple; a cap
@@ -491,12 +492,12 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
         c = solvable_tensors(C)
         check_lie_tensors(c)
         uni = unimodular(c)
-        for part in filter(len, (c[uni], c[~uni])):
-            grams = {}
+        for all_uni in set(uni.tolist()):
+            part, grams = c[uni == all_uni], {}
             for p in range(1, n + 1):
                 vals, kernel = clamp_spectra(hodge_union(
-                    stacked_gram_eigenvalues(part, p, grams),
-                    stacked_gram_eigenvalues(part, p - 1, grams),
+                    stacked_gram_eigenvalues(part, p, grams, all_uni),
+                    stacked_gram_eigenvalues(part, p - 1, grams, all_uni),
                     form_dim(n + 1, p)))
                 rows = np.flatnonzero(kernel < vals.shape[1])
                 if rows.size:

@@ -211,6 +211,24 @@ def test_stacked_assembly_rejects_bad_input():
         stacked_derivative(c[0], 1)
 
 
+@pytest.mark.parametrize("kind", ["dense", "not unimodular"])
+def test_spectrum_rejects_degrees_outside_the_complex(kind):
+    # G_0 and G_n are returned without assembly, so degrees -1 and n + 1
+    # must still reach the degree check, with and without the mirror
+    rng = np.random.default_rng(2)
+    L = (_algebra("dense", 5, rng) if kind == "dense"
+         else solvable_algebra(_trace_free(rng, 4) + np.eye(4)))
+    assert L.is_unimodular == (kind == "dense")
+    for p in (-1, L.n + 1):
+        message = re.escape(f"degree {p} not in [0, {L.n}]")
+        with pytest.raises(cs.CollapseSpectraError, match=message):
+            cs.spectrum(L, p)
+        for all_uni in (True, False):
+            with pytest.raises(cs.CollapseSpectraError, match=message):
+                stacked_gram_eigenvalues(L.c[None], p, {}, all_uni)
+    assert not L._gram_eigs
+
+
 def test_clamp_spectra_stack_matches_reports():
     rng = np.random.default_rng(5)
     vals = rng.uniform(0.0, 3.0, (4, 6))
@@ -295,15 +313,21 @@ def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
     # counts, not timings: two d builds per degree, a C(n, p)-sized solve
     # of the assembled Laplacian, a G_p that keeps the zero rows and
     # columns of d_p, a unimodular G_p solved again instead of mirrored
-    # from G_{n-1-p}, or a dense G_3 not folded by the Hodge star fails
-    # here deterministically
+    # from G_{n-1-p}, a dense G_3 not folded by the Hodge star, an empty
+    # G_0 or G_n assembled or solved, or the unimodular rule decided more
+    # than once per algebra fails here deterministically
     lc = cs.lie_complex
-    builds, solves = [], []
+    builds, solves, decisions = [], [], []
     real_d, real_eig = lc._assemble, lc.np.linalg.eigvalsh
+    real_uni = lc.unimodular
 
     def counting_d(c, p, cut):
         builds.append(p)
         return real_d(c, p, cut)
+
+    def counting_uni(c):
+        decisions.append(len(c))
+        return real_uni(c)
 
     def counting_eig(a):
         solves.append(a.shape)
@@ -323,14 +347,17 @@ def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
         else:
             L = _algebra(kind, 8, rng)
         sides = [_deflated_side(L, p) for p in range(L.n + 1)]
-        # a unimodular algebra builds d_p for p <= (n - 1) / 2 and p = n
-        # only; the other G_p are those of G_{n-1-p}
-        built = list(range(9)) if kind == "not unimodular" else [0, 1, 2, 3, 8]
+        # G_0 and G_8 are empty and neither built nor solved; a unimodular
+        # algebra builds d_p for 1 <= p <= (n - 1) / 2 only, the other G_p
+        # are those of G_{n-1-p}, and the rule is decided once
+        built = list(range(1, 8)) if kind == "not unimodular" else [1, 2, 3]
         builds.clear()
         solves.clear()
+        decisions.clear()
         with monkeypatch.context() as patch:
             patch.setattr(lc, "_assemble", counting_d)
             patch.setattr(lc.np.linalg, "eigvalsh", counting_eig)
+            patch.setattr(lc, "unimodular", counting_uni)
             for p in range(L.n + 1):
                 cs.spectrum(L, p)
             for p in reversed(range(L.n + 1)):
@@ -341,6 +368,7 @@ def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
         solved = [35 if (kind, p) == ("dense", 3) else sides[p] for p in built]
         assert builds == built, kind
         assert solves == [(1, m, m) for m in solved], kind
+        assert decisions == [1], kind
         assert all(m <= bound(p) for p, m in enumerate(sides)), (kind, sides)
         if kind == "dense":
             assert sides == [0, 8, 28, 56, 56, 28, 8, 1, 0]
@@ -355,10 +383,11 @@ def test_mixed_stack_deflates_on_the_union_of_nonzero_patterns():
     algebras = [_algebra(kind, n, rng)
                 for kind in ("nil", "solvable", "dense", "abelian")]
     stack = np.stack([L.c for L in algebras])
+    uni = bool(unimodular(stack).all())
     grams = {}
     gram_prev = np.zeros((len(algebras), 0))
     for p in range(n + 1):
-        gram_p = stacked_gram_eigenvalues(stack, p, grams)
+        gram_p = stacked_gram_eigenvalues(stack, p, grams, uni)
         vals, kernel = clamp_spectra(
             hodge_union(gram_p, gram_prev, form_dim(n, p)))
         gram_prev = gram_p
@@ -371,7 +400,8 @@ def test_mixed_stack_deflates_on_the_union_of_nonzero_patterns():
             assert np.max(np.abs(vals[t] - want[0])) <= 1e-12 * scale, (p, t)
             assert kernel[t] == want_kernel[0], (p, t)
         abelian = algebras[-1]
-        assert stacked_gram_eigenvalues(abelian.c[None], p, {}).shape == (1, 0)
+        assert stacked_gram_eigenvalues(abelian.c[None], p, {},
+                                        True).shape == (1, 0)
         assert cs.spectrum(abelian, p).kernel_dim == math.comb(n, p)
 
 
@@ -389,7 +419,7 @@ def test_gram_block_drops_rows_and_columns_that_cancel():
     assert gram.tobytes() == direct_gram_eigenvalues(L.c[None], 2).tobytes()
     stack = np.stack([L.c, _algebra("dense", 4, np.random.default_rng(4)).c])
     assert not unimodular(stack).all()
-    assert (stacked_gram_eigenvalues(stack, 2, {}).tobytes()
+    assert (stacked_gram_eigenvalues(stack, 2, {}, False).tobytes()
             == direct_gram_eigenvalues(stack, 2).tobytes())
 
 
@@ -409,7 +439,7 @@ def test_fold_scatters_a_block_that_misses_rows(monkeypatch):
     real_eig = lc.np.linalg.eigvalsh
     monkeypatch.setattr(lc.np.linalg, "eigvalsh",
                         lambda a: solves.append(a.shape) or real_eig(a))
-    folded = stacked_gram_eigenvalues(stack, 3, {})
+    folded = stacked_gram_eigenvalues(stack, 3, {}, True)
     assert solves == [(2, 35, 35)]
     # the fold keeps the nonzero spectrum of G_3, whose rank is at most 35
     direct = direct_gram_eigenvalues(stack, 3)
@@ -430,29 +460,35 @@ def test_stacked_gram_bits_match_each_member_alone():
                 solvable_algebra(np.diag(rng.integers(-2, 3, n - 1)) * 1.0)]
     stack = np.stack([L.c for L in algebras])
     for p in range(n + 1):
-        assert (stacked_gram_eigenvalues(stack, p, {}).tobytes()
+        assert (stacked_gram_eigenvalues(stack, p, {}, False).tobytes()
                 == direct_gram_eigenvalues(stack, p).tobytes()), p
 
 
 def test_stack_mirrors_only_when_every_member_is_unimodular(monkeypatch):
     # one member outside the rule sends the whole stack to the direct
     # solve at every degree; a unimodular stack builds d_p only for
-    # p <= (n - 1) / 2 and p = n
+    # 1 <= p <= (n - 1) / 2.  The caller decides the rule once per stack,
+    # so the sweep itself never calls unimodular
     lc = cs.lie_complex
-    builds = []
-    real_d = lc._assemble
+    builds, decisions = [], []
+    real_d, real_uni = lc._assemble, lc.unimodular
     monkeypatch.setattr(lc, "_assemble", lambda c, p, cut:
                         builds.append(p) or real_d(c, p, cut))
+    monkeypatch.setattr(lc, "unimodular", lambda c:
+                        decisions.append(len(c)) or real_uni(c))
     rng = np.random.default_rng(3)
     uni = solvable_algebra(_trace_free(rng, 5))
     other = solvable_algebra(_trace_free(rng, 5) + np.eye(5))
-    for members, flags, built in (([uni, uni], [True, True], [0, 1, 2, 6]),
+    for members, flags, built in (([uni, uni], [True, True], [1, 2]),
                                   ([uni, other], [True, False],
-                                   list(range(7)))):
+                                   list(range(1, 6)))):
         stack = np.stack([L.c for L in members])
-        assert unimodular(stack).tolist() == flags
+        assert real_uni(stack).tolist() == flags
         builds.clear()
         grams = {}
         for p in range(7):
-            stacked_gram_eigenvalues(stack, p, grams)
+            stacked_gram_eigenvalues(stack, p, grams, all(flags))
         assert builds == built, flags
+        assert [v.shape for p, v in grams.items() if p in (0, 6)] \
+            == [(2, 0), (2, 0)], flags
+    assert decisions == []

@@ -203,9 +203,10 @@ def test_torus_bundle_scaled_bracket_passes_or_names_b():
 @pytest.mark.parametrize("n", [1, 3])
 def test_torus_bundle_builds_each_d_once(n, monkeypatch):
     # one nil algebra of dimension n + 2 per evaluation: the spectra of
-    # degrees 1 .. n + 1 read G_0 .. G_{n+1}, but the algebra is
-    # unimodular, so only G_p with p <= (n + 1) / 2 is solved (once) and
-    # the rest are mirrored; the eigenspace split reads the same values
+    # degrees 1 .. n + 1 read G_0 .. G_{n+1}; G_0 and G_{n+2} are empty
+    # and never built, and the algebra is unimodular, so only G_p with
+    # 1 <= p <= (n + 1) / 2 is solved (once) and the rest are mirrored;
+    # the eigenspace split reads the same values
     lc = cs.lie_complex
     builds = []
     real_d = lc._assemble
@@ -218,4 +219,4 @@ def test_torus_bundle_builds_each_d_once(n, monkeypatch):
     b = " ".join(["1"] + ["0.5"] * (n - 1))
     result = run_scenario_checks("torus-bundle", {"n": n, "b": b})
     assert result.passed
-    assert sorted(builds) == list(range((n + 1) // 2 + 1))
+    assert sorted(builds) == list(range(1, (n + 1) // 2 + 1))
