@@ -249,46 +249,40 @@ def _d_pattern(n: int, p: int):
     Returns ``(flat, idx)``: contribution m adds ``w[idx[m]]`` to entry
     ``flat[m] = row * C(n, p) + col`` of d_p, where ``w`` is
     ``concat(-c.ravel(), c.ravel())``, so the sign sits in the index.
-    The contributions to any one entry share its column and come in the
-    order of the loop definition of d (generator position t, then pair
-    i < j), which fixes the order of every entry's floating-point sum.
-    For each t, the pairs added to ``rest`` (the column's subset without
-    its t-th element) are those of its n - p + 1 sorted free indices,
-    i = free[a] < j = free[b]; i - a elements of rest lie below i, so
-    sorting rest + (i, j) has the parity of i + j + a + b.
+    The tables run over the rests R (p - 1 indices), then a generator k
+    and a pair i < j from the n - p + 1 sorted indices F outside R, for
+    the term of d xi^k at (i, j) in row R + (i, j), column R + k.  F runs
+    lexicographically, so R in reverse, and column S meets its rests
+    S - S[t] in ascending t, each adding once: every entry sums in the
+    order of the loop definition of d (t, then pair), which fixes its
+    bits.  With i = F[a], j = F[b] and k = F[e], sorting R + (i, j) has
+    the parity of i + j + a + b, and k sits at t = k - e in its column.
     Requires 1 <= p < n; int32 and int16 hold every position and index
     up to n = 18, beyond which d_p itself would not fit in memory.
     """
-    dom = np.array(list(itertools.combinations(range(n), p)), dtype=np.int64)
-    col = np.arange(len(dom))[:, None]
-    outside = np.ones((len(dom), n), dtype=bool)
-    outside[col, dom] = False
-    dom_mask = np.sum(np.int64(1) << dom, axis=1, keepdims=True)
-    rank = subset_rank(n, p + 1)
+    free = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(n), n - p + 1)), dtype=np.int64).reshape(-1, n - p + 1)
+    rest = ((1 << n) - 1) ^ np.sum(1 << free, axis=1, keepdims=True)
     a, b = np.triu_indices(n - p + 1, 1)
-    flats, idxs = [], []
-    for t in range(p):
-        gen = dom[:, t:t + 1]
-        free = outside.copy()
-        free[col, gen] = True
-        free = np.nonzero(free)[1].reshape(len(dom), n - p + 1)
-        i, j = free[:, a], free[:, b]
-        rest = dom_mask - (1 << gen)
-        # d xi^k carries -c, so an even total sign picks the -c half of w
-        idx = (i * n + j) * n + gen + ((i + j + a + b + t) & 1) * n ** 3
-        idxs.append(idx.astype(np.int16).ravel())
-        flats.append((rank[rest | (1 << i) | (1 << j)] * np.int32(len(dom))
-                      + col.astype(np.int32)).ravel())
-    flat, idx = np.concatenate(flats), np.concatenate(idxs)
-    flat.setflags(write=False)
-    idx.setflags(write=False)
-    return flat, idx
+    i, j = free[:, a], free[:, b]
+    row = subset_rank(n, p + 1)[rest | (1 << i) | (1 << j)]
+    col = subset_rank(n, p)[rest | (1 << free)]
+    # d xi^k carries -c, so an even total sign picks the -c half of w
+    base = ((i * n + j) * n + ((i + j + a + b) & 1) * n ** 3).astype(np.int16)
+    gen = (free + ((free - np.arange(n - p + 1)) & 1) * n ** 3).astype(np.int16)
+    flat = row[:, None, :] * np.int32(math.comb(n, p)) + col[:, :, None]
+    idx = base[:, None, :] + gen[:, :, None]  # below 4 n^3, so mod 2 n^3
+    idx -= (idx >= 2 * n ** 3) * np.int16(2 * n ** 3)  # is one subtraction
+    for table in (flat, idx):
+        table.setflags(write=False)
+    return flat.ravel(), idx.ravel()
 
 
 def _assemble(c, p: int, cut: bool):
     """``(d, rows)``: d_p of every tensor in the stack ``c`` (T, n, n, n),
-    and ``rows``, 1 on the rows of Lambda^{p+1} that d keeps (a slice of
-    all of them when d is built in full).
+    and ``rows``, the position in d counted from 1 of each row of
+    Lambda^{p+1} that d keeps and 0 on the others (a slice of all of them
+    when d is built in full).
 
     One ``np.bincount`` over the tables of :func:`_d_pattern`, with item
     t's positions offset by t times the size of d.  It adds in input
@@ -319,12 +313,12 @@ def _assemble(c, p: int, cut: bool):
         flat, idx = flat[live], idx[live]
         row, col = np.divmod(flat, dom_dim)
         # 1 marks each touched row and column (intp: a cumsum casts bool
-        # first), and the running sums number them from 1
+        # first), and multiplied by the running sums numbers them from 1
         rows, cols = np.zeros(cod_dim, np.intp), np.zeros(dom_dim, np.intp)
         rows[row] = cols[col] = 1
-        at_row, at_col = rows.cumsum(), cols.cumsum()
-        cod_dim, dom_dim = int(at_row[-1]), int(at_col[-1])
-        flat = at_row[row] * dom_dim + at_col[col] - (dom_dim + 1)
+        rows, cols = rows * rows.cumsum(), cols * cols.cumsum()
+        cod_dim, dom_dim = int(rows.max()), int(cols.max())
+        flat = rows[row] * dom_dim + cols[col] - (dom_dim + 1)
     size = cod_dim * dom_dim
     w = w.take(idx, axis=1)
     if count > 1:
@@ -336,9 +330,9 @@ def _assemble(c, p: int, cut: bool):
 
 def stacked_derivative(c, p: int) -> np.ndarray:
     """d_p of every tensor in the stack ``c`` (T, n, n, n), as an array
-    (T, C(n, p+1), C(n, p)): :func:`_assemble` in full.  The index tables
-    take about 2.8 MB for all p at n = 12 and 18 MB at n = 14, less for
-    each n than its largest Laplacian."""
+    (T, C(n, p+1), C(n, p)): :func:`_assemble` in full.  The index tables,
+    built rest-major in one broadcast per (n, p), take about 2.8 MB for all
+    p at n = 12 and 18 MB at n = 14, less than the largest Laplacian."""
     return _assemble(c, p, False)[0]
 
 
@@ -363,6 +357,7 @@ def _hodge_star(n: int):
     """The Hodge star on Lambda^m, n = 2m, as ``(J, Jc, sign)``.
 
     ``J`` holds the ranks of the C(n, m) / 2 subsets that contain index 0,
+    the leading half of the lexicographic basis (J = range(C(n, m) / 2)),
     ``Jc`` the ranks of their complements, and ``sign`` the shuffle sign
     s_J = (-1)^(sum J - m(m-1)/2) of e_J ^ e_{J^c} = s_J vol for 0-based J,
     so the star is e_J -> s_J e_{J^c}.  For even m, s_{J^c} = s_J and the
@@ -442,7 +437,11 @@ def clamp_spectra(vals):
     most cutoff counts toward the kernel.  Returns ``(vals, kernel_dim)``,
     the last over the leading axes.
     """
-    vals = np.sort(np.asarray(vals, dtype=float), axis=-1)
+    return _clamp_sorted(np.sort(np.asarray(vals, dtype=float), axis=-1))
+
+
+def _clamp_sorted(vals):
+    """:func:`clamp_spectra` of float eigenvalues already ascending."""
     cutoff = kernel_cutoff(vals.max(axis=-1, initial=0.0, keepdims=True))
     low = vals[..., :1] < -cutoff
     if low.any():
@@ -508,16 +507,14 @@ def stacked_gram_eigenvalues(c, p: int, cache: dict,
             if (n % 4 == 0 and p == n // 2 - 1
                     and form_dim(n, p + 1) // 2 < min(block.shape[1:])
                     and all_unimodular):
-                if d_p.shape[1] < form_dim(n, p + 1):
-                    full = np.zeros((len(d_p), form_dim(n, p + 1),
-                                     d_p.shape[2]))
-                    full[:, rows == 1] = d_p
-                    d_p = full
+                if d_p.shape[1] < form_dim(n, p + 1):  # rows: 0 picks a zero row
+                    d_p = np.pad(d_p, ((0, 0), (1, 0), (0, 0)))[:, rows]
                 J, Jc, sign = _hodge_star(n)
-                folded = d_p[:, Jc]
-                folded *= sign[:, None]
-                folded += d_p[:, J]
-                block = _nonzero_block(folded)
+                block = d_p[:, Jc]
+                block *= sign[:, None]
+                block += d_p[:, :len(J)]  # d_p[:, J] as a view: J = range
+                del d_p  # free before the fold is cut and its Gram formed
+                block = _nonzero_block(block)
             block_t = block.transpose(0, 2, 1)
             vals = np.linalg.eigvalsh(block_t @ block
                                       if block.shape[2] <= block.shape[1]
@@ -539,6 +536,8 @@ def spectrum(L: StructureConstants, p: int) -> SpectrumReport:
     Gram eigenvalues of d_p and d_{p-1} (see :func:`hodge_union`)."""
     gram_p = gram_eigenvalues(L, p)
     gram_prev = gram_eigenvalues(L, p - 1) if p else np.zeros((1, 0))
-    return SpectrumReport.from_eigenvalues(
+    vals, kernel_dim = _clamp_sorted(  # hodge_union sorts them ascending
         hodge_union(gram_p, gram_prev, form_dim(L.n, p))[0])
+    vals.setflags(write=False)
+    return SpectrumReport(vals, int(kernel_dim))
 

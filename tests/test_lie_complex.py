@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_spectra as cs
-from collapse_spectra.lie_complex import (_hodge_star, check_lie_tensors,
+from collapse_spectra.lie_complex import (_d_pattern, _hodge_star,
+                                          check_lie_tensors,
                                           clamp_spectra, form_dim,
                                           gram_eigenvalues, kernel_cutoff,
                                           subset_rank, unimodular)
@@ -329,14 +331,15 @@ def test_hodge_mirror_matches_direct_gram(seed):
             assert np.sum(got <= cutoff) == np.sum(want <= cutoff), (n, p)
 
 
-@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
 def test_hodge_star_table_is_a_signed_pairing(n):
     # the sign of e_J ^ e_{J^c} = s_J vol is the parity of the shuffle
-    # (J, J^c), counted here by brute force over all pairs of positions
+    # (J, J^c), counted here by brute force over all pairs of positions;
+    # J is the leading half of the basis, which the fold reads as a view
     m = n // 2
     combos = list(itertools.combinations(range(n), m))
     J, Jc, sign = _hodge_star(n)
-    assert len(J) == len(combos) // 2
+    assert list(J) == list(range(len(combos) // 2))
     assert sorted([*J, *Jc]) == list(range(len(combos)))
     for r, rc, s in zip(J, Jc, sign):
         seq = combos[r] + combos[rc]
@@ -392,6 +395,22 @@ def test_folded_middle_gram_matches_direct_gram(n):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, top)
         cutoff = kernel_cutoff(top)
         assert np.sum(got <= cutoff) == np.sum(want <= cutoff)
+
+
+def test_folded_solve_holds_only_d_and_its_fold():
+    # the dense n = 12 fold of G_5 reads rows J of d_5 as a view and frees
+    # d_5 before the Gram, so its traced peak stays near |d_5| + |E|
+    L = _dense_algebra(np.random.default_rng(12), 12, 0.0)
+    _d_pattern(12, 5)  # the cached tables are built outside the trace
+    _hodge_star(12)
+    tracemalloc.start()
+    try:
+        vals = gram_eigenvalues(L, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (1, 462)
+    assert peak <= 8 * (924 * 792 + 462 * 792) + 256 * 1024, peak
 
 
 def test_frame_change_preserves_jacobi():

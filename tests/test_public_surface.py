@@ -218,7 +218,7 @@ def test_verdicts_are_check_results():
 SETTABLE_VALUES = 124
 #: lines of the package's modules, as ``wc -l`` counts them; see
 #: test_src_lines_do_not_grow
-SRC_LINES = 3462
+SRC_LINES = 3461
 
 
 def test_src_lines_do_not_grow():
