@@ -27,10 +27,9 @@ is a fixed number written at its check, here or in the scenario.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from . import (euler_bound, flat_torus, intlat, lie_complex, mapping_torus,
 from .scenarios import CheckResult
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     checks: tuple
@@ -76,7 +74,7 @@ class ScenarioRuns(dict):
 def _scenario_checks(runs, run_list):
     """Checks of every ``(label, scenario, params, eps_grid, seed)`` run,
     each renamed ``<label>/<check>``."""
-    return [dataclasses.replace(c, name=f"{label}/{c.name}")
+    return [c._replace(name=f"{label}/{c.name}")
             for label, name, params, grid, seed in run_list
             for c in runs(name, params, seed, grid).checks]
 
@@ -355,8 +353,7 @@ CRITERIA = [
 ]
 
 
-@dataclass(frozen=True)
-class AcceptanceSummary:
+class AcceptanceSummary(NamedTuple):
     results: tuple
     seconds: float
     runs: ScenarioRuns

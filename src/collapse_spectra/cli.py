@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import acceptance, scenarios
 from .errors import CollapseSpectraError, InputRejected
@@ -30,8 +30,7 @@ from .errors import CollapseSpectraError, InputRejected
 DEFAULT_OUT = "collapse-spectra-out"
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Reproducibility record for one scenario run: the config and its
     hash, artifact digests, and the per-check outcomes."""
 
@@ -112,11 +111,11 @@ def run_scenario(name: str, out_dir: Path, result: scenarios.ScenarioResult,
         config_hash=_config_hash({"scenario": name, "seed": seed,
                                   "eps_grid": list(grid), "params": params}),
         artifacts=tuple(artifacts),
-        checks=tuple(dict(dataclasses.asdict(c), passed=c.passed,
-                          margin=c.margin) for c in result.checks),
+        checks=tuple(dict(c._asdict(), passed=c.passed, margin=c.margin)
+                     for c in result.checks),
         passed=bool(result.passed),
     )
-    _write_json(out_dir / "manifest.json", dataclasses.asdict(manifest))
+    _write_json(out_dir / "manifest.json", manifest._asdict())
     return manifest
 
 

@@ -13,7 +13,7 @@ form of the solvable family is cross-checked against it in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,11 +40,10 @@ def frame_curvatures(c) -> np.ndarray:
     return term1 - term2 - term3 - term4 - term5
 
 
-@dataclass(frozen=True)
-class CurvatureTable:
+class CurvatureTable(NamedTuple):
     """K(e_i, e_j) for unordered frame pairs."""
 
-    pairs: dict = field(repr=False)
+    pairs: dict
 
     def k(self, i: int, j: int) -> float:
         return self.pairs[(min(i, j), max(i, j))]

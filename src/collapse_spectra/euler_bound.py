@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,15 +43,13 @@ def _orthonormal_matrix(e_matrix, gram_g) -> tuple:
     return np.asarray(e_matrix, dtype=float) @ L_inv_t, L
 
 
-@dataclass(frozen=True)
-class BoundChainReport:
+class BoundChainReport(NamedTuple):
     lam_min: float
     mid_bound: float          # Det(e*e) / |e*e|^{k-1}
     det_bound: float          # (Det e)^2 / |e|^{2k-2}
 
 
-@dataclass(frozen=True)
-class DetFactorizationReport:
+class DetFactorizationReport(NamedTuple):
     det_prime: float          # lattice-basis determinant of e
     vol_t: float              # fiber volume det(gramG)^{-1/2}
     det_e: float              # orthonormal-basis determinant
@@ -149,8 +147,7 @@ def det_factorization(e_matrix, gram_g) -> DetFactorizationReport:
     return _factorization(*_orthonormal_matrix([E], [gram_g]), [det])[0]
 
 
-@dataclass(frozen=True)
-class NonInjectiveReport:
+class NonInjectiveReport(NamedTuple):
     kernel_basis: tuple            # integral lattice basis of ker e
     reduced_integral: tuple        # e on the complement, lattice basis
     quotient_volume: float         # volume of T^k / T^{k-l}
@@ -197,8 +194,7 @@ def noninjective_reduce(e_matrix, gram_g) -> NonInjectiveReport:
 # minimal norm of integral harmonic 2-forms on a flat base
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RhoReport:
+class RhoReport(NamedTuple):
     rho: float
     #: integer coefficients of the minimizer in the dx_i ^ dx_j basis,
     #: over the pairs i < j in lexicographic order
@@ -233,16 +229,14 @@ def rho_flat(base: FlatTorus) -> RhoReport:
 # volume lower-bound experiment on torus bundles over T^2
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VolBoundRow:
+class VolBoundRow(NamedTuple):
     eps: float
     lam: float
     vol: float
     ratio: float
 
 
-@dataclass(frozen=True)
-class VolBoundReport:
+class VolBoundReport(NamedTuple):
     rows: tuple
     min_ratio: float
     #: min(min_ratio - ratio_0 (1 - 1e-9), min_ratio), with ratio_0 the

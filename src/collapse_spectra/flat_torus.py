@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,15 +146,13 @@ def lambda01(torus: FlatTorus) -> float:
     return FOUR_PI_SQ * _shortest(torus.dual_quadratic())[0]
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(NamedTuple):
     gamma: tuple
     eigenvalue: float
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class ModeSpectrum:
+class ModeSpectrum(NamedTuple):
     """Complete mode list below the cutoff, symmetric under gamma -> -gamma."""
 
     k: int
@@ -254,8 +253,7 @@ def _product_modes(base: FlatTorus, fiber: FlatTorus, p: int,
     return ModeSpectrum(base.k + fiber.k, tuple(modes))
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     threshold: float               # lambda_{0,1} of the fiber
     min_noninvariant: float
     attained_exactly: bool
@@ -281,8 +279,7 @@ def threshold_check_product(base: FlatTorus, fiber: FlatTorus,
                            spec.to_csv(lambda g: not any(g[base.k:])))
 
 
-@dataclass(frozen=True)
-class OddMultiplicityReport:
+class OddMultiplicityReport(NamedTuple):
     groups: tuple                  # (eigenvalue, total multiplicity, has invariant)
     violations: tuple
 

@@ -12,9 +12,9 @@ appears in ``matrix_exp`` and ``verify_log``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,8 +193,7 @@ def _step(x, y):
 # mapping-torus first Betti number
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbelianizationReport:
+class AbelianizationReport(NamedTuple):
     """Abelianized fundamental group of the suspension of A: Z^{k+1} x H."""
 
     free_rank: int                 # k, the free rank of coker(A - I)

@@ -71,6 +71,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -451,8 +452,7 @@ def _clamp_sorted(vals):
     return vals, (vals <= cutoff).sum(-1)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Eigenvalues of a form Laplacian, sorted ascending and clamped >= 0;
     ``kernel_dim`` counts eigenvalues at zero."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .artifacts import csv_text
 from .curvature import solvable_pair_curvatures
 from .errors import CollapseSpectraError, InputRejected
 from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
-from .lie_complex import (SpectrumReport, StructureConstants,
+from .lie_complex import (SpectrumReport, StructureConstants, _clamp_sorted,
                           above_kernel_cutoff, check_lie_tensors,
                           clamp_spectra, form_dim, hodge_union,
                           stacked_gram_eigenvalues, unimodular)
@@ -153,8 +154,7 @@ def laplacian1_fast(c_matrix) -> np.ndarray:
 # Jordan chains of the zero characteristic subspace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JordanZeroChain:
+class JordanZeroChain(NamedTuple):
     """Frame adapted to the zero characteristic subspace E_0.
 
     Columns of ``frame``: the E_0 chain vectors ordered kernel-first, then
@@ -246,8 +246,7 @@ def jordan_zero_chain(b_matrix) -> JordanZeroChain:
 # collapse families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CollapseFamily:
+class CollapseFamily(NamedTuple):
     """Scaling family V_i^eps = eps^{-exponents[i]} V_i on the adapted frame.
 
     For a single Jordan chain the exponents are exactly the recipe
@@ -301,8 +300,7 @@ def collapse_family(b_matrix, k: int) -> CollapseFamily:
     return CollapseFamily(tuple(exponents), info.d_prime, c_base, top)
 
 
-@dataclass(frozen=True)
-class CollapseRow:
+class CollapseRow(NamedTuple):
     eps: float
     report: SpectrumReport
     trace: float
@@ -310,8 +308,7 @@ class CollapseRow:
     small_count: int
 
 
-@dataclass(frozen=True)
-class CollapseTable:
+class CollapseTable(NamedTuple):
     b_matrix: np.ndarray
     rows: tuple
     family: CollapseFamily
@@ -399,8 +396,7 @@ def semisimple_defect(b_matrix) -> float:
     return float(np.max(np.abs(m)))
 
 
-@dataclass(frozen=True)
-class FloorReport:
+class FloorReport(NamedTuple):
     floor: float
     trials: int
     cap: float
@@ -495,7 +491,7 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
         for all_uni in set(uni.tolist()):
             part, grams = c[uni == all_uni], {}
             for p in range(1, n + 1):
-                vals, kernel = clamp_spectra(hodge_union(
+                vals, kernel = _clamp_sorted(hodge_union(  # already ascending
                     stacked_gram_eigenvalues(part, p, grams, all_uni),
                     stacked_gram_eigenvalues(part, p - 1, grams, all_uni),
                     form_dim(n + 1, p)))

@@ -18,7 +18,7 @@ that keeps a predicted small eigenvalue away from the kernel asks
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .artifacts import csv_text
 from .errors import InputRejected
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One claim: the measured ``value`` against its ``bound``, asking
     ``value <= bound`` or, with ``sense=">="``, ``value >= bound``.  A
     boolean claim measures its count of mismatches against bound 0."""
@@ -53,8 +52,7 @@ class CheckResult:
         return bool(self.margin >= 0)
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     artifacts: dict            # filename -> CSV text
     checks: list
 
@@ -493,12 +491,11 @@ def _scenario_vol_bound(params, seed, eps_grid):
 # registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     func: object
     tag: str
     #: key -> (kind, default) or, for a size, (kind, default, low, high)
-    params: dict = field(default_factory=dict)
+    params: dict
     default_grid: tuple = (0.5, 0.1, 0.01)
     check: object = None       # (typed params, grid) -> None, or raises
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,7 @@ def verify_spectrum(L: StructureConstants, p: int) -> float:
     return float(np.max(np.abs(predicted - computed))) if predicted.size else 0.0
 
 
-@dataclass(frozen=True)
-class EigenspaceSplit:
+class EigenspaceSplit(NamedTuple):
     total: int
     coclosed: int
     closed: int
@@ -103,8 +103,7 @@ def eigenspace_split(L: StructureConstants, p: int) -> EigenspaceSplit:
     return EigenspaceSplit(coclosed + closed, coclosed, closed)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """lambda(eps) = sum_i (eps^{alpha_i} b_i)^2 along a scaling direction."""
 
     eps: tuple

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -164,7 +163,7 @@ def test_run_manifest_round_trip(tmp_path):
                                 run_scenario_checks("heisenberg"), {}, 0,
                                 grid)
     loaded = json.loads((tmp_path / "manifest.json").read_text())
-    assert loaded == json.loads(json.dumps(dataclasses.asdict(manifest)))
+    assert loaded == json.loads(json.dumps(manifest._asdict()))
     assert loaded["tag"] == "small-eigenvalue-rate"
 
 
@@ -261,7 +260,7 @@ def test_verify_all_evaluates_each_default_twice(tmp_path, monkeypatch):
             return func(params, seed, grid)
 
         monkeypatch.setitem(scenarios.SCENARIOS, name,
-                            dataclasses.replace(spec, func=counting))
+                            spec._replace(func=counting))
     assert cli.main(["verify-all", "--out", str(tmp_path)]) == 0
     for name in scenarios.SCENARIOS:
         assert counts[scenarios.resolve(name)] == 2, name
@@ -623,7 +622,7 @@ def _with_failing_check(monkeypatch, name):
         return result
 
     monkeypatch.setitem(scenarios.SCENARIOS, name,
-                        dataclasses.replace(spec, func=failing))
+                        spec._replace(func=failing))
 
 
 def test_cli_failed_check_exits_one(tmp_path, monkeypatch, capsys):

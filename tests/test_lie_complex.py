@@ -47,6 +47,13 @@ def test_validating_constructor_rejects_broken_table():
         cs.StructureConstants.from_tensor(c)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 3)])
+def test_constructor_rejects_a_tensor_that_is_not_cubic(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"structure tensor must be (n,n,n), got {shape}")):
+        cs.StructureConstants(np.zeros(shape))
+
+
 def test_change_frame_identity():
     L = cs.StructureConstants.heisenberg3()
     L2 = cs.change_frame(L, np.eye(3))

@@ -317,8 +317,11 @@ def test_bundle_validation():
     with pytest.raises(cs.CollapseSpectraError,
                        match=re.escape("A must lie in SL_n(Z)")):
         cs.MappingTorusBundle([[2, 0], [0, 1]], B)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("exp(B) does not")):
         cs.MappingTorusBundle(A, np.zeros((2, 2)))
+    # exp(6e-9 I) is within 1e-8 of I, but trace(B) = 1.2e-8
+    with pytest.raises(ValueError, match=re.escape("trace(B) must vanish")):
+        cs.MappingTorusBundle([[1, 0], [0, 1]], 6e-9 * np.eye(2))
 
 
 def test_kernel_vs_betti():

@@ -1,10 +1,13 @@
 """Every top-level function and class of the package, every public
-method of its classes and every dataclass field has a reader in
+method of its classes and every record field has a reader in
 ``src/``, ``scripts/`` or ``perfbench/``.  A function or class that only
 the tests read is deleted or moved into ``tests/``; a field that only
 the tests read is listed in ``TEST_ONLY_FIELDS`` with the reason it
 stays.  Every subclass of ``CollapseSpectraError`` is caught by type
 there.  No module of the package imports scipy, a test-only dependency.
+A record is a ``NamedTuple``; a class stays a dataclass only where it
+validates or caches, since each dataclass costs its import a generated
+``exec``.
 
 The static guards match by name, not by type: a field counts as read
 when any attribute of that name is loaded anywhere in those folders, so
@@ -19,6 +22,7 @@ import dataclasses
 import importlib
 import re
 import runpy
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -30,9 +34,9 @@ from collapse_spectra import cli
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "collapse_spectra"
 
-#: dataclass fields that only the tests read, as ``Class.field``, each
+#: record fields that only the tests read, as ``Class.field``, each
 #: with the reason it stays; ``RunManifest`` is exempt because
-#: ``dataclasses.asdict`` serializes it whole
+#: ``_asdict`` serializes it whole
 TEST_ONLY_FIELDS = {
     "DetFactorizationReport.det_prime":
         "a term of Det e = (Det' e) Vol(T^k), checked against closed forms",
@@ -50,7 +54,7 @@ TEST_ONLY_FIELDS = {
         "structure of H_1, checked on a mapping torus with torsion",
 }
 
-#: dataclass fields that only perfbench reads, as ``Class.field``, each
+#: record fields that only perfbench reads, as ``Class.field``, each
 #: with the reason it stays; listed by hand, since a name match against
 #: perfbench would also pass every field that shares the name
 PERFBENCH_ONLY_FIELDS = {
@@ -89,13 +93,25 @@ def _definitions():
     return found
 
 
-def _dataclasses():
-    """``[(module, class node)]`` of every dataclass of the package."""
+#: the classes that stay dataclasses, each because it validates in
+#: ``__post_init__`` or holds a per-instance cache; every other record
+#: is a ``NamedTuple``
+KEPT_DATACLASSES = {"StructureConstants", "FlatTorus", "MappingTorusBundle",
+                    "TorusBundleOverT2"}
+
+
+def _is_dataclass(node):
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _records():
+    """``[(module, class node)]`` of every record of the package: each
+    dataclass and each ``NamedTuple``."""
     return [(module, node) for module, tree in _modules()
             for node in tree.body
             if isinstance(node, ast.ClassDef)
-            and any("dataclass" in ast.unparse(d)
-                    for d in node.decorator_list)]
+            and (_is_dataclass(node)
+                 or "NamedTuple" in map(ast.unparse, node.bases))]
 
 
 def _fields(node):
@@ -146,7 +162,7 @@ def test_every_definition_has_a_reader():
 
 def test_every_field_has_a_reader():
     loads = _attribute_loads()
-    fields = {f"{node.name}.{name}": name for _, node in _dataclasses()
+    fields = {f"{node.name}.{name}": name for _, node in _records()
               if node.name != "RunManifest" for name in _fields(node)}
     unread = sorted(qual for qual, name in fields.items() if name not in loads)
     assert unread == sorted(TEST_ONLY_FIELDS), (
@@ -162,10 +178,11 @@ def test_every_field_is_read_by_a_contract_run(monkeypatch, tmp_path):
     # output paths, actually read
     read = set()
     fields = set()
-    for module, node in _dataclasses():
+    for module, node in _records():
         cls = getattr(importlib.import_module(f"collapse_spectra.{module}"),
                       node.name)
-        names = {f.name for f in dataclasses.fields(cls)}
+        names = (set(cls._fields) if issubclass(cls, tuple)
+                 else {f.name for f in dataclasses.fields(cls)})
         fields |= {f"{cls.__name__}.{name}" for name in names}
 
         def getattribute(self, name, _cls=cls, _names=names,
@@ -208,17 +225,51 @@ def test_verdicts_are_check_results():
     asserts = [f"{module}:{node.lineno}" for module, tree in _modules()
                for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert asserts == []
-    with_ok = {node.name for _, node in _dataclasses()
+    with_ok = {node.name for _, node in _records()
                if "ok" in _fields(node)}
     assert with_ok == OK_FIELDS
 
 
-#: parameters with a default plus dataclass fields in src/; see
+def test_dataclasses_validate_or_cache():
+    # a dataclass generates and execs its methods at import, several
+    # times the cost of a NamedTuple; only a class that needs its own
+    # constructor or instance state pays it
+    kept = {}
+    for _, node in _records():
+        if _is_dataclass(node):
+            methods = [item for item in node.body
+                       if isinstance(item, ast.FunctionDef)]
+            kept[node.name] = any(
+                m.name == "__post_init__"
+                or any("cached_property" in ast.unparse(d)
+                       for d in m.decorator_list) for m in methods)
+    assert set(kept) == KEPT_DATACLASSES
+    assert all(kept.values()), kept
+
+
+def test_import_processes_only_the_kept_dataclasses():
+    # counts the classes ``dataclasses`` processes while a fresh
+    # interpreter imports the CLI, numpy imported first
+    code = ("import dataclasses, numpy\n"
+            "made = []\n"
+            "process = dataclasses._process_class\n"
+            "def counting(cls, *args, **kwargs):\n"
+            "    made.append(cls.__name__)\n"
+            "    return process(cls, *args, **kwargs)\n"
+            "dataclasses._process_class = counting\n"
+            "import collapse_spectra.cli\n"
+            "print(' '.join(made))\n")
+    made = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True).stdout.split()
+    assert sorted(made) == sorted(KEPT_DATACLASSES)
+
+
+#: parameters with a default plus record fields in src/; see
 #: test_settable_values_do_not_grow
 SETTABLE_VALUES = 124
 #: lines of the package's modules, as ``wc -l`` counts them; see
 #: test_src_lines_do_not_grow
-SRC_LINES = 3461
+SRC_LINES = 3438
 
 
 def test_src_lines_do_not_grow():
@@ -238,11 +289,11 @@ def test_settable_values_do_not_grow():
                    + sum(d is not None for d in node.args.kw_defaults)
                    for _, tree in _modules() for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.Lambda)))
-    fields = sum(len(_fields(node)) for _, node in _dataclasses())
+    fields = sum(len(_fields(node)) for _, node in _records())
     count = defaults + fields
     assert count <= SETTABLE_VALUES, (
         f"{count} settable values (parameters with a default plus "
-        f"dataclass fields) in src/, pinned at {SETTABLE_VALUES}: if the "
+        f"record fields) in src/, pinned at {SETTABLE_VALUES}: if the "
         f"new one is needed, raise SETTABLE_VALUES and record in "
         f"CHANGES.md why")
     cli = next(tree for module, tree in _modules() if module == "cli")
