@@ -10,7 +10,7 @@ lies above the 1e-4 sanity line, 1 when it does not, 2 when the input
 is rejected, naming the flag at fault: --b for a B that is not a square
 matrix of finite numbers, not semisimple, or whose Tr(B^T B) or default
 cap 2 Tr(B^T B) + 1 is too large; --trials outside 1..10000; --cap not
-finite or outside Tr(B^T B) .. float max / (n + 1)^2.
+finite or outside Tr(B^T B) .. float max / (n + 1)^2; --seed below 0.
 
 Example:
     python scripts/semisimple_floor_experiment.py --b "1 0; 0 -1" --trials 500
@@ -25,7 +25,8 @@ from collapse_spectra import InputRejected, semisimple_floor
 from collapse_spectra.scenarios import parse_value
 
 #: the flag of each library key the floor's input can be rejected under
-FLAGS = {"B": "--b", "trials": "--trials", "curvature_cap": "--cap"}
+FLAGS = {"B": "--b", "trials": "--trials", "curvature_cap": "--cap",
+         "seed": "--seed"}
 
 
 def main() -> int:

@@ -6,7 +6,7 @@ curvature), mapping-torus and principal-bundle models, exact flat-torus
 enumeration, integer lattice tools, and collapse experiment harnesses.
 """
 
-from .errors import CollapseSpectraError, InputRejected
+from .errors import InputRejected
 from .lie_complex import (SpectrumReport, StructureConstants, change_frame,
                           exterior_derivative, laplacian, spectrum,
                           unimodularity_defect)

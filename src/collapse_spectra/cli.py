@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import acceptance, scenarios
-from .errors import CollapseSpectraError, InputRejected
+from .errors import InputRejected
 
 DEFAULT_OUT = "collapse-spectra-out"
 
@@ -193,6 +193,13 @@ def main(argv=None) -> int:
         if args.command == "list":
             return _cmd_list()
         if args.command == "verify-all":
+            unread = ([] if args.eps_grid is None else ["eps_grid"]) + [
+                key for key in ("name", "eps_grid") if key in config
+            ] + list(config["params"])
+            if unread:
+                raise InputRejected(unread[0], "verify-all runs every "
+                                    "scenario at its defaults and reads no "
+                                    "name, eps grid or parameter")
             return _cmd_verify_all(seed, out_dir)
         name = args.command
         if "name" in config and config["name"] != name:
@@ -215,9 +222,6 @@ def main(argv=None) -> int:
     except InputRejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CollapseSpectraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

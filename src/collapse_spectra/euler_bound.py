@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import csv_text
-from .errors import CollapseSpectraError, InputRejected
+from .errors import InputRejected
 from .flat_torus import FlatTorus, _shortest
 from .intlat import det_int, int_matrix, smith_normal_form
 from .torus_bundle import check_eps_grid, collapse_lambda
@@ -121,18 +121,17 @@ def gram_det(e_matrix) -> int:
 
 
 def _injective_gram_det(E) -> int:
-    """gram_det of E; CollapseSpectraError when it is zero."""
+    """gram_det of E; ValueError when it is zero."""
     det = gram_det(E)
     if det == 0:
-        raise CollapseSpectraError("Euler map has a kernel; use "
-                                   "noninjective_reduce")
+        raise ValueError("Euler map has a kernel; use noninjective_reduce")
     return det
 
 
 def bound_chain(e_matrix, gram_g) -> BoundChainReport:
     """The two-step determinant bound chain of an injective Euler map:
     :func:`_chain` on a stack of one.  A map whose gram_det is zero has a
-    kernel and raises CollapseSpectraError."""
+    kernel and raises ValueError."""
     E = int_matrix(e_matrix)
     _injective_gram_det(E)
     return _chain(_orthonormal_matrix([E], [gram_g])[0])[0]
@@ -141,7 +140,7 @@ def bound_chain(e_matrix, gram_g) -> BoundChainReport:
 def det_factorization(e_matrix, gram_g) -> DetFactorizationReport:
     """Verify Det e = (Det' e) Vol(T^k) for an injective Euler map:
     :func:`_factorization` on a stack of one, with the same
-    CollapseSpectraError for a map with a kernel."""
+    ValueError for a map with a kernel."""
     E = int_matrix(e_matrix)
     det = _injective_gram_det(E)
     return _factorization(*_orthonormal_matrix([E], [gram_g]), [det])[0]
@@ -255,13 +254,13 @@ def vol_bound_experiment(bundle, alpha, eps_grid) -> VolBoundReport:
     lambda is the unique nonzero invariant eigenvalue |V_eps|^2 and the
     fiber volume scales as prod eps^{alpha_i}; the ratio never drops
     below its value at the largest grid point.  A trivial bundle has
-    lambda = 0 and raises CollapseSpectraError; a grid point whose lambda
-    is not finite raises ValueError naming alpha and eps, and one whose
-    vol^2 is not a normal float rejects eps_grid, naming alpha and eps.
+    lambda = 0 and raises ValueError, and so does a grid point whose
+    lambda is not finite, naming alpha and eps; one whose vol^2 is not a
+    normal float rejects eps_grid, naming alpha and eps.
     """
     if bundle.trivial:
-        raise CollapseSpectraError("zero obstruction vector: lambda "
-                                   "vanishes, so there is no ratio to bound")
+        raise ValueError("zero obstruction vector: lambda vanishes, so "
+                         "there is no ratio to bound")
     b0 = [float(x) for x in bundle.a]
     alpha = [float(x) for x in alpha]
     if len(alpha) != len(b0):

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CollapseSpectraError
 
 def int_matrix(data) -> list:
     """Normalize to a rectangular list of lists of Python ints."""
@@ -207,7 +206,7 @@ def betti1_mapping_torus(a_matrix) -> AbelianizationReport:
     A = int_matrix(a_matrix)
     n = len(A)
     if det_int(A) != 1:
-        raise CollapseSpectraError("matrix must lie in SL_n(Z)")
+        raise ValueError("matrix must lie in SL_n(Z)")
     m = [[A[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     _, d, _ = smith_normal_form(m)
     factors = [d[i][i] for i in range(n)]      # A - I is square

@@ -75,8 +75,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CollapseSpectraError
-
 #: Relative Jacobi tolerance accepted by validating constructors.
 JACOBI_TOL = 1e-9
 #: Symmetry tolerance for assembled Laplacians.
@@ -218,8 +216,7 @@ def change_frame(L: StructureConstants, P) -> StructureConstants:
         raise ValueError(f"frame matrix must be {L.n}x{L.n}")
     det = np.linalg.det(P)
     if abs(det) < SINGULAR_TOL:
-        raise CollapseSpectraError(
-            f"|det P| = {abs(det)} below {SINGULAR_TOL}")
+        raise ValueError(f"|det P| = {abs(det)} below {SINGULAR_TOL}")
     c_new = np.einsum("ia,jb,ijk,mk->abm", P, P, L.c, np.linalg.inv(P),
                       optimize=True)
     return StructureConstants(c_new)
@@ -299,7 +296,7 @@ def _assemble(c, p: int, cut: bool):
         raise ValueError(f"structure tensor stack must be (T,n,n,n), got {c.shape}")
     count, n = c.shape[:2]
     if not 0 <= p <= n:
-        raise CollapseSpectraError(f"degree {p} not in [0, {n}]")
+        raise ValueError(f"degree {p} not in [0, {n}]")
     dom_dim, cod_dim = form_dim(n, p), form_dim(n, p + 1)
     rows = slice(None)
     if p == 0 or p == n:
@@ -430,25 +427,21 @@ def above_kernel_cutoff(small: float, top: float) -> bool:
 
 
 def clamp_spectra(vals):
-    """Sort eigenvalues along the last axis, clamp them at zero and count
-    the kernel, for one spectrum or a stack of them.
+    """Clamp float eigenvalues, ascending along the last axis, at zero and
+    count the kernel, for one spectrum or a stack of them.
 
     With cutoff = :func:`kernel_cutoff` of the largest eigenvalue of each
     spectrum, an eigenvalue below -cutoff raises ValueError, and one at
     most cutoff counts toward the kernel.  Returns ``(vals, kernel_dim)``,
-    the last over the leading axes.
+    the first read-only and the last over the leading axes.
     """
-    return _clamp_sorted(np.sort(np.asarray(vals, dtype=float), axis=-1))
-
-
-def _clamp_sorted(vals):
-    """:func:`clamp_spectra` of float eigenvalues already ascending."""
     cutoff = kernel_cutoff(vals.max(axis=-1, initial=0.0, keepdims=True))
     low = vals[..., :1] < -cutoff
     if low.any():
         raise ValueError(
             f"eigenvalue {vals[..., :1][low][0]} below -EIG_TOL*scale")
     vals = vals.clip(0.0, None)
+    vals.setflags(write=False)
     return vals, (vals <= cutoff).sum(-1)
 
 
@@ -465,8 +458,7 @@ class SpectrumReport(NamedTuple):
 
     @classmethod
     def from_eigenvalues(cls, vals) -> "SpectrumReport":
-        vals, kernel_dim = clamp_spectra(vals)
-        vals.setflags(write=False)
+        vals, kernel_dim = clamp_spectra(np.sort(np.asarray(vals, float)))
         return cls(vals, int(kernel_dim))
 
 
@@ -536,8 +528,7 @@ def spectrum(L: StructureConstants, p: int) -> SpectrumReport:
     Gram eigenvalues of d_p and d_{p-1} (see :func:`hodge_union`)."""
     gram_p = gram_eigenvalues(L, p)
     gram_prev = gram_eigenvalues(L, p - 1) if p else np.zeros((1, 0))
-    vals, kernel_dim = _clamp_sorted(  # hodge_union sorts them ascending
+    vals, kernel_dim = clamp_spectra(
         hodge_union(gram_p, gram_prev, form_dim(L.n, p))[0])
-    vals.setflags(write=False)
     return SpectrumReport(vals, int(kernel_dim))
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from .artifacts import csv_text
 from .curvature import solvable_pair_curvatures
-from .errors import CollapseSpectraError, InputRejected
+from .errors import InputRejected
 from .intlat import det_int, int_matrix, rational_nullspace, rref, verify_log
-from .lie_complex import (SpectrumReport, StructureConstants, _clamp_sorted,
+from .lie_complex import (SpectrumReport, StructureConstants,
                           above_kernel_cutoff, check_lie_tensors,
                           clamp_spectra, form_dim, hodge_union,
                           stacked_gram_eigenvalues, unimodular)
@@ -71,7 +71,7 @@ class MappingTorusBundle:
     def __post_init__(self):
         A = int_matrix(self.a_matrix)
         if det_int(A) != 1:
-            raise CollapseSpectraError("A must lie in SL_n(Z)")
+            raise ValueError("A must lie in SL_n(Z)")
         B = np.asarray(self.b_matrix, dtype=float)
         if not verify_log(np.asarray(A, dtype=float), B):
             raise ValueError("exp(B) does not reproduce A within 1e-8")
@@ -361,7 +361,6 @@ def run_collapse(b_matrix, k: int, eps_grid) -> CollapseTable:
     C = fam.c_matrix(grid)
     raw = np.linalg.eigvalsh(laplacian1_fast(C))
     vals, kernel = clamp_spectra(raw)
-    vals.setflags(write=False)
     # eigvalsh sorts ascending; the d' + 1 kernel eigenvalues come first
     counts = np.sum(raw[:, fam.d_prime + 1:]
                     < small_threshold(grid)[:, None], axis=1)
@@ -441,9 +440,9 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
     mirror and the fold included.
 
     Bounds, each an InputRejected naming the input: 1 <= trials <=
-    MAX_FLOOR_TRIALS; Tr(B^T B) a finite float and B semisimple; a cap
-    from Tr(B^T B) to float max / (n + 1)^2, the default 2 Tr(B^T B) + 1
-    included (naming B).  A frame with Tr(C^T C) <= cap has its Gram
+    MAX_FLOOR_TRIALS; seed >= 0; Tr(B^T B) a finite float and B
+    semisimple; a cap from Tr(B^T B) to float max / (n + 1)^2, the
+    default 2 Tr(B^T B) + 1 included (naming B).  A frame with Tr(C^T C) <= cap has its Gram
     entries and eigenvalues at most p^2 Tr(C^T C) <= n^2 cap, since d_p
     is the derivation of C on p-forms, so none overflows.
     """
@@ -453,6 +452,9 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
             and 1 <= trials <= MAX_FLOOR_TRIALS):
         raise InputRejected("trials", f"trials must be an integer in "
                                       f"1..{MAX_FLOOR_TRIALS}, got {trials!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InputRejected("seed", f"seed must be an integer >= 0, got "
+                                    f"{seed!r}")
     if curvature_cap is not None and not math.isfinite(curvature_cap):
         raise InputRejected("curvature_cap", f"curvature_cap = "
                                              f"{curvature_cap} is not finite")
@@ -491,7 +493,7 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
         for all_uni in set(uni.tolist()):
             part, grams = c[uni == all_uni], {}
             for p in range(1, n + 1):
-                vals, kernel = _clamp_sorted(hodge_union(  # already ascending
+                vals, kernel = clamp_spectra(hodge_union(
                     stacked_gram_eigenvalues(part, p, grams, all_uni),
                     stacked_gram_eigenvalues(part, p - 1, grams, all_uni),
                     form_dim(n + 1, p)))

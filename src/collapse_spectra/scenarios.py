@@ -138,6 +138,12 @@ def _check_eta(b, what="sum b_i^2"):
         raise InputRejected("b", f"need {what} to be a positive normal float")
 
 
+def _check_dense_direction(params, grid):
+    # lambda(eps) lies between the limit and sum b_i^2, so both bound it
+    _check_eta(params["b"])
+    _check_eta(params["b"][1:], "sum_{i>=2} b_i^2, the limit,")
+
+
 def _check_torus_bundle(params, grid):
     n, b = params["n"], params["b"]
     if len(b) != n:
@@ -384,8 +390,8 @@ def _scenario_gt_family(params, seed, eps_grid):
     for t in params["t_values"]:
         torus_t = flat_torus.gt_gram(t)
         torus_t1 = flat_torus.gt_gram(t + 1.0)
-        s_t = np.sort(flat_torus.p_form_spectrum(torus_t, 0, cutoff).eigenvalues())
-        s_t1 = np.sort(flat_torus.p_form_spectrum(torus_t1, 0, cutoff).eigenvalues())
+        s_t = flat_torus.p_form_spectrum(torus_t, 0, cutoff).eigenvalues()
+        s_t1 = flat_torus.p_form_spectrum(torus_t1, 0, cutoff).eigenvalues()
         gap = float(np.max(np.abs(s_t - s_t1))) if len(s_t) == len(s_t1) \
             else float("inf")
         lam, diam = flat_torus.lambda01(torus_t), flat_torus.diameter(torus_t)
@@ -530,8 +536,7 @@ SCENARIOS = {
     "nil-dense-direction": ScenarioSpec(
         _scenario_nil_dense_direction, "dense-direction-positive-limit",
         {"b": ("vector", "0.5 1.5")}, (0.5, 0.25, 0.125, 0.0625),
-        check=lambda params, grid: _check_eta(params["b"][1:],
-                                              "sum_{i>=2} b_i^2, the limit,")),
+        check=_check_dense_direction),
     "flat-threshold": ScenarioSpec(
         _scenario_flat_threshold, "fiber-invariance-threshold",
         {"base_length": (float, 1.0), "fiber_length": (float, 0.1)},

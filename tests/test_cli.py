@@ -435,6 +435,28 @@ def test_verify_all_negative_seed_runs_no_criterion(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: seed:")
 
 
+@pytest.mark.parametrize("args, scenario, params, key", [
+    (["--eps-grid", "7"], "", "", "eps_grid"),
+    ([], "eps_grid = 5\n", "", "eps_grid"),
+    ([], "name = heisenberg\n", "", "name"),
+    ([], "", "gamma = -7\n", "gamma"),
+    ([], "", "bogus = 1\n", "bogus"),
+], ids=["flag-eps_grid", "config-eps_grid", "name", "gamma", "bogus"])
+def test_verify_all_rejects_options_it_does_not_read(args, scenario, params,
+                                                     key, tmp_path, capsys,
+                                                     monkeypatch):
+    # verify-all runs every scenario at its defaults
+    def no_criteria(*args, **kwargs):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(cli.acceptance, "run_all", no_criteria)
+    config = tmp_path / "v.ini"
+    config.write_text(f"[scenario]\n{scenario}[params]\n{params}")
+    assert cli.main(["verify-all", *args, "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
 @pytest.mark.parametrize("key, value", [
     ("base_length", "0"),
     ("fiber_length", "0"),
@@ -476,6 +498,7 @@ def test_failing_eigenvalue_rate_has_negative_margin():
     ("torus-bundle", "1e4 1"),              # sum b_i^2 > 1e4: spectrum-match
                                             # failed its absolute 1e-10
     ("nil-homothety", "1e200 1"),           # was an OverflowError traceback
+    ("nil-dense-direction", "1e200 1"),     # was a ValueError traceback
     ("nil-dense-direction", "1 0"),         # limit 0: failed positive-limit
 ])
 def test_cli_bracket_vector_names_key(scenario, b, tmp_path, capsys):

@@ -204,7 +204,7 @@ def test_laplacian_dense_n10_from_exterior_derivative():
 
 def test_stacked_assembly_rejects_bad_input():
     c = np.zeros((2, 3, 3, 3))
-    with pytest.raises(cs.CollapseSpectraError,
+    with pytest.raises(ValueError,
                        match=re.escape("degree 4 not in [0, 3]")):
         cs.laplacian(cs.StructureConstants(c[0]), 4)
     with pytest.raises(ValueError):
@@ -221,10 +221,10 @@ def test_spectrum_rejects_degrees_outside_the_complex(kind):
     assert L.is_unimodular == (kind == "dense")
     for p in (-1, L.n + 1):
         message = re.escape(f"degree {p} not in [0, {L.n}]")
-        with pytest.raises(cs.CollapseSpectraError, match=message):
+        with pytest.raises(ValueError, match=message):
             cs.spectrum(L, p)
         for all_uni in (True, False):
-            with pytest.raises(cs.CollapseSpectraError, match=message):
+            with pytest.raises(ValueError, match=message):
                 stacked_gram_eigenvalues(L.c[None], p, {}, all_uni)
     assert not L._gram_eigs
 
@@ -236,6 +236,7 @@ def test_clamp_spectra_stack_matches_reports():
     vals[1, :3] = [-5e-10, 2e-10, 0.0]
     vals[2] *= 1e4
     vals[2, 0] = 5e-6
+    vals.sort(axis=1)                 # clamp_spectra takes ascending rows
     clamped, kernel = clamp_spectra(vals)
     for t in range(len(vals)):
         rep = cs.SpectrumReport.from_eigenvalues(vals[t])
@@ -244,7 +245,7 @@ def test_clamp_spectra_stack_matches_reports():
     assert list(kernel) == [2, 3, 1, 0]
     assert kernel_cutoff(float(np.max(vals[2]))) == 1e-9 * float(np.max(vals[2]))
     assert kernel_cutoff(0.5) == 1e-9
-    vals[3, 4] = -1e-3
+    vals[3, 0] = -1e-3
     with pytest.raises(ValueError, match="below -EIG_TOL"):
         clamp_spectra(vals)
     empty = clamp_spectra(np.zeros((3, 0)))

@@ -115,6 +115,7 @@ REJECTED = [
     ("semisimple_floor_experiment.py", ["--cap", "nan"], {}, "--cap"),
     ("flat_thresholds.py", ["--base-length", "0"], {}, "--base-length"),
     ("flat_thresholds.py", ["--fiber", "1e-12"], {}, "--fiber"),
+    ("semisimple_floor_experiment.py", ["--seed", "-1"], {}, "--seed"),
 ]
 
 
@@ -135,3 +136,62 @@ def test_rejected_input_names_its_key(front_end, args, params, key,
             else ["--out", str(tmp_path / "o")]
         code, err = _script(front_end, monkeypatch, capsys, *args, *out)
     assert code == 2 and err.startswith(f"error: {key}: "), err
+
+
+#: values at the edges of the floats that every parameter is set to
+EXTREMES = [0.0, 1e-300, -1e-300, 1e300, -1e300, 1e200]
+
+
+def _extreme_configs():
+    """``(scenario, arguments, [params])`` of every scenario with one
+    parameter at a time at each of EXTREMES: a vector's first entry, then
+    its last, then all of them, and B in four 2x2 placements; and of every
+    scenario at its defaults on a subnormal and a tiny eps grid."""
+    for name, spec in sorted(scenarios.SCENARIOS.items()):
+        for grid in ("5e-324", "1e-300"):
+            yield name, ["--eps-grid", grid], {}
+        for key, (kind, default, *_) in spec.params.items():
+            for x in EXTREMES:
+                value, negated = f"{x:g}", f"{-x:g}"
+                if kind == "vector":
+                    entries = default.split()
+                    texts = [" ".join([value, *entries[1:]]),
+                             " ".join([*entries[:-1], value]),
+                             " ".join([value] * len(entries))]
+                elif kind == "matrix":
+                    texts = [f"{value} 0; 0 0", f"0 {value}; 0 0",
+                             f"{value} 0; 0 {negated}", f"0.5 {value}; 0 -0.5"]
+                else:
+                    texts = [value]
+                for text in texts:
+                    yield name, [], {key: text}
+
+
+def test_no_exception_escapes_the_cli(tmp_path, capsys, time_limit):
+    # a known defect: the numeric kernel tower decides ranks on B / |B|_2,
+    # so an ill-scaled hyperbolic B gets wrong invariants and these
+    # configs fail kernel-dim, exit 1; every other config passes or is
+    # rejected naming its key
+    known_failures = {("mapping-torus", f"0.5 {value:g}; 0 -0.5")
+                      for value in (1e300, -1e300, 1e200)}
+    config = tmp_path / "run.ini"
+    wrong = []
+    with time_limit(10.0, "the extreme-value sweep"):
+        for name, args, params in _extreme_configs():
+            config.write_text("[params]\n" + "".join(
+                f"{key} = {text}\n" for key, text in params.items()))
+            try:
+                code = cli.main([name, *args, "--config", str(config),
+                                 "--out", str(tmp_path / "o")])
+            except Exception as exc:
+                wrong.append((name, args, params, repr(exc)))
+                continue
+            err = capsys.readouterr().err
+            if code == 2:
+                keys = [*scenarios.SCENARIOS[name].params, "eps_grid", "seed"]
+                if not any(err.startswith(f"error: {key}: ") for key in keys):
+                    wrong.append((name, args, params, err))
+            elif code != 0 and (code != 1 or (name, *params.values())
+                                not in known_failures):
+                wrong.append((name, args, params, code))
+    assert wrong == []
