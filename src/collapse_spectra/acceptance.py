@@ -1,5 +1,8 @@
 """Acceptance suite: every quantitative exit criterion as a check function.
 
+Each criterion maps ``(seed, runs)`` to ``(name, checks)``; :func:`run_all`
+numbers it by its position in :data:`CRITERIA` and times it.
+
 A criterion that restates a scenario's claim is a named list of scenario
 runs, each ``(label, scenario, params, eps_grid, seed)``, plus only the
 assertions that no scenario makes.  Its checks are the scenarios' own,
@@ -47,11 +50,6 @@ class CriterionResult(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _result(number, name, checks, t0):
-    return CriterionResult(number, name, tuple(checks), time.
-                           perf_counter() - t0)
 
 
 class ScenarioRuns(dict):
@@ -118,11 +116,10 @@ def criterion_1_heisenberg(seed, runs):
         for gamma in (3, 2)])
     elapsed = time.perf_counter() - t0
     checks.append(CheckResult("runtime", elapsed, 1.0, f"{elapsed:.3f} s"))
-    return _result(1, "heisenberg small eigenvalue", checks, t0)
+    return "heisenberg small eigenvalue", checks
 
 
 def criterion_2_closed_form(seed, runs):
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(20):
@@ -133,11 +130,10 @@ def criterion_2_closed_form(seed, runs):
         worst = max(worst, float(np.max(np.abs(fast - generic))))
     checks = [CheckResult("oracle-equality", worst, 1e-12,
                           f"max entry gap {worst:.3e}")]
-    return _result(2, "degree-1 Laplacian closed form", checks, t0)
+    return "degree-1 Laplacian closed form", checks
 
 
 def criterion_3_complex_validity(seed, runs):
-    t0 = time.perf_counter()
     worst_uni = worst_dd = worst_sym = worst_neg = worst_dual = 0.0
     for _, L in _unimodular_test_algebras():
         worst_uni = max(worst_uni,
@@ -166,11 +162,10 @@ def criterion_3_complex_validity(seed, runs):
         CheckResult("poincare-duality", worst_dual, 1e-9,
                     f"max {worst_dual:.3e}"),
     ]
-    return _result(3, "complex validity and duality", checks, t0)
+    return "complex validity and duality", checks
 
 
 def criterion_4_kernel_dimension(seed, runs):
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 4)
     kernel_miss, count_miss = 0, 0
     for name, B in _test_b_matrices():
@@ -197,11 +192,10 @@ def criterion_4_kernel_dimension(seed, runs):
         CheckResult("kernel-dim", kernel_miss, 0, "dim ker = d' + 1"),
         CheckResult("nonzero-count", count_miss, 0, "n - d' nonzero"),
     ]
-    return _result(4, "kernel dimension over random frames", checks, t0)
+    return "kernel dimension over random frames", checks
 
 
 def criterion_5_collapse_counts(seed, runs):
-    t0 = time.perf_counter()
     b4 = np.zeros((4, 4))
     b4[0, 1] = 1.0
     b4[2, 3] = 1.0
@@ -210,12 +204,10 @@ def criterion_5_collapse_counts(seed, runs):
         d, d_prime = mapping_torus.invariants_dd(B)
         run_list += [(f"n{len(B)}-k{k}", "mapping-torus", {"B": B, "k": k},
                       None, seed) for k in range(d - d_prime + 1)]
-    checks = _scenario_checks(runs, run_list)
-    return _result(5, "collapse small-eigenvalue counts", checks, t0)
+    return "collapse small-eigenvalue counts", _scenario_checks(runs, run_list)
 
 
 def criterion_6_betti(seed, runs):
-    t0 = time.perf_counter()
     known = [([[1, 0], [0, 1]], 3), ([[1, 1], [0, 1]], 2),
              ([[2, 1], [1, 1]], 1)]
     known_miss = sum(intlat.betti1_mapping_torus(A).b1 != b for A, b in known)
@@ -240,38 +232,31 @@ def criterion_6_betti(seed, runs):
         CheckResult("rational-rank-oracle", oracle_miss, 0,
                     "30 random SL_n products"),
     ]
-    return _result(6, "first Betti numbers", checks, t0)
+    return "first Betti numbers", checks
 
 
 def criterion_7_two_block_regression(seed, runs):
-    t0 = time.perf_counter()
-    checks = _scenario_checks(runs, [
+    return "two-block solvable regression", _scenario_checks(runs, [
         ("two-block", "two-block-solvable", None, None, seed)])
-    return _result(7, "two-block solvable regression", checks, t0)
 
 
 def criterion_8_torus_bundle(seed, runs):
-    t0 = time.perf_counter()
     cases = [(1, [1.0]), (2, [1.0, 0.0]), (2, [0.6, 0.8]), (3, [0.0, 0.0, 2.0])]
-    checks = _scenario_checks(runs, [
+    return "principal bundle unique eigenvalue", _scenario_checks(runs, [
         ("b=" + ",".join(f"{x:g}" for x in b), "torus-bundle",
          {"n": n, "b": b}, None, seed) for n, b in cases])
-    return _result(8, "principal bundle unique eigenvalue", checks, t0)
 
 
 def criterion_9_contrasting_collapses(seed, runs):
-    t0 = time.perf_counter()
     grid = (0.5, 0.25, 0.125, 0.0625)
-    checks = _scenario_checks(runs, [
+    return "contrasting collapse modes", _scenario_checks(runs, [
         ("bundle-homothety", "nil-homothety", {"b": [0.8, 0.6]}, grid, seed),
         ("mapping-torus-homothety", "mapping-torus", {"k": 0}, grid, seed),
         ("dense-direction", "nil-dense-direction", {"b": [0.5, 1.5, 2.5]},
          grid, seed)])
-    return _result(9, "contrasting collapse modes", checks, t0)
 
 
 def criterion_10_flat_thresholds(seed, runs):
-    t0 = time.perf_counter()
     checks = _scenario_checks(runs, [
         ("flat-threshold", "flat-threshold", None, None, seed),
         ("gt-family", "gt-family", None, None, seed)])
@@ -281,11 +266,10 @@ def criterion_10_flat_thresholds(seed, runs):
                            flat_torus.FlatTorus(np.diag([4.0, 0.25])))]
     checks.append(scenarios.diameter_bound_check(
         pairs, "lambda01 >= (pi/diam)^2 on T^2, S^1, diag(4, 1/4)"))
-    return _result(10, "flat invariance thresholds", checks, t0)
+    return "flat invariance thresholds", checks
 
 
 def criterion_11_euler_chain(seed, runs):
-    t0 = time.perf_counter()
     checks = _scenario_checks(runs, [
         ("euler-bound", "euler-bound", {"trials": 50, "kmax": 4}, None,
          seed + 11)])
@@ -314,11 +298,10 @@ def criterion_11_euler_chain(seed, runs):
             and abs(rep.restricted.det_bound - oracle.det_bound) <= 1e-9)
     checks.append(CheckResult("noninjective-oracles", noninj_miss, 0,
                               "10 crafted block instances"))
-    return _result(11, "Euler determinant bound chain", checks, t0)
+    return "Euler determinant bound chain", checks
 
 
 def criterion_12_end_to_end(seed, runs):
-    t0 = time.perf_counter()
     names = sorted(scenarios.SCENARIOS)
     first = [runs.timed(name, seed=seed) for name in names]
     t1 = time.perf_counter()
@@ -334,7 +317,7 @@ def criterion_12_end_to_end(seed, runs):
         CheckResult("runtime", elapsed, 60.0,
                     f"two full passes in {elapsed:.1f} s"),
     ]
-    return _result(12, "end-to-end determinism and runtime", checks, t0)
+    return "end-to-end determinism and runtime", checks
 
 
 CRITERIA = [
@@ -365,6 +348,11 @@ class AcceptanceSummary(NamedTuple):
 
 def run_all(seed: int = 0) -> AcceptanceSummary:
     runs = ScenarioRuns()
+    results = []
     t0 = time.perf_counter()
-    results = tuple(func(seed, runs) for func in CRITERIA)
-    return AcceptanceSummary(results, time.perf_counter() - t0, runs)
+    for number, criterion in enumerate(CRITERIA, 1):
+        start = time.perf_counter()
+        name, checks = criterion(seed, runs)
+        results.append(CriterionResult(number, name, tuple(checks),
+                                       time.perf_counter() - start))
+    return AcceptanceSummary(tuple(results), time.perf_counter() - t0, runs)

@@ -28,6 +28,8 @@ from . import acceptance, scenarios
 from .errors import InputRejected
 
 DEFAULT_OUT = "collapse-spectra-out"
+#: the options, by flag or config key, that list and verify-all read
+READS = {"list": (), "verify-all": ("out", "seed")}
 
 
 class RunManifest(NamedTuple):
@@ -60,18 +62,9 @@ def _read_config(path: str) -> dict:
     for section in cp.sections():
         if section == "scenario":
             for key, value in cp.items(section):
-                if key in ("name", "out"):
-                    out[key] = value.strip()
-                elif key == "seed":
-                    try:
-                        out["seed"] = int(value)
-                    except ValueError as exc:
-                        raise InputRejected("seed",
-                                            "must be an integer") from exc
-                elif key == "eps_grid":
-                    out["eps_grid"] = value
-                else:
+                if key not in ("name", "out", "seed", "eps_grid"):
                     raise InputRejected(key, "unknown key in [scenario]")
+                out[key] = value.strip()
         elif section == "params":
             out["params"].update(cp.items(section))
         else:
@@ -180,26 +173,30 @@ def main(argv=None) -> int:
                         help="scenario name, 'list', or 'verify-all'")
     parser.add_argument("--config", help="INI config file")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", help="integer >= 0")
     parser.add_argument("--eps-grid", dest="eps_grid",
                         help="comma-separated grid in (0, 1]")
     args = parser.parse_args(argv)
 
     try:
         config = _read_config(args.config) if args.config else {"params": {}}
+        if args.command in READS:
+            reads = READS[args.command]
+            given = [key for key in ("out", "seed", "eps_grid")
+                     if getattr(args, key) is not None] + list(config)
+            unread = [key for key in given if key not in (*reads, "params")
+                      ] + list(config["params"])
+            if unread:
+                raise InputRejected(unread[0], (
+                    f"not read by {args.command}, which reads "
+                    + (" and ".join(reads) or "no option")))
         seed = args.seed if args.seed is not None else config.get("seed", 0)
+        seed = scenarios.parse_value(int, "seed", seed)
         out_dir = Path(args.out or os.environ.get("COLLAPSE_SPECTRA_OUT")
                        or config.get("out") or DEFAULT_OUT)
         if args.command == "list":
             return _cmd_list()
         if args.command == "verify-all":
-            unread = ([] if args.eps_grid is None else ["eps_grid"]) + [
-                key for key in ("name", "eps_grid") if key in config
-            ] + list(config["params"])
-            if unread:
-                raise InputRejected(unread[0], "verify-all runs every "
-                                    "scenario at its defaults and reads no "
-                                    "name, eps grid or parameter")
             return _cmd_verify_all(seed, out_dir)
         name = args.command
         if "name" in config and config["name"] != name:

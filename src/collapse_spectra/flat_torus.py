@@ -162,12 +162,12 @@ class ModeSpectrum(NamedTuple):
         return np.array([m.eigenvalue for m in self.modes for _ in
                          range(m.multiplicity)])
 
-    def to_csv(self, invariant_flag=None) -> str:
-        flag = invariant_flag or (lambda gamma: not any(gamma))
+    def to_csv(self, invariant_flag) -> str:
         return csv_text(
             [f"gamma_{i + 1}" for i in range(self.k)]
             + ["eigenvalue", "multiplicity", "invariant_flag"],
-            [[*m.gamma, m.eigenvalue, m.multiplicity, int(flag(m.gamma))]
+            [[*m.gamma, m.eigenvalue, m.multiplicity,
+              int(invariant_flag(m.gamma))]
              for m in self.modes])
 
 

@@ -424,6 +424,13 @@ def _capped_frames(B, q1, q2, u, cap) -> np.ndarray:
     return C
 
 
+def check_seed(seed) -> int:
+    """An integral seed >= 0 as a plain int, which JSON manifests need."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InputRejected("seed", f"need an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
                      seed: int = 0) -> FloorReport:
     """Empirical lower bound for the nonzero invariant spectrum over random
@@ -452,9 +459,7 @@ def semisimple_floor(b_matrix, trials: int = 200, curvature_cap: float = None,
             and 1 <= trials <= MAX_FLOOR_TRIALS):
         raise InputRejected("trials", f"trials must be an integer in "
                                       f"1..{MAX_FLOOR_TRIALS}, got {trials!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise InputRejected("seed", f"seed must be an integer >= 0, got "
-                                    f"{seed!r}")
+    check_seed(seed)
     if curvature_cap is not None and not math.isfinite(curvature_cap):
         raise InputRejected("curvature_cap", f"curvature_cap = "
                                              f"{curvature_cap} is not finite")

@@ -280,8 +280,9 @@ def _scenario_flat_rotation_torus(params, seed, eps_grid):
     A = [[1, 0], [0, 1]]
     bundle = mapping_torus.MappingTorusBundle(A, B)
     betti = intlat.betti1_mapping_torus(A)
-    rep = lie_complex.spectrum(bundle.algebra(), 1)
-    table = curvature.frame_curvature_table(bundle.algebra())
+    L = bundle.algebra()
+    rep = lie_complex.spectrum(L, 1)
+    table = curvature.frame_curvature_table(L)
     max_k = table.max_abs
     checks = [
         CheckResult("betti-b1", abs(betti.b1 - 3), 0, f"b1 = {betti.b1}"),
@@ -577,8 +578,7 @@ def resolve(name: str, params: dict = None, seed: int = 0,
         if key not in merged:
             raise InputRejected(key, f"not a parameter of {name}")
         merged[key] = value
-    if not isinstance(seed, int) or seed < 0:
-        raise InputRejected("seed", f"need an integer >= 0, got {seed!r}")
+    seed = mapping_torus.check_seed(seed)
     grid = parse_value("vector", "eps_grid",
                        spec.default_grid if eps_grid is None else eps_grid)
     torus_bundle.check_eps_grid(grid)

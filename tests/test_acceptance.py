@@ -11,25 +11,35 @@ from collapse_spectra import acceptance, scenarios
 from collapse_spectra.scenarios import CheckResult
 
 
-@pytest.mark.parametrize("criterion", acceptance.CRITERIA,
+@pytest.mark.parametrize("number, criterion",
+                         enumerate(acceptance.CRITERIA, 1),
                          ids=[f.__name__ for f in acceptance.CRITERIA])
-def test_criterion(criterion):
-    result = criterion(0, acceptance.ScenarioRuns())
-    status = "PASS" if result.passed else "FAIL"
-    print(f"\n{status} criterion {result.number}: {result.name} "
-          f"({result.seconds:.2f} s)")
-    for check in result.checks:
+def test_criterion(number, criterion):
+    name, checks = criterion(0, acceptance.ScenarioRuns())
+    passed = all(c.passed for c in checks)
+    print(f"\n{'PASS' if passed else 'FAIL'} criterion {number}: {name}")
+    for check in checks:
         mark = "ok " if check.passed else "BAD"
         print(f"  {mark} {check.name}: margin {check.margin:+.3e}"
               + (f" ({check.detail})" if check.detail else ""))
-    failed = [c.name for c in result.checks if not c.passed]
-    assert result.passed, f"criterion {result.number} failed: {failed}"
+    failed = [c.name for c in checks if not c.passed]
+    assert checks and passed, f"criterion {number} failed: {failed}"
+
+
+def test_criteria_are_numbered_by_position():
+    # run_all numbers a criterion by its place in CRITERIA, the tracer
+    # of perfbench by its function name, so the two must agree
+    for i, criterion in enumerate(acceptance.CRITERIA):
+        assert criterion.__name__.startswith(f"criterion_{i + 1}_")
 
 
 def test_run_all_summary():
     summary = acceptance.run_all(seed=0)
     assert summary.passed
     assert [r.number for r in summary.results] == list(range(1, 13))
+    assert len({r.name for r in summary.results}) == 12
+    assert all(r.seconds > 0 for r in summary.results)
+    assert summary.seconds >= sum(r.seconds for r in summary.results)
 
 
 @given(value=st.floats(allow_nan=True, allow_infinity=True),
@@ -53,10 +63,10 @@ def test_readme_tolerance_table_matches_defaults():
                       readme.read_text(), flags=re.MULTILINE)
     assert len(rows) == 7
     runs = acceptance.ScenarioRuns()
-    results = {number: acceptance.CRITERIA[number - 1](0, runs)
-               for number in {int(number) for _, _, number in rows}}
+    checks = {number: acceptance.CRITERIA[number - 1](0, runs)[1]
+              for number in {int(number) for _, _, number in rows}}
     for check, bound, number in rows:
-        bounds = {c.bound for c in results[int(number)].checks
+        bounds = {c.bound for c in checks[int(number)]
                   if c.name.split("/")[-1] == check}
         assert bounds == {float(bound)}, (check, bounds)
 

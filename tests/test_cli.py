@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from collapse_spectra import cli, mapping_torus, scenarios
@@ -421,6 +422,23 @@ def test_negative_seed_names_key(tmp_path, capsys):
     assert cli.main(["euler-bound", "--seed", "-1",
                      "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: seed:")
+    config = tmp_path / "run.ini"
+    config.write_text("[scenario]\nseed = x\n")
+    assert cli.main(["heisenberg", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: seed: ")
+    # one range rule for resolve and the floor: any integral value >= 0,
+    # kept in resolve's key as the plain int the manifest JSON needs
+    B = [[1.0, 0.0], [0.0, -1.0]]
+    seed = scenarios.resolve("heisenberg", seed=np.int64(1))[2]
+    assert seed == 1 and type(seed) is int
+    assert mapping_torus.semisimple_floor(B, 2, seed=np.int64(1)) == \
+        mapping_torus.semisimple_floor(B, 2, seed=1)
+    for bad in (1.5, -1, "1"):
+        with pytest.raises(InputRejected, match="^seed: need an integer"):
+            scenarios.resolve("heisenberg", seed=bad)
+        with pytest.raises(InputRejected, match="^seed: need an integer"):
+            mapping_torus.semisimple_floor(B, 2, seed=bad)
 
 
 def test_verify_all_negative_seed_runs_no_criterion(tmp_path, capsys,
@@ -435,26 +453,41 @@ def test_verify_all_negative_seed_runs_no_criterion(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: seed:")
 
 
-@pytest.mark.parametrize("args, scenario, params, key", [
-    (["--eps-grid", "7"], "", "", "eps_grid"),
-    ([], "eps_grid = 5\n", "", "eps_grid"),
-    ([], "name = heisenberg\n", "", "name"),
-    ([], "", "gamma = -7\n", "gamma"),
-    ([], "", "bogus = 1\n", "bogus"),
-], ids=["flag-eps_grid", "config-eps_grid", "name", "gamma", "bogus"])
-def test_verify_all_rejects_options_it_does_not_read(args, scenario, params,
-                                                     key, tmp_path, capsys,
-                                                     monkeypatch):
-    # verify-all runs every scenario at its defaults
+#: (id, flags, [scenario] lines, [params] lines, key named) of options
+#: that neither list nor verify-all reads
+UNREAD = [
+    ("flag-eps_grid", ["--eps-grid", "7"], "", "", "eps_grid"),
+    ("config-eps_grid", [], "eps_grid = 5\n", "", "eps_grid"),
+    ("name", [], "name = heisenberg\n", "", "name"),
+    ("gamma", [], "", "gamma = -7\n", "gamma"),
+    ("bogus", [], "", "bogus = 1\n", "bogus"),
+]
+
+
+@pytest.mark.parametrize("command, args, scenario, params, key", [
+    *[pytest.param("verify-all", *case, id=id_) for id_, *case in UNREAD],
+    *[pytest.param("list", *case, id=f"list-{id_}") for id_, *case in [
+        *UNREAD,
+        ("flag-seed", ["--seed", "3"], "", "", "seed"),
+        ("config-seed", [], "seed = 3\n", "", "seed"),
+        ("flag-out", ["--out", "x"], "", "", "out"),
+        ("config-out", [], "out = x\n", "", "out")]]])
+def test_verify_all_rejects_options_it_does_not_read(command, args, scenario,
+                                                     params, key, tmp_path,
+                                                     capsys, monkeypatch):
+    # verify-all runs every scenario at its defaults and reads only out
+    # and seed; list reads no option
     def no_criteria(*args, **kwargs):
         raise AssertionError("a criterion ran")
 
     monkeypatch.setattr(cli.acceptance, "run_all", no_criteria)
     config = tmp_path / "v.ini"
     config.write_text(f"[scenario]\n{scenario}[params]\n{params}")
-    assert cli.main(["verify-all", *args, "--config", str(config),
-                     "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    out = [] if command == "list" else ["--out", str(tmp_path / "o")]
+    assert cli.main([command, *args, "--config", str(config), *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key}: ")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("key, value", [

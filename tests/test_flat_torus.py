@@ -413,7 +413,7 @@ def test_diameter_certified_shifts_skewed():
 def test_mode_spectrum_csv():
     torus = FlatTorus.identity(2)
     modes = cs.p_form_spectrum(torus, 1, FOUR_PI_SQ * 1.01)
-    text = modes.to_csv()
+    text = modes.to_csv(lambda gamma: not any(gamma))
     lines = text.splitlines()
     assert lines[0] == "gamma_1,gamma_2,eigenvalue,multiplicity,invariant_flag"
     assert lines[1].startswith("0,0,0.0,2,1")

@@ -116,6 +116,8 @@ REJECTED = [
     ("flat_thresholds.py", ["--base-length", "0"], {}, "--base-length"),
     ("flat_thresholds.py", ["--fiber", "1e-12"], {}, "--fiber"),
     ("semisimple_floor_experiment.py", ["--seed", "-1"], {}, "--seed"),
+    *[("cli", [command, "--seed", "x"], {}, "seed")
+      for command in ("heisenberg", "verify-all")],
 ]
 
 

@@ -265,10 +265,10 @@ def test_import_processes_only_the_kept_dataclasses():
 
 #: parameters with a default plus record fields in src/; see
 #: test_settable_values_do_not_grow
-SETTABLE_VALUES = 124
+SETTABLE_VALUES = 123
 #: lines of the package's modules, as ``wc -l`` counts them; see
 #: test_src_lines_do_not_grow
-SRC_LINES = 3432
+SRC_LINES = 3422
 
 
 def test_src_lines_do_not_grow():
