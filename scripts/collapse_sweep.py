@@ -8,7 +8,7 @@ C_eps^T C_eps and the frame curvature bound along the collapse.
 Exit status: 0 when every table is written, 2 when the input is
 rejected, naming the flag at fault: --b for a B that is not a square
 matrix of finite numbers or whose Jordan chains the library cannot
-decide, --jmax below 1 or when the finest eps puts the small
+decide, --jmax not an integer >= 1 or when the finest eps puts the small
 eigenvalues eps^2 of some k >= 1 within twice the kernel cutoff.  The
 largest admissible --jmax is 14 for every B whose collapse family has
 eps = 1 trace Tr(C^T C) <= 1.86, the default B among them; a larger
@@ -36,19 +36,20 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--b", default="0 1; 0 0",
                     help="matrix B, rows separated by ';'")
-    ap.add_argument("--jmax", type=int, default=10,
+    ap.add_argument("--jmax", default="10",
                     help="grid eps = 2^-1 .. 2^-jmax, 1 <= jmax <= 14 "
                          "(less for a B with eps = 1 trace above 1.86)")
     ap.add_argument("--out", default="sweep-out")
     args = ap.parse_args()
 
     try:
-        if args.jmax < 1:
+        jmax = parse_value(int, "eps_grid", args.jmax)
+        if jmax < 1:
             raise InputRejected("eps_grid",
-                                f"need an integer >= 1, got {args.jmax}")
+                                f"need an integer >= 1, got {jmax}")
         B = np.array(parse_value("matrix", "B", args.b))
         d, d_prime = invariants_dd(B)
-        grid = [2.0 ** -j for j in range(1, args.jmax + 1)]
+        grid = [2.0 ** -j for j in range(1, jmax + 1)]
         tables = [run_collapse(B, k, grid) for k in range(d - d_prime + 1)]
     except InputRejected as exc:
         print(f"error: {FLAGS.get(exc.key, exc.key)}: {exc.message}",

@@ -8,7 +8,8 @@ the first fiber eigenvalue is invariant and that the bound is attained.
 Exit status: 0 when the threshold holds and is attained, 1 when it does
 not, 2 when an input breaks its rule, naming its flag: a fiber that is
 not a symmetric positive definite matrix of finite numbers (--fiber), a
-degree outside 0..dim (--degree), or lengths that break the
+degree that is not an integer in 0..dim (--degree), a base length that
+is not a finite number (--base-length), or lengths that break the
 flat-threshold scenario's size rule (``flat_torus.check_product_lengths``:
 lengths > 0 with normal-float squares, base length <= 1e3 and base
 length / fiber length <= 1e3, the fiber length read as
@@ -37,21 +38,23 @@ FLAGS = {"base_length": "--base-length", "fiber_length": "--fiber",
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--base-length", type=float, default=1.0)
+    ap.add_argument("--base-length", default="1.0")
     ap.add_argument("--fiber", default="0.01",
                     help="fiber Gram matrix, rows separated by ';'")
-    ap.add_argument("--degree", type=int, default=1)
+    ap.add_argument("--degree", default="1")
     ap.add_argument("--out", default="thresholds.csv")
     args = ap.parse_args()
 
     try:
+        base_length = parse_value(float, "base_length", args.base_length)
+        degree = parse_value(int, "p", args.degree)
         fiber = FlatTorus(np.array(parse_value("matrix", "--fiber",
                                                args.fiber)))
         # the fiber length of a circle fiber with the same lambda01
         fiber_length = 2.0 * math.pi / math.sqrt(lambda01(fiber))
-        check_product_lengths(args.base_length, fiber_length)
-        rep = threshold_check_product(FlatTorus.circle(args.base_length),
-                                      fiber, args.degree)
+        check_product_lengths(base_length, fiber_length)
+        rep = threshold_check_product(FlatTorus.circle(base_length),
+                                      fiber, degree)
     except InputRejected as exc:
         print(f"error: {FLAGS.get(exc.key, exc.key)}: {exc.message}",
               file=sys.stderr)

@@ -9,8 +9,9 @@ Prints a summary and writes no files.  Exit status: 0 when the floor
 lies above the 1e-4 sanity line, 1 when it does not, 2 when the input
 is rejected, naming the flag at fault: --b for a B that is not a square
 matrix of finite numbers, not semisimple, or whose Tr(B^T B) or default
-cap 2 Tr(B^T B) + 1 is too large; --trials outside 1..10000; --cap not
-finite or outside Tr(B^T B) .. float max / (n + 1)^2; --seed below 0.
+cap 2 Tr(B^T B) + 1 is too large; --trials not an integer in 1..10000;
+--cap not finite or outside Tr(B^T B) .. float max / (n + 1)^2; --seed
+not an integer >= 0.
 
 Example:
     python scripts/semisimple_floor_experiment.py --b "1 0; 0 -1" --trials 500
@@ -33,16 +34,19 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--b", default="1 0; 0 -1",
                     help="matrix B, rows separated by ';'")
-    ap.add_argument("--trials", type=int, default=200)
-    ap.add_argument("--cap", type=float, default=None,
+    ap.add_argument("--trials", default="200")
+    ap.add_argument("--cap", default=None,
                     help="bound on Tr(C^T C); default 2 Tr(B^T B) + 1")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", default="0")
     args = ap.parse_args()
 
     try:
         B = np.array(parse_value("matrix", "B", args.b))
-        rep = semisimple_floor(B, trials=args.trials, curvature_cap=args.cap,
-                               seed=args.seed)
+        trials = parse_value(int, "trials", args.trials)
+        cap = None if args.cap is None \
+            else parse_value(float, "curvature_cap", args.cap)
+        rep = semisimple_floor(B, trials=trials, curvature_cap=cap,
+                               seed=parse_value(int, "seed", args.seed))
     except InputRejected as exc:
         print(f"error: {FLAGS.get(exc.key, exc.key)}: {exc.message}",
               file=sys.stderr)

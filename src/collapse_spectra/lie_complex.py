@@ -58,8 +58,15 @@ exact form d(alpha ^ d beta), which is zero on a unimodular algebra; in
 general its norm is at most |theta| |d_{m-1}|, the same Weyl-type bound
 as the mirror's.  So under the same rule the Gram matrix of E, whose
 side is at most C(n, m) / 2, is solved in place of that of d_{m-1}, but
-only when C(n, m) / 2 is strictly smaller than the side of the nonzero
-block of d_{m-1}; at n = 12 a dense frame solves 462 in place of 792.
+only when C(n, m) / 2 is strictly below both counts of rows and columns
+of d_{m-1} that contributions with a nonzero structure constant touch;
+at n = 12 a dense frame solves 462 in place of 792.  E is assembled
+from d's tables with each row J^c moved to its J and s_J put into the
+weight index, so d_{m-1} is never built, and E keeps the bits of
+d[J] + s_J d[J^c]: a term of d at (row, column) needs at least m - 2
+indices of the column in the row, and J and J^c share the column's
+m - 1, so for m >= 4 each entry of E is one entry of d, and at m = 2 a
+sum of two single terms.
 One rule separates the kernel: an eigenvalue at most
 :func:`kernel_cutoff` of its spectrum's largest eigenvalue counts as
 zero.
@@ -276,11 +283,31 @@ def _d_pattern(n: int, p: int):
     return flat.ravel(), idx.ravel()
 
 
-def _assemble(c, p: int, cut: bool):
-    """``(d, rows)``: d_p of every tensor in the stack ``c`` (T, n, n, n),
-    and ``rows``, the position in d counted from 1 of each row of
-    Lambda^{p+1} that d keeps and 0 on the others (a slice of all of them
-    when d is built in full).
+@functools.lru_cache(maxsize=None)
+def _fold_pattern(n: int):
+    """Index tables of the Hodge fold E of d_{m-1}, n = 2m = 0 (mod 4), in
+    the form and order of :func:`_d_pattern`'s: row J^c of d moves to the
+    row of its J, and s_J = -1 moves idx by n^3 mod 2 n^3, which negates
+    the weight (see the module docstring).  Read-only, cached per n."""
+    dom = np.int32(form_dim(n, n // 2 - 1))
+    J, Jc, sign = _hodge_star(n)
+    pos = np.empty(2 * len(J), np.int32)
+    pos[J] = pos[Jc] = np.arange(len(J), dtype=np.int32)
+    flip = np.zeros(2 * len(J), np.int16)
+    flip[Jc] = (sign < 0) * n ** 3
+    flat, idx = _d_pattern(n, n // 2 - 1)
+    row = flat // dom
+    flat = flat + (pos[row] - row) * dom
+    idx = idx + flip[row]
+    idx -= (idx >= 2 * n ** 3) * np.int16(2 * n ** 3)
+    for table in (flat, idx):
+        table.setflags(write=False)
+    return flat, idx
+
+
+def _assemble(c, p: int, cut: bool, fold: bool):
+    """d_p of every tensor in the stack ``c`` (T, n, n, n), or with
+    ``fold`` its Hodge fold E where that is smaller.
 
     One ``np.bincount`` over the tables of :func:`_d_pattern`, with item
     t's positions offset by t times the size of d.  It adds in input
@@ -290,6 +317,9 @@ def _assemble(c, p: int, cut: bool):
     is assembled on the rows and columns that the rest touch; with none
     dropped (a dense frame) it is built in full.  A touched row or column
     can still cancel to exact zeros; :func:`_nonzero_block` drops those.
+    With ``fold`` at p = n/2 - 1, n = 0 (mod 4), E is built in full from
+    :func:`_fold_pattern`'s tables when C(n, n/2) / 2 is strictly below
+    both sides of d's block of touched rows and columns.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 4 or len(set(c.shape[1:])) != 1:
@@ -298,12 +328,9 @@ def _assemble(c, p: int, cut: bool):
     if not 0 <= p <= n:
         raise ValueError(f"degree {p} not in [0, {n}]")
     dom_dim, cod_dim = form_dim(n, p), form_dim(n, p + 1)
-    rows = slice(None)
     if p == 0 or p == n:
-        return np.zeros((count, cod_dim, dom_dim)), rows
+        return np.zeros((count, cod_dim, dom_dim))
     flat, idx = _d_pattern(n, p)
-    # take casts an int16 index element by element, several times slower
-    idx = idx.astype(np.intp)
     w = c.reshape(count, -1)
     w = np.concatenate((-w, w), axis=1)
     live = w.any(axis=0)[idx] if cut else None
@@ -317,13 +344,21 @@ def _assemble(c, p: int, cut: bool):
         rows, cols = rows * rows.cumsum(), cols * cols.cumsum()
         cod_dim, dom_dim = int(rows.max()), int(cols.max())
         flat = rows[row] * dom_dim + cols[col] - (dom_dim + 1)
+    if (fold and n % 4 == 0 and p == n // 2 - 1
+            and form_dim(n, p + 1) // 2 < min(cod_dim, dom_dim)):
+        # E in full: a dropped term adds only +-0, and _nonzero_block cuts
+        # the rows and columns that stay zero
+        flat, idx = _fold_pattern(n)
+        cod_dim, dom_dim = form_dim(n, p + 1) // 2, form_dim(n, p)
     size = cod_dim * dom_dim
-    w = w.take(idx, axis=1)
+    # take casts an int16 index element by element, several times slower;
+    # the intp copy is freed before bincount makes its own of flat
+    w = w.take(idx.astype(np.intp), axis=1)
     if count > 1:
         # one offset copy of the tables; a single algebra reads them as cached
         flat = flat + np.arange(count)[:, None] * size
     d = np.bincount(flat.ravel(), weights=w.ravel(), minlength=count * size)
-    return d.reshape(count, cod_dim, dom_dim), rows
+    return d.reshape(count, cod_dim, dom_dim)
 
 
 def stacked_derivative(c, p: int) -> np.ndarray:
@@ -331,7 +366,7 @@ def stacked_derivative(c, p: int) -> np.ndarray:
     (T, C(n, p+1), C(n, p)): :func:`_assemble` in full.  The index tables,
     built rest-major in one broadcast per (n, p), take about 2.8 MB for all
     p at n = 12 and 18 MB at n = 14, less than the largest Laplacian."""
-    return _assemble(c, p, False)[0]
+    return _assemble(c, p, False, False)
 
 
 def _nonzero_block(d) -> np.ndarray:
@@ -494,23 +529,12 @@ def stacked_gram_eigenvalues(c, p: int, cache: dict,
         elif 0 <= mirror < p and all_unimodular:
             vals = stacked_gram_eigenvalues(c, mirror, cache, True)
         else:
-            d_p, rows = _assemble(c, p, True)
-            block = _nonzero_block(d_p)
-            if (n % 4 == 0 and p == n // 2 - 1
-                    and form_dim(n, p + 1) // 2 < min(block.shape[1:])
-                    and all_unimodular):
-                if d_p.shape[1] < form_dim(n, p + 1):  # rows: 0 picks a zero row
-                    d_p = np.pad(d_p, ((0, 0), (1, 0), (0, 0)))[:, rows]
-                J, Jc, sign = _hodge_star(n)
-                block = d_p[:, Jc]
-                block *= sign[:, None]
-                block += d_p[:, :len(J)]  # d_p[:, J] as a view: J = range
-                del d_p  # free before the fold is cut and its Gram formed
-                block = _nonzero_block(block)
+            block = _nonzero_block(_assemble(c, p, True, all_unimodular))
             block_t = block.transpose(0, 2, 1)
-            vals = np.linalg.eigvalsh(block_t @ block
-                                      if block.shape[2] <= block.shape[1]
-                                      else block @ block_t)
+            gram = (block_t @ block if block.shape[2] <= block.shape[1]
+                    else block @ block_t)
+            del block, block_t  # only the Gram matrix is held in the solve
+            vals = np.linalg.eigvalsh(gram)
         vals.setflags(write=False)
         cache[p] = vals
     return vals

@@ -129,7 +129,27 @@ def direct_gram_eigenvalues(c, p) -> np.ndarray:
     from collapse_spectra.lie_complex import (StructureConstants,
                                               exterior_derivative)
 
-    d = np.stack([exterior_derivative(StructureConstants(m), p) for m in c])
+    return _member_gram_eigenvalues(np.stack(
+        [exterior_derivative(StructureConstants(m), p) for m in c]))
+
+
+def folded_gram_eigenvalues(c) -> np.ndarray:
+    """Ascending eigenvalues of the Gram matrix of the Hodge fold
+    E = d[J] + s_J d[J^c] of d = d_{n/2-1}, n = 0 (mod 4), of each tensor
+    of the stack ``c``, formed from the assembled d of
+    ``stacked_derivative`` and solved as :func:`direct_gram_eigenvalues`
+    solves d."""
+    from collapse_spectra.lie_complex import _hodge_star, stacked_derivative
+
+    n = c.shape[1]
+    d = stacked_derivative(c, n // 2 - 1)
+    J, Jc, sign = _hodge_star(n)
+    return _member_gram_eigenvalues(d[:, J] + sign[:, None] * d[:, Jc])
+
+
+def _member_gram_eigenvalues(d) -> np.ndarray:
+    """Gram eigenvalues of each member of the stack ``d`` (T, rows, cols)
+    cut to the rows and columns nonzero in some member, one at a time."""
     rows, cols = (np.flatnonzero((d != 0).any(axis=axes))
                   for axes in ((0, 2), (0, 1)))
     vals = []

@@ -322,9 +322,9 @@ def test_sweep_builds_each_d_and_solves_each_gram_once(monkeypatch):
     real_d, real_eig = lc._assemble, lc.np.linalg.eigvalsh
     real_uni = lc.unimodular
 
-    def counting_d(c, p, cut):
+    def counting_d(c, p, cut, fold):
         builds.append(p)
-        return real_d(c, p, cut)
+        return real_d(c, p, cut, fold)
 
     def counting_uni(c):
         decisions.append(len(c))
@@ -411,7 +411,7 @@ def test_gram_block_drops_rows_and_columns_that_cancel():
     # nonzero contributions, and one row and one column of them sum to an
     # exact zero, which the block must drop as a full d_2 would
     L = solvable_algebra(np.diag([1.0, -1.0, 2.0]))
-    block, _ = cs.lie_complex._assemble(L.c[None], 2, True)
+    block = cs.lie_complex._assemble(L.c[None], 2, True, False)
     d = cs.exterior_derivative(L, 2)
     assert block.shape == (1, 3, 3)
     assert ((d != 0).any(axis=1).sum(), (d != 0).any(axis=0).sum()) == (2, 2)
@@ -428,13 +428,13 @@ def test_fold_scatters_a_block_that_misses_rows(monkeypatch):
     # two solvable models with the coform of Y at opposite ends: the union
     # block of d_3 lacks the 15 rows of 4-forms with neither, yet has more
     # than C(8, 4) / 2 = 35 rows and columns, so G_3 is folded, from the
-    # block put back on all 70 rows of Lambda^4
+    # fold tables cut to the rows and columns their live terms touch
     lc = cs.lie_complex
     rng = np.random.default_rng(6)
     flip = cs.change_frame(solvable_algebra(_trace_free(rng, 7)),
                            np.eye(8)[::-1])
     stack = np.stack([solvable_algebra(_trace_free(rng, 7)).c, flip.c])
-    block, _ = lc._assemble(stack, 3, True)
+    block = lc._assemble(stack, 3, True, False)
     assert block.shape == (2, 55, 50) and unimodular(stack).all()
     solves = []
     real_eig = lc.np.linalg.eigvalsh
@@ -473,8 +473,8 @@ def test_stack_mirrors_only_when_every_member_is_unimodular(monkeypatch):
     lc = cs.lie_complex
     builds, decisions = [], []
     real_d, real_uni = lc._assemble, lc.unimodular
-    monkeypatch.setattr(lc, "_assemble", lambda c, p, cut:
-                        builds.append(p) or real_d(c, p, cut))
+    monkeypatch.setattr(lc, "_assemble", lambda c, p, cut, fold:
+                        builds.append(p) or real_d(c, p, cut, fold))
     monkeypatch.setattr(lc, "unimodular", lambda c:
                         decisions.append(len(c)) or real_uni(c))
     rng = np.random.default_rng(3)

@@ -118,6 +118,13 @@ REJECTED = [
     ("semisimple_floor_experiment.py", ["--seed", "-1"], {}, "--seed"),
     *[("cli", [command, "--seed", "x"], {}, "seed")
       for command in ("heisenberg", "verify-all")],
+    *[(script, [flag, "x"], {}, flag) for script, flag in (
+        ("semisimple_floor_experiment.py", "--seed"),
+        ("semisimple_floor_experiment.py", "--trials"),
+        ("semisimple_floor_experiment.py", "--cap"),
+        ("collapse_sweep.py", "--jmax"),
+        ("flat_thresholds.py", "--base-length"),
+        ("flat_thresholds.py", "--degree"))],
 ]
 
 

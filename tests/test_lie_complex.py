@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_spectra as cs
-from collapse_spectra.lie_complex import (_d_pattern, _hodge_star,
-                                          check_lie_tensors,
+from collapse_spectra.lie_complex import (_d_pattern, _fold_pattern,
+                                          _hodge_star, check_lie_tensors,
                                           clamp_spectra, form_dim,
                                           gram_eigenvalues, kernel_cutoff,
+                                          stacked_gram_eigenvalues,
                                           subset_rank, unimodular)
 from collapse_spectra.mapping_torus import solvable_algebra
-from oracles import (direct_gram_eigenvalues, jacobi_defect,
-                     solvable_spectra)
+from oracles import (direct_gram_eigenvalues, folded_gram_eigenvalues,
+                     jacobi_defect, solvable_spectra)
 
 
 def test_jacobi_abelian_zero():
@@ -404,12 +405,13 @@ def test_folded_middle_gram_matches_direct_gram(n):
         assert np.sum(got <= cutoff) == np.sum(want <= cutoff)
 
 
-def test_folded_solve_holds_only_d_and_its_fold():
-    # the dense n = 12 fold of G_5 reads rows J of d_5 as a view and frees
-    # d_5 before the Gram, so its traced peak stays near |d_5| + |E|
+def test_folded_solve_holds_only_its_fold():
+    # the dense n = 12 fold E of G_5 is assembled from tables of its own,
+    # so no d_5 is built: the traced peak is E and the two table-length
+    # temporaries of the assembly, the taken weights and bincount's intp
+    # copy of the positions
     L = _dense_algebra(np.random.default_rng(12), 12, 0.0)
-    _d_pattern(12, 5)  # the cached tables are built outside the trace
-    _hodge_star(12)
+    terms = len(_fold_pattern(12)[0])  # built outside the trace
     tracemalloc.start()
     try:
         vals = gram_eigenvalues(L, 5)
@@ -417,7 +419,54 @@ def test_folded_solve_holds_only_d_and_its_fold():
     finally:
         tracemalloc.stop()
     assert vals.shape == (1, 462)
-    assert peak <= 8 * (924 * 792 + 462 * 792) + 256 * 1024, peak
+    assert peak <= 8 * (462 * 792 + 2 * terms) + 256 * 1024, peak
+
+
+@pytest.mark.parametrize("p, side", [(4, 495), (5, 462)])
+def test_gram_solve_holds_only_the_gram_matrix(p, side, monkeypatch):
+    # d_p, or the fold E of the dense n = 12 G_5, and its block are
+    # dropped once the Gram matrix is formed, before eigvalsh runs
+    L = _dense_algebra(np.random.default_rng(12), 12, 0.0)
+    _d_pattern(12, p)  # the cached tables are built outside the trace
+    _fold_pattern(12)
+    real_eig, held = np.linalg.eigvalsh, []
+    monkeypatch.setattr(cs.lie_complex.np.linalg, "eigvalsh", lambda a: (
+        held.append(tracemalloc.get_traced_memory()[0]) or real_eig(a)))
+    tracemalloc.start()
+    try:
+        vals = gram_eigenvalues(L, p)
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (1, side) and len(held) == 1
+    assert held[0] <= 8 * side * side + 256 * 1024, held
+
+
+def _hex(vals):
+    return [float(x).hex() for x in np.ravel(vals)]
+
+
+def test_folded_tables_have_the_bits_of_the_fold_of_d():
+    # E from its own tables sums each entry as d[J] + s_J d[J^c] formed
+    # from the assembled d does, so the folded solve has the bits of that
+    # reference; the nil and solvable models do not fold and keep the
+    # bits of the direct solve
+    rng = np.random.default_rng(40)
+    for n in (4, 8, 12):
+        L = _dense_algebra(rng, n, 0.0)
+        got = gram_eigenvalues(L, n // 2 - 1)
+        assert got.shape == (1, form_dim(n, n // 2) // 2), n
+        assert _hex(got) == _hex(folded_gram_eigenvalues(L.c[None])), n
+    stack = np.stack([_dense_algebra(rng, 8, 0.0).c for _ in range(3)])
+    assert unimodular(stack).all()
+    assert (_hex(stacked_gram_eigenvalues(stack, 3, {}, True))
+            == _hex(folded_gram_eigenvalues(stack)))
+    for n in (8, 12):
+        B = rng.standard_normal((n - 1, n - 1))
+        for L in (cs.nil_algebra(rng.uniform(-2, 2, n - 2)),
+                  solvable_algebra(B - np.trace(B) / (n - 1) * np.eye(n - 1))):
+            assert L.is_unimodular
+            assert (_hex(gram_eigenvalues(L, n // 2 - 1))
+                    == _hex(direct_gram_eigenvalues(L.c[None], n // 2 - 1)))
 
 
 def test_frame_change_preserves_jacobi():

@@ -617,7 +617,7 @@ def _floor_script():
 
 @pytest.mark.parametrize("argv,message", [
     (["--trials", "0"], "trials must be an integer in 1..10000, got 0"),
-    (["--cap", "nan"], "curvature_cap = nan is not finite"),
+    (["--cap", "nan"], "need a finite number"),
     (["--b", "0 1; 0 0"], "nilpotent part"),
     (["--b", "1 0; 0"], "--b: need a square matrix"),
     # Tr(B^T B) overflows: was an OverflowError traceback at 1e200 and a

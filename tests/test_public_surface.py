@@ -268,7 +268,7 @@ def test_import_processes_only_the_kept_dataclasses():
 SETTABLE_VALUES = 123
 #: lines of the package's modules, as ``wc -l`` counts them; see
 #: test_src_lines_do_not_grow
-SRC_LINES = 3422
+SRC_LINES = 3446
 
 
 def test_src_lines_do_not_grow():

@@ -211,9 +211,9 @@ def test_torus_bundle_builds_each_d_once(n, monkeypatch):
     builds = []
     real_d = lc._assemble
 
-    def counting_d(c, p, cut):
+    def counting_d(c, p, cut, fold):
         builds.append(p)
-        return real_d(c, p, cut)
+        return real_d(c, p, cut, fold)
 
     monkeypatch.setattr(lc, "_assemble", counting_d)
     b = " ".join(["1"] + ["0.5"] * (n - 1))
